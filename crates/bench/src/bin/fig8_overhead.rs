@@ -7,7 +7,6 @@
 //!
 //! Run with `cargo run --release -p bench --bin fig8_overhead [iterations]`.
 
-use baselines::TuningInput;
 use bench::report::{iterations_from_env, print_series, print_table, section};
 use bench::tuners::{build_tuner, TunerKind};
 use bench::{run_session, SessionOptions};
@@ -123,12 +122,6 @@ fn main() {
             )
             .expect("simulated measurements are finite");
         update_time += t.elapsed().as_secs_f64();
-        let _ = baselines::TuningInput {
-            context: &context,
-            metrics: None,
-            safety_threshold: threshold,
-            clients: spec.clients,
-        };
     }
     let n = breakdown_iters as f64;
     let rows = vec![
@@ -160,6 +153,4 @@ fn main() {
     ];
     print_table(&["Stage", "AvgTimePerIteration(s)"], &rows);
     println!("  Expected shape: the 180 s apply-and-evaluate interval dominates (>98% as in the paper); among tuner stages the model update is the most expensive and featurization/selection are negligible.");
-
-    let _: Option<TuningInput> = None;
 }

@@ -1,27 +1,22 @@
-//! Fit-path latency: blocked Cholesky + parallel hyperopt restarts vs the old fit path.
+//! Fit-path latency: blocked Cholesky and parallel hyperopt restarts.
 //!
 //! With observe incremental (`hotpath`) and suggest batched (`suggest_path`), the
 //! remaining cubic hot spot is the *fit path*: every Nelder–Mead trial of the periodic
-//! hyper-parameter optimization factorizes a fresh `n×n` Gram matrix, and all restarts
-//! used to run serially. This benchmark measures
+//! hyper-parameter optimization factorizes a fresh `n×n` Gram matrix. This benchmark
+//! measures
 //!
 //! 1. the blocked right-looking `Cholesky::decompose` against the retained reference
 //!    recurrence (`Cholesky::decompose_reference`) — required to agree within 4 ULPs,
-//!    and in practice bit-identical — plus the intra-op parallel trailing update
-//!    (`Cholesky::decompose_with_workers`), required to be **bit-identical** to the
-//!    serial blocked factor at every worker count;
-//! 2. the full hyper-parameter optimization in four configurations on the same model
-//!    and RNG seed: the PR-4 baseline (reference factorization, serial restarts), the
-//!    blocked factorization with serial restarts, blocked + parallel restarts, and
-//!    blocked + serial restarts + intra-op parallel factorization — required to
-//!    select **exactly identical** hyper-parameters.
+//!    and in practice bit-identical;
+//! 2. the full hyper-parameter optimization on the same model and RNG seed with serial
+//!    and parallel restart searches — required to select **exactly identical**
+//!    hyper-parameters at restart workers {1, 2, 4}.
 //!
 //! Run with `cargo run --release -p bench --bin fit_path [--smoke]`; writes
 //! `BENCH_fit.json` into the current directory and **exits non-zero** when the blocked
-//! factorization drifts beyond tolerance, the parallel trailing update diverges from
-//! the serial factor in any bit, or any configuration selects different
-//! hyper-parameters — CI runs `--smoke` so the fit-path determinism contract
-//! (including a forced {1, 2, 4}-intra-op-worker sweep) is enforced on every PR.
+//! factorization drifts beyond tolerance or any restart-worker count selects different
+//! hyper-parameters — CI runs `--smoke` so the fit-path determinism contract is
+//! enforced on every change.
 
 use bench::report::{median, section};
 use bench::synthetic::{fitted_model, CONFIG_DIM, CONTEXT_DIM};
@@ -42,22 +37,10 @@ struct DecomposePoint {
     blocked_ms: f64,
     /// `reference_ms / blocked_ms`.
     speedup: f64,
-    /// Intra-op workers of the parallel trailing update (machine parallelism).
-    intraop_workers: usize,
-    /// Median latency of the blocked factorization with the parallel trailing update
-    /// (milliseconds). On a single-CPU machine this equals `blocked_ms` — the worker
-    /// grant degenerates to the serial path.
-    intraop_ms: f64,
-    /// `blocked_ms / intraop_ms` — the intra-op parallelism win alone.
-    speedup_intraop: f64,
     /// Maximum ULP distance between the two factors (contract: ≤ 4; measured: 0).
     max_ulp_diff: u64,
     /// Whether every factor entry is within the 4-ULP tolerance.
     within_tolerance: bool,
-    /// Whether the parallel trailing update reproduced the serial blocked factor
-    /// **bit-for-bit** with 2 and 4 workers forced (regardless of CPU count). This is
-    /// the value the CI gate keys on.
-    intraop_bits_identical: bool,
 }
 
 /// One measured hyperopt size.
@@ -69,29 +52,16 @@ struct HyperoptFitPoint {
     restarts: usize,
     /// Worker threads of the parallel configuration.
     workers: usize,
-    /// PR-4 baseline: reference factorization, serial restarts (milliseconds).
-    baseline_ms: f64,
-    /// Blocked factorization, serial restarts (milliseconds).
-    blocked_serial_ms: f64,
-    /// Blocked factorization, parallel restarts (milliseconds).
+    /// Serial restarts (milliseconds).
+    serial_ms: f64,
+    /// Parallel restarts (milliseconds).
     parallel_ms: f64,
-    /// Intra-op workers of the intra-op configuration (machine parallelism).
-    intraop_workers: usize,
-    /// Blocked factorization, serial restarts, intra-op parallel trailing updates
-    /// (milliseconds). On a single-CPU machine this equals `blocked_serial_ms`.
-    intraop_ms: f64,
-    /// `baseline_ms / blocked_serial_ms` — the factorization win alone.
-    speedup_blocked: f64,
-    /// `blocked_serial_ms / parallel_ms` — the restart-parallelism win alone.
+    /// `serial_ms / parallel_ms` — the restart-parallelism win.
     speedup_parallel: f64,
-    /// `blocked_serial_ms / intraop_ms` — the intra-op parallelism win alone.
-    speedup_intraop: f64,
-    /// `baseline_ms / parallel_ms` — the full fit-path win.
-    speedup_total: f64,
     /// Whether every configuration selected bit-identical hyper-parameters (kernel
-    /// parameters and noise), including forced runs with restart workers × intra-op
-    /// workers ∈ {(2, 2), (1, 4)} that exercise the threaded paths regardless of CPU
-    /// count. This is the value the CI gate keys on.
+    /// parameters and noise), including forced runs with 2 and 4 restart workers that
+    /// exercise the threaded path regardless of CPU count. This is the value the CI
+    /// gate keys on.
     identical_hyperparams: bool,
 }
 
@@ -101,9 +71,8 @@ struct FitReport {
     context_dim: usize,
     /// CPUs the run had available. The parallel-restart configuration uses this many
     /// workers, so on a single-CPU machine it degenerates to the serial configuration
-    /// and `speedup_total` is the blocked-factorization win alone (worker-count
-    /// *determinism* is enforced separately, by the hyperopt property tests, which
-    /// force the threaded path with 2 and 4 workers regardless of CPU count).
+    /// (worker-count *determinism* is enforced separately, by forcing 2 and 4 workers
+    /// regardless of CPU count).
     available_parallelism: usize,
     decompose: Vec<DecomposePoint>,
     hyperopt: Vec<HyperoptFitPoint>,
@@ -144,16 +113,6 @@ fn measure_decompose(n: usize, reps: usize) -> DecomposePoint {
             })
             .collect(),
     );
-    let intraop_workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let intraop_ms = median(
-        (0..reps)
-            .map(|_| {
-                let start = Instant::now();
-                let _ = Cholesky::decompose_with_workers(&a, intraop_workers).unwrap();
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .collect(),
-    );
     let reference = reference.expect("reps >= 1");
     let blocked = blocked.expect("reps >= 1");
     let mut max_ulp = 0u64;
@@ -165,30 +124,13 @@ fn measure_decompose(n: usize, reps: usize) -> DecomposePoint {
             ));
         }
     }
-    // Determinism gate: force the threaded trailing update with 2 and 4 workers even on
-    // a single-CPU runner and require the factor to match the serial blocked one bit
-    // for bit.
-    let mut intraop_bits_identical = true;
-    for w in [2usize, 4] {
-        let parallel = Cholesky::decompose_with_workers(&a, w).unwrap();
-        for i in 0..n {
-            for j in 0..=i {
-                intraop_bits_identical &=
-                    parallel.factor().get(i, j).to_bits() == blocked.factor().get(i, j).to_bits();
-            }
-        }
-    }
     DecomposePoint {
         n,
         reference_ms,
         blocked_ms,
         speedup: reference_ms / blocked_ms.max(1e-9),
-        intraop_workers,
-        intraop_ms,
-        speedup_intraop: blocked_ms / intraop_ms.max(1e-9),
         max_ulp_diff: max_ulp,
         within_tolerance: max_ulp <= 4,
-        intraop_bits_identical,
     }
 }
 
@@ -196,22 +138,15 @@ fn measure_hyperopt(n: usize, restarts: usize, max_iters: usize) -> HyperoptFitP
     // The parallel configuration uses the machine's real parallelism: on a single-CPU
     // runner it degenerates to the serial configuration (extra threads would only add
     // scheduling overhead), and the committed `available_parallelism` field makes that
-    // explicit. The worker-count *determinism* gate does not depend on this — the
-    // hyperopt property tests force the threaded path with 2 and 4 workers regardless
-    // of CPU count, and the selection-identity check below covers all three configs.
+    // explicit. The worker-count *determinism* gate below does not depend on this.
     let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let run = |reference: bool, workers: usize, intraop: usize| {
+    let run = |workers: usize| {
         let mut model = fitted_model(n);
-        // The intra-op grant covers both the trial factorizations inside the
-        // optimization (via `HyperOptOptions`) and the final refit (via the model).
-        model.set_intraop_workers(intraop);
         let mut rng = StdRng::seed_from_u64(23);
         let options = HyperOptOptions {
             restarts,
             max_iters,
             workers,
-            intraop_workers: intraop,
-            use_reference_factorization: reference,
             ..Default::default()
         };
         let start = Instant::now();
@@ -220,43 +155,33 @@ fn measure_hyperopt(n: usize, restarts: usize, max_iters: usize) -> HyperoptFitP
         let (params, noise) = model.hyperparams();
         (elapsed, params, noise)
     };
-    let (baseline_ms, params_base, noise_base) = run(true, 1, 1);
-    let (blocked_serial_ms, params_serial, noise_serial) = run(false, 1, 1);
-    let (parallel_ms, params_par, noise_par) = run(false, workers, 1);
-    let (intraop_ms, params_intra, noise_intra) = run(false, 1, workers);
-    // Determinism gate: force the threaded restart and trailing-update paths even on a
-    // single-CPU runner; selection must not depend on either grant.
-    let (_, params_f22, noise_f22) = run(false, 2, 2);
-    let (_, params_f14, noise_f14) = run(false, 1, 4);
+    let (serial_ms, params_serial, noise_serial) = run(1);
+    let (parallel_ms, params_par, noise_par) = run(workers);
+    // Determinism gate: force the threaded restart path even on a single-CPU runner;
+    // selection must not depend on the grant.
+    let (_, params_w2, noise_w2) = run(2);
+    let (_, params_w4, noise_w4) = run(4);
     let identical = [
-        (&params_serial, noise_serial),
         (&params_par, noise_par),
-        (&params_intra, noise_intra),
-        (&params_f22, noise_f22),
-        (&params_f14, noise_f14),
+        (&params_w2, noise_w2),
+        (&params_w4, noise_w4),
     ]
     .iter()
     .all(|(params, noise)| {
-        params.len() == params_base.len()
+        params.len() == params_serial.len()
             && params
                 .iter()
-                .zip(params_base.iter())
+                .zip(params_serial.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits())
-            && noise.to_bits() == noise_base.to_bits()
+            && noise.to_bits() == noise_serial.to_bits()
     });
     HyperoptFitPoint {
         n,
         restarts,
         workers,
-        baseline_ms,
-        blocked_serial_ms,
+        serial_ms,
         parallel_ms,
-        intraop_workers: workers,
-        intraop_ms,
-        speedup_blocked: baseline_ms / blocked_serial_ms.max(1e-9),
-        speedup_parallel: blocked_serial_ms / parallel_ms.max(1e-9),
-        speedup_intraop: blocked_serial_ms / intraop_ms.max(1e-9),
-        speedup_total: baseline_ms / parallel_ms.max(1e-9),
+        speedup_parallel: serial_ms / parallel_ms.max(1e-9),
         identical_hyperparams: identical,
     }
 }
@@ -271,60 +196,35 @@ fn main() {
 
     section("Fit path: blocked Cholesky decompose vs reference recurrence");
     println!(
-        "{:>6} {:>14} {:>12} {:>9} {:>12} {:>9} {:>10}",
-        "n", "reference ms", "blocked ms", "speedup", "intraop ms", "intra x", "max ULP"
+        "{:>6} {:>14} {:>12} {:>9} {:>10}",
+        "n", "reference ms", "blocked ms", "speedup", "max ULP"
     );
     let mut decompose = Vec::new();
     for &n in sizes {
         let p = measure_decompose(n, decompose_reps);
         println!(
-            "{:>6} {:>14.3} {:>12.3} {:>8.1}x {:>12.3} {:>8.1}x {:>10}",
-            p.n,
-            p.reference_ms,
-            p.blocked_ms,
-            p.speedup,
-            p.intraop_ms,
-            p.speedup_intraop,
-            p.max_ulp_diff
+            "{:>6} {:>14.3} {:>12.3} {:>8.1}x {:>10}",
+            p.n, p.reference_ms, p.blocked_ms, p.speedup, p.max_ulp_diff
         );
         decompose.push(p);
     }
 
-    section("Hyper-parameter optimization: blocked + parallel restarts vs PR-4 baseline");
+    section("Hyper-parameter optimization: serial vs parallel restarts");
     println!(
-        "{:>6} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>8} {:>10}",
-        "n",
-        "baseline ms",
-        "blocked ms",
-        "parallel ms",
-        "intraop ms",
-        "blk x",
-        "par x",
-        "intra x",
-        "total x",
-        "identical"
+        "{:>6} {:>12} {:>12} {:>8} {:>10}",
+        "n", "serial ms", "parallel ms", "par x", "identical"
     );
     let mut hyperopt = Vec::new();
     for &n in sizes {
         let p = measure_hyperopt(n, restarts, max_iters);
         println!(
-            "{:>6} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>7.1}x {:>7.1}x {:>7.1}x {:>7.1}x {:>10}",
-            p.n,
-            p.baseline_ms,
-            p.blocked_serial_ms,
-            p.parallel_ms,
-            p.intraop_ms,
-            p.speedup_blocked,
-            p.speedup_parallel,
-            p.speedup_intraop,
-            p.speedup_total,
-            p.identical_hyperparams
+            "{:>6} {:>12.1} {:>12.1} {:>7.1}x {:>10}",
+            p.n, p.serial_ms, p.parallel_ms, p.speedup_parallel, p.identical_hyperparams
         );
         hyperopt.push(p);
     }
 
     let factor_ok = decompose.iter().all(|p| p.within_tolerance);
-    let intraop_ok = decompose.iter().all(|p| p.intraop_bits_identical);
     let selection_ok = hyperopt.iter().all(|p| p.identical_hyperparams);
 
     let report = FitReport {
@@ -345,23 +245,12 @@ fn main() {
         eprintln!("FAIL: blocked decompose disagrees with the reference beyond 4 ULPs");
         std::process::exit(1);
     }
-    if !intraop_ok {
-        eprintln!(
-            "FAIL: parallel trailing update diverged from the serial blocked factor \
-             (intra-op worker-count bit-identity contract violated)"
-        );
-        std::process::exit(1);
-    }
     if !selection_ok {
-        eprintln!(
-            "FAIL: hyper-parameter selection diverged between serial and parallel restarts \
-             (or between blocked and reference factorization, or across intra-op worker counts)"
-        );
+        eprintln!("FAIL: hyper-parameter selection diverged between serial and parallel restarts");
         std::process::exit(1);
     }
     println!(
-        "fit-path determinism verified: blocked == reference factor, parallel trailing update \
-         bit-identical at every worker count, identical hyper-parameter selection across \
-         factorizations, restart workers and intra-op workers"
+        "fit-path determinism verified: blocked == reference factor, identical \
+         hyper-parameter selection at restart workers {{1, 2, 4}}"
     );
 }

@@ -4,16 +4,14 @@
 //! re-factorize it (`O(t³)` at iteration `t`). The incremental path extends the cached
 //! Cholesky factor by one row (`O(t²)`, see `linalg::Cholesky::extend` and
 //! `gp::GaussianProcess::observe`). This benchmark measures both paths on the same model
-//! at `t = 50 / 200 / 800` observations, verifies their posteriors agree, and times a
-//! 16-tenant fleet round so the service-level effect is on record.
+//! at `t = 50 / 200 / 800` observations and verifies their posteriors agree. End-to-end
+//! fleet throughput is reported by the profile benchmark (`bench --bin profile`).
 //!
-//! Run with `cargo run --release -p bench --bin hotpath [fleet_rounds]`; writes
-//! `BENCH_hotpath.json` into the current directory.
+//! Run with `cargo run --release -p bench --bin hotpath`; writes `BENCH_hotpath.json`
+//! into the current directory.
 
-use bench::report::{iterations_from_env, median, section};
+use bench::report::{median, section};
 use bench::synthetic::{random_observation, CONFIG_DIM, CONTEXT_DIM};
-use fleet::service::{small_tuner_options, FleetOptions, FleetService};
-use fleet::tenant::{TenantSpec, WorkloadFamily};
 use gp::contextual::{ContextObservation, ContextualGp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,21 +35,10 @@ struct SizePoint {
 }
 
 #[derive(Debug, serde::Serialize)]
-struct FleetPoint {
-    tenants: usize,
-    rounds: usize,
-    iterations: usize,
-    mean_iteration_ms: f64,
-    iterations_per_s: f64,
-    unsafe_rate: f64,
-}
-
-#[derive(Debug, serde::Serialize)]
 struct HotpathReport {
     config_dim: usize,
     context_dim: usize,
     single_session: Vec<SizePoint>,
-    fleet: FleetPoint,
 }
 
 fn measure_size(t: usize) -> SizePoint {
@@ -112,36 +99,7 @@ fn measure_size(t: usize) -> SizePoint {
     }
 }
 
-fn measure_fleet(rounds: usize) -> FleetPoint {
-    let tenants = 16;
-    let mut svc = FleetService::new(FleetOptions {
-        tuner: small_tuner_options(),
-        ..Default::default()
-    });
-    for i in 0..tenants {
-        let family = WorkloadFamily::ALL[i % WorkloadFamily::ALL.len()];
-        svc.admit(TenantSpec::named(
-            format!("tenant-{i:02}"),
-            family,
-            100 + i as u64,
-        ))
-        .expect("admission");
-    }
-    let start = Instant::now();
-    let report = svc.run_rounds(rounds);
-    let elapsed = start.elapsed().as_secs_f64();
-    FleetPoint {
-        tenants,
-        rounds: report.rounds,
-        iterations: report.iterations,
-        mean_iteration_ms: elapsed * 1e3 / report.iterations.max(1) as f64,
-        iterations_per_s: report.iterations as f64 / elapsed.max(1e-9),
-        unsafe_rate: report.unsafe_rate(),
-    }
-}
-
 fn main() {
-    let fleet_rounds = iterations_from_env(8);
     section("Hot path: incremental observe (O(t^2)) vs from-scratch refit (O(t^3))");
     println!(
         "{:>6} {:>18} {:>16} {:>9} {:>14} {:>14}",
@@ -162,23 +120,10 @@ fn main() {
         single_session.push(p);
     }
 
-    section("16-tenant fleet (incremental model updates end to end)");
-    let fleet = measure_fleet(fleet_rounds);
-    println!(
-        "  {} tenants, {} rounds: {} iterations, {:.2} ms/iteration, {:.1} iters/s, unsafe rate {:.3}",
-        fleet.tenants,
-        fleet.rounds,
-        fleet.iterations,
-        fleet.mean_iteration_ms,
-        fleet.iterations_per_s,
-        fleet.unsafe_rate
-    );
-
     let report = HotpathReport {
         config_dim: CONFIG_DIM,
         context_dim: CONTEXT_DIM,
         single_session,
-        fleet,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");

@@ -7,11 +7,9 @@
 //! * **suggest** — one batched 300-candidate posterior sweep
 //!   (`ContextualGp::predict_batch_with_scratch`);
 //! * **fit** — one full from-scratch refit (`ContextualGp::refit`, blocked `O(n³)`
-//!   factorization), serial and with the machine's intra-op workers granted
-//!   (parallel trailing-panel updates);
+//!   factorization);
 //! * **hyperopt** — one periodic hyper-parameter re-optimization
-//!   (`ContextualGp::refit_with_hyperopt`, default options, parallel restarts),
-//!   serial and with the intra-op grant.
+//!   (`ContextualGp::refit_with_hyperopt`, default options, parallel restarts).
 //!
 //! It also runs a small telemetry-enabled fleet and appends the fleet-level view —
 //! iteration-latency p50/p99, the unsafe-recommendation rate, and the safety-fallback
@@ -99,37 +97,6 @@ fn main() {
         .unwrap();
     let hyperopt_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    // Multi-worker repeats of the two cubic paths with the machine's parallelism
-    // granted as intra-op workers (parallel trailing-panel Cholesky updates). On a
-    // single-CPU runner the grant degenerates and these match the serial timings.
-    let intraop_workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-    model.set_intraop_workers(intraop_workers);
-    let fit_mw_ms = median(
-        (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                model.refit().unwrap();
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .collect(),
-    );
-    let mut hyperopt_mw_rng = StdRng::seed_from_u64(7);
-    let start = Instant::now();
-    model
-        .refit_with_hyperopt(
-            &HyperOptOptions {
-                restarts: 1,
-                max_iters: 30,
-                workers: 0,
-                intraop_workers,
-                ..Default::default()
-            },
-            &mut hyperopt_mw_rng,
-        )
-        .unwrap();
-    let hyperopt_mw_ms = start.elapsed().as_secs_f64() * 1e3;
-    model.set_intraop_workers(1);
-
     // Fleet-level view via the telemetry registry: a small observed fleet, the same way
     // an operator would scrape it.
     let mut svc = FleetService::new(FleetOptions {
@@ -159,16 +126,12 @@ fn main() {
 
     println!(
         "PERF n={} observe={:.3}ms suggest={:.3}ms fit={:.3}ms hyperopt={:.1}ms \
-         intraop_workers={} fit_mw={:.3}ms hyperopt_mw={:.1}ms \
          fleet_iter_p50={:.3}ms fleet_iter_p99={:.3}ms unsafe_rate={:.4} fallbacks={} reclusters={}",
         N,
         observe_ms,
         suggest_ms,
         fit_ms,
         hyperopt_ms,
-        intraop_workers,
-        fit_mw_ms,
-        hyperopt_mw_ms,
         hist.quantile_ms(0.50),
         hist.quantile_ms(0.99),
         unsafe_rate,

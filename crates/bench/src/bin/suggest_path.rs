@@ -5,28 +5,20 @@
 //! `O(n²)` triangular solve through a scalar `predict`. The batched path computes one
 //! `C × n` cross-kernel matrix (sharing the additive kernel's context column across all
 //! candidates) and one multi-RHS forward solve (`linalg::Cholesky::solve_lower_multi`),
-//! with no per-candidate allocation. The batched sweep additionally splits across
-//! intra-op workers by a fixed candidate partition (`gp::PREDICT_CHUNK` granularity),
-//! recombined in candidate order — required to be **bit-identical** to the
-//! single-worker sweep at every worker count. This benchmark measures both paths on
-//! the same model over `n ∈ {50, 200, 800} × C ∈ {30, 100, 300}`, verifies the
-//! posteriors (and the LCB/UCB bounds derived from them) agree **exactly** — including
-//! a forced {1, 2, 4}-intra-op-worker sweep — times the distance-cached vs uncached
-//! hyper-parameter optimization, and times a 16-tenant fleet round.
+//! with no per-candidate allocation. This benchmark measures both paths on the same
+//! model over `n ∈ {50, 200, 800} × C ∈ {30, 100, 300}` and verifies the posteriors
+//! (and the LCB/UCB bounds derived from them) agree **exactly**. End-to-end fleet
+//! throughput is reported by the profile benchmark (`bench --bin profile`).
 //!
-//! Run with `cargo run --release -p bench --bin suggest_path [fleet_rounds | --smoke]`;
-//! writes `BENCH_suggest.json` into the current directory and **exits non-zero when the
-//! batched and scalar posteriors differ in any bit, or any intra-op worker count shifts
-//! a posterior or bound** — CI runs `--smoke` so the bit-identity contract is enforced
-//! on every PR.
+//! Run with `cargo run --release -p bench --bin suggest_path [--smoke]`; writes
+//! `BENCH_suggest.json` into the current directory and **exits non-zero when the
+//! batched and scalar posteriors differ in any bit** — CI runs `--smoke` so the
+//! bit-identity contract is enforced on every change.
 
-use bench::report::{iterations_from_env, median, section};
+use bench::report::{median, section};
 use bench::synthetic::{fitted_model, CONFIG_DIM, CONTEXT_DIM};
-use fleet::service::{small_tuner_options, FleetOptions, FleetService};
-use fleet::tenant::{TenantSpec, WorkloadFamily};
 use gp::acquisition::{lower_confidence_bound, upper_confidence_bound};
 use gp::contextual::ContextualGp;
-use gp::hyperopt::HyperOptOptions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -46,13 +38,6 @@ struct SweepPoint {
     batched_ms: f64,
     /// `scalar_ms / batched_ms`.
     speedup: f64,
-    /// Intra-op workers of the split batched sweep (machine parallelism).
-    intraop_workers: usize,
-    /// Median latency of the batched sweep split across intra-op workers
-    /// (milliseconds). On a single-CPU machine this equals `batched_ms`.
-    intraop_ms: f64,
-    /// `batched_ms / intraop_ms` — the intra-op parallelism win alone.
-    speedup_intraop: f64,
     /// Max |posterior mean difference| between the two paths (must be exactly 0).
     max_posterior_mean_diff: f64,
     /// Max |posterior std difference| between the two paths (must be exactly 0).
@@ -60,48 +45,23 @@ struct SweepPoint {
     /// Max |LCB/UCB difference| between the two paths (must be exactly 0).
     max_bound_diff: f64,
     /// Whether every posterior mean/std and LCB/UCB pair agrees **bit-for-bit**
-    /// (`f64::to_bits`) — between the scalar and batched paths AND between the
-    /// single-worker batched sweep and forced 2- and 4-intra-op-worker sweeps. This is
-    /// the value the CI gate keys on: unlike the abs-diff columns above (kept for
-    /// human-readable reporting), it cannot be fooled by a NaN on one side, which an
-    /// abs-diff folded through `f64::max` would silently drop.
+    /// (`f64::to_bits`) between the scalar and batched paths. This is the value the CI
+    /// gate keys on: unlike the abs-diff columns above (kept for human-readable
+    /// reporting), it cannot be fooled by a NaN on one side, which an abs-diff folded
+    /// through `f64::max` would silently drop.
     bits_identical: bool,
-}
-
-#[derive(Debug, serde::Serialize)]
-struct HyperoptPoint {
-    /// Training-set size the optimization ran on.
-    n: usize,
-    /// Wall time of the uncached optimization (milliseconds).
-    uncached_ms: f64,
-    /// Wall time of the distance-cached optimization (milliseconds).
-    cached_ms: f64,
-    /// `uncached_ms / cached_ms`.
-    speedup: f64,
-    /// Whether both paths selected bit-identical hyper-parameters (must be true).
-    identical_hyperparams: bool,
-}
-
-#[derive(Debug, serde::Serialize)]
-struct FleetPoint {
-    tenants: usize,
-    rounds: usize,
-    iterations: usize,
-    mean_iteration_ms: f64,
-    iterations_per_s: f64,
-    unsafe_rate: f64,
 }
 
 #[derive(Debug, serde::Serialize)]
 struct SuggestReport {
     config_dim: usize,
     context_dim: usize,
+    /// CPUs the run had available (every sweep is single-threaded).
+    available_parallelism: usize,
     suggest: Vec<SweepPoint>,
-    hyperopt: HyperoptPoint,
-    fleet: FleetPoint,
 }
 
-fn measure_sweep(model: &mut ContextualGp, n: usize, c: usize) -> SweepPoint {
+fn measure_sweep(model: &ContextualGp, n: usize, c: usize) -> SweepPoint {
     let mut rng = StdRng::seed_from_u64((n * 1000 + c) as u64);
     let candidates: Vec<Vec<f64>> = (0..c)
         .map(|_| (0..CONFIG_DIM).map(|_| rng.gen_range(0.0..1.0)).collect())
@@ -149,20 +109,6 @@ fn measure_sweep(model: &mut ContextualGp, n: usize, c: usize) -> SweepPoint {
         })
         .collect();
 
-    // Split batched sweep: same code path with the machine's intra-op workers granted —
-    // on a single-CPU runner the grant degenerates to the serial batched sweep.
-    let intraop_workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-    model.set_intraop_workers(intraop_workers);
-    let intraop_samples: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let start = Instant::now();
-            let _ = model
-                .predict_batch_with_scratch(&candidates, &context, &mut scratch)
-                .unwrap();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-
     let mut max_mean_diff = 0.0f64;
     let mut max_std_diff = 0.0f64;
     let mut max_bound_diff = 0.0f64;
@@ -179,34 +125,14 @@ fn measure_sweep(model: &mut ContextualGp, n: usize, c: usize) -> SweepPoint {
             && sucb.to_bits() == bucb.to_bits();
     }
 
-    // Determinism gate: force the worker-split sweep with 2 and 4 workers even on a
-    // single-CPU runner and require every posterior to match the single-worker batched
-    // sweep bit for bit.
-    for w in [2usize, 4] {
-        model.set_intraop_workers(w);
-        let split = model
-            .predict_batch_with_scratch(&candidates, &context, &mut scratch)
-            .unwrap();
-        bits_identical &= split.len() == batched_out.len();
-        for (p, (bp, _, _)) in split.iter().zip(batched_out.iter()) {
-            bits_identical &= p.mean.to_bits() == bp.mean.to_bits()
-                && p.std_dev.to_bits() == bp.std_dev.to_bits();
-        }
-    }
-    model.set_intraop_workers(1);
-
     let scalar_ms = median(scalar_samples);
     let batched_ms = median(batched_samples);
-    let intraop_ms = median(intraop_samples);
     SweepPoint {
         n,
         c,
         scalar_ms,
         batched_ms,
         speedup: scalar_ms / batched_ms.max(1e-9),
-        intraop_workers,
-        intraop_ms,
-        speedup_intraop: batched_ms / intraop_ms.max(1e-9),
         max_posterior_mean_diff: max_mean_diff,
         max_posterior_std_diff: max_std_diff,
         max_bound_diff,
@@ -214,119 +140,31 @@ fn measure_sweep(model: &mut ContextualGp, n: usize, c: usize) -> SweepPoint {
     }
 }
 
-fn measure_hyperopt(n: usize) -> HyperoptPoint {
-    let run = |use_cache: bool| {
-        let mut model = fitted_model(n);
-        let mut rng = StdRng::seed_from_u64(7);
-        let options = HyperOptOptions {
-            use_distance_cache: use_cache,
-            ..Default::default()
-        };
-        let start = Instant::now();
-        model.refit_with_hyperopt(&options, &mut rng).unwrap();
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        let (params, noise) = model.hyperparams();
-        (elapsed, params, noise)
-    };
-    let (uncached_ms, params_plain, noise_plain) = run(false);
-    let (cached_ms, params_cached, noise_cached) = run(true);
-    let identical = params_plain.len() == params_cached.len()
-        && params_plain
-            .iter()
-            .zip(params_cached.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-        && noise_plain.to_bits() == noise_cached.to_bits();
-    HyperoptPoint {
-        n,
-        uncached_ms,
-        cached_ms,
-        speedup: uncached_ms / cached_ms.max(1e-9),
-        identical_hyperparams: identical,
-    }
-}
-
-fn measure_fleet_once(rounds: usize) -> FleetPoint {
-    let tenants = 16;
-    let mut svc = FleetService::new(FleetOptions {
-        tuner: small_tuner_options(),
-        ..Default::default()
-    });
-    for i in 0..tenants {
-        let family = WorkloadFamily::ALL[i % WorkloadFamily::ALL.len()];
-        svc.admit(TenantSpec::named(
-            format!("tenant-{i:02}"),
-            family,
-            100 + i as u64,
-        ))
-        .expect("admission");
-    }
-    let start = Instant::now();
-    let report = svc.run_rounds(rounds);
-    let elapsed = start.elapsed().as_secs_f64();
-    FleetPoint {
-        tenants,
-        rounds: report.rounds,
-        iterations: report.iterations,
-        mean_iteration_ms: elapsed * 1e3 / report.iterations.max(1) as f64,
-        iterations_per_s: report.iterations as f64 / elapsed.max(1e-9),
-        unsafe_rate: report.unsafe_rate(),
-    }
-}
-
-/// Best of three repetitions: the fleet round is short enough that a single scheduler
-/// hiccup skews it by several percent, and the fastest run is the least-perturbed
-/// measurement of the code itself.
-fn measure_fleet(rounds: usize) -> FleetPoint {
-    (0..3)
-        .map(|_| measure_fleet_once(rounds))
-        .max_by(|a, b| {
-            a.iterations_per_s
-                .partial_cmp(&b.iterations_per_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .expect("three runs")
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (sizes, widths, hyperopt_n, fleet_rounds): (&[usize], &[usize], usize, usize) = if smoke {
-        (&[50], &[30], 40, 2)
+    let (sizes, widths): (&[usize], &[usize]) = if smoke {
+        (&[50], &[30])
     } else {
-        (
-            &[50, 200, 800],
-            &[30, 100, 300],
-            150,
-            iterations_from_env(8),
-        )
+        (&[50, 200, 800], &[30, 100, 300])
     };
 
     section("Suggest path: batched candidate sweep vs scalar per-candidate predictions");
     println!(
-        "{:>6} {:>5} {:>12} {:>12} {:>9} {:>12} {:>9} {:>14} {:>14}",
-        "n",
-        "C",
-        "scalar ms",
-        "batched ms",
-        "speedup",
-        "intraop ms",
-        "intra x",
-        "max mean diff",
-        "max std diff"
+        "{:>6} {:>5} {:>12} {:>12} {:>9} {:>14} {:>14}",
+        "n", "C", "scalar ms", "batched ms", "speedup", "max mean diff", "max std diff"
     );
     let mut suggest = Vec::new();
     for &n in sizes {
-        let mut model = fitted_model(n);
+        let model = fitted_model(n);
         for &c in widths {
-            let p = measure_sweep(&mut model, n, c);
+            let p = measure_sweep(&model, n, c);
             println!(
-                "{:>6} {:>5} {:>12.3} {:>12.3} {:>8.1}x {:>12.3} {:>8.1}x {:>14.2e} {:>14.2e}",
+                "{:>6} {:>5} {:>12.3} {:>12.3} {:>8.1}x {:>14.2e} {:>14.2e}",
                 p.n,
                 p.c,
                 p.scalar_ms,
                 p.batched_ms,
                 p.speedup,
-                p.intraop_ms,
-                p.speedup_intraop,
                 p.max_posterior_mean_diff,
                 p.max_posterior_std_diff
             );
@@ -334,37 +172,13 @@ fn main() {
         }
     }
 
-    section("Hyper-parameter optimization: distance-cached vs uncached Gram rebuilds");
-    let hyperopt = measure_hyperopt(hyperopt_n);
-    println!(
-        "  n={}: uncached {:.1} ms, cached {:.1} ms ({:.1}x), identical hyperparams: {}",
-        hyperopt.n,
-        hyperopt.uncached_ms,
-        hyperopt.cached_ms,
-        hyperopt.speedup,
-        hyperopt.identical_hyperparams
-    );
-
-    section("16-tenant fleet (batched suggest end to end)");
-    let fleet = measure_fleet(fleet_rounds);
-    println!(
-        "  {} tenants, {} rounds: {} iterations, {:.2} ms/iteration, {:.1} iters/s, unsafe rate {:.3}",
-        fleet.tenants,
-        fleet.rounds,
-        fleet.iterations,
-        fleet.mean_iteration_ms,
-        fleet.iterations_per_s,
-        fleet.unsafe_rate
-    );
-
-    let exact = suggest.iter().all(|p| p.bits_identical) && hyperopt.identical_hyperparams;
+    let exact = suggest.iter().all(|p| p.bits_identical);
 
     let report = SuggestReport {
         config_dim: CONFIG_DIM,
         context_dim: CONTEXT_DIM,
+        available_parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()),
         suggest,
-        hyperopt,
-        fleet,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     if !smoke {
@@ -375,13 +189,10 @@ fn main() {
 
     if !exact {
         eprintln!(
-            "FAIL: batched suggest path diverged from the scalar path or across intra-op \
-             worker counts (bit-identity contract violated)"
+            "FAIL: batched suggest path diverged from the scalar path (bit-identity \
+             contract violated)"
         );
         std::process::exit(1);
     }
-    println!(
-        "bit-identity verified: batched == scalar on every posterior, bound and \
-         hyperparameter, at every intra-op worker count"
-    );
+    println!("bit-identity verified: batched == scalar on every posterior and bound");
 }

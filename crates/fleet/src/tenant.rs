@@ -858,15 +858,6 @@ impl TenantSession {
         self.tuner.set_hyperopt_workers(workers);
     }
 
-    /// Re-grants the tuner's intra-op worker budget (runtime-only; see
-    /// [`crate::service::FleetOptions::intraop_workers`]) — threads inside one model
-    /// refit's factorization and one suggest sweep. Like the hyperopt grant, results
-    /// are bit-identical at every value, so the service re-clamps it freely at
-    /// admission and after restore.
-    pub fn set_intraop_workers(&mut self, workers: usize) {
-        self.tuner.set_intraop_workers(workers);
-    }
-
     /// Runs one suggest→apply→observe iteration and returns the achieved regret.
     ///
     /// A faulted measurement (injected fault marker or non-finite score) feeds *nothing*

@@ -126,19 +126,6 @@ impl ContextualGp {
         self.gp.set_telemetry(telemetry);
     }
 
-    /// Sets the intra-op worker grant of the underlying GP (threads inside one refit's
-    /// Cholesky and one `predict_batch` sweep). Runtime-only, never serialized; results
-    /// are bit-identical at every grant, so snapshots taken under different grants
-    /// replay identically.
-    pub fn set_intraop_workers(&mut self, workers: usize) {
-        self.gp.set_intraop_workers(workers);
-    }
-
-    /// The intra-op worker grant of the underlying GP (1 = serial).
-    pub fn intraop_workers(&self) -> usize {
-        self.gp.intraop_workers()
-    }
-
     /// The installed telemetry sink (the no-op sink by default).
     pub fn telemetry(&self) -> &telemetry::TelemetryHandle {
         self.gp.telemetry()

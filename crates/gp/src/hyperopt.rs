@@ -25,12 +25,6 @@ pub struct HyperOptOptions {
     pub tol: f64,
     /// Whether the observation-noise variance is optimized together with the kernel.
     pub optimize_noise: bool,
-    /// Precompute the pairwise kernel statistics (squared distances / dot products)
-    /// once and rebuild each trial's Gram matrix from the cache, turning the per-trial
-    /// Gram cost from `O(n²·d)` into `O(n²)`. The cached path selects bit-identical
-    /// hyper-parameters (see [`crate::kernels::Kernel::pair_stats`]); the switch exists
-    /// for kernels without pair-stat support and for equivalence testing.
-    pub use_distance_cache: bool,
     /// Worker threads for the restart searches: `1` runs them serially (the default),
     /// `0` uses one per available CPU, any other value caps the pool at that many.
     ///
@@ -42,23 +36,6 @@ pub struct HyperOptOptions {
     /// index order with a strict `<` — exactly the fold the serial loop performs.
     /// Property-tested across `workers ∈ {1, 2, 4}`.
     pub workers: usize,
-    /// Intra-op worker threads *inside* each likelihood trial's Cholesky factorization
-    /// (the trailing-panel worker pool of
-    /// [`Cholesky::decompose_with_jitter_scratch_workers`]). Multiplies with `workers`:
-    /// the optimizer may run up to `workers × intraop_workers` threads at once, so
-    /// callers under a parallelism budget should grant accordingly (the fleet's
-    /// three-level budget does). `0` is treated as `1`. Bit-identity contract: the
-    /// selected hyper-parameters are identical at every value — the parallel trailing
-    /// update reproduces the serial factorization exactly.
-    pub intraop_workers: usize,
-    /// Equivalence/benchmark switch: run each likelihood trial through the *reference*
-    /// fit path — full Gram rebuild into a fresh allocation, the retained unblocked
-    /// [`Cholesky::decompose_reference`], allocating solves — i.e. the trial loop as it
-    /// existed before the blocked factorization and the fit arena. Selected
-    /// hyper-parameters are bit-identical either way (the blocked factorization
-    /// reproduces the reference exactly and the arena only recycles storage); the
-    /// switch exists so `bench --bin fit_path` can measure the old fit path honestly.
-    pub use_reference_factorization: bool,
 }
 
 impl Default for HyperOptOptions {
@@ -68,10 +45,7 @@ impl Default for HyperOptOptions {
             max_iters: 60,
             tol: 1e-4,
             optimize_noise: true,
-            use_distance_cache: true,
             workers: 1,
-            intraop_workers: 1,
-            use_reference_factorization: false,
         }
     }
 }
@@ -88,7 +62,6 @@ impl Default for HyperOptOptions {
 /// All working storage (Gram buffer, factor, dual weights) comes from `arena`, so the
 /// trial loop that calls this thousands of times per optimization performs no
 /// allocation after its first evaluation.
-#[allow(clippy::too_many_arguments)] // internal: one call site per path, all args hot
 fn lml_from_stats(
     kernel: &dyn Kernel,
     noise_variance: f64,
@@ -97,25 +70,7 @@ fn lml_from_stats(
     n: usize,
     y_std: &[f64],
     arena: &mut FitArena,
-    reference_factorization: bool,
-    intraop_workers: usize,
 ) -> Option<f64> {
-    if reference_factorization {
-        // The pre-blocking trial loop, verbatim: full Gram rebuild into a fresh
-        // allocation, unblocked factorization, allocating solve. Benchmark-only.
-        let mut k = linalg::Matrix::from_fn(n, n, |i, j| {
-            kernel.eval_stats(&stats[(i * n + j) * n_stats..][..n_stats])
-        });
-        k.add_diagonal(noise_variance).ok()?;
-        let chol = Cholesky::decompose_reference_with_jitter(&k, 1e-3).ok()?;
-        let alpha = chol.solve(y_std).ok()?;
-        let data_fit: f64 = y_std.iter().zip(alpha.iter()).map(|(a, b)| a * b).sum();
-        return Some(
-            -0.5 * data_fit
-                - 0.5 * chol.log_det()
-                - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln(),
-        );
-    }
     arena.gram.reshape(n, n);
     // Only the lower triangle (+ diagonal) is filled: the Cholesky factorization never
     // reads above the diagonal, pair statistics are exactly symmetric, and skipping the
@@ -130,13 +85,7 @@ fn lml_from_stats(
         }
     }
     arena.gram.add_diagonal(noise_variance).ok()?;
-    let chol = Cholesky::decompose_with_jitter_scratch_workers(
-        &arena.gram,
-        1e-3,
-        &mut arena.factor,
-        intraop_workers,
-    )
-    .ok()?;
+    let chol = Cholesky::decompose_with_jitter(&arena.gram, 1e-3, &mut arena.factor).ok()?;
     let mut alpha = std::mem::take(&mut arena.alpha_spare);
     let solved = chol.solve_into(y_std, &mut alpha);
     let result = solved.ok().map(|()| {
@@ -308,27 +257,27 @@ pub fn optimize_hyperparameters<R: Rng>(
     // standardized targets — once, so each trial's Gram rebuild is `O(n²)` instead of
     // `O(n²·d)` and the `O(n)` re-standardization of `y` is skipped. The cached
     // objective is bit-identical to the uncached one, so the simplex search visits the
-    // same points and returns the same hyper-parameters.
+    // same points and returns the same hyper-parameters. A kernel without pair-stat
+    // support (`n_pair_stats() == 0`) runs the uncached trial loop instead.
     let n = x.len();
     let n_stats = gp.kernel().n_pair_stats();
-    let cache: Option<(Vec<f64>, Vec<f64>)> =
-        if options.use_distance_cache && n_stats > 0 && n > 0 && x.len() == y.len() {
-            let mut stats = vec![0.0; n * n * n_stats];
-            for i in 0..n {
-                for j in 0..n {
-                    gp.kernel().pair_stats(
-                        &x[i],
-                        &x[j],
-                        &mut stats[(i * n + j) * n_stats..][..n_stats],
-                    );
-                }
+    let cache: Option<(Vec<f64>, Vec<f64>)> = if n_stats > 0 && n > 0 && x.len() == y.len() {
+        let mut stats = vec![0.0; n * n * n_stats];
+        for i in 0..n {
+            for j in 0..n {
+                gp.kernel().pair_stats(
+                    &x[i],
+                    &x[j],
+                    &mut stats[(i * n + j) * n_stats..][..n_stats],
+                );
             }
-            let standardizer = Standardizer::fit(y);
-            let y_std: Vec<f64> = y.iter().map(|&v| standardizer.transform(v)).collect();
-            Some((stats, y_std))
-        } else {
-            None
-        };
+        }
+        let standardizer = Standardizer::fit(y);
+        let y_std: Vec<f64> = y.iter().map(|&v| standardizer.transform(v)).collect();
+        Some((stats, y_std))
+    } else {
+        None
+    };
 
     // Restart starting points are drawn serially *before* any search runs: the RNG
     // stream is identical whether the searches below execute on one thread or many.
@@ -371,8 +320,6 @@ pub fn optimize_hyperparameters<R: Rng>(
                     n,
                     y_std,
                     &mut arena,
-                    options.use_reference_factorization,
-                    options.intraop_workers.max(1),
                 ) {
                     Some(lml) => -lml,
                     None => f64::MAX / 4.0,
@@ -547,17 +494,40 @@ mod tests {
         assert!((p.mean - truth).abs() < 0.5, "{} vs {}", p.mean, truth);
     }
 
+    /// Wraps a kernel and hides its pair statistics (`n_pair_stats() == 0`), which
+    /// sends the optimizer down the uncached trial loop.
+    struct NoPairStats(Box<dyn Kernel>);
+
+    impl Kernel for NoPairStats {
+        fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+            self.0.eval(a, b)
+        }
+        fn params(&self) -> Vec<f64> {
+            self.0.params()
+        }
+        fn set_params(&mut self, p: &[f64]) {
+            self.0.set_params(p);
+        }
+        fn clone_box(&self) -> Box<dyn Kernel> {
+            Box::new(NoPairStats(self.0.clone_box()))
+        }
+        fn name(&self) -> &'static str {
+            "no-pair-stats"
+        }
+    }
+
     #[test]
     fn distance_cached_hyperopt_picks_identical_hyperparameters() {
         // The cached objective must be bit-identical to the uncached one, so the simplex
         // search — driven by the same RNG stream — must select the same hyper-parameters
         // and report the same likelihood, for both a plain scaled-Matérn kernel and the
         // additive contextual kernel (whose cache mixes distances and dot products).
-        let kernels: Vec<Box<dyn crate::kernels::Kernel>> = vec![
+        let kernels: Vec<Box<dyn Kernel>> = vec![
             Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(0.25)), 1.0)),
             Box::new(crate::kernels::AdditiveContextKernel::new(2)),
         ];
         for kernel in kernels {
+            assert!(kernel.n_pair_stats() > 0, "kernel {}", kernel.name());
             let xs: Vec<Vec<f64>> = (0..18)
                 .map(|i| {
                     let t = i as f64 / 17.0;
@@ -568,23 +538,21 @@ mod tests {
                 .iter()
                 .map(|x| (3.0 * x[0]).sin() * 4.0 + x[2] * 2.0)
                 .collect();
-            let run = |use_cache: bool| {
-                let mut gp = GaussianProcess::new(kernel.clone_box(), 1e-3);
+            let run = |kernel: Box<dyn Kernel>| {
+                let mut gp = GaussianProcess::new(kernel, 1e-3);
                 let mut rng = StdRng::seed_from_u64(11);
                 let report = optimize_hyperparameters(
                     &mut gp,
                     &xs,
                     &ys,
-                    &HyperOptOptions {
-                        use_distance_cache: use_cache,
-                        ..Default::default()
-                    },
+                    &HyperOptOptions::default(),
                     &mut rng,
                 );
                 (gp.kernel().params(), gp.noise_variance(), report)
             };
-            let (params_cached, noise_cached, report_cached) = run(true);
-            let (params_plain, noise_plain, report_plain) = run(false);
+            let (params_cached, noise_cached, report_cached) = run(kernel.clone_box());
+            let (params_plain, noise_plain, report_plain) =
+                run(Box::new(NoPairStats(kernel.clone_box())));
             assert_eq!(params_cached.len(), params_plain.len());
             for (a, b) in params_cached.iter().zip(params_plain.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "kernel {}", kernel.name());
@@ -599,11 +567,10 @@ mod tests {
         }
     }
 
-    /// Runs one optimization with the given restart-worker and intra-op grants on a
-    /// fixed problem and returns everything the determinism contract covers.
+    /// Runs one optimization with the given restart-worker grant on a fixed problem and
+    /// returns everything the determinism contract covers.
     fn run_with_workers(
         workers: usize,
-        intraop: usize,
         restarts: usize,
         seed: u64,
         data: &[(Vec<f64>, f64)],
@@ -614,7 +581,6 @@ mod tests {
             Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(0.3)), 1.0)),
             1e-3,
         );
-        gp.set_intraop_workers(intraop);
         let mut rng = StdRng::seed_from_u64(seed);
         let report = optimize_hyperparameters(
             &mut gp,
@@ -624,7 +590,6 @@ mod tests {
                 restarts,
                 max_iters: 40,
                 workers,
-                intraop_workers: intraop,
                 ..Default::default()
             },
             &mut rng,
@@ -640,9 +605,9 @@ mod tests {
                 (vec![t, (4.0 * t).cos()], (3.0 * t).sin() * 5.0 + t)
             })
             .collect();
-        let (params_serial, noise_serial, report_serial) = run_with_workers(1, 1, 5, 13, &data);
-        for (workers, intraop) in [(2usize, 1usize), (4, 2), (0, 4), (1, 4), (2, 0)] {
-            let (params, noise, report) = run_with_workers(workers, intraop, 5, 13, &data);
+        let (params_serial, noise_serial, report_serial) = run_with_workers(1, 5, 13, &data);
+        for workers in [2usize, 4, 0] {
+            let (params, noise, report) = run_with_workers(workers, 5, 13, &data);
             assert_eq!(params.len(), params_serial.len());
             for (a, b) in params.iter().zip(params_serial.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "workers={workers}");
@@ -658,50 +623,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reference_factorization_selects_identical_hyperparameters() {
-        // The blocked factorization is bit-identical to the reference, so flipping the
-        // benchmark switch must not change anything the optimizer selects.
-        let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 / 19.0]).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| (2.5 * x[0]).sin() * 3.0).collect();
-        let run = |reference: bool| {
-            let mut gp = GaussianProcess::new(
-                Box::new(ScaledKernel::new(Box::new(RbfKernel::new(0.2)), 1.0)),
-                1e-3,
-            );
-            let mut rng = StdRng::seed_from_u64(5);
-            let report = optimize_hyperparameters(
-                &mut gp,
-                &xs,
-                &ys,
-                &HyperOptOptions {
-                    use_reference_factorization: reference,
-                    ..Default::default()
-                },
-                &mut rng,
-            );
-            (gp.kernel().params(), gp.noise_variance(), report)
-        };
-        let (pa, na, ra) = run(false);
-        let (pb, nb, rb) = run(true);
-        for (a, b) in pa.iter().zip(pb.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(na.to_bits(), nb.to_bits());
-        assert_eq!(ra.best_lml.to_bits(), rb.best_lml.to_bits());
-        assert_eq!(ra.evaluations, rb.evaluations);
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(8))]
-            /// The determinism contract of `HyperOptOptions::{workers, intraop_workers}`:
-            /// on random data, restart counts and seeds, the selected hyper-parameters,
-            /// noise, reported likelihood and evaluation count are bit-identical across
-            /// the restart-worker × intra-op grid {1,2,4} × {1,2,4}.
+            /// The determinism contract of `HyperOptOptions::workers`: on random data,
+            /// restart counts and seeds, the selected hyper-parameters, noise, reported
+            /// likelihood and evaluation count are bit-identical across restart workers
+            /// {1, 2, 4}.
             #[test]
             fn prop_hyperopt_bit_identical_across_worker_counts(
                 raw in proptest::collection::vec(
@@ -709,9 +640,9 @@ mod tests {
                 restarts in 1usize..5,
                 seed in 0u64..500,
             ) {
-                let serial = run_with_workers(1, 1, restarts, seed, &raw);
-                for (workers, intraop) in [(2usize, 1usize), (4, 1), (1, 2), (2, 2), (4, 4), (1, 4)] {
-                    let parallel = run_with_workers(workers, intraop, restarts, seed, &raw);
+                let serial = run_with_workers(1, restarts, seed, &raw);
+                for workers in [2usize, 4] {
+                    let parallel = run_with_workers(workers, restarts, seed, &raw);
                     prop_assert_eq!(parallel.0.len(), serial.0.len());
                     for (a, b) in parallel.0.iter().zip(serial.0.iter()) {
                         prop_assert_eq!(a.to_bits(), b.to_bits());

@@ -671,7 +671,9 @@ mod tests {
                 let n = xs.len();
                 let mut gram = linalg::Matrix::from_fn(n, n, |i, j| k.eval(&xs[i], &xs[j]));
                 gram.add_diagonal(1e-8).unwrap();
-                prop_assert!(linalg::Cholesky::decompose_with_jitter(&gram, 1e-3).is_ok());
+                let mut scratch = linalg::FactorScratch::default();
+                let chol = linalg::Cholesky::decompose_with_jitter(&gram, 1e-3, &mut scratch);
+                prop_assert!(chol.is_ok());
             }
         }
     }

@@ -49,4 +49,4 @@ pub use contextual::{ContextualGp, ObservationBudget};
 pub use kernels::{
     AdditiveContextKernel, Kernel, LinearKernel, Matern52Kernel, RbfKernel, ScaledKernel,
 };
-pub use regression::{GaussianProcess, GpError, Posterior, PREDICT_CHUNK};
+pub use regression::{GaussianProcess, GpError, Posterior};

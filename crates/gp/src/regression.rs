@@ -141,13 +141,6 @@ fn validate_finite(x: &[Vec<f64>], y: &[f64]) -> Result<(), GpError> {
     Ok(())
 }
 
-/// Candidate-partition granularity of the parallel [`GaussianProcess::predict_batch`]
-/// path. The batch is carved into `PREDICT_CHUNK`-candidate chunks and chunks are dealt
-/// to workers contiguously — a fixed candidate→worker partition, so the split points
-/// depend only on the batch size and worker count, never on data. Batches of at most
-/// one chunk always run serially (the sweep is microseconds at that size).
-pub const PREDICT_CHUNK: usize = 64;
-
 /// Posterior prediction at a single point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Posterior {
@@ -183,11 +176,6 @@ pub struct GaussianProcess {
     fitted: Option<FittedState>,
     /// Reusable fit/observe buffers (runtime-only; carries no model state).
     arena: FitArena,
-    /// Intra-op worker grant (runtime-only, never serialized): threads used *inside*
-    /// one fit's trailing-panel Cholesky update and one `predict_batch` sweep. Results
-    /// are bit-identical at every value — the grant shapes wall-clock time only — so
-    /// it carries no model state and snapshots ignore it.
-    intraop_workers: usize,
     /// Observability sink (runtime-only, never serialized; the default is the no-op
     /// sink). Instrumentation is read-only with respect to model state.
     telemetry: TelemetryHandle,
@@ -202,7 +190,6 @@ impl Clone for GaussianProcess {
             noise_variance: self.noise_variance,
             fitted: None,
             arena: FitArena::default(),
-            intraop_workers: self.intraop_workers,
             telemetry: self.telemetry.clone(),
         }
     }
@@ -218,22 +205,8 @@ impl GaussianProcess {
             noise_variance,
             fitted: None,
             arena: FitArena::default(),
-            intraop_workers: 1,
             telemetry: TelemetryHandle::disabled(),
         }
-    }
-
-    /// Sets the intra-op worker grant used by [`GaussianProcess::fit`]'s trailing-panel
-    /// Cholesky update and [`GaussianProcess::predict_batch`]'s candidate sweep. A grant
-    /// of 0 (e.g. deserialized from an old snapshot upstream) is treated as 1. Runtime
-    /// tuning only: every computed value is bit-identical at every grant.
-    pub fn set_intraop_workers(&mut self, workers: usize) {
-        self.intraop_workers = workers.max(1);
-    }
-
-    /// The intra-op worker grant (1 = serial, the default).
-    pub fn intraop_workers(&self) -> usize {
-        self.intraop_workers
     }
 
     /// Installs a telemetry sink (runtime-only; excluded from snapshots, so replay is
@@ -329,13 +302,8 @@ impl GaussianProcess {
             .gram
             .add_diagonal(self.noise_variance)
             .expect("gram matrix is square by construction");
-        let chol = Cholesky::decompose_with_jitter_scratch_workers(
-            &self.arena.gram,
-            1e-3,
-            &mut self.arena.factor,
-            self.intraop_workers,
-        )
-        .map_err(|_| GpError::KernelNotPositiveDefinite)?;
+        let chol = Cholesky::decompose_with_jitter(&self.arena.gram, 1e-3, &mut self.arena.factor)
+            .map_err(|_| GpError::KernelNotPositiveDefinite)?;
         if chol.jitter() > 0.0 {
             self.telemetry.incr(CounterId::JitterEscalations);
             if self.telemetry.is_enabled() {
@@ -525,14 +493,6 @@ impl GaussianProcess {
     /// the same floating-point operations in the same order per candidate (the same
     /// contract [`linalg::Cholesky::extend`] honors on the observe path). Snapshot
     /// replay and the safety assessment rely on this.
-    ///
-    /// When the intra-op grant exceeds 1 and the batch spans more than one
-    /// [`PREDICT_CHUNK`], the batch is split across workers by the fixed
-    /// candidate→worker partition (contiguous chunk ranges) and recombined **in
-    /// candidate order** — each worker runs the full cross-kernel / multi-solve /
-    /// posterior pipeline on its own slice, and every per-candidate value depends only
-    /// on that candidate's row (the `eval_cross` and `solve_lower_multi` per-row
-    /// contracts), so the result is worker-count independent bit for bit.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Posterior>, GpError> {
         let state = self.fitted.as_ref().ok_or(GpError::NotFitted)?;
         for x in xs {
@@ -546,43 +506,6 @@ impl GaussianProcess {
         if xs.is_empty() {
             return Ok(Vec::new());
         }
-        let n_chunks = xs.len().div_ceil(PREDICT_CHUNK);
-        let w = self.intraop_workers.max(1).min(n_chunks);
-        if w > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..w)
-                    .map(|c| {
-                        // Worker c owns chunks [c·n_chunks/w, (c+1)·n_chunks/w) — a
-                        // contiguous candidate range determined only by (C, w).
-                        let lo = (c * n_chunks / w) * PREDICT_CHUNK;
-                        let hi = (((c + 1) * n_chunks / w) * PREDICT_CHUNK).min(xs.len());
-                        let slice = &xs[lo..hi];
-                        scope.spawn(move || self.predict_slice(state, slice))
-                    })
-                    .collect();
-                // Index-ordered combine: join in worker order, append in candidate
-                // order; the first failing slice's error surfaces (all slices see the
-                // same state, so any failure is common to every worker anyway).
-                let mut out = Vec::with_capacity(xs.len());
-                for h in handles {
-                    out.extend(h.join().expect("predict_batch worker panicked")?);
-                }
-                Ok(out)
-            })
-        } else {
-            self.predict_slice(state, xs)
-        }
-    }
-
-    /// The batched posterior pipeline on one contiguous candidate slice: cross-kernel
-    /// matrix, multi-RHS forward solve, then the per-candidate mean/variance loop.
-    /// Every output depends only on its own candidate's row, so slicing the batch at
-    /// any boundary yields the same bits per candidate.
-    fn predict_slice(
-        &self,
-        state: &FittedState,
-        xs: &[Vec<f64>],
-    ) -> Result<Vec<Posterior>, GpError> {
         let k_cross = self.kernel.eval_cross(&state.x, xs);
         let v = state
             .chol
@@ -626,7 +549,7 @@ impl GaussianProcess {
         let mut k = Matrix::from_fn(n, n, |i, j| self.kernel.eval(&x[i], &x[j]));
         k.add_diagonal(self.noise_variance)
             .expect("gram matrix is square by construction");
-        let chol = Cholesky::decompose_with_jitter(&k, 1e-3)
+        let chol = Cholesky::decompose_with_jitter(&k, 1e-3, &mut FactorScratch::default())
             .map_err(|_| GpError::KernelNotPositiveDefinite)?;
         let alpha = chol
             .solve(&y_std)
@@ -845,89 +768,6 @@ mod tests {
             let p = gp.predict(q).unwrap();
             assert_eq!(p.mean.to_bits(), b.mean.to_bits());
             assert_eq!(p.std_dev.to_bits(), b.std_dev.to_bits());
-        }
-    }
-
-    #[test]
-    fn predict_batch_is_bit_identical_across_intraop_worker_counts() {
-        // Split points around the chunk granularity: C = 1, PREDICT_CHUNK−1,
-        // PREDICT_CHUNK (largest batch that stays serial), PREDICT_CHUNK+1 (smallest
-        // batch that splits), and a multi-chunk batch with a ragged tail. The
-        // candidate→worker partition must not change a single bit, and the LCB argmin
-        // (the suggest-path selection) must pick the same candidate at every grant.
-        let n = 40;
-        let xs: Vec<Vec<f64>> = (0..n)
-            .map(|i| vec![i as f64 / (n - 1) as f64, (i as f64 * 0.37).sin()])
-            .collect();
-        let ys: Vec<f64> = xs.iter().map(|x| (3.0 * x[0]).sin() * 4.0 + x[1]).collect();
-        let mut gp = GaussianProcess::new(
-            Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(0.3)), 1.0)),
-            1e-4,
-        );
-        gp.fit(&xs, &ys).unwrap();
-        let lcb_argmin = |ps: &[Posterior]| {
-            let mut best = 0;
-            for (i, p) in ps.iter().enumerate() {
-                if crate::acquisition::lower_confidence_bound(p, 2.0)
-                    < crate::acquisition::lower_confidence_bound(&ps[best], 2.0)
-                {
-                    best = i;
-                }
-            }
-            best
-        };
-        for &c in &[
-            1usize,
-            PREDICT_CHUNK - 1,
-            PREDICT_CHUNK,
-            PREDICT_CHUNK + 1,
-            3 * PREDICT_CHUNK + 7,
-        ] {
-            let queries: Vec<Vec<f64>> = (0..c)
-                .map(|q| vec![q as f64 / c as f64 * 1.4 - 0.2, (q as f64 * 0.61).cos()])
-                .collect();
-            gp.set_intraop_workers(1);
-            let serial = gp.predict_batch(&queries).unwrap();
-            for &w in &[2usize, 4, 8] {
-                gp.set_intraop_workers(w);
-                let par = gp.predict_batch(&queries).unwrap();
-                assert_eq!(par.len(), serial.len());
-                for (q, (a, b)) in par.iter().zip(serial.iter()).enumerate() {
-                    assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "C={c} w={w} q={q}");
-                    assert_eq!(
-                        a.std_dev.to_bits(),
-                        b.std_dev.to_bits(),
-                        "C={c} w={w} q={q}"
-                    );
-                }
-                assert_eq!(lcb_argmin(&par), lcb_argmin(&serial), "C={c} w={w}");
-            }
-        }
-    }
-
-    #[test]
-    fn intraop_fit_is_bit_identical_and_survives_clone() {
-        // The fit-path factorization must produce the same posterior at every intra-op
-        // grant (the parallel trailing update engages at this size), and a cloned GP
-        // keeps the grant.
-        let n = 150;
-        let xs: Vec<Vec<f64>> = (0..n)
-            .map(|i| vec![(i as f64 * 0.13).sin(), (i as f64 * 0.29).cos()])
-            .collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x[0] * 3.0 - x[1]).collect();
-        let mut serial_gp = default_gp();
-        serial_gp.fit(&xs, &ys).unwrap();
-        let probe = vec![0.3, -0.4];
-        let serial = serial_gp.predict(&probe).unwrap();
-        for w in [2usize, 4] {
-            let mut gp = default_gp();
-            gp.set_intraop_workers(w);
-            assert_eq!(gp.intraop_workers(), w);
-            assert_eq!(gp.clone().intraop_workers(), w, "clone keeps the grant");
-            gp.fit(&xs, &ys).unwrap();
-            let p = gp.predict(&probe).unwrap();
-            assert_eq!(p.mean.to_bits(), serial.mean.to_bits(), "w={w}");
-            assert_eq!(p.std_dev.to_bits(), serial.std_dev.to_bits(), "w={w}");
         }
     }
 

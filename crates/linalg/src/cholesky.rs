@@ -30,7 +30,7 @@
 //!
 //! The fit hot loops (hyper-parameter trials, periodic refits) factorize thousands of
 //! matrices of the same size. [`FactorScratch`] recycles factor storage across
-//! factorizations ([`Cholesky::decompose_with_jitter_scratch`] takes its buffer from the
+//! factorizations ([`Cholesky::decompose_with_jitter`] takes its buffer from the
 //! scratch, [`Cholesky::into_scratch`] returns it), jitter escalation reuses one buffer
 //! across all attempts, and [`Cholesky::extend`] grows the factor in place
 //! ([`Matrix::grow_square`]) — so in steady state none of these operations allocate.
@@ -43,85 +43,27 @@ use crate::{LinalgError, Matrix, Result};
 /// full-length rows as the textbook recurrence does. Matches [`Matrix::matmul`]'s tile.
 const BLOCK: usize = 64;
 
-/// Minimum trailing-block height (rows) for the trailing-update worker pool to engage.
-/// Below one panel of trailing rows the whole update is a few tens of microseconds —
-/// cheaper than spawning scoped threads — so small factorizations stay strictly serial
-/// regardless of the worker grant.
-const PAR_MIN_TRAILING: usize = 64;
-
-/// Minimum trailing rows a worker must own before it is worth its spawn cost; the
-/// worker count is clamped to `tw / PAR_MIN_ROWS_PER_WORKER` so late (short) panels run
-/// on fewer threads than early (tall) ones.
-const PAR_MIN_ROWS_PER_WORKER: usize = 32;
-
-/// Workers actually used for one panel's trailing update: the grant clamped by the
-/// trailing-block height. Depends only on `(workers, tw)`, so the panel→worker schedule
-/// is fixed — and the factor is bit-identical at every worker count anyway (see
-/// [`trailing_update_rows`]), so the clamp shapes wall-clock time, never results.
-fn trailing_workers(workers: usize, tw: usize) -> usize {
-    if workers <= 1 || tw < PAR_MIN_TRAILING {
-        1
-    } else {
-        workers.min(tw / PAR_MIN_ROWS_PER_WORKER).max(1)
-    }
-}
-
-/// Chunk boundaries of the fixed row→worker schedule: `w + 1` nondecreasing offsets
-/// into the trailing block (`bounds[0] = 0`, `bounds[w] = tw`). Row `r` of the block
-/// updates `r + 1` elements, so boundaries equalize cumulative *area* rather than row
-/// count — the last worker would otherwise own half the flops. Depends only on
-/// `(tw, w)`.
-fn trailing_chunk_bounds(tw: usize, w: usize) -> Vec<usize> {
-    let total = tw * (tw + 1) / 2;
-    let mut bounds = Vec::with_capacity(w + 1);
-    bounds.push(0);
-    let mut m = 0usize;
-    for c in 1..w {
-        let target = total * c / w;
-        while m < tw && m * (m + 1) / 2 < target {
-            m += 1;
-        }
-        bounds.push(m);
-    }
-    bounds.push(tw);
-    bounds
-}
-
-/// Applies one panel's trailing (SYRK) update to the contiguous row range `lo..hi` of
-/// the factor (`ke ≤ lo ≤ hi ≤ n`). `rows` is exactly that range's storage —
-/// `rows[0]` is the first element of row `lo` — and `syrk` is the shared transposed
-/// panel (read-only).
+/// Applies one panel's trailing (SYRK) update to the rows `ke..n` of the row-major
+/// `n×n` factor storage `dst`; `syrk` is the transposed panel (read-only).
 ///
-/// Trailing rows are mutually independent: row `i` reads its own panel block
-/// (`L[i][kb..ke]`, inside its own storage) and the shared `syrk` transpose, and writes
-/// only `L[i][ke..=i]`. Every element still accumulates its ascending-k subtraction
-/// chain in its own memory cell, so splitting the row range across workers — at *any*
-/// boundary — produces the same bits as the serial sweep. This is what makes the
-/// parallel trailing update bit-identical to [`Cholesky::decompose_reference`] by
-/// construction rather than by tolerance.
-fn trailing_update_rows(
-    rows: &mut [f64],
-    lo: usize,
-    hi: usize,
-    n: usize,
-    kb: usize,
-    ke: usize,
-    syrk: &[f64],
-) {
+/// Row `i` reads its own panel block (`L[i][kb..ke]`) and the shared `syrk` transpose,
+/// and writes only `L[i][ke..=i]`. Every element accumulates its ascending-k
+/// subtraction chain in its own memory cell, which is what keeps the blocked factor
+/// bit-identical to [`Cholesky::decompose_reference`].
+fn trailing_update(dst: &mut [f64], n: usize, kb: usize, ke: usize, syrk: &[f64]) {
     let pw = ke - kb;
     let tw = n - ke;
-    let base = lo * n;
     let mut panel = [0.0f64; BLOCK];
     let mut panel2 = [0.0f64; BLOCK];
     // Two output rows per pass share each lane load (rows are independent; every
-    // element still accumulates its own ascending-k chain). A chunk-straddling pair
-    // simply falls to the scalar remainder — pairing never changes per-element order.
-    let mut i = lo;
-    while i + 2 <= hi {
-        panel[..pw].copy_from_slice(&rows[i * n + kb - base..i * n + ke - base]);
-        panel2[..pw].copy_from_slice(&rows[(i + 1) * n + kb - base..(i + 1) * n + ke - base]);
+    // element still accumulates its own ascending-k chain). An odd last row falls to
+    // the scalar remainder — pairing never changes per-element order.
+    let mut i = ke;
+    while i + 2 <= n {
+        panel[..pw].copy_from_slice(&dst[i * n + kb..i * n + ke]);
+        panel2[..pw].copy_from_slice(&dst[(i + 1) * n + kb..(i + 1) * n + ke]);
         let len0 = i - ke + 1;
-        let (row_i, rest) = rows[i * n + ke - base..].split_at_mut(n);
+        let (row_i, rest) = dst[i * n + ke..].split_at_mut(n);
         let row_i = &mut row_i[..len0];
         let row_j = &mut rest[..len0 + 1];
         for k in 0..pw {
@@ -136,9 +78,9 @@ fn trailing_update_rows(
         }
         i += 2;
     }
-    while i < hi {
-        panel[..pw].copy_from_slice(&rows[i * n + kb - base..i * n + ke - base]);
-        let row_i = &mut rows[i * n + ke - base..i * n + i + 1 - base];
+    while i < n {
+        panel[..pw].copy_from_slice(&dst[i * n + kb..i * n + ke]);
+        let row_i = &mut dst[i * n + ke..i * n + i + 1];
         let len = i - ke + 1;
         for (k, &pik) in panel[..pw].iter().enumerate() {
             let lane = &syrk[k * tw..k * tw + len];
@@ -153,7 +95,7 @@ fn trailing_update_rows(
 /// Reusable storage for Cholesky factorizations.
 ///
 /// Holds the backing buffer of a previously retired factor so the next
-/// [`Cholesky::decompose_with_jitter_scratch`] can reuse the allocation, plus nothing
+/// [`Cholesky::decompose_with_jitter`] can reuse the allocation, plus nothing
 /// else — the blocked factorization itself works fully in place. Create one per
 /// fit arena / worker and thread it through every factorization of that loop:
 ///
@@ -162,7 +104,7 @@ fn trailing_update_rows(
 /// let a = Matrix::identity(8);
 /// let mut scratch = FactorScratch::default();
 /// for _ in 0..3 {
-///     let c = Cholesky::decompose_with_jitter_scratch(&a, 1e-3, &mut scratch).unwrap();
+///     let c = Cholesky::decompose_with_jitter(&a, 1e-3, &mut scratch).unwrap();
 ///     // ... use the factor ...
 ///     c.into_scratch(&mut scratch); // recycle the buffer; the next decompose is allocation-free
 /// }
@@ -195,18 +137,9 @@ impl Cholesky {
     /// Bit-identical to [`Cholesky::decompose_reference`] (see the module docs for why);
     /// `O(n³)` with cache-blocked memory traffic.
     pub fn decompose(a: &Matrix) -> Result<Self> {
-        Self::decompose_with_workers(a, 1)
-    }
-
-    /// [`Cholesky::decompose`] with `workers` threads applying each panel's trailing
-    /// (SYRK) update to disjoint contiguous row ranges under the fixed
-    /// area-balanced schedule of `trailing_chunk_bounds`. The factor is
-    /// **bit-identical at every worker count** — see `trailing_update_rows` — so
-    /// `workers` shapes wall-clock time only. A grant of 0 is treated as 1.
-    pub fn decompose_with_workers(a: &Matrix, workers: usize) -> Result<Self> {
         let mut l = Matrix::default();
         let mut syrk = Vec::new();
-        Self::factorize_into(a, 0.0, &mut l, &mut syrk, workers)?;
+        Self::factorize_into(a, 0.0, &mut l, &mut syrk)?;
         Ok(Cholesky { l, jitter: 0.0 })
     }
 
@@ -214,96 +147,6 @@ impl Cholesky {
     /// the blocked [`Cholesky::decompose`] (property-tested in this module and enforced
     /// per PR by `bench --bin fit_path`). Not used on any hot path.
     pub fn decompose_reference(a: &Matrix) -> Result<Self> {
-        Self::decompose_reference_inner(a, 0.0)
-    }
-
-    /// Jitter-escalating variant of [`Cholesky::decompose_reference`], allocating a
-    /// fresh factor per attempt exactly as the pre-blocking implementation did. Exists
-    /// so benchmarks can measure the old fit path faithfully; not used on any hot path.
-    pub fn decompose_reference_with_jitter(a: &Matrix, max_jitter: f64) -> Result<Self> {
-        if let Ok(c) = Self::decompose_reference_inner(a, 0.0) {
-            return Ok(c);
-        }
-        let mut jitter = 1e-10;
-        while jitter <= max_jitter {
-            if let Ok(c) = Self::decompose_reference_inner(a, jitter) {
-                return Ok(c);
-            }
-            jitter *= 10.0;
-        }
-        Err(LinalgError::NotPositiveDefinite {
-            pivot: 0,
-            value: f64::NAN,
-        })
-    }
-
-    /// Factorizes `a`, retrying with diagonal jitter `1e-10, 1e-9, ... , max_jitter` if the
-    /// plain factorization fails. Returns the factor and records the jitter used.
-    ///
-    /// All escalation attempts reuse **one** factor buffer: a failed attempt costs no
-    /// extra allocation, only the rewrite of the buffer's lower triangle.
-    pub fn decompose_with_jitter(a: &Matrix, max_jitter: f64) -> Result<Self> {
-        let mut scratch = FactorScratch::default();
-        Self::decompose_with_jitter_scratch(a, max_jitter, &mut scratch)
-    }
-
-    /// Jitter-escalating factorization drawing its factor storage from `scratch`.
-    ///
-    /// In steady state (scratch recycled via [`Cholesky::into_scratch`] and the
-    /// dimension not growing beyond the largest seen) this performs **no allocation**,
-    /// which is what keeps hyper-parameter-optimization trial loops allocation-free.
-    pub fn decompose_with_jitter_scratch(
-        a: &Matrix,
-        max_jitter: f64,
-        scratch: &mut FactorScratch,
-    ) -> Result<Self> {
-        Self::decompose_with_jitter_scratch_workers(a, max_jitter, scratch, 1)
-    }
-
-    /// [`Cholesky::decompose_with_jitter_scratch`] with the trailing-update worker pool
-    /// of [`Cholesky::decompose_with_workers`]. Bit-identical at every worker count; the
-    /// serial hot path (`workers ≤ 1`, or matrices below the `PAR_MIN_TRAILING` gate)
-    /// stays allocation-free in steady state — parallel trailing updates spawn scoped
-    /// threads per panel, trading the allocation-free property for wall-clock time on
-    /// large factorizations.
-    pub fn decompose_with_jitter_scratch_workers(
-        a: &Matrix,
-        max_jitter: f64,
-        scratch: &mut FactorScratch,
-        workers: usize,
-    ) -> Result<Self> {
-        let mut spare = std::mem::take(&mut scratch.spare);
-        spare.clear(); // keep the capacity, drop stale contents so `from_vec(0, 0, …)` accepts it
-        let mut l = Matrix::from_vec(0, 0, spare).expect("cleared buffer has length 0");
-        let syrk = &mut scratch.syrk;
-        if Self::factorize_into(a, 0.0, &mut l, syrk, workers).is_ok() {
-            return Ok(Cholesky { l, jitter: 0.0 });
-        }
-        let mut jitter = 1e-10;
-        while jitter <= max_jitter {
-            if Self::factorize_into(a, jitter, &mut l, syrk, workers).is_ok() {
-                return Ok(Cholesky { l, jitter });
-            }
-            jitter *= 10.0;
-        }
-        // Return the buffer so the failed call is also allocation-free next time.
-        scratch.spare = l.into_data();
-        Err(LinalgError::NotPositiveDefinite {
-            pivot: 0,
-            value: f64::NAN,
-        })
-    }
-
-    /// Retires the factor, returning its backing storage to `scratch` so the next
-    /// [`Cholesky::decompose_with_jitter_scratch`] can reuse the allocation.
-    pub fn into_scratch(self, scratch: &mut FactorScratch) {
-        let data = self.l.into_data();
-        if data.capacity() > scratch.spare.capacity() {
-            scratch.spare = data;
-        }
-    }
-
-    fn decompose_reference_inner(a: &Matrix, jitter: f64) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -315,9 +158,6 @@ impl Cholesky {
         for i in 0..n {
             for j in 0..=i {
                 let mut sum = a.get(i, j);
-                if i == j {
-                    sum += jitter;
-                }
                 for k in 0..j {
                     sum -= l.get(i, k) * l.get(j, k);
                 }
@@ -334,7 +174,51 @@ impl Cholesky {
                 }
             }
         }
-        Ok(Cholesky { l, jitter })
+        Ok(Cholesky { l, jitter: 0.0 })
+    }
+
+    /// Factorizes `a`, retrying with diagonal jitter `1e-10, 1e-9, ... , max_jitter` if the
+    /// plain factorization fails. Returns the factor and records the jitter used.
+    ///
+    /// The factor storage comes from `scratch`, and all escalation attempts reuse that
+    /// one buffer. In steady state (scratch recycled via [`Cholesky::into_scratch`] and
+    /// the dimension not growing beyond the largest seen) this performs **no
+    /// allocation**, which is what keeps hyper-parameter-optimization trial loops
+    /// allocation-free. A one-off caller passes `&mut FactorScratch::default()`.
+    pub fn decompose_with_jitter(
+        a: &Matrix,
+        max_jitter: f64,
+        scratch: &mut FactorScratch,
+    ) -> Result<Self> {
+        let mut spare = std::mem::take(&mut scratch.spare);
+        spare.clear(); // keep the capacity, drop stale contents so `from_vec(0, 0, …)` accepts it
+        let mut l = Matrix::from_vec(0, 0, spare).expect("cleared buffer has length 0");
+        let syrk = &mut scratch.syrk;
+        if Self::factorize_into(a, 0.0, &mut l, syrk).is_ok() {
+            return Ok(Cholesky { l, jitter: 0.0 });
+        }
+        let mut jitter = 1e-10;
+        while jitter <= max_jitter {
+            if Self::factorize_into(a, jitter, &mut l, syrk).is_ok() {
+                return Ok(Cholesky { l, jitter });
+            }
+            jitter *= 10.0;
+        }
+        // Return the buffer so the failed call is also allocation-free next time.
+        scratch.spare = l.into_data();
+        Err(LinalgError::NotPositiveDefinite {
+            pivot: 0,
+            value: f64::NAN,
+        })
+    }
+
+    /// Retires the factor, returning its backing storage to `scratch` so the next
+    /// [`Cholesky::decompose_with_jitter`] can reuse the allocation.
+    pub fn into_scratch(self, scratch: &mut FactorScratch) {
+        let data = self.l.into_data();
+        if data.capacity() > scratch.spare.capacity() {
+            scratch.spare = data;
+        }
     }
 
     /// The blocked in-place factorization kernel. `l` is reshaped to `n×n` (reusing its
@@ -349,17 +233,7 @@ impl Cholesky {
     /// updates land before the panel factorization finishes the column), never the
     /// per-element order, and each element accumulates in a single scalar so no
     /// reassociation occurs.
-    ///
-    /// `workers > 1` parallelizes each panel's trailing update across scoped threads
-    /// under the fixed schedule of [`trailing_chunk_bounds`]; the panel factorization
-    /// itself (latency-bound, `O(n·BLOCK²)` per panel) stays serial.
-    fn factorize_into(
-        a: &Matrix,
-        jitter: f64,
-        l: &mut Matrix,
-        syrk: &mut Vec<f64>,
-        workers: usize,
-    ) -> Result<()> {
+    fn factorize_into(a: &Matrix, jitter: f64, l: &mut Matrix, syrk: &mut Vec<f64>) -> Result<()> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -459,35 +333,7 @@ impl Cholesky {
                         syrk[k * tw + jj] = v;
                     }
                 }
-                let w = trailing_workers(workers, tw);
-                if w > 1 {
-                    // Fixed panel→worker schedule: carve the trailing rows into `w`
-                    // contiguous, area-balanced chunks and hand each worker its own
-                    // disjoint storage slice. Rows never move between workers and the
-                    // chunks are carved in ascending row order (the index-ordered
-                    // combine is the carving itself — results land in place, in order).
-                    let bounds = trailing_chunk_bounds(tw, w);
-                    let syrk_ro: &[f64] = syrk;
-                    std::thread::scope(|scope| {
-                        let mut rows: &mut [f64] = &mut dst[ke * n..];
-                        let mut lo = ke;
-                        for &b in &bounds[1..] {
-                            let hi = ke + b;
-                            if hi == lo {
-                                continue;
-                            }
-                            let (chunk, rest) = rows.split_at_mut((hi - lo) * n);
-                            rows = rest;
-                            let start = lo;
-                            scope.spawn(move || {
-                                trailing_update_rows(chunk, start, hi, n, kb, ke, syrk_ro);
-                            });
-                            lo = hi;
-                        }
-                    });
-                } else {
-                    trailing_update_rows(&mut dst[ke * n..], ke, n, n, kb, ke, syrk);
-                }
+                trailing_update(dst, n, kb, ke, syrk);
             }
             kb = ke;
         }
@@ -898,7 +744,7 @@ mod tests {
     fn jitter_rescues_near_singular_matrix() {
         // Rank-deficient Gram matrix of duplicated points.
         let a = Matrix::from_vec(2, 2, vec![1.0, 1.0, 1.0, 1.0]).unwrap();
-        let c = Cholesky::decompose_with_jitter(&a, 1e-2).unwrap();
+        let c = Cholesky::decompose_with_jitter(&a, 1e-2, &mut FactorScratch::default()).unwrap();
         assert!(c.jitter() > 0.0);
         let x = c.solve(&[1.0, 1.0]).unwrap();
         assert!(x.iter().all(|v| v.is_finite()));
@@ -958,7 +804,8 @@ mod tests {
         // The fallback the GP layer uses: re-decompose the extended matrix with jitter.
         let ext =
             Matrix::from_vec(3, 3, vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]).unwrap();
-        let rescued = Cholesky::decompose_with_jitter(&ext, 1e-2).unwrap();
+        let rescued =
+            Cholesky::decompose_with_jitter(&ext, 1e-2, &mut FactorScratch::default()).unwrap();
         assert!(rescued.jitter() > 0.0);
     }
 
@@ -977,7 +824,8 @@ mod tests {
         // so that the extended factor equals the from-scratch factor of the jittered
         // extended matrix.
         let a = Matrix::from_vec(2, 2, vec![1.0, 1.0, 1.0, 1.0]).unwrap();
-        let mut c = Cholesky::decompose_with_jitter(&a, 1e-2).unwrap();
+        let mut c =
+            Cholesky::decompose_with_jitter(&a, 1e-2, &mut FactorScratch::default()).unwrap();
         let j = c.jitter();
         assert!(j > 0.0);
         c.extend(&[0.5, 0.5, 2.0]).unwrap();
@@ -1098,72 +946,6 @@ mod tests {
     }
 
     #[test]
-    fn decompose_with_workers_is_bit_identical_at_every_worker_count() {
-        // Sizes span the serial gate (tw < PAR_MIN_TRAILING stays serial even with a
-        // grant), the engagement point, and multi-panel factors where several panels
-        // run parallel trailing updates (n = 200: tw = 136 then 72; n = 256: three
-        // panels tall enough to split). Worker grants of 0 and 1 must also agree.
-        for &n in &[1usize, 63, 64, 65, 100, 150, 200, 256] {
-            let a = spd_n(n, n as u64 + 17);
-            let reference = Cholesky::decompose_reference(&a).unwrap();
-            for &w in &[0usize, 1, 2, 3, 4, 8] {
-                let par = Cholesky::decompose_with_workers(&a, w).unwrap();
-                for i in 0..n {
-                    for j in 0..=i {
-                        assert_eq!(
-                            par.factor().get(i, j).to_bits(),
-                            reference.factor().get(i, j).to_bits(),
-                            "n={n} workers={w} ({i},{j})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn worker_scratch_decompose_matches_serial_scratch_path() {
-        // The jitter-escalating scratch path must select the same jitter and produce
-        // the same bits at every worker count, including with a recycled buffer.
-        let a = spd_n(200, 7);
-        let serial = Cholesky::decompose_with_jitter(&a, 1e-3).unwrap();
-        let mut scratch = FactorScratch::default();
-        for &w in &[2usize, 4] {
-            let par =
-                Cholesky::decompose_with_jitter_scratch_workers(&a, 1e-3, &mut scratch, w).unwrap();
-            assert_eq!(par.jitter().to_bits(), serial.jitter().to_bits());
-            assert!(par.factor().max_abs_diff(serial.factor()).unwrap() == 0.0);
-            par.into_scratch(&mut scratch);
-        }
-    }
-
-    #[test]
-    fn trailing_chunk_bounds_form_a_fixed_balanced_partition() {
-        for &tw in &[64usize, 65, 100, 136, 500] {
-            for w in 1..=8 {
-                let bounds = trailing_chunk_bounds(tw, w);
-                assert_eq!(bounds.len(), w + 1);
-                assert_eq!(bounds[0], 0);
-                assert_eq!(bounds[w], tw);
-                for c in 0..w {
-                    assert!(bounds[c] <= bounds[c + 1], "tw={tw} w={w}");
-                }
-                // The schedule is a pure function of (tw, w).
-                assert_eq!(bounds, trailing_chunk_bounds(tw, w));
-                // Area-balanced: no chunk owns more than an ideal share plus one row.
-                let total = tw * (tw + 1) / 2;
-                for c in 0..w {
-                    let area: usize = (bounds[c]..bounds[c + 1]).map(|r| r + 1).sum();
-                    assert!(
-                        area <= total / w + tw + 1,
-                        "tw={tw} w={w} chunk {c} area {area}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn blocked_decompose_reports_same_failing_pivot_as_reference() {
         // Make the trailing diagonal entry dependent so the last pivot fails in both.
         let mut a = spd_n(70, 3);
@@ -1212,15 +994,15 @@ mod tests {
     #[test]
     fn scratch_recycling_is_allocation_free_and_bit_identical() {
         let a = spd_n(40, 1);
-        let plain = Cholesky::decompose_with_jitter(&a, 1e-3).unwrap();
+        let plain = Cholesky::decompose(&a).unwrap();
         let mut scratch = FactorScratch::default();
         // Warm the scratch, recycle, then verify the second pass reuses the same buffer.
-        let first = Cholesky::decompose_with_jitter_scratch(&a, 1e-3, &mut scratch).unwrap();
+        let first = Cholesky::decompose_with_jitter(&a, 1e-3, &mut scratch).unwrap();
         assert!(first.factor().max_abs_diff(plain.factor()).unwrap() == 0.0);
         first.into_scratch(&mut scratch);
         let cap_before = scratch.spare.capacity();
         let ptr_before = scratch.spare.as_ptr();
-        let second = Cholesky::decompose_with_jitter_scratch(&a, 1e-3, &mut scratch).unwrap();
+        let second = Cholesky::decompose_with_jitter(&a, 1e-3, &mut scratch).unwrap();
         assert!(second.factor().max_abs_diff(plain.factor()).unwrap() == 0.0);
         assert_eq!(second.factor().data().as_ptr(), ptr_before, "buffer reused");
         second.into_scratch(&mut scratch);
@@ -1230,16 +1012,22 @@ mod tests {
     #[test]
     fn jittered_scratch_decompose_matches_unscratched_path() {
         // A rank-deficient matrix forces the escalation loop; every attempt reuses one
-        // buffer and the result (factor + recorded jitter) matches the plain API.
+        // buffer, and a scratch warmed by a larger earlier factor yields the same factor
+        // and recorded jitter as a fresh one.
         let a = Matrix::from_vec(2, 2, vec![1.0, 1.0, 1.0, 1.0]).unwrap();
         let mut scratch = FactorScratch::default();
-        let c = Cholesky::decompose_with_jitter_scratch(&a, 1e-2, &mut scratch).unwrap();
-        let plain = Cholesky::decompose_with_jitter(&a, 1e-2).unwrap();
+        Cholesky::decompose_with_jitter(&spd_n(70, 2), 1e-2, &mut scratch)
+            .unwrap()
+            .into_scratch(&mut scratch);
+        let c = Cholesky::decompose_with_jitter(&a, 1e-2, &mut scratch).unwrap();
+        let plain =
+            Cholesky::decompose_with_jitter(&a, 1e-2, &mut FactorScratch::default()).unwrap();
+        assert!(c.jitter() > 0.0);
         assert_eq!(c.jitter().to_bits(), plain.jitter().to_bits());
         assert!(c.factor().max_abs_diff(plain.factor()).unwrap() == 0.0);
         // A hopeless matrix fails identically and still returns its buffer.
         let bad = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 1.0]).unwrap();
-        assert!(Cholesky::decompose_with_jitter_scratch(&bad, 1e-10, &mut scratch).is_err());
+        assert!(Cholesky::decompose_with_jitter(&bad, 1e-10, &mut scratch).is_err());
         assert!(
             scratch.spare.capacity() > 0,
             "failed decompose must hand its buffer back to the scratch"
@@ -1397,7 +1185,7 @@ mod tests {
                 prop_assert!(ld.is_finite());
                 // log det of A must equal -log det of A^{-1}.
                 let inv = c.inverse().unwrap();
-                let c_inv = Cholesky::decompose_with_jitter(&inv, 1e-6).unwrap();
+                let c_inv = Cholesky::decompose_with_jitter(&inv, 1e-6, &mut FactorScratch::default()).unwrap();
                 prop_assert!((ld + c_inv.log_det()).abs() < 1e-5);
             }
         }

@@ -46,15 +46,6 @@ pub struct ClusterOptions {
     /// consumed, so old snapshots restore instead of erroring.
     #[serde(default)]
     pub hyperopt_workers: usize,
-    /// Intra-op worker threads granted to each cluster model: threads *inside* one
-    /// refit's Cholesky factorization and one suggest sweep's `predict_batch` (see
-    /// [`gp::regression::GaussianProcess::set_intraop_workers`]). Multiplies with
-    /// [`ClusterOptions::hyperopt_workers`] during periodic hyper-parameter refits; the
-    /// fleet service grants it from the third level of its parallelism budget. All
-    /// results are bit-identical at every value. Deserializes to 0 from older
-    /// snapshots; normalized to 1 where consumed.
-    #[serde(default)]
-    pub intraop_workers: usize,
 }
 
 impl Default for ClusterOptions {
@@ -70,7 +61,6 @@ impl Default for ClusterOptions {
             max_observations_per_model: 150,
             hyperopt_period: 20,
             hyperopt_workers: 1,
-            intraop_workers: 1,
         }
     }
 }
@@ -104,9 +94,6 @@ fn budgeted_model(config_dim: usize, context_dim: usize, options: &ClusterOption
     model.set_budget(Some(ObservationBudget::new(
         options.max_observations_per_model,
     )));
-    // A grant of 0 (deserialized from a pre-grant snapshot) means serial, not "per CPU":
-    // resolving against the machine belongs to the fleet budget, not here.
-    model.set_intraop_workers(options.intraop_workers.max(1));
     model
 }
 
@@ -166,16 +153,6 @@ impl ClusterManager {
     /// restored on a machine whose parallelism budget differs from the snapshotting one.
     pub fn set_hyperopt_workers(&mut self, workers: usize) {
         self.options.hyperopt_workers = workers;
-    }
-
-    /// Re-grants the intra-op worker budget on the options and every existing model
-    /// (see [`ClusterOptions::intraop_workers`]). Runtime-only: every computed value is
-    /// bit-identical at every grant, so this never changes model behaviour.
-    pub fn set_intraop_workers(&mut self, workers: usize) {
-        self.options.intraop_workers = workers;
-        for model in &mut self.models {
-            model.set_intraop_workers(workers.max(1));
-        }
     }
 
     /// Suppresses (or re-enables) the periodic hyper-parameter refit — the degraded
@@ -246,7 +223,6 @@ impl ClusterManager {
                     // hyperopt's own "0 = per CPU" convention is reserved for callers
                     // that explicitly opt in, not for missing snapshot fields.
                     workers: self.options.hyperopt_workers.max(1),
-                    intraop_workers: self.options.intraop_workers.max(1),
                     ..Default::default()
                 },
                 rng,

@@ -248,17 +248,6 @@ impl OnlineTune {
         self.clusters.set_hyperopt_workers(workers);
     }
 
-    /// Re-grants the intra-op worker budget of every cluster model (see
-    /// [`ClusterOptions::intraop_workers`](crate::clustering::ClusterOptions::intraop_workers)):
-    /// threads inside one refit's Cholesky factorization and one suggest sweep's
-    /// batched prediction. Runtime-only and bit-identical at every grant, exactly like
-    /// [`OnlineTune::set_hyperopt_workers`]; the fleet service calls both at admission
-    /// and after snapshot restore.
-    pub fn set_intraop_workers(&mut self, workers: usize) {
-        self.options.cluster.intraop_workers = workers;
-        self.clusters.set_intraop_workers(workers);
-    }
-
     /// Suppresses (or re-enables) the periodic hyper-parameter refit of every cluster
     /// model — the serving layer's degraded tiers shed the O(n³) step of the observe
     /// path this way (see
@@ -304,12 +293,11 @@ impl OnlineTune {
             let perfs: Vec<f64> = observations.iter().map(|o| o.performance).collect();
             let importance = knob_importance(&configs, &perfs, 4);
             let top = top_k_knobs(&importance, 5);
-            if let Some(&knob) = top.first() {
+            if !top.is_empty() {
                 // Axis-aligned direction on one of the top-5 important knobs (exploitation).
                 let pick = top[self.rng.gen_range(0..top.len().min(5))];
                 let mut d = vec![0.0; dim];
                 d[pick.min(dim - 1)] = 1.0;
-                let _ = knob;
                 return d;
             }
         }
