@@ -1297,6 +1297,38 @@ mod tests {
     }
 
     #[test]
+    fn hostile_snapshot_bytes_restore_as_parse_errors() {
+        let mut svc = small_service(1, 1);
+        svc.run_rounds(1);
+        let json = svc.snapshot_json().unwrap();
+        let body = json.strip_prefix('{').unwrap();
+        let deep = "[".repeat(1 << 20);
+
+        // Nesting a million levels deep, at the top and inside a member the reader skips,
+        // must neither restore nor overflow the stack.
+        for hostile in [deep.clone(), format!("{{\"retired\":{deep}{body}")] {
+            let Err(err) = FleetService::restore_json(&hostile) else {
+                panic!("deeply nested bytes must not restore");
+            };
+            assert!(matches!(err, FleetError::SnapshotParse(_)), "{err}");
+        }
+        // Balanced, the same nesting in an unknown member is skipped.
+        let skipped = format!("{{\"retired\":{deep}{}],{body}", "]".repeat((1 << 20) - 1));
+        let restored = FleetService::restore_json(&skipped).expect("unknown member skipped");
+        assert_eq!(restored.canonical_snapshot_json(), json);
+
+        // Integer fields take only exact integers in range: no truncation, no wrapping.
+        let (head, rounds) = json.rsplit_once("\"rounds\":").unwrap();
+        assert_eq!(rounds, "1}");
+        for bad in ["-1", "2.5", "1e300"] {
+            let Err(err) = FleetService::restore_json(&format!("{head}\"rounds\":{bad}}}")) else {
+                panic!("`rounds: {bad}` must not restore");
+            };
+            assert!(matches!(err, FleetError::SnapshotParse(_)), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn quarantine_deprioritizes_without_starving_healthy_tenants() {
         use crate::tenant::SessionHealth;
         use simdb::FaultKind;

@@ -60,33 +60,24 @@ impl RngCore for StdRng {
     }
 }
 
+/// Snapshots carry the state as four `0x`-prefixed hex strings: a `u64` above 2^53 would
+/// not survive a JSON number.
 impl serde::Serialize for StdRng {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(
-            self.s
-                .iter()
-                .map(|w| serde::Value::String(format!("{w:#x}")))
-                .collect(),
-        )
+    fn serialize(&self, out: &mut serde::Serializer) {
+        out.seq(&self.s.map(|w| format!("{w:#x}")));
     }
 }
 
 impl serde::Deserialize for StdRng {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let arr = v
-            .as_array()
-            .ok_or_else(|| serde::Error::custom("StdRng: expected array"))?;
-        if arr.len() != 4 {
-            return Err(serde::Error::custom("StdRng: expected 4 state words"));
-        }
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let words: [String; 4] = serde::Deserialize::deserialize(de)?;
         let mut s = [0u64; 4];
-        for (slot, item) in s.iter_mut().zip(arr) {
-            let text = item
-                .as_str()
-                .ok_or_else(|| serde::Error::custom("StdRng: expected hex string"))?;
-            let digits = text.trim_start_matches("0x");
-            *slot = u64::from_str_radix(digits, 16)
-                .map_err(|e| serde::Error::custom(format!("StdRng: bad state word: {e}")))?;
+        for (slot, text) in s.iter_mut().zip(&words) {
+            *slot = u64::from_str_radix(text.trim_start_matches("0x"), 16)
+                .map_err(|e| de.error(format_args!("StdRng: bad state word: {e}")))?;
+        }
+        if s == [0; 4] {
+            return Err(de.error("StdRng: xoshiro state must be non-zero"));
         }
         Ok(StdRng::from_state(s))
     }
@@ -150,6 +141,26 @@ mod tests {
         let mut b = StdRng::from_state(a.state());
         for _ in 0..32 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn json_state_roundtrips_and_a_zero_state_is_an_error() {
+        use serde::{Deserialize, Serialize};
+        let read = |text: &str| StdRng::deserialize(&mut serde::Deserializer::new(text));
+        let a = StdRng::seed_from_u64(7);
+        let mut out = serde::Serializer::compact();
+        a.serialize(&mut out);
+        let text = out.into_string();
+        assert!(text.starts_with("[\"0x"), "{text}");
+        assert_eq!(read(&text).unwrap(), a);
+        for bad in [
+            r#"["0x0","0x0","0x0","0x0"]"#,
+            r#"["0x1","0x2","0x3"]"#,
+            r#"["0x1","0x2","0x3","0x4","0x5"]"#,
+            r#"["0x1","0x2","0x3","zz"]"#,
+        ] {
+            assert!(read(bad).is_err(), "{bad}");
         }
     }
 

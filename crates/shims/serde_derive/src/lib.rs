@@ -280,6 +280,21 @@ fn parse_shape(input: TokenStream) -> Result<Shape, String> {
     Err(format!("no body found for `{name}`"))
 }
 
+/// Statements writing `fields` (bound to the expressions `access(name)`) as one object.
+fn write_object(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let members: String = fields
+        .iter()
+        .map(|f| {
+            format!(
+                "__out.key({:?}); ::serde::Serialize::serialize({}, __out);\n",
+                f.name,
+                access(&f.name)
+            )
+        })
+        .collect();
+    format!("__out.begin_object();\n{members}__out.end_object();\n")
+}
+
 /// Derives the workspace-shim `Serialize` trait.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
@@ -287,88 +302,105 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Ok(s) => s,
         Err(e) => return compile_error(&e),
     };
-    let code = match &shape {
-        Shape::UnitStruct { name } => format!(
-            "impl ::serde::Serialize for {name} {{\n\
-               fn to_value(&self) -> ::serde::Value {{ ::serde::Value::Object(Vec::new()) }}\n\
-             }}"
-        ),
-        Shape::Struct { name, fields } => {
-            let pushes: String = fields
-                .iter()
-                .map(|f| {
-                    let f = &f.name;
-                    format!("__out.push(({f:?}.to_string(), ::serde::Serialize::to_value(&self.{f})));\n")
-                })
-                .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                   fn to_value(&self) -> ::serde::Value {{\n\
-                     let mut __out: Vec<(String, ::serde::Value)> = Vec::new();\n\
-                     {pushes}\
-                     ::serde::Value::Object(__out)\n\
-                   }}\n\
-                 }}"
-            )
-        }
+    let (name, body) = match &shape {
+        Shape::UnitStruct { name } => (name, write_object(&[], |_| String::new())),
+        Shape::Struct { name, fields } => (name, write_object(fields, |f| format!("&self.{f}"))),
         Shape::Enum { name, variants } => {
             let arms: String = variants
                 .iter()
                 .map(|v| {
                     let vn = &v.name;
-                    match &v.kind {
-                        VariantKind::Unit => format!(
-                            "{name}::{vn} => ::serde::Value::String({vn:?}.to_string()),\n"
-                        ),
-                        VariantKind::Tuple(1) => format!(
-                            "{name}::{vn}(__x0) => ::serde::Value::Object(vec![({vn:?}.to_string(), ::serde::Serialize::to_value(__x0))]),\n"
+                    let (pattern, value) = match &v.kind {
+                        VariantKind::Unit => return format!("{name}::{vn} => __out.str({vn:?}),\n"),
+                        VariantKind::Tuple(1) => (
+                            "(__x0)".to_string(),
+                            "::serde::Serialize::serialize(__x0, __out);\n".to_string(),
                         ),
                         VariantKind::Tuple(n) => {
                             let binds: Vec<String> = (0..*n).map(|k| format!("__x{k}")).collect();
-                            let elems: Vec<String> = binds
+                            let elements: String = binds
                                 .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
+                                .map(|b| {
+                                    format!("__out.element(); ::serde::Serialize::serialize({b}, __out);\n")
+                                })
                                 .collect();
-                            format!(
-                                "{name}::{vn}({}) => ::serde::Value::Object(vec![({vn:?}.to_string(), ::serde::Value::Array(vec![{}]))]),\n",
-                                binds.join(", "),
-                                elems.join(", ")
+                            (
+                                format!("({})", binds.join(", ")),
+                                format!("__out.begin_array();\n{elements}__out.end_array();\n"),
                             )
                         }
                         VariantKind::Struct(fields) => {
-                            let binds = fields
-                                .iter()
-                                .map(|f| f.name.clone())
-                                .collect::<Vec<_>>()
-                                .join(", ");
-                            let pushes: String = fields
-                                .iter()
-                                .map(|f| {
-                                    let f = &f.name;
-                                    format!("__inner.push(({f:?}.to_string(), ::serde::Serialize::to_value({f})));\n")
-                                })
-                                .collect();
-                            format!(
-                                "{name}::{vn} {{ {binds} }} => {{\n\
-                                   let mut __inner: Vec<(String, ::serde::Value)> = Vec::new();\n\
-                                   {pushes}\
-                                   ::serde::Value::Object(vec![({vn:?}.to_string(), ::serde::Value::Object(__inner))])\n\
-                                 }}\n"
+                            let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                            (
+                                format!(" {{ {} }}", binds.join(", ")),
+                                write_object(fields, str::to_string),
                             )
                         }
-                    }
+                    };
+                    // A data-carrying variant is an object with the variant's name as its
+                    // single member.
+                    format!(
+                        "{name}::{vn}{pattern} => {{\n\
+                           __out.begin_object(); __out.key({vn:?});\n{value}__out.end_object();\n\
+                         }}\n"
+                    )
                 })
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                   fn to_value(&self) -> ::serde::Value {{\n\
-                     match self {{\n{arms}}}\n\
-                   }}\n\
-                 }}"
-            )
+            (name, format!("match self {{\n{arms}}}\n"))
         }
     };
-    code.parse().unwrap()
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+           fn serialize(&self, __out: &mut ::serde::Serializer) {{\n{body}}}\n\
+         }}"
+    )
+    .parse()
+    .unwrap()
+}
+
+/// An expression reading one object into `path { fields }`, skipping unknown members,
+/// keeping the first of duplicate members and filling absent `#[serde(default)]` members.
+fn read_object(path: &str, fields: &[Field]) -> String {
+    let slots: String = (0..fields.len())
+        .map(|k| format!("let mut __f{k} = ::std::option::Option::None;\n"))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .enumerate()
+        .map(|(k, f)| {
+            format!(
+                "{:?} if __f{k}.is_none() => __f{k} = ::std::option::Option::Some(::serde::Deserialize::deserialize(__d)?),\n",
+                f.name
+            )
+        })
+        .collect();
+    let inits: String = fields
+        .iter()
+        .enumerate()
+        .map(|(k, f)| {
+            let field = &f.name;
+            if f.default {
+                format!("{field}: __f{k}.unwrap_or_default(),\n")
+            } else {
+                format!(
+                    "{field}: match __f{k} {{\n\
+                       ::std::option::Option::Some(__v) => __v,\n\
+                       ::std::option::Option::None => return ::std::result::Result::Err(__d.error({:?})),\n\
+                     }},\n",
+                    format!("missing field `{field}` in {path}")
+                )
+            }
+        })
+        .collect();
+    format!(
+        "{{\n{slots}\
+           __d.begin_object()?;\n\
+           while let ::std::option::Option::Some(__key) = __d.next_key()? {{\n\
+             match &*__key {{\n{arms}_ => __d.skip_value()?,\n}}\n\
+           }}\n\
+           {path} {{\n{inits}}}\n\
+         }}"
+    )
 }
 
 /// Derives the workspace-shim `Deserialize` trait.
@@ -378,110 +410,82 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         Ok(s) => s,
         Err(e) => return compile_error(&e),
     };
-    let code = match &shape {
-        Shape::UnitStruct { name } => format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-               fn from_value(_v: &::serde::Value) -> Result<Self, ::serde::Error> {{ Ok({name}) }}\n\
-             }}"
+    let (name, body) = match &shape {
+        Shape::UnitStruct { name } => (
+            name,
+            format!("__d.skip_value()?;\n::std::result::Result::Ok({name})\n"),
         ),
-        Shape::Struct { name, fields } => {
-            let inits: String = fields
-                .iter()
-                .map(|f| {
-                    let default = f.default;
-                    let f = &f.name;
-                    if default {
-                        format!(
-                            "{f}: match __v.get({f:?}) {{ Some(__x) => ::serde::Deserialize::from_value(__x)?, None => ::std::default::Default::default() }},\n"
-                        )
-                    } else {
-                        format!(
-                            "{f}: ::serde::Deserialize::from_value(__v.get({f:?}).ok_or_else(|| ::serde::Error::custom(concat!(\"missing field `\", {f:?}, \"` in \", stringify!({name}))))?)?,\n"
-                        )
-                    }
-                })
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                   fn from_value(__v: &::serde::Value) -> Result<Self, ::serde::Error> {{\n\
-                     Ok({name} {{\n{inits}}})\n\
-                   }}\n\
-                 }}"
-            )
-        }
+        Shape::Struct { name, fields } => (
+            name,
+            format!("::std::result::Result::Ok({})\n", read_object(name, fields)),
+        ),
         Shape::Enum { name, variants } => {
             let unit_arms: String = variants
                 .iter()
                 .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| format!("{:?} => return Ok({name}::{}),\n", v.name, v.name))
+                .map(|v| {
+                    format!(
+                        "{:?} => ::std::result::Result::Ok({name}::{}),\n",
+                        v.name, v.name
+                    )
+                })
                 .collect();
             let data_arms: String = variants
                 .iter()
                 .filter_map(|v| {
                     let vn = &v.name;
-                    match &v.kind {
-                        VariantKind::Unit => None,
-                        VariantKind::Tuple(1) => Some(format!(
-                            "{vn:?} => return Ok({name}::{vn}(::serde::Deserialize::from_value(__inner)?)),\n"
-                        )),
-                        VariantKind::Tuple(n) => {
-                            let elems: Vec<String> = (0..*n)
-                                .map(|k| format!("::serde::Deserialize::from_value(&__arr[{k}])?"))
-                                .collect();
-                            Some(format!(
-                                "{vn:?} => {{\n\
-                                   let __arr = __inner.as_array().ok_or_else(|| ::serde::Error::custom(\"expected array\"))?;\n\
-                                   if __arr.len() != {n} {{ return Err(::serde::Error::custom(\"wrong tuple arity\")); }}\n\
-                                   return Ok({name}::{vn}({}));\n\
-                                 }}\n",
-                                elems.join(", ")
-                            ))
+                    let path = format!("{name}::{vn}");
+                    let value = match &v.kind {
+                        VariantKind::Unit => return None,
+                        VariantKind::Tuple(1) => {
+                            format!("{path}(::serde::Deserialize::deserialize(__d)?)")
                         }
-                        VariantKind::Struct(fields) => {
-                            let inits: String = fields
-                                .iter()
-                                .map(|f| {
-                                    let default = f.default;
-                                    let f = &f.name;
-                                    if default {
-                                        format!(
-                                            "{f}: match __inner.get({f:?}) {{ Some(__x) => ::serde::Deserialize::from_value(__x)?, None => ::std::default::Default::default() }},\n"
-                                        )
-                                    } else {
-                                        format!(
-                                            "{f}: ::serde::Deserialize::from_value(__inner.get({f:?}).ok_or_else(|| ::serde::Error::custom(concat!(\"missing field `\", {f:?}, \"`\")))?)?,\n"
-                                        )
-                                    }
-                                })
-                                .collect();
-                            Some(format!(
-                                "{vn:?} => return Ok({name}::{vn} {{\n{inits}}}),\n"
-                            ))
-                        }
-                    }
+                        VariantKind::Tuple(n) => format!(
+                            "{{ __d.begin_array()?; let __v = {path}({}); __d.end_array()?; __v }}",
+                            vec!["__d.element()?"; *n].join(", ")
+                        ),
+                        VariantKind::Struct(fields) => read_object(&path, fields),
+                    };
+                    Some(format!("{vn:?} => {value},\n"))
                 })
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                   fn from_value(__v: &::serde::Value) -> Result<Self, ::serde::Error> {{\n\
-                     if let Some(__s) = __v.as_str() {{\n\
-                       match __s {{\n{unit_arms}\
-                         __other => return Err(::serde::Error::custom(format!(\"unknown variant `{{__other}}` of {name}\"))),\n\
-                       }}\n\
+            let unknown = format!(
+                "::std::result::Result::Err(__d.error(format_args!(\"unknown variant `{{}}` of {name}\", __other)))"
+            );
+            // A unit variant is a string; a data-carrying one is an object whose single
+            // member is named after the variant.
+            let data = if data_arms.is_empty() {
+                format!("::std::result::Result::Err(__d.error(\"cannot deserialize {name}\"))\n")
+            } else {
+                format!(
+                    "__d.begin_object()?;\n\
+                     let ::std::option::Option::Some(__tag) = __d.next_key()? else {{\n\
+                       return ::std::result::Result::Err(__d.error(\"cannot deserialize {name}\"));\n\
+                     }};\n\
+                     let __value = match &*__tag {{\n{data_arms}__other => return {unknown},\n}};\n\
+                     if __d.next_key()?.is_some() {{\n\
+                       return ::std::result::Result::Err(__d.error(\"cannot deserialize {name}: more than one variant\"));\n\
                      }}\n\
-                     if let Some(__obj) = __v.as_object() {{\n\
-                       if __obj.len() == 1 {{\n\
-                         let (__tag, __inner) = &__obj[0];\n\
-                         match __tag.as_str() {{\n{data_arms}\
-                           __other => return Err(::serde::Error::custom(format!(\"unknown variant `{{__other}}` of {name}\"))),\n\
-                         }}\n\
-                       }}\n\
+                     ::std::result::Result::Ok(__value)\n"
+                )
+            };
+            (
+                name,
+                format!(
+                    "if __d.next_is_string() {{\n\
+                       let __tag = __d.str()?;\n\
+                       return match &*__tag {{\n{unit_arms}__other => {unknown},\n}};\n\
                      }}\n\
-                     Err(::serde::Error::custom(concat!(\"cannot deserialize \", stringify!({name}))))\n\
-                   }}\n\
-                 }}"
+                     {data}"
+                ),
             )
         }
     };
-    code.parse().unwrap()
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+           fn deserialize(__d: &mut ::serde::Deserializer<'_>) -> ::std::result::Result<Self, ::serde::Error> {{\n{body}}}\n\
+         }}"
+    )
+    .parse()
+    .unwrap()
 }

@@ -1,352 +1,48 @@
 //! Offline shim for the subset of `serde_json` used by this workspace:
-//! [`to_string`], [`to_string_pretty`], [`from_str`] and the re-exported
-//! [`Value`] tree. Text output is deterministic (object keys keep insertion
-//! order) and finite floats round-trip bit-exactly.
+//! [`to_string`], [`to_string_pretty`] and [`from_str`]. Text is written and read in
+//! one pass between typed values and bytes, with no intermediate tree. Output is
+//! deterministic (object members keep declaration order) and finite floats round-trip
+//! bit-exactly.
 
-pub use serde::Value;
-
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 /// Serialization/deserialization error.
 pub type Error = serde::Error;
 
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+    let mut out = Serializer::compact();
+    value.serialize(&mut out);
+    Ok(out.into_string())
 }
 
-/// Serializes `value` as human-indented JSON.
+/// Serializes `value` as JSON indented by two spaces per level.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+    let mut out = Serializer::pretty();
+    value.serialize(&mut out);
+    Ok(out.into_string())
 }
 
-/// Parses JSON text into any [`Deserialize`] type.
+/// Parses JSON text into any [`Deserialize`] type. Only whitespace may follow the value.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let value = parse_value(text)?;
-    T::from_value(&value)
-}
-
-/// Converts any serializable value into a [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    Ok(value.to_value())
-}
-
-/// Rebuilds a typed value from a [`Value`] tree.
-pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
-    T::from_value(value)
-}
-
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(w) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
-    }
-}
-
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => {
-            if n.is_finite() {
-                out.push_str(&serde_value_format_f64(*n));
-            } else {
-                // JSON has no Inf/NaN; mirror serde_json and write null.
-                out.push_str("null");
-            }
-        }
-        Value::String(s) => write_escaped(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(item, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, val)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_escaped(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(val, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn serde_value_format_f64(n: f64) -> String {
-    if n == n.trunc() && n.abs() < 1e15 && !(n == 0.0 && n.is_sign_negative()) {
-        format!("{}", n as i64)
-    } else {
-        format!("{n:?}")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> Error {
-        Error::custom(format!("JSON parse error at byte {}: {msg}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn parse(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'n' => self.literal("null", Value::Null),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'"' => Ok(Value::String(self.parse_string()?)),
-            b'[' => self.parse_array(),
-            b'{' => self.parse_object(),
-            _ => self.parse_number(),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected `{text}`")))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self.peek().ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by the workspace's data.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Collect the full UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    self.pos = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..start + width)
-                        .ok_or_else(|| self.err("truncated UTF-8"))?;
-                    out.push_str(
-                        std::str::from_utf8(chunk).map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err(&format!("invalid number `{text}`")))
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-}
-
-fn utf8_width(b: u8) -> usize {
-    match b {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
-fn parse_value(text: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.parse()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(v)
+    let mut de = Deserializer::new(text);
+    let value = T::deserialize(&mut de)?;
+    de.end()?;
+    Ok(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    type Record = (f64, (Vec<Option<bool>>, String));
+
     #[test]
     fn roundtrip_compact() {
-        let v = Value::Object(vec![
-            ("a".to_string(), Value::Number(1.5)),
-            (
-                "b".to_string(),
-                Value::Array(vec![Value::Bool(true), Value::Null]),
-            ),
-            ("c".to_string(), Value::String("x\"y\n".to_string())),
-        ]);
+        let v: Record = (1.5, (vec![Some(true), None], "x\"y\n".to_string()));
         let text = to_string(&v).unwrap();
-        let back: Value = from_str(&text).unwrap();
+        assert_eq!(text, r#"[1.5,[[true,null],"x\"y\n"]]"#);
+        let back: Record = from_str(&text).unwrap();
         assert_eq!(v, back);
     }
 
@@ -368,19 +64,11 @@ mod tests {
 
     #[test]
     fn pretty_output_parses_back() {
-        let v = Value::Object(vec![
-            (
-                "nested".to_string(),
-                Value::Object(vec![("k".to_string(), Value::Number(3.0))]),
-            ),
-            (
-                "list".to_string(),
-                Value::Array(vec![Value::Number(1.0), Value::Number(2.0)]),
-            ),
-        ]);
+        let v: Vec<(String, Vec<u32>)> =
+            vec![("k".to_string(), vec![1, 2]), (String::new(), vec![])];
         let text = to_string_pretty(&v).unwrap();
         assert!(text.contains('\n'));
-        let back: Value = from_str(&text).unwrap();
+        let back: Vec<(String, Vec<u32>)> = from_str(&text).unwrap();
         assert_eq!(v, back);
     }
 
@@ -411,15 +99,46 @@ mod tests {
 
     #[test]
     fn unicode_strings_survive() {
-        let v = Value::String("héllo → 世界".to_string());
-        let back: Value = from_str(&to_string(&v).unwrap()).unwrap();
+        let v = "héllo → 世界".to_string();
+        let back: String = from_str(&to_string(&v).unwrap()).unwrap();
         assert_eq!(v, back);
+        let escaped: String = from_str(r#""é\/\b\f""#).unwrap();
+        assert_eq!(escaped, "é/\u{8}\u{c}");
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(from_str::<Value>("{\"a\": }").is_err());
-        assert!(from_str::<Value>("[1, 2").is_err());
-        assert!(from_str::<Value>("12 34").is_err());
+        assert!(from_str::<Vec<u32>>("[1, 2").is_err());
+        assert!(from_str::<u32>("12 34").is_err());
+        assert!(from_str::<String>(r#""\q""#).is_err());
+        assert!(from_str::<String>(r#""\u12""#).is_err());
+        assert!(from_str::<f64>("1.2.3").is_err());
+        assert!(from_str::<bool>("tru").is_err());
+    }
+
+    #[test]
+    fn integers_are_read_exactly() {
+        assert_eq!(from_str::<u8>("255").unwrap(), 255);
+        assert_eq!(from_str::<i32>("-0.0").unwrap(), 0);
+        assert_eq!(from_str::<usize>("4e3").unwrap(), 4000);
+        for text in ["-1", "2.5", "1e300", "256"] {
+            assert!(from_str::<u8>(text).is_err(), "{text}");
+        }
+        for text in ["-1", "2.5", "1e300", "1e20", "\"-1\"", "\"x\""] {
+            assert!(from_str::<u64>(text).is_err(), "{text}");
+        }
+        assert!(from_str::<i64>("-1e19").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1 << 20);
+        assert!(from_str::<Vec<Vec<u32>>>(&deep).is_err());
+        let mut de = Deserializer::new(&deep);
+        assert!(de.skip_value().is_err());
+        let balanced = format!("{}{}", "[".repeat(1 << 20), "]".repeat(1 << 20));
+        let mut de = Deserializer::new(&balanced);
+        de.skip_value().unwrap();
+        de.end().unwrap();
     }
 }
