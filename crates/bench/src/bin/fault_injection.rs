@@ -27,7 +27,7 @@ use fleet::fuzz::{
 use fleet::scenario::{FaultSchedule, Scenario, ScenarioEvent};
 use fleet::service::{small_tuner_options, FleetOptions, FleetService};
 use fleet::tenant::{SessionHealth, TenantSpec, WorkloadFamily};
-use fleet::{DurableFleet, DurableOptions};
+use fleet::DurableFleet;
 use simdb::FaultKind;
 use telemetry::{CounterId, TelemetryHandle};
 
@@ -178,11 +178,7 @@ struct RecoveryReportOut {
 /// compare the final snapshot bytes to the uninterrupted reference.
 fn crash_recovery_gate() -> Result<RecoveryReportOut, String> {
     let reference = {
-        let mut fleet = DurableFleet::new(
-            small_fleet(3),
-            recovery_scenario(),
-            DurableOptions::default(),
-        );
+        let mut fleet = DurableFleet::new(small_fleet(3), recovery_scenario());
         fleet
             .run_rounds(RECOVERY_HORIZON)
             .map_err(|e| e.to_string())?;
@@ -195,11 +191,7 @@ fn crash_recovery_gate() -> Result<RecoveryReportOut, String> {
     let mut wal_appends = 0;
     let mut recovery_replays = 0;
     for kill_round in 1..RECOVERY_HORIZON {
-        let mut fleet = DurableFleet::new(
-            small_fleet(3),
-            recovery_scenario(),
-            DurableOptions::default(),
-        );
+        let mut fleet = DurableFleet::new(small_fleet(3), recovery_scenario());
         fleet
             .service_mut()
             .set_telemetry(TelemetryHandle::enabled());
@@ -210,13 +202,9 @@ fn crash_recovery_gate() -> Result<RecoveryReportOut, String> {
             .counter(CounterId::WalAppends);
         // Vary the tear so clean cuts, torn frames, and empty journals all occur.
         let storage = fleet.crash((kill_round * 13) % 40);
-        let (mut recovered, report) = DurableFleet::recover(
-            &storage,
-            recovery_scenario(),
-            DurableOptions::default(),
-            TelemetryHandle::enabled(),
-        )
-        .map_err(|e| format!("kill at round {kill_round}: {e}"))?;
+        let (mut recovered, report) =
+            DurableFleet::recover(&storage, recovery_scenario(), TelemetryHandle::enabled())
+                .map_err(|e| format!("kill at round {kill_round}: {e}"))?;
         replayed_total += report.replayed_rounds;
         torn_total += report.torn_bytes;
         recovered

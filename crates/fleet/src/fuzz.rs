@@ -45,7 +45,7 @@
 //! the same cases, verdicts and minimized artifacts.
 
 use crate::knowledge::PoolKey;
-use crate::recovery::{DurableFleet, DurableOptions};
+use crate::recovery::DurableFleet;
 use crate::scenario::{FaultSchedule, Scenario, ScenarioEvent, ScenarioRound, ScenarioStep};
 use crate::serve::{FleetServer, Request, Response, ServeOptions, TrafficScript};
 use crate::service::{small_tuner_options, FleetOptions, FleetService, SloReport};
@@ -1189,19 +1189,15 @@ fn run_crash_leg(case: &FuzzCase, reference_snapshot: &str) -> Result<(bool, Str
     for spec in &case.initial_tenants {
         svc.admit(spec.clone()).map_err(|e| e.to_string())?;
     }
-    let mut durable = DurableFleet::new(svc, case.scenario.clone(), DurableOptions::default());
+    let mut durable = DurableFleet::new(svc, case.scenario.clone());
     durable
         .run_rounds(case.kill_round)
         .map_err(|e| e.to_string())?;
     let torn = (case.kill_round * 13) % (FRAME_LEN + 7);
     let storage = durable.crash(torn);
-    let (mut recovered, _report) = DurableFleet::recover(
-        &storage,
-        case.scenario.clone(),
-        DurableOptions::default(),
-        TelemetryHandle::disabled(),
-    )
-    .map_err(|e| format!("recovery after kill at round {}: {e}", case.kill_round))?;
+    let (mut recovered, _report) =
+        DurableFleet::recover(&storage, case.scenario.clone(), TelemetryHandle::disabled())
+            .map_err(|e| format!("recovery after kill at round {}: {e}", case.kill_round))?;
     recovered
         .run_rounds(case.rounds - recovered.service().rounds())
         .map_err(|e| e.to_string())?;

@@ -31,12 +31,18 @@
 //!   snapshot cut, unsafe-rate SLO, fairness floor, knowledge-pool integrity, bounded
 //!   budgets) and, on violation, [`fuzz::shrink_case`] minimizes the timeline into a
 //!   committed regression corpus.
+//! * [`serve`] — a [`serve::FleetServer`] fronts a fleet with a bounded request queue:
+//!   admission control, priority shedding, round deadlines and graceful degradation.
+//! * [`recovery`] and [`wal`] — crash safety for [`recovery::DurableFleet`] and the
+//!   server: one journal of periodic snapshots plus a checksummed write-ahead log,
+//!   recovered by digest-verified re-execution.
 //!
 //! Per-iteration cost matters `N×` more in a fleet than in a single session: every
 //! tenant's model update runs the incremental `O(t²)` GP path — rank-1 Cholesky
 //! extension via `gp::GaussianProcess::observe` — rather than an `O(t³)` refit, and restored
-//! sessions replay bit-identically because both paths produce identical posteriors. The
-//! `bench --bin hotpath` binary records the fleet-level per-iteration latency.
+//! sessions replay bit-identically because both paths produce identical posteriors.
+//! `bench --bin profile` reports the fleet-level per-iteration latency as
+//! `fleet.iteration_ms`.
 //!
 //! ```no_run
 //! use fleet::service::{FleetOptions, FleetService};
@@ -72,15 +78,14 @@ pub use fuzz::{
     ScenarioDistribution, ScenarioGenerator, Violation,
 };
 pub use knowledge::{KnowledgeBase, KnowledgeBaseOptions, KnowledgeTotals, PoolKey, WarmStart};
-pub use recovery::{DurableFleet, DurableOptions, DurableStorage, RecoveryReport};
+pub use recovery::{DurableFleet, DurableStorage, RecoveryReport};
 pub use scenario::{
     run_scenario, FaultSchedule, Scenario, ScenarioError, ScenarioEvent, ScenarioReport,
     ScenarioStep,
 };
 pub use scheduler::{HealthClass, RoundPlan, SchedulerOptions, SessionScheduler, TenantStatus};
 pub use serve::{
-    FleetServer, Request, Response, ServeOptions, ServeRoundReport, ServerRecoveryReport,
-    ServerSnapshot, ServerStorage, TrafficScript,
+    FleetServer, Request, Response, ServeOptions, ServeRoundReport, ServerSnapshot, TrafficScript,
 };
 pub use service::{FleetOptions, FleetReport, FleetService, FleetSnapshot, SloReport};
 pub use tenant::{

@@ -1,17 +1,20 @@
-//! Crash-safe fleet execution: periodic snapshots + a checksummed WAL + deterministic
-//! replay recovery.
+//! Crash-safe execution: periodic snapshots + a checksummed WAL + deterministic replay
+//! recovery, shared by the durable fleet and the fleet server.
 //!
-//! [`DurableFleet`] wraps a [`FleetService`] driven by a [`Scenario`] and maintains a
-//! [`DurableStorage`] — the state that would survive a crash: the last periodic snapshot
-//! plus a [`WriteAheadLog`] of per-round commit records. The fleet's determinism contract
-//! does the heavy lifting: a round's outcome is a pure function of the snapshot it
-//! started from and the scenario, so the *redo function is re-execution*. WAL entries
-//! carry no observations — only a sequence number, the committed round, and an
-//! FNV-1a-64 digest of the canonical post-round snapshot JSON that the replay is
-//! verified against.
+//! [`DurableFleet`] (a [`FleetService`] driven by a [`Scenario`]) and
+//! [`FleetServer`](crate::serve::FleetServer) (the serving front end, driven by a
+//! [`TrafficScript`](crate::serve::TrafficScript)) keep their crash-safety state in one
+//! journal: the last periodic snapshot plus a [`WriteAheadLog`] of per-round commit
+//! records. A crash leaves a [`DurableStorage`]; recovery returns a [`RecoveryReport`].
+//! The fleet's determinism contract does the heavy lifting: a round's outcome is a pure
+//! function of the snapshot it started from and the script, so the *redo function is
+//! re-execution*. WAL entries carry no observations — only a sequence number, the
+//! committed round, and an FNV-1a-64 digest of the owner's canonical post-round
+//! snapshot JSON that the replay is verified against.
 //!
-//! The recovery invariant — enforced by `bench --bin fault_injection` in CI and fuzzed
-//! by the `crash_recovery_bit_identity` property — is:
+//! The recovery invariant — enforced by `bench --bin fault_injection` and
+//! `bench --bin serve_soak` in CI and fuzzed by the `crash_recovery_bit_identity`
+//! property — is:
 //!
 //! > Kill the process after *any* round (tearing an arbitrary number of bytes off the
 //! > WAL tail), recover from the surviving storage, and continue to the horizon: the
@@ -24,25 +27,12 @@
 use crate::error::FleetError;
 use crate::scenario::Scenario;
 use crate::service::{FleetService, FleetSnapshot};
-use crate::wal::{fnv1a64, WriteAheadLog};
+use crate::wal::{fnv1a64, WriteAheadLog, FRAME_LEN};
 use telemetry::{CounterId, EventKind, TelemetryHandle};
 
-/// Options of a [`DurableFleet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct DurableOptions {
-    /// A full snapshot is taken (and the WAL truncated) every `snapshot_interval`
-    /// committed rounds. `1` snapshots every round (an always-empty WAL); larger values
-    /// trade recovery replay work for snapshot serialization work.
-    pub snapshot_interval: usize,
-}
-
-impl Default for DurableOptions {
-    fn default() -> Self {
-        DurableOptions {
-            snapshot_interval: 4,
-        }
-    }
-}
+/// A [`DurableFleet`] takes a full snapshot (and truncates the WAL) every this many
+/// committed rounds.
+pub const SNAPSHOT_INTERVAL: usize = 4;
 
 /// What survives a crash: the last periodic snapshot and the WAL bytes written since.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,8 +45,8 @@ pub struct DurableStorage {
     pub wal_bytes: Vec<u8>,
 }
 
-/// What [`DurableFleet::recover`] did.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// What a recovery did.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Round the recovered snapshot anchored the replay at.
     pub snapshot_round: usize,
@@ -66,155 +56,90 @@ pub struct RecoveryReport {
     pub torn_bytes: usize,
 }
 
-/// A crash-safe wrapper around a scenario-driven fleet.
-///
-/// Construction takes a genesis snapshot, so [`DurableFleet::storage`] is total — there
-/// is no window in which a crash loses everything. Each [`DurableFleet::run_round`]
-/// fires the scenario steps due at the current round, executes the round, appends a
-/// commit record to the WAL, and every [`DurableOptions::snapshot_interval`] rounds
-/// replaces the snapshot and truncates the WAL.
-pub struct DurableFleet {
-    // FleetService holds live sessions (no Debug); summarize instead.
-    svc: FleetService,
-    scenario: Scenario,
-    options: DurableOptions,
-    wal: WriteAheadLog,
+/// The crash-safety state a [`DurableFleet`] or a [`FleetServer`](crate::serve::FleetServer)
+/// owns: the last periodic snapshot and the WAL of the rounds committed since (one frame
+/// each).
+#[derive(Default)]
+pub(crate) struct Journal {
     snapshot_json: String,
     snapshot_round: usize,
-    rounds_since_snapshot: usize,
+    wal: WriteAheadLog,
 }
 
-impl std::fmt::Debug for DurableFleet {
+// The snapshot JSON is large; summarize instead.
+impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableFleet")
-            .field("rounds", &self.svc.rounds())
-            .field("scenario", &self.scenario.name)
+        f.debug_struct("Journal")
             .field("snapshot_round", &self.snapshot_round)
-            .field("wal_bytes", &self.wal.len_bytes())
+            .field("wal_bytes", &self.wal.bytes().len())
             .finish()
     }
 }
 
-impl DurableFleet {
-    /// Wraps a service and its driving scenario, taking the genesis snapshot.
-    pub fn new(svc: FleetService, scenario: Scenario, options: DurableOptions) -> Self {
-        let snapshot_json = svc.canonical_snapshot_json();
-        let snapshot_round = svc.rounds();
-        DurableFleet {
-            svc,
-            scenario,
-            options,
-            wal: WriteAheadLog::new(),
+impl Journal {
+    /// A journal anchored at `snapshot_json`, the owner's canonical JSON at `round`,
+    /// with an empty WAL.
+    pub(crate) fn anchor(snapshot_json: String, round: usize) -> Self {
+        Journal {
             snapshot_json,
-            snapshot_round,
-            rounds_since_snapshot: 0,
+            snapshot_round: round,
+            ..Default::default()
         }
     }
 
-    /// The wrapped service.
-    pub fn service(&self) -> &FleetService {
-        &self.svc
-    }
-
-    /// Mutable access to the wrapped service (telemetry installation etc.).
-    pub fn service_mut(&mut self) -> &mut FleetService {
-        &mut self.svc
-    }
-
-    /// The driving scenario.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// The live WAL.
-    pub fn wal(&self) -> &WriteAheadLog {
-        &self.wal
-    }
-
-    /// Fires due scenario steps, executes one round, and commits it to the WAL.
-    /// Returns the iterations the round executed.
-    pub fn run_round(&mut self) -> Result<usize, FleetError> {
-        let round = self.svc.rounds();
-        for step in self.scenario.due_at(round) {
-            step.event
-                .apply(&mut self.svc)
-                .map_err(FleetError::Scenario)?;
-        }
-        let iterations = self.svc.run_round();
-        let json = self.svc.canonical_snapshot_json();
-        self.wal
-            .append(self.svc.rounds() as u64, fnv1a64(json.as_bytes()));
-        self.svc.telemetry().incr(CounterId::WalAppends);
-        self.rounds_since_snapshot += 1;
-        if self.rounds_since_snapshot >= self.options.snapshot_interval.max(1) {
+    /// Commits a round: appends the digest of `json`, the owner's canonical JSON after
+    /// `round`, to the WAL, and every `interval` commits makes `json` the snapshot and
+    /// truncates the WAL (the sequence counter runs on).
+    pub(crate) fn commit(
+        &mut self,
+        json: String,
+        round: usize,
+        interval: usize,
+        telemetry: &TelemetryHandle,
+    ) {
+        self.wal.append(round as u64, fnv1a64(json.as_bytes()));
+        telemetry.incr(CounterId::WalAppends);
+        if self.wal.bytes().len() / FRAME_LEN >= interval.max(1) {
             self.snapshot_json = json;
-            self.snapshot_round = self.svc.rounds();
-            self.rounds_since_snapshot = 0;
+            self.snapshot_round = round;
             self.wal.clear();
         }
-        Ok(iterations)
     }
 
-    /// Runs `n` rounds; returns the total iterations executed.
-    pub fn run_rounds(&mut self, n: usize) -> Result<usize, FleetError> {
-        let mut total = 0;
-        for _ in 0..n {
-            total += self.run_round()?;
-        }
-        Ok(total)
-    }
-
-    /// The state a crash right now would leave behind.
-    pub fn storage(&self) -> DurableStorage {
+    /// What a crash right now would leave behind, minus the last `torn` WAL bytes
+    /// (`torn` larger than the journal tears it to empty).
+    pub(crate) fn crash(&self, torn: usize) -> DurableStorage {
+        let wal = self.wal.bytes();
         DurableStorage {
             snapshot_json: self.snapshot_json.clone(),
             snapshot_round: self.snapshot_round,
-            wal_bytes: self.wal.bytes().to_vec(),
+            wal_bytes: wal[..wal.len().saturating_sub(torn)].to_vec(),
         }
     }
 
-    /// Simulates a crash that loses the last `torn` bytes of the WAL and returns what
-    /// survives. (`torn` larger than the journal tears it to empty.)
-    pub fn crash(&self, torn: usize) -> DurableStorage {
-        let mut storage = self.storage();
-        let keep = storage.wal_bytes.len().saturating_sub(torn);
-        storage.wal_bytes.truncate(keep);
-        storage
-    }
-
-    /// Recovers a durable fleet from crash-surviving storage: restores the snapshot,
-    /// drops any torn WAL tail, re-executes the committed rounds under the scenario, and
-    /// verifies each replayed round's state digest against the WAL's commit record.
-    ///
-    /// The recovered fleet continues **bit-identically** to the crashed one: re-executed
-    /// rounds are pure functions of restored state, so replaying them reproduces the
-    /// exact bytes the digests were computed from. A digest mismatch means the replay
-    /// diverged (damaged snapshot, wrong scenario) and fails with
-    /// [`FleetError::RecoveryDivergence`] instead of resurrecting a wrong state.
-    pub fn recover(
+    /// Recovers the journal's owner from crash-surviving storage. The WAL is scanned
+    /// (dropping a torn tail) before the expensive `restore` of the snapshot, so a
+    /// corrupt journal fails first. Then, per committed entry, `round` runs one
+    /// *uncommitted* round and returns the owner's canonical JSON, whose digest must
+    /// match the entry's or the replay fails with [`FleetError::RecoveryDivergence`].
+    /// `subject` names the owner in the recovery event; the caller anchors a fresh
+    /// journal on the result.
+    pub(crate) fn replay<D>(
         storage: &DurableStorage,
-        scenario: Scenario,
-        options: DurableOptions,
-        telemetry: TelemetryHandle,
-    ) -> Result<(Self, RecoveryReport), FleetError> {
-        let scan = WriteAheadLog::from_bytes(storage.wal_bytes.clone())?.scan()?;
-        let mut svc = FleetService::restore_with_telemetry(
-            serde_json::from_str::<FleetSnapshot>(&storage.snapshot_json)
-                .map_err(|e| FleetError::SnapshotParse(e.to_string()))?,
-            telemetry,
-        )?;
-        svc.telemetry().add(
+        telemetry: &TelemetryHandle,
+        subject: &str,
+        restore: impl FnOnce(&str) -> Result<D, FleetError>,
+        mut round: impl FnMut(&mut D) -> Result<String, FleetError>,
+    ) -> Result<(D, RecoveryReport), FleetError> {
+        let scan = WriteAheadLog::scan(&storage.wal_bytes)?;
+        let mut owner = restore(&storage.snapshot_json)?;
+        telemetry.add(
             CounterId::WalTornEntriesDropped,
             (scan.torn_bytes > 0) as u64,
         );
-        // Re-execute every committed round, checking each digest as we go.
         for entry in &scan.entries {
-            for step in scenario.due_at(svc.rounds()) {
-                step.event.apply(&mut svc).map_err(FleetError::Scenario)?;
-            }
-            svc.run_round();
-            svc.telemetry().incr(CounterId::RecoveryReplays);
-            let digest = fnv1a64(svc.canonical_snapshot_json().as_bytes());
+            let digest = fnv1a64(round(&mut owner)?.as_bytes());
+            telemetry.incr(CounterId::RecoveryReplays);
             if digest != entry.digest {
                 return Err(FleetError::RecoveryDivergence {
                     round: entry.round as usize,
@@ -228,32 +153,142 @@ impl DurableFleet {
             replayed_rounds: scan.entries.len(),
             torn_bytes: scan.torn_bytes,
         };
-        if svc.telemetry().is_enabled() {
-            svc.telemetry().event(
+        if telemetry.is_enabled() {
+            telemetry.event(
                 EventKind::WalRecovered,
-                "fleet",
+                subject,
                 &format!(
                     "snapshot@{} +{} replayed, {} torn bytes dropped",
                     report.snapshot_round, report.replayed_rounds, report.torn_bytes
                 ),
             );
         }
-        // Rebuild the durable wrapper anchored at a fresh post-recovery snapshot; the
-        // torn/old WAL bytes are superseded.
-        let mut durable = DurableFleet::new(svc, scenario, options);
-        durable.wal = WriteAheadLog::new();
-        Ok((durable, report))
+        Ok((owner, report))
     }
+}
+
+/// A crash-safe wrapper around a scenario-driven fleet.
+///
+/// Construction takes a genesis snapshot, so [`DurableFleet::crash`] is total — there
+/// is no window in which a crash loses everything. Each [`DurableFleet::run_round`]
+/// fires the scenario steps due at the current round, executes the round, appends a
+/// commit record to the WAL, and every [`SNAPSHOT_INTERVAL`] rounds replaces the
+/// snapshot and truncates the WAL.
+pub struct DurableFleet {
+    // FleetService holds live sessions (no Debug); summarize instead.
+    svc: FleetService,
+    scenario: Scenario,
+    journal: Journal,
+}
+
+impl std::fmt::Debug for DurableFleet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DurableFleet")
+            .field("rounds", &self.svc.rounds())
+            .field("scenario", &self.scenario.name)
+            .field("journal", &self.journal)
+            .finish()
+    }
+}
+
+impl DurableFleet {
+    /// Wraps a service and its driving scenario, taking the genesis snapshot.
+    pub fn new(svc: FleetService, scenario: Scenario) -> Self {
+        let journal = Journal::anchor(svc.canonical_snapshot_json(), svc.rounds());
+        DurableFleet {
+            svc,
+            scenario,
+            journal,
+        }
+    }
+
+    /// The wrapped service.
+    pub fn service(&self) -> &FleetService {
+        &self.svc
+    }
+
+    /// Mutable access to the wrapped service (telemetry installation etc.).
+    pub fn service_mut(&mut self) -> &mut FleetService {
+        &mut self.svc
+    }
+
+    /// Fires due scenario steps, executes one round, and commits it to the WAL.
+    /// Returns the iterations the round executed.
+    pub fn run_round(&mut self) -> Result<usize, FleetError> {
+        let iterations = scripted_round(&mut self.svc, &self.scenario)?;
+        self.journal.commit(
+            self.svc.canonical_snapshot_json(),
+            self.svc.rounds(),
+            SNAPSHOT_INTERVAL,
+            self.svc.telemetry(),
+        );
+        Ok(iterations)
+    }
+
+    /// Runs `n` rounds; returns the total iterations executed.
+    pub fn run_rounds(&mut self, n: usize) -> Result<usize, FleetError> {
+        let mut total = 0;
+        for _ in 0..n {
+            total += self.run_round()?;
+        }
+        Ok(total)
+    }
+
+    /// Simulates a crash that loses the last `torn` bytes of the WAL and returns what
+    /// survives. (`torn` larger than the journal tears it to empty.)
+    pub fn crash(&self, torn: usize) -> DurableStorage {
+        self.journal.crash(torn)
+    }
+
+    /// Recovers a durable fleet from crash-surviving storage: drops any torn WAL tail,
+    /// restores the snapshot, re-executes the committed rounds under the scenario, and
+    /// verifies each replayed round's state digest against the WAL's commit record.
+    ///
+    /// The recovered fleet continues **bit-identically** to the crashed one; a digest
+    /// mismatch fails with [`FleetError::RecoveryDivergence`].
+    pub fn recover(
+        storage: &DurableStorage,
+        scenario: Scenario,
+        telemetry: TelemetryHandle,
+    ) -> Result<(Self, RecoveryReport), FleetError> {
+        let (svc, report) = Journal::replay(
+            storage,
+            &telemetry,
+            "fleet",
+            |json| {
+                let snapshot: FleetSnapshot = serde_json::from_str(json)
+                    .map_err(|e| FleetError::SnapshotParse(e.to_string()))?;
+                FleetService::restore_with_telemetry(snapshot, telemetry.clone())
+            },
+            |svc| {
+                scripted_round(svc, &scenario)?;
+                Ok(svc.canonical_snapshot_json())
+            },
+        )?;
+        Ok((DurableFleet::new(svc, scenario), report))
+    }
+}
+
+/// Fires the scenario steps due at the service's current round, then executes the round.
+fn scripted_round(svc: &mut FleetService, scenario: &Scenario) -> Result<usize, FleetError> {
+    for step in scenario.due_at(svc.rounds()) {
+        step.event.apply(svc).map_err(FleetError::Scenario)?;
+    }
+    Ok(svc.run_round())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::{FaultSchedule, ScenarioEvent};
+    use crate::serve::{FleetServer, Request, ServeOptions, TrafficScript};
     use crate::service::{small_tuner_options, FleetOptions};
-    use crate::tenant::{TenantSpec, WorkloadFamily};
-    use crate::wal::FRAME_LEN;
+    use crate::tenant::{DegradationTier, TenantSpec, WorkloadFamily};
+    use crate::wal::WalEntry;
     use simdb::FaultKind;
+
+    /// Rounds every uninterrupted reference run goes to.
+    const HORIZON: usize = 12;
 
     fn small_service(n: usize) -> FleetService {
         let mut svc = FleetService::new(FleetOptions {
@@ -289,142 +324,249 @@ mod tests {
             )
     }
 
-    fn reference_snapshot(rounds: usize) -> String {
-        let mut fleet = DurableFleet::new(
-            small_service(2),
-            faulty_scenario(),
-            DurableOptions::default(),
-        );
-        fleet.run_rounds(rounds).unwrap();
-        fleet.service().canonical_snapshot_json()
+    /// Three suggests a round against a queue of 2 with one dispatch slot: the queue
+    /// stays full, so the server walks down the degradation ladder.
+    fn storm() -> TrafficScript {
+        let mut storm = TrafficScript::new("storm");
+        for round in 0..HORIZON {
+            for _ in 0..3 {
+                storm = storm.at(
+                    round,
+                    Request::Suggest {
+                        tenant: "t0".into(),
+                    },
+                );
+            }
+        }
+        storm
     }
 
-    #[test]
-    fn rounds_commit_to_the_wal_and_snapshots_truncate_it() {
-        let mut fleet = DurableFleet::new(
-            small_service(2),
-            faulty_scenario(),
-            DurableOptions {
-                snapshot_interval: 3,
-            },
-        );
-        fleet.run_rounds(2).unwrap();
-        assert_eq!(fleet.wal().scan().unwrap().entries.len(), 2);
-        fleet.run_round().unwrap();
-        // Third round hit the snapshot interval: WAL truncated, snapshot advanced.
-        assert_eq!(fleet.wal().len_bytes(), 0);
-        assert_eq!(fleet.storage().snapshot_round, 3);
+    /// The suite's view of a durable fleet or server running its script.
+    trait Durable: Sized {
+        /// Commits between periodic snapshots.
+        const INTERVAL: usize;
+        /// A fresh instance over two tenants.
+        fn start() -> Self;
+        fn run(&mut self, rounds: usize);
+        fn fleet(&self) -> &FleetService;
+        /// The canonical JSON the WAL digests.
+        fn bytes(&self) -> String;
+        fn kill(&self, torn: usize) -> DurableStorage;
+        /// Recovers under its own script, or under a different one if `wrong`.
+        fn revive(
+            storage: &DurableStorage,
+            wrong: bool,
+            telemetry: TelemetryHandle,
+        ) -> Result<(Self, RecoveryReport), FleetError>;
     }
 
-    #[test]
-    fn crash_at_every_round_recovers_bit_identically() {
-        let horizon = 7;
-        let reference = reference_snapshot(horizon);
-        for kill_round in 1..horizon {
-            let mut fleet = DurableFleet::new(
-                small_service(2),
-                faulty_scenario(),
-                DurableOptions::default(),
-            );
-            fleet.run_rounds(kill_round).unwrap();
-            // Tear a round-dependent number of bytes off the WAL tail, torn frames
-            // included: recovery must cope with any cut.
-            let storage = fleet.crash((kill_round * 11) % (FRAME_LEN + 5));
-            let (mut recovered, report) = DurableFleet::recover(
-                &storage,
-                faulty_scenario(),
-                DurableOptions::default(),
-                TelemetryHandle::disabled(),
-            )
-            .unwrap_or_else(|e| panic!("kill at round {kill_round}: {e}"));
-            assert!(report.replayed_rounds + report.snapshot_round <= kill_round);
-            recovered
-                .run_rounds(horizon - recovered.service().rounds())
-                .unwrap();
-            assert_eq!(
-                recovered.service().canonical_snapshot_json(),
-                reference,
-                "kill at round {kill_round}"
-            );
+    /// The fleet under the fault-laced scenario.
+    impl Durable for DurableFleet {
+        const INTERVAL: usize = SNAPSHOT_INTERVAL;
+        fn start() -> Self {
+            DurableFleet::new(small_service(2), faulty_scenario())
+        }
+        fn run(&mut self, rounds: usize) {
+            self.run_rounds(rounds).unwrap();
+        }
+        fn fleet(&self) -> &FleetService {
+            &self.svc
+        }
+        fn bytes(&self) -> String {
+            self.svc.canonical_snapshot_json()
+        }
+        fn kill(&self, torn: usize) -> DurableStorage {
+            self.crash(torn)
+        }
+        fn revive(
+            storage: &DurableStorage,
+            wrong: bool,
+            telemetry: TelemetryHandle,
+        ) -> Result<(Self, RecoveryReport), FleetError> {
+            let scenario = if wrong {
+                Scenario::new("wrong").at(
+                    1,
+                    ScenarioEvent::ScaleData {
+                        tenant: "t0".into(),
+                        factor: 9.0,
+                    },
+                )
+            } else {
+                faulty_scenario()
+            };
+            DurableFleet::recover(storage, scenario, telemetry)
+        }
+    }
+
+    /// The server under the storm, which degrades it.
+    impl Durable for FleetServer {
+        // Unlike the fleet's, so the suite covers two cadences.
+        const INTERVAL: usize = 3;
+        fn start() -> Self {
+            let options = ServeOptions {
+                queue_capacity: 2,
+                dispatch_per_round: 1,
+                pressure_window: 2,
+                recovery_window: 4,
+                deadline_rounds: 1,
+                snapshot_interval: Self::INTERVAL,
+                ..Default::default()
+            };
+            FleetServer::new(small_service(2), options)
+        }
+        fn run(&mut self, rounds: usize) {
+            for _ in 0..rounds {
+                self.run_round(&storm());
+            }
+        }
+        fn fleet(&self) -> &FleetService {
+            self.service()
+        }
+        fn bytes(&self) -> String {
+            self.canonical_server_json()
+        }
+        fn kill(&self, torn: usize) -> DurableStorage {
+            self.crash(torn)
+        }
+        fn revive(
+            storage: &DurableStorage,
+            wrong: bool,
+            telemetry: TelemetryHandle,
+        ) -> Result<(Self, RecoveryReport), FleetError> {
+            let script = if wrong {
+                TrafficScript::new("quiet")
+            } else {
+                storm()
+            };
+            FleetServer::recover(storage, &script, telemetry)
+        }
+    }
+
+    fn reference<D: Durable>() -> D {
+        let mut durable = D::start();
+        durable.run(HORIZON);
+        durable
+    }
+
+    fn wal_entries(storage: &DurableStorage) -> Vec<WalEntry> {
+        WriteAheadLog::scan(&storage.wal_bytes).unwrap().entries
+    }
+
+    fn recovery_error<D: Durable>(storage: &DurableStorage, wrong: bool) -> FleetError {
+        match D::revive(storage, wrong, TelemetryHandle::disabled()) {
+            Ok(_) => panic!("{} recovered from bad storage", std::any::type_name::<D>()),
+            Err(e) => e,
         }
     }
 
     #[test]
-    fn recovery_from_a_wrong_scenario_is_a_typed_divergence() {
-        let mut fleet = DurableFleet::new(
-            small_service(2),
-            faulty_scenario(),
-            DurableOptions::default(),
-        );
-        fleet.run_rounds(3).unwrap();
-        let storage = fleet.storage();
-        // Replaying under a different timeline produces different bytes than the WAL
-        // digests committed — recovery must refuse, not resurrect a wrong state.
-        let wrong = Scenario::new("wrong").at(
-            1,
-            ScenarioEvent::ScaleData {
-                tenant: "t0".into(),
-                factor: 9.0,
-            },
-        );
-        let err = DurableFleet::recover(
-            &storage,
-            wrong,
-            DurableOptions::default(),
-            TelemetryHandle::disabled(),
-        )
-        .unwrap_err();
+    fn rounds_commit_to_the_wal_and_snapshots_truncate_it() {
+        fn case<D: Durable>() {
+            let mut durable = D::start();
+            durable.run(D::INTERVAL - 1);
+            assert_eq!(wal_entries(&durable.kill(0)).len(), D::INTERVAL - 1);
+            // The interval's last round hits the snapshot: WAL truncated, snapshot
+            // advanced…
+            durable.run(1);
+            let storage = durable.kill(0);
+            assert!(storage.wal_bytes.is_empty());
+            assert_eq!(storage.snapshot_round, D::INTERVAL);
+            // …and the sequence counter runs on across the truncation.
+            durable.run(1);
+            assert_eq!(wal_entries(&durable.kill(0))[0].seq, D::INTERVAL as u64);
+        }
+        case::<DurableFleet>();
+        case::<FleetServer>();
+    }
+
+    #[test]
+    fn crash_at_every_round_recovers_bit_identically() {
+        fn case<D: Durable>() {
+            let reference = reference::<D>().bytes();
+            for kill_round in 1..HORIZON {
+                let mut durable = D::start();
+                durable.run(kill_round);
+                // Tear a round-dependent number of bytes off the WAL tail, torn frames
+                // included: recovery must cope with any cut.
+                let storage = durable.kill((kill_round * 11) % (FRAME_LEN + 5));
+                let name = std::any::type_name::<D>();
+                let (mut recovered, report) =
+                    D::revive(&storage, false, TelemetryHandle::disabled())
+                        .unwrap_or_else(|e| panic!("{name} killed at round {kill_round}: {e}"));
+                assert_eq!(
+                    recovered.fleet().rounds(),
+                    report.snapshot_round + report.replayed_rounds
+                );
+                assert!(recovered.fleet().rounds() <= kill_round);
+                recovered.run(HORIZON - recovered.fleet().rounds());
+                assert_eq!(
+                    recovered.bytes(),
+                    reference,
+                    "{name} killed at round {kill_round}"
+                );
+            }
+        }
+        let server = reference::<FleetServer>();
         assert!(
-            matches!(err, FleetError::RecoveryDivergence { .. }),
-            "{err}"
+            server.service().session("t0").unwrap().degradation() > DegradationTier::Full,
+            "the storm must degrade the server for its recovery to carry tiers"
         );
+        case::<DurableFleet>();
+        case::<FleetServer>();
+    }
+
+    #[test]
+    fn recovery_from_a_wrong_scenario_is_a_typed_divergence() {
+        fn case<D: Durable>() {
+            let mut durable = D::start();
+            durable.run(D::INTERVAL - 1);
+            // Replaying under a different timeline produces different bytes than the
+            // WAL digests committed — recovery must refuse, not resurrect a wrong state.
+            let err = recovery_error::<D>(&durable.kill(0), true);
+            assert!(
+                matches!(err, FleetError::RecoveryDivergence { .. }),
+                "{err}"
+            );
+        }
+        case::<DurableFleet>();
+        case::<FleetServer>();
     }
 
     #[test]
     fn mid_journal_corruption_fails_recovery_with_a_typed_error() {
-        let mut fleet = DurableFleet::new(
-            small_service(1),
-            Scenario::new("plain"),
-            DurableOptions::default(),
-        );
-        fleet.run_rounds(3).unwrap();
-        let mut storage = fleet.storage();
-        storage.wal_bytes[6] ^= 0x10;
-        let err = DurableFleet::recover(
-            &storage,
-            Scenario::new("plain"),
-            DurableOptions::default(),
-            TelemetryHandle::disabled(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, FleetError::WalCorrupt { .. }), "{err}");
+        fn case<D: Durable>() {
+            let mut durable = D::start();
+            durable.run(D::INTERVAL - 1);
+            let mut storage = durable.kill(0);
+            // A flipped bit in the first of several frames is storage damage, not a
+            // torn tail.
+            storage.wal_bytes[6] ^= 0x10;
+            let err = recovery_error::<D>(&storage, false);
+            assert!(matches!(err, FleetError::WalCorrupt { .. }), "{err}");
+        }
+        case::<DurableFleet>();
+        case::<FleetServer>();
     }
 
     #[test]
     fn missing_genesis_snapshot_with_an_intact_wal_is_a_typed_error() {
-        let mut fleet = DurableFleet::new(
-            small_service(2),
-            faulty_scenario(),
-            DurableOptions::default(),
-        );
-        fleet.run_rounds(3).unwrap();
-        let mut storage = fleet.storage();
-        assert!(
-            !storage.wal_bytes.is_empty(),
-            "the WAL must hold committed rounds for this test to bite"
-        );
-        // Simulate losing the snapshot file while the WAL survives: recovery must
-        // refuse with a parse error naming the problem — never panic, never replay a
-        // WAL against a fleet it doesn't belong to.
-        storage.snapshot_json = String::new();
-        let err = DurableFleet::recover(
-            &storage,
-            faulty_scenario(),
-            DurableOptions::default(),
-            TelemetryHandle::disabled(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, FleetError::SnapshotParse(_)), "{err}");
+        fn case<D: Durable>() {
+            let mut durable = D::start();
+            durable.run(D::INTERVAL - 1);
+            let mut storage = durable.kill(0);
+            assert!(
+                !storage.wal_bytes.is_empty(),
+                "the WAL must hold committed rounds for this test to bite"
+            );
+            // Simulate losing the snapshot file while the WAL survives: recovery must
+            // refuse with a parse error naming the problem — never panic, never replay
+            // a WAL against a fleet it doesn't belong to.
+            storage.snapshot_json = String::new();
+            let err = recovery_error::<D>(&storage, false);
+            assert!(matches!(err, FleetError::SnapshotParse(_)), "{err}");
+        }
+        case::<DurableFleet>();
+        case::<FleetServer>();
     }
 
     #[test]
@@ -433,40 +575,56 @@ mod tests {
         // truncation and the first post-truncation append leaves storage holding a
         // fresh snapshot and an *empty* WAL. Recovery must treat that as a clean
         // anchor (zero replayed rounds) and continue bit-identically.
-        let interval = DurableOptions::default().snapshot_interval;
-        let horizon = interval * 3;
-        let reference = reference_snapshot(horizon);
+        fn case<D: Durable>() {
+            let reference = reference::<D>().bytes();
+            let mut durable = D::start();
+            durable.run(D::INTERVAL);
+            let storage = durable.kill(0);
+            assert_eq!(storage.snapshot_round, D::INTERVAL);
+            assert!(
+                storage.wal_bytes.is_empty(),
+                "the truncation gap must leave an empty WAL"
+            );
+            let (mut recovered, report) =
+                D::revive(&storage, false, TelemetryHandle::disabled()).unwrap();
+            assert_eq!((report.replayed_rounds, report.torn_bytes), (0, 0));
+            assert_eq!(recovered.fleet().rounds(), D::INTERVAL);
+            recovered.run(HORIZON - D::INTERVAL);
+            assert_eq!(
+                recovered.bytes(),
+                reference,
+                "a truncation-gap kill must recover bit-identically"
+            );
+        }
+        case::<DurableFleet>();
+        case::<FleetServer>();
+    }
 
-        let mut fleet = DurableFleet::new(
-            small_service(2),
-            faulty_scenario(),
-            DurableOptions::default(),
-        );
-        // Stop right on the interval boundary: the snapshot was just taken and the
-        // WAL truncated; nothing has been appended since.
-        fleet.run_rounds(interval).unwrap();
-        let storage = fleet.crash(0);
-        assert_eq!(storage.snapshot_round, interval);
-        assert!(
-            storage.wal_bytes.is_empty(),
-            "the truncation gap must leave an empty WAL"
-        );
-
-        let (mut recovered, report) = DurableFleet::recover(
-            &storage,
-            faulty_scenario(),
-            DurableOptions::default(),
-            TelemetryHandle::disabled(),
-        )
-        .unwrap();
-        assert_eq!(report.replayed_rounds, 0);
-        assert_eq!(report.torn_bytes, 0);
-        assert_eq!(recovered.service().rounds(), interval);
-        recovered.run_rounds(horizon - interval).unwrap();
-        assert_eq!(
-            recovered.service().canonical_snapshot_json(),
-            reference,
-            "a truncation-gap kill must recover bit-identically"
-        );
+    #[test]
+    fn torn_recovery_counts_the_drop_and_the_replays_but_commits_nothing() {
+        fn case<D: Durable>() {
+            let mut durable = D::start();
+            durable.run(D::INTERVAL - 1);
+            // Tear the last frame, keeping 5 of its bytes.
+            let storage = durable.kill(FRAME_LEN - 5);
+            let telemetry = TelemetryHandle::enabled();
+            let (_, report) = D::revive(&storage, false, telemetry.clone()).unwrap();
+            assert_eq!(report.torn_bytes, 5);
+            assert_eq!(report.replayed_rounds, D::INTERVAL - 2);
+            let name = std::any::type_name::<D>();
+            assert_eq!(
+                telemetry.counter(CounterId::WalTornEntriesDropped),
+                1,
+                "{name}"
+            );
+            assert_eq!(telemetry.counter(CounterId::WalAppends), 0, "{name}");
+            assert_eq!(
+                telemetry.counter(CounterId::RecoveryReplays),
+                report.replayed_rounds as u64,
+                "{name}"
+            );
+        }
+        case::<DurableFleet>();
+        case::<FleetServer>();
     }
 }

@@ -38,9 +38,9 @@
 //! ([`ServerSnapshot`] = options + fleet snapshot + serve state) and the driving
 //! [`TrafficScript`]: request ids, shed decisions, deadline expiries and tier
 //! transitions are all counted in rounds and queue positions, never wall time. The
-//! server therefore extends the fleet's crash-safety story unchanged: a genesis
-//! snapshot plus a per-round WAL of [`ServerSnapshot`] digests, truncated every
-//! [`ServeOptions::snapshot_interval`] rounds, recovered by deterministic
+//! server therefore shares the fleet's crash-safety journal (see [`crate::recovery`]):
+//! a genesis snapshot plus a per-round WAL of [`ServerSnapshot`] digests, truncated
+//! every [`ServeOptions::snapshot_interval`] rounds, recovered by deterministic
 //! re-execution ([`FleetServer::recover`]) that verifies every replayed round's digest.
 //! `bench --bin serve_soak` kills a soak at an arbitrary round and asserts the
 //! recovered server's snapshot bytes are identical to an uninterrupted run's.
@@ -48,9 +48,9 @@
 //! [`DegradationTier`]: crate::tenant::DegradationTier
 
 use crate::error::FleetError;
+use crate::recovery::{DurableStorage, Journal, RecoveryReport};
 use crate::service::{FleetService, FleetSnapshot};
 use crate::tenant::{SessionHealth, TenantSpec};
-use crate::wal::{fnv1a64, WriteAheadLog};
 use telemetry::{CounterId, EventKind, GaugeId, TelemetryHandle};
 
 /// Options of the serving front end. Serialized inside every [`ServerSnapshot`], so a
@@ -287,16 +287,8 @@ impl TrafficScript {
 /// What one [`FleetServer::run_round`] did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeRoundReport {
-    /// Fleet round counter after the round ran.
-    pub round: usize,
     /// Tuning iterations the scheduler round executed.
     pub iterations: usize,
-    /// Requests dispatched from the queue this round.
-    pub dispatched: usize,
-    /// Requests shed this round.
-    pub shed: u64,
-    /// Requests expired by deadline this round.
-    pub deadline_missed: usize,
     /// Queue depth at the end of the round.
     pub queue_depth: usize,
     /// Whether this round counted as saturated for the pressure window.
@@ -306,40 +298,15 @@ pub struct ServeRoundReport {
     pub responses: Vec<(u64, Response)>,
 }
 
-/// What would survive a server crash: the last periodic [`ServerSnapshot`] and the WAL
-/// bytes appended since.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerStorage {
-    /// Canonical JSON of the last periodic [`ServerSnapshot`].
-    pub snapshot_json: String,
-    /// Fleet round counter at the moment the snapshot was taken.
-    pub snapshot_round: usize,
-    /// Raw WAL bytes appended since that snapshot (possibly torn by the crash).
-    pub wal_bytes: Vec<u8>,
-}
-
-/// What [`FleetServer::recover`] did.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct ServerRecoveryReport {
-    /// Round the recovered snapshot anchored the replay at.
-    pub snapshot_round: usize,
-    /// Rounds re-executed from the WAL's commit records.
-    pub replayed_rounds: usize,
-    /// Bytes of torn WAL tail dropped (0 after a clean shutdown).
-    pub torn_bytes: usize,
-}
-
 /// The long-running serving loop around a [`FleetService`]: a bounded request queue
-/// with admission control, shedding, round deadlines, degradation tiers, and built-in
-/// crash safety (genesis snapshot + per-round WAL + periodic truncating snapshots).
+/// with admission control, shedding, round deadlines, degradation tiers, and crash
+/// safety through the same journal as [`crate::recovery::DurableFleet`] (genesis
+/// snapshot + per-round WAL + periodic truncating snapshots).
 pub struct FleetServer {
     svc: FleetService,
     options: ServeOptions,
     serve: ServeState,
-    wal: WriteAheadLog,
-    snapshot_json: String,
-    snapshot_round: usize,
-    rounds_since_snapshot: usize,
+    journal: Journal,
 }
 
 impl std::fmt::Debug for FleetServer {
@@ -348,28 +315,27 @@ impl std::fmt::Debug for FleetServer {
             .field("rounds", &self.svc.rounds())
             .field("tenants", &self.svc.n_tenants())
             .field("queue_depth", &self.serve.queue.len())
-            .field("snapshot_round", &self.snapshot_round)
-            .field("wal_bytes", &self.wal.len_bytes())
+            .field("journal", &self.journal)
             .finish()
     }
 }
 
 impl FleetServer {
     /// Wraps a service behind the front end, taking the genesis snapshot (so
-    /// [`FleetServer::storage`] is total — no window in which a crash loses
-    /// everything).
+    /// [`FleetServer::crash`] is total — no window in which a crash loses everything).
     pub fn new(svc: FleetService, options: ServeOptions) -> Self {
+        FleetServer::anchored(svc, options, ServeState::new())
+    }
+
+    /// Assembles a server with its journal anchored at its current state.
+    fn anchored(svc: FleetService, options: ServeOptions, serve: ServeState) -> Self {
         let mut server = FleetServer {
             svc,
             options,
-            serve: ServeState::new(),
-            wal: WriteAheadLog::new(),
-            snapshot_json: String::new(),
-            snapshot_round: 0,
-            rounds_since_snapshot: 0,
+            serve,
+            journal: Journal::default(),
         };
-        server.snapshot_json = server.canonical_server_json();
-        server.snapshot_round = server.svc.rounds();
+        server.journal = Journal::anchor(server.canonical_server_json(), server.svc.rounds());
         server
     }
 
@@ -383,36 +349,21 @@ impl FleetServer {
         &mut self.svc
     }
 
-    /// The serving options.
-    pub fn options(&self) -> &ServeOptions {
-        &self.options
-    }
-
     /// The current serving state (queue + overload accounting).
     pub fn serve_state(&self) -> &ServeState {
         &self.serve
     }
 
-    /// Requests currently waiting for dispatch.
-    pub fn queue_depth(&self) -> usize {
-        self.serve.queue.len()
-    }
-
-    /// The complete serializable server state.
-    pub fn server_snapshot(&self) -> ServerSnapshot {
-        ServerSnapshot {
-            options: self.options,
-            fleet: self.svc.snapshot(),
-            serve: self.serve.clone(),
-        }
-    }
-
-    /// Canonical JSON of [`FleetServer::server_snapshot`] — the bytes the WAL digests
+    /// Canonical JSON of the complete [`ServerSnapshot`] — the bytes the WAL digests
     /// and crash-recovery bit-identity compares. Serialization of well-formed
     /// in-memory state cannot fail.
     pub fn canonical_server_json(&self) -> String {
-        serde_json::to_string(&self.server_snapshot())
-            .expect("an in-memory server snapshot always serializes")
+        let snapshot = ServerSnapshot {
+            options: self.options,
+            fleet: self.svc.snapshot(),
+            serve: self.serve.clone(),
+        };
+        serde_json::to_string(&snapshot).expect("an in-memory server snapshot always serializes")
     }
 
     /// Why admission control would turn away a tenant named `name` right now, if it
@@ -604,6 +555,18 @@ impl FleetServer {
     /// the round to the WAL (snapshotting + truncating every
     /// [`ServeOptions::snapshot_interval`] rounds).
     pub fn run_round(&mut self, script: &TrafficScript) -> ServeRoundReport {
+        let report = self.serve_round(script);
+        self.journal.commit(
+            self.canonical_server_json(),
+            self.svc.rounds(),
+            self.options.snapshot_interval,
+            self.svc.telemetry(),
+        );
+        report
+    }
+
+    /// One serving round without the commit; recovery replays these.
+    fn serve_round(&mut self, script: &TrafficScript) -> ServeRoundReport {
         let round = self.svc.rounds();
         let shed_before = self.serve.shed_total();
         let rejected_before = self.serve.admission_rejections + self.serve.queue_rejections;
@@ -619,11 +582,9 @@ impl FleetServer {
 
         // Deadline sweep before dispatch: an expired request never executes, so it can
         // never leave a session half-stepped.
-        let mut deadline_missed = 0;
         let queue = std::mem::take(&mut self.serve.queue);
         for q in queue {
             if round >= q.deadline_round {
-                deadline_missed += 1;
                 self.serve.deadline_misses += 1;
                 self.svc.telemetry().incr(CounterId::DeadlineMisses);
                 if self.svc.telemetry().is_enabled() {
@@ -693,53 +654,18 @@ impl FleetServer {
             .telemetry()
             .set_gauge(GaugeId::DegradedTenants, self.svc.degraded_tenants() as f64);
 
-        // Commit the round: WAL digest of the canonical server snapshot, periodic
-        // truncating snapshot.
-        let json = self.canonical_server_json();
-        self.wal
-            .append(self.svc.rounds() as u64, fnv1a64(json.as_bytes()));
-        self.svc.telemetry().incr(CounterId::WalAppends);
-        self.rounds_since_snapshot += 1;
-        if self.rounds_since_snapshot >= self.options.snapshot_interval.max(1) {
-            self.snapshot_json = json;
-            self.snapshot_round = self.svc.rounds();
-            self.rounds_since_snapshot = 0;
-            self.wal.clear();
-        }
-
         ServeRoundReport {
-            round: self.svc.rounds(),
             iterations,
-            dispatched,
-            shed: shed_now,
-            deadline_missed,
             queue_depth: self.serve.queue.len(),
             saturated,
             responses,
         }
     }
 
-    /// Runs `n` serving rounds; returns the per-round reports.
-    pub fn run_rounds(&mut self, script: &TrafficScript, n: usize) -> Vec<ServeRoundReport> {
-        (0..n).map(|_| self.run_round(script)).collect()
-    }
-
-    /// The state a crash right now would leave behind.
-    pub fn storage(&self) -> ServerStorage {
-        ServerStorage {
-            snapshot_json: self.snapshot_json.clone(),
-            snapshot_round: self.snapshot_round,
-            wal_bytes: self.wal.bytes().to_vec(),
-        }
-    }
-
     /// Simulates a crash that loses the last `torn` bytes of the WAL and returns what
     /// survives.
-    pub fn crash(&self, torn: usize) -> ServerStorage {
-        let mut storage = self.storage();
-        let keep = storage.wal_bytes.len().saturating_sub(torn);
-        storage.wal_bytes.truncate(keep);
-        storage
+    pub fn crash(&self, torn: usize) -> DurableStorage {
+        self.journal.crash(torn)
     }
 
     /// Restores a server from a [`ServerSnapshot`] JSON document (without WAL replay;
@@ -750,66 +676,33 @@ impl FleetServer {
         let snapshot: ServerSnapshot =
             serde_json::from_str(json).map_err(|e| FleetError::SnapshotParse(e.to_string()))?;
         let svc = FleetService::restore_with_telemetry(snapshot.fleet, telemetry)?;
-        let mut server = FleetServer {
-            svc,
-            options: snapshot.options,
-            serve: snapshot.serve,
-            wal: WriteAheadLog::new(),
-            snapshot_json: String::new(),
-            snapshot_round: 0,
-            rounds_since_snapshot: 0,
-        };
-        server.snapshot_json = server.canonical_server_json();
-        server.snapshot_round = server.svc.rounds();
-        Ok(server)
+        Ok(FleetServer::anchored(svc, snapshot.options, snapshot.serve))
     }
 
-    /// Recovers a server from crash-surviving storage: restores the snapshot, drops
-    /// any torn WAL tail, re-executes the committed rounds under the same traffic
+    /// Recovers a server from crash-surviving storage: drops any torn WAL tail,
+    /// restores the snapshot, re-executes the committed rounds under the same traffic
     /// script, and verifies each replayed round's [`ServerSnapshot`] digest against
     /// the WAL's commit record. The recovered server continues **bit-identically** —
     /// including its queue, shed counts, pressure windows and every tenant's
     /// degradation tier.
     pub fn recover(
-        storage: &ServerStorage,
+        storage: &DurableStorage,
         script: &TrafficScript,
         telemetry: TelemetryHandle,
-    ) -> Result<(Self, ServerRecoveryReport), FleetError> {
-        let scan = WriteAheadLog::from_bytes(storage.wal_bytes.clone())?.scan()?;
-        let mut server = FleetServer::restore_json(&storage.snapshot_json, telemetry)?;
-        for entry in &scan.entries {
-            server.run_round(script);
-            server.svc.telemetry().incr(CounterId::RecoveryReplays);
-            let digest = fnv1a64(server.canonical_server_json().as_bytes());
-            if digest != entry.digest {
-                return Err(FleetError::RecoveryDivergence {
-                    round: entry.round as usize,
-                    expected: entry.digest,
-                    actual: digest,
-                });
-            }
-        }
-        let report = ServerRecoveryReport {
-            snapshot_round: storage.snapshot_round,
-            replayed_rounds: scan.entries.len(),
-            torn_bytes: scan.torn_bytes,
-        };
-        if server.svc.telemetry().is_enabled() {
-            server.svc.telemetry().event(
-                EventKind::WalRecovered,
-                "server",
-                &format!(
-                    "snapshot@{} +{} replayed, {} torn bytes dropped",
-                    report.snapshot_round, report.replayed_rounds, report.torn_bytes
-                ),
-            );
-        }
+    ) -> Result<(Self, RecoveryReport), FleetError> {
+        let (mut server, report) = Journal::replay(
+            storage,
+            &telemetry,
+            "server",
+            |json| FleetServer::restore_json(json, telemetry.clone()),
+            |server| {
+                server.serve_round(script);
+                Ok(server.canonical_server_json())
+            },
+        )?;
         // Re-anchor at a fresh post-recovery snapshot; the old WAL bytes are
         // superseded.
-        server.snapshot_json = server.canonical_server_json();
-        server.snapshot_round = server.svc.rounds();
-        server.rounds_since_snapshot = 0;
-        server.wal = WriteAheadLog::new();
+        server.journal = Journal::anchor(server.canonical_server_json(), server.svc.rounds());
         Ok((server, report))
     }
 }
@@ -950,7 +843,7 @@ mod tests {
                 tenant: "t0".into(),
             })
             .unwrap();
-        assert_eq!(server.queue_depth(), 4);
+        assert_eq!(server.serve_state().queue.len(), 4);
 
         // 5th submission sheds the read first…
         server
@@ -959,7 +852,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(server.serve_state().shed_reads, 1);
-        assert_eq!(server.queue_depth(), 4);
+        assert_eq!(server.serve_state().queue.len(), 4);
         // …the 6th sheds the quarantined suggest…
         server
             .submit(Request::Suggest {
@@ -1204,7 +1097,7 @@ mod tests {
         for _ in 0..2 {
             server.run_round(&script);
         }
-        let mut storage = server.storage();
+        let mut storage = server.crash(0);
         assert!(!storage.wal_bytes.is_empty(), "the WAL must have entries");
         storage.snapshot_json = String::new();
         let err = FleetServer::recover(&storage, &script, TelemetryHandle::disabled())

@@ -1,10 +1,11 @@
-//! A checksummed write-ahead commit journal for crash-safe fleet recovery.
+//! A checksummed write-ahead commit journal for crash-safe recovery of a fleet or a
+//! fleet server.
 //!
 //! The fleet's determinism contract makes a *logical* WAL sufficient: because a round's
 //! outcome is a pure function of the snapshot it started from (plus the scripted
-//! scenario), the redo function is deterministic re-execution — the journal does not
-//! need to carry observations, only proof that a round committed and a digest to verify
-//! the replay against. Each entry is a fixed-size commit record:
+//! scenario or traffic), the redo function is deterministic re-execution — the journal
+//! does not need to carry observations, only proof that a round committed and a digest
+//! to verify the replay against. Each entry is a fixed-size commit record:
 //!
 //! ```text
 //! frame   := [len: u32 LE] [payload: len bytes] [crc32: u32 LE]
@@ -13,8 +14,10 @@
 //!
 //! `crc32` is the IEEE CRC-32 of the payload bytes (table-driven, implemented here —
 //! no external dependency). `seq` is a strictly increasing entry counter; `round` is
-//! the fleet round the entry commits; `digest` is the FNV-1a-64 hash of the fleet's
-//! canonical snapshot JSON after that round.
+//! the fleet round the entry commits; `digest` is the FNV-1a-64 hash of the canonical
+//! snapshot JSON after that round (a fleet snapshot for
+//! [`crate::recovery::DurableFleet`], a [`crate::serve::ServerSnapshot`] for
+//! [`crate::serve::FleetServer`]).
 //!
 //! A crash can tear the tail of the journal anywhere. [`WriteAheadLog::scan`]
 //! detects a torn or checksum-corrupt *tail* (incomplete length prefix, payload
@@ -82,11 +85,11 @@ pub struct WalEntry {
     /// Fleet round this entry commits (the value of `FleetService::rounds()` after the
     /// round ran).
     pub round: u64,
-    /// FNV-1a-64 digest of the canonical fleet snapshot JSON after the round.
+    /// FNV-1a-64 digest of the canonical fleet or server snapshot JSON after the round.
     pub digest: u64,
 }
 
-/// What `entries()` found in the journal bytes.
+/// What [`WriteAheadLog::scan`] found in the journal bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalScan {
     /// Fully committed entries, in order.
@@ -104,47 +107,22 @@ pub struct WriteAheadLog {
 }
 
 impl WriteAheadLog {
-    /// An empty journal.
-    pub fn new() -> Self {
-        WriteAheadLog::default()
-    }
-
-    /// Rebuilds a journal from raw bytes (e.g. what survived a crash). The sequence
-    /// counter resumes after the last fully committed entry.
-    pub fn from_bytes(buf: Vec<u8>) -> Result<Self, FleetError> {
-        let mut wal = WriteAheadLog { buf, next_seq: 0 };
-        let scan = wal.scan()?;
-        wal.next_seq = scan.entries.last().map(|e| e.seq + 1).unwrap_or(0);
-        Ok(wal)
-    }
-
     /// The raw journal bytes (what a crash would leave on disk).
     pub fn bytes(&self) -> &[u8] {
         &self.buf
     }
 
-    /// Number of bytes currently in the journal.
-    pub fn len_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Appends a commit record for `round` with the given state digest and returns it.
-    pub fn append(&mut self, round: u64, digest: u64) -> WalEntry {
-        let entry = WalEntry {
-            seq: self.next_seq,
-            round,
-            digest,
-        };
-        self.next_seq += 1;
+    /// Appends a commit record for `round` with the given state digest.
+    pub fn append(&mut self, round: u64, digest: u64) {
         let mut payload = [0u8; PAYLOAD_LEN];
-        payload[0..8].copy_from_slice(&entry.seq.to_le_bytes());
-        payload[8..16].copy_from_slice(&entry.round.to_le_bytes());
-        payload[16..24].copy_from_slice(&entry.digest.to_le_bytes());
+        payload[0..8].copy_from_slice(&self.next_seq.to_le_bytes());
+        payload[8..16].copy_from_slice(&round.to_le_bytes());
+        payload[16..24].copy_from_slice(&digest.to_le_bytes());
+        self.next_seq += 1;
         self.buf
             .extend_from_slice(&(PAYLOAD_LEN as u32).to_le_bytes());
         self.buf.extend_from_slice(&payload);
         self.buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-        entry
     }
 
     /// Drops all journal bytes (called after a periodic snapshot makes them redundant).
@@ -152,17 +130,11 @@ impl WriteAheadLog {
         self.buf.clear();
     }
 
-    /// Simulates a crash that tears the journal at `len` bytes: everything after the
-    /// offset is lost. Tearing beyond the current length is a no-op.
-    pub fn tear_at(&mut self, len: usize) {
-        self.buf.truncate(len);
-    }
-
-    /// Parses the journal, dropping a torn tail. Fails only on mid-journal corruption
-    /// (a bad frame *followed by* more data) or a non-monotonic sequence, both of which
-    /// indicate damaged storage rather than a crash.
-    pub fn scan(&self) -> Result<WalScan, FleetError> {
-        let buf = &self.buf;
+    /// Parses journal bytes (e.g. what survived a crash), dropping a torn tail. Fails
+    /// only on mid-journal corruption (a bad frame *followed by* more data) or a
+    /// non-monotonic sequence, both of which indicate damaged storage rather than a
+    /// crash.
+    pub fn scan(buf: &[u8]) -> Result<WalScan, FleetError> {
         let mut entries = Vec::new();
         let mut offset = 0usize;
         let mut expected_seq: Option<u64> = None;
@@ -235,27 +207,25 @@ mod tests {
 
     #[test]
     fn append_then_scan_round_trips() {
-        let mut wal = WriteAheadLog::new();
-        let a = wal.append(1, 0xDEAD);
-        let b = wal.append(2, 0xBEEF);
-        let scan = wal.scan().unwrap();
-        assert_eq!(scan.entries, vec![a, b]);
+        let mut wal = WriteAheadLog::default();
+        wal.append(1, 0xDEAD);
+        wal.append(2, 0xBEEF);
+        let scan = WriteAheadLog::scan(wal.bytes()).unwrap();
+        let entry = |seq, round, digest| WalEntry { seq, round, digest };
+        assert_eq!(scan.entries, vec![entry(0, 1, 0xDEAD), entry(1, 2, 0xBEEF)]);
         assert_eq!(scan.torn_bytes, 0);
-        assert_eq!(a.seq, 0);
-        assert_eq!(b.seq, 1);
     }
 
     #[test]
     fn torn_tail_at_every_offset_is_detected_and_dropped() {
-        let mut wal = WriteAheadLog::new();
+        let mut wal = WriteAheadLog::default();
         wal.append(1, 11);
         wal.append(2, 22);
         wal.append(3, 33);
-        let full = wal.bytes().to_vec();
+        let full = wal.bytes();
         for cut in 0..full.len() {
-            let mut torn = wal.clone();
-            torn.tear_at(cut);
-            let scan = torn.scan().unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            let scan =
+                WriteAheadLog::scan(&full[..cut]).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
             let complete = cut / FRAME_LEN;
             assert_eq!(scan.entries.len(), complete, "cut at byte {cut}");
             assert_eq!(scan.torn_bytes, cut - complete * FRAME_LEN);
@@ -264,34 +234,23 @@ mod tests {
 
     #[test]
     fn bitflip_in_final_frame_drops_it_but_midjournal_flip_is_an_error() {
-        let mut wal = WriteAheadLog::new();
+        let mut wal = WriteAheadLog::default();
         wal.append(1, 11);
         wal.append(2, 22);
         // Flip a payload bit in the *last* frame: dropped as a torn write.
-        let mut tail_flipped = wal.clone();
-        let n = tail_flipped.buf.len();
-        tail_flipped.buf[n - 10] ^= 0x40;
-        let scan = tail_flipped.scan().unwrap();
+        let mut tail_flipped = wal.bytes().to_vec();
+        let n = tail_flipped.len();
+        tail_flipped[n - 10] ^= 0x40;
+        let scan = WriteAheadLog::scan(&tail_flipped).unwrap();
         assert_eq!(scan.entries.len(), 1);
         assert_eq!(scan.torn_bytes, FRAME_LEN);
         // Flip the same bit in the *first* frame: storage damage, typed error.
-        let mut mid_flipped = wal.clone();
-        mid_flipped.buf[6] ^= 0x40;
+        let mut mid_flipped = wal.bytes().to_vec();
+        mid_flipped[6] ^= 0x40;
         assert!(matches!(
-            mid_flipped.scan().unwrap_err(),
+            WriteAheadLog::scan(&mid_flipped).unwrap_err(),
             FleetError::WalCorrupt { offset: 0, .. }
         ));
-    }
-
-    #[test]
-    fn from_bytes_resumes_the_sequence_counter() {
-        let mut wal = WriteAheadLog::new();
-        wal.append(1, 11);
-        wal.append(2, 22);
-        let mut resumed = WriteAheadLog::from_bytes(wal.bytes().to_vec()).unwrap();
-        let e = resumed.append(3, 33);
-        assert_eq!(e.seq, 2);
-        assert_eq!(resumed.scan().unwrap().entries.len(), 3);
     }
 
     #[test]
