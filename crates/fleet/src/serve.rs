@@ -51,6 +51,7 @@ use crate::error::FleetError;
 use crate::recovery::{DurableStorage, Journal, RecoveryReport};
 use crate::service::{FleetService, FleetSnapshot};
 use crate::tenant::{SessionHealth, TenantSpec};
+use serde::{Serialize, Serializer};
 use telemetry::{CounterId, EventKind, GaugeId, TelemetryHandle};
 
 /// Options of the serving front end. Serialized inside every [`ServerSnapshot`], so a
@@ -228,8 +229,9 @@ impl ServeState {
 
 /// The complete serializable server state: options, the wrapped fleet's snapshot and
 /// the serving state. Canonical JSON of this structure is what the server's WAL
-/// digests and what crash-recovery bit-identity compares.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// digests and what crash-recovery bit-identity compares; the server writes that text
+/// from its live state ([`FleetServer::canonical_server_json`]) through the same writer.
+#[derive(Debug, Clone, serde::Deserialize)]
 pub struct ServerSnapshot {
     /// Serving options.
     pub options: ServeOptions,
@@ -237,6 +239,38 @@ pub struct ServerSnapshot {
     pub fleet: FleetSnapshot,
     /// Queue + overload accounting.
     pub serve: ServeState,
+}
+
+impl Serialize for ServerSnapshot {
+    fn serialize(&self, out: &mut Serializer) {
+        ServerText {
+            options: &self.options,
+            fleet: &self.fleet,
+            serve: &self.serve,
+        }
+        .serialize(out);
+    }
+}
+
+/// The members of a server snapshot, borrowed, in the one order both
+/// [`ServerSnapshot`]'s text and the live server's text use.
+struct ServerText<'a, F> {
+    options: &'a ServeOptions,
+    fleet: F,
+    serve: &'a ServeState,
+}
+
+impl<F: Serialize> Serialize for ServerText<'_, F> {
+    fn serialize(&self, out: &mut Serializer) {
+        out.begin_object();
+        out.key("options");
+        self.options.serialize(out);
+        out.key("fleet");
+        self.fleet.serialize(out);
+        out.key("serve");
+        self.serve.serialize(out);
+        out.end_object();
+    }
 }
 
 /// One scripted request submission.
@@ -355,15 +389,16 @@ impl FleetServer {
     }
 
     /// Canonical JSON of the complete [`ServerSnapshot`] — the bytes the WAL digests
-    /// and crash-recovery bit-identity compares. Serialization of well-formed
-    /// in-memory state cannot fail.
+    /// and crash-recovery bit-identity compares. The text is streamed from the live
+    /// state, one tenant's export at a time, without building the snapshot first.
+    /// Serialization of well-formed in-memory state cannot fail.
     pub fn canonical_server_json(&self) -> String {
-        let snapshot = ServerSnapshot {
-            options: self.options,
-            fleet: self.svc.snapshot(),
-            serve: self.serve.clone(),
+        let text = ServerText {
+            options: &self.options,
+            fleet: self.svc.snapshot_text(),
+            serve: &self.serve,
         };
-        serde_json::to_string(&snapshot).expect("an in-memory server snapshot always serializes")
+        serde_json::to_string(&text).expect("an in-memory server snapshot always serializes")
     }
 
     /// Why admission control would turn away a tenant named `name` right now, if it
@@ -1033,6 +1068,57 @@ mod tests {
             reference.canonical_server_json(),
             "restored server must replay bit-identically"
         );
+    }
+
+    #[test]
+    fn streamed_server_text_equals_the_server_snapshot_text() {
+        let options = ServeOptions {
+            queue_capacity: 4,
+            dispatch_per_round: 1,
+            ..Default::default()
+        };
+        let mut script = TrafficScript::new("backlog");
+        for round in 0..3 {
+            for tenant in ["t0", "t1", "t0"] {
+                script = script.at(
+                    round,
+                    Request::Suggest {
+                        tenant: tenant.into(),
+                    },
+                );
+            }
+        }
+        let mut server = small_server(2, options);
+        server
+            .service_mut()
+            .set_telemetry(TelemetryHandle::enabled());
+        let taken = |server: &FleetServer| {
+            server
+                .service()
+                .metrics_snapshot()
+                .counter(CounterId::SnapshotsTaken)
+        };
+        for round in 1..=3 {
+            server.run_round(&script);
+            assert_eq!(
+                taken(&server),
+                round,
+                "one serialization per committed round"
+            );
+        }
+        assert!(
+            !server.serve_state().queue.is_empty(),
+            "requests must be queued"
+        );
+
+        let streamed = server.canonical_server_json();
+        assert_eq!(taken(&server), 4, "one more for one more serialization");
+        let built = ServerSnapshot {
+            options: server.options,
+            fleet: server.service().snapshot(),
+            serve: server.serve_state().clone(),
+        };
+        assert_eq!(streamed, serde_json::to_string(&built).unwrap());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::scheduler::{SchedulerOptions, SessionScheduler, TenantStatus};
 use crate::tenant::{RetryPolicy, TenantSession, TenantSessionState, TenantSpec, TenantSummary};
 use onlinetune::subspace::SubspaceOptions;
 use onlinetune::OnlineTuneOptions;
+use serde::{Serialize, Serializer};
 use telemetry::{CounterId, EventKind, GaugeId, SpanId, TelemetryHandle};
 
 /// Options of the fleet service.
@@ -140,7 +141,10 @@ impl FleetReport {
 }
 
 /// Serializable snapshot of the entire fleet (see [`FleetService::snapshot`]).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+///
+/// Its text is written by the same writer as [`FleetService::snapshot_json`], which
+/// streams the live service instead of building this structure first.
+#[derive(Debug, Clone, serde::Deserialize)]
 pub struct FleetSnapshot {
     /// Service options.
     pub options: FleetOptions,
@@ -152,6 +156,61 @@ pub struct FleetSnapshot {
     pub scheduler: SessionScheduler,
     /// Rounds executed so far.
     pub rounds: usize,
+}
+
+impl Serialize for FleetSnapshot {
+    fn serialize(&self, out: &mut Serializer) {
+        FleetText {
+            options: &self.options,
+            tenants: &self.tenants,
+            knowledge: &self.knowledge,
+            scheduler: &self.scheduler,
+            rounds: self.rounds,
+        }
+        .serialize(out);
+    }
+}
+
+/// The members of a fleet snapshot, borrowed, in the one order both
+/// [`FleetSnapshot`]'s text and the live service's streamed text use.
+pub(crate) struct FleetText<'a, T> {
+    options: &'a FleetOptions,
+    tenants: T,
+    knowledge: &'a KnowledgeBase,
+    scheduler: &'a SessionScheduler,
+    rounds: usize,
+}
+
+impl<T: Serialize> Serialize for FleetText<'_, T> {
+    fn serialize(&self, out: &mut Serializer) {
+        out.begin_object();
+        out.key("options");
+        self.options.serialize(out);
+        out.key("tenants");
+        self.tenants.serialize(out);
+        out.key("knowledge");
+        self.knowledge.serialize(out);
+        out.key("scheduler");
+        self.scheduler.serialize(out);
+        out.key("rounds");
+        self.rounds.serialize(out);
+        out.end_object();
+    }
+}
+
+/// Live sessions written as the array of their exported states, exporting one session
+/// at a time: only the tenant being written has an export alive.
+pub(crate) struct ExportedTenants<'a>(&'a [TenantSession]);
+
+impl Serialize for ExportedTenants<'_> {
+    fn serialize(&self, out: &mut Serializer) {
+        out.begin_array();
+        for session in self.0 {
+            out.element();
+            session.export_state().serialize(out);
+        }
+        out.end_array();
+    }
 }
 
 /// The multi-tenant tuning service.
@@ -689,15 +748,11 @@ impl FleetService {
     /// snapshot: the returned structure (and therefore [`FleetService::snapshot_json`]'s
     /// bytes) is identical whether telemetry is disabled, enabled, or was reconfigured
     /// mid-run.
+    ///
+    /// This clones every tenant's state at once; serialization does not need it
+    /// ([`FleetService::snapshot_json`] streams the live state instead).
     pub fn snapshot(&self) -> FleetSnapshot {
-        self.telemetry.incr(CounterId::SnapshotsTaken);
-        if self.telemetry.is_enabled() {
-            self.telemetry.event(
-                EventKind::SnapshotTaken,
-                "fleet",
-                &format!("rounds={} tenants={}", self.rounds, self.tenants.len()),
-            );
-        }
+        self.note_snapshot();
         FleetSnapshot {
             options: self.options.clone(),
             tenants: self
@@ -711,9 +766,38 @@ impl FleetService {
         }
     }
 
-    /// Serializes the fleet snapshot to JSON.
+    /// Counts and journals one snapshot, taken as a structure or written as text.
+    fn note_snapshot(&self) {
+        self.telemetry.incr(CounterId::SnapshotsTaken);
+        if self.telemetry.is_enabled() {
+            self.telemetry.event(
+                EventKind::SnapshotTaken,
+                "fleet",
+                &format!("rounds={} tenants={}", self.rounds, self.tenants.len()),
+            );
+        }
+    }
+
+    /// The live state as the fleet snapshot's text source, counted as one snapshot.
+    /// It writes the same bytes as [`FleetService::snapshot`] would, but borrows options,
+    /// knowledge base and scheduler, and exports one tenant at a time, so writing it
+    /// holds the live state, one tenant's export and the text.
+    pub(crate) fn snapshot_text(&self) -> FleetText<'_, ExportedTenants<'_>> {
+        self.note_snapshot();
+        FleetText {
+            options: &self.options,
+            tenants: ExportedTenants(&self.tenants),
+            knowledge: &self.knowledge,
+            scheduler: &self.scheduler,
+            rounds: self.rounds,
+        }
+    }
+
+    /// Serializes the fleet snapshot to JSON. The bytes equal
+    /// `serde_json::to_string(&self.snapshot())`, but they are streamed from the live
+    /// state, one tenant's export at a time, without building that snapshot first.
     pub fn snapshot_json(&self) -> Result<String, String> {
-        serde_json::to_string(&self.snapshot()).map_err(|e| e.to_string())
+        serde_json::to_string(&self.snapshot_text()).map_err(|e| e.to_string())
     }
 
     /// [`FleetService::snapshot_json`] as an infallible convenience: serialization of an
@@ -1294,6 +1378,57 @@ mod tests {
             }
             other => panic!("expected TenantRestore, got {other}"),
         }
+    }
+
+    #[test]
+    fn a_model_that_does_not_refit_fails_the_restore_naming_tenant_and_model() {
+        let mut svc = small_service(2, 1);
+        svc.run_rounds(2);
+        // A marker value in tenant-1's first model observation, swapped for `1e999` in
+        // the text: the reader takes it as +∞, which no model can be fitted on.
+        const MARKER: f64 = 0.123_456_789_012_345_6;
+        let mut snapshot = svc.snapshot();
+        snapshot.tenants[1].tuner.clusters.models[0].observations[0].performance = MARKER;
+        let json = serde_json::to_string(&snapshot).unwrap();
+        let marker = serde_json::to_string(&MARKER).unwrap();
+        assert_eq!(json.matches(&marker).count(), 1);
+        let poisoned = json.replace(&marker, "1e999");
+        let Err(err) = FleetService::restore_json(&poisoned) else {
+            panic!("a model that cannot refit must not restore");
+        };
+        match err {
+            FleetError::TenantRestore { tenant, reason } => {
+                assert_eq!(tenant, "tenant-1");
+                assert!(reason.contains("model 0"), "{reason}");
+            }
+            other => panic!("expected TenantRestore, got {other}"),
+        }
+    }
+
+    #[test]
+    fn streamed_snapshot_text_equals_the_snapshot_structure_text() {
+        use crate::tenant::DegradationTier;
+
+        let mut svc = small_service(4, 2);
+        svc.set_telemetry(TelemetryHandle::enabled());
+        svc.run_rounds(2);
+        svc.remove_tenant("tenant-1").unwrap();
+        svc.session_mut("tenant-2")
+            .unwrap()
+            .set_degradation(DegradationTier::CachedPosterior);
+        svc.run_rounds(2);
+        assert!(
+            svc.knowledge().n_pools() > 0,
+            "the knowledge base must hold pools"
+        );
+        assert_eq!(svc.degraded_tenants(), 1);
+
+        let taken = |svc: &FleetService| svc.metrics_snapshot().counter(CounterId::SnapshotsTaken);
+        let streamed = svc.snapshot_json().unwrap();
+        assert_eq!(taken(&svc), 1, "one serialization counts one snapshot");
+        assert_eq!(streamed, serde_json::to_string(&svc.snapshot()).unwrap());
+        assert_eq!(svc.canonical_snapshot_json(), streamed);
+        assert_eq!(taken(&svc), 3);
     }
 
     #[test]

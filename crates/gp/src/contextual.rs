@@ -20,6 +20,7 @@ use crate::hyperopt::{optimize_hyperparameters, HyperOptOptions, HyperOptReport}
 use crate::kernels::AdditiveContextKernel;
 use crate::regression::{GaussianProcess, GpError, Posterior};
 use rand::Rng;
+use std::cell::Cell;
 
 /// One `(context, configuration, performance)` observation, in the units used by the tuner
 /// (normalized configuration, raw context feature, raw performance).
@@ -65,6 +66,11 @@ impl ObservationBudget {
     }
 }
 
+thread_local! {
+    /// This thread's joint query rows for [`ContextualGp::predict_batch`].
+    static QUERY_ROWS: Cell<Vec<Vec<f64>>> = const { Cell::new(Vec::new()) };
+}
+
 /// A Gaussian process over the joint context–configuration space.
 pub struct ContextualGp {
     gp: GaussianProcess,
@@ -72,12 +78,6 @@ pub struct ContextualGp {
     context_dim: usize,
     observations: Vec<ContextObservation>,
     budget: Option<ObservationBudget>,
-    /// Reusable joint-input buffer for refits (runtime-only scratch, never serialized):
-    /// a periodic refit or hyperopt pass rebuilds the `[θ, c]` rows into these vectors
-    /// instead of collecting a fresh `Vec<Vec<f64>>` each time.
-    refit_x: Vec<Vec<f64>>,
-    /// Reusable target buffer for refits.
-    refit_y: Vec<f64>,
 }
 
 impl ContextualGp {
@@ -90,28 +90,19 @@ impl ContextualGp {
             context_dim,
             observations: Vec::new(),
             budget: None,
-            refit_x: Vec::new(),
-            refit_y: Vec::new(),
         }
     }
 
-    /// Rebuilds the joint-input and target refit buffers from the stored observations,
-    /// reusing both the outer and inner vector allocations.
-    fn fill_refit_buffers(&mut self) {
-        let n = self.observations.len();
-        let joint_dim = self.config_dim + self.context_dim;
-        self.refit_x.truncate(n);
-        while self.refit_x.len() < n {
-            self.refit_x.push(Vec::with_capacity(joint_dim));
-        }
-        for (dst, o) in self.refit_x.iter_mut().zip(self.observations.iter()) {
-            dst.clear();
-            dst.extend_from_slice(&o.config);
-            dst.extend_from_slice(&o.context);
-        }
-        self.refit_y.clear();
-        self.refit_y
-            .extend(self.observations.iter().map(|o| o.performance));
+    /// The stored observations as joint `[θ, c]` input rows and targets, built for one
+    /// refit and dropped after it: between refits a model keeps no copy of them.
+    fn training_set(&self) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let x = self
+            .observations
+            .iter()
+            .map(|o| self.joint(&o.config, &o.context))
+            .collect();
+        let y = self.observations.iter().map(|o| o.performance).collect();
+        (x, y)
     }
 
     /// Sets (or clears) the observation budget. The budget is enforced on the next
@@ -296,14 +287,15 @@ impl ContextualGp {
     }
 
     /// Refits the underlying GP on the stored observations. The joint-input rows are
-    /// rebuilt into a reused buffer and the GP's own fit arena recycles the Gram matrix
-    /// and factor storage, so periodic refits at a stable window size do not allocate.
+    /// built for this refit and dropped after it; the Gram matrix and factor storage come
+    /// from the thread's fit arena (see [`GaussianProcess::fit`]), so a model between
+    /// refits holds only its fit and its observations.
     pub fn refit(&mut self) -> Result<(), GpError> {
         if self.observations.is_empty() {
             return Err(GpError::EmptyTrainingSet);
         }
-        self.fill_refit_buffers();
-        self.gp.fit(&self.refit_x, &self.refit_y)
+        let (x, y) = self.training_set();
+        self.gp.fit(&x, &y)
     }
 
     /// Refits and additionally optimizes the kernel hyper-parameters.
@@ -315,9 +307,10 @@ impl ContextualGp {
         if self.observations.is_empty() {
             return Err(GpError::EmptyTrainingSet);
         }
-        self.fill_refit_buffers();
-        let report =
-            optimize_hyperparameters(&mut self.gp, &self.refit_x, &self.refit_y, options, rng);
+        let report = {
+            let (x, y) = self.training_set();
+            optimize_hyperparameters(&mut self.gp, &x, &y, options, rng)
+        };
         // Invariant: `optimize_hyperparameters` refits the GP as its final step, so
         // fitting again here would redo the O(n³) work it just did. If that internal fit
         // failed, retrying the identical deterministic fit cannot succeed either —
@@ -341,13 +334,19 @@ impl ContextualGp {
     /// Because every candidate carries the same context, the additive contextual kernel
     /// computes the context column once for the whole sweep. The posteriors are
     /// bit-identical to calling [`ContextualGp::predict`] per candidate.
+    ///
+    /// The joint `[θ, c]` query rows are the calling thread's: a sweep takes them for
+    /// the call and puts them back, so sweeps on one thread reuse one set of rows
+    /// without a per-candidate allocation, and no model or tuner keeps rows of its own.
     pub fn predict_batch(
         &self,
         configs: &[Vec<f64>],
         context: &[f64],
     ) -> Result<Vec<Posterior>, GpError> {
-        let mut scratch = Vec::new();
-        self.predict_batch_with_scratch(configs, context, &mut scratch)
+        let mut rows = QUERY_ROWS.take();
+        let posteriors = self.predict_batch_with_scratch(configs, context, &mut rows);
+        QUERY_ROWS.set(rows);
+        posteriors
     }
 
     /// Like [`ContextualGp::predict_batch`], but reuses `scratch` for the joint

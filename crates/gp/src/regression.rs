@@ -27,22 +27,27 @@
 use crate::kernels::Kernel;
 use crate::normalize::Standardizer;
 use linalg::{Cholesky, FactorScratch, Matrix};
+use std::cell::Cell;
 use telemetry::{CounterId, EventKind, TelemetryHandle};
 
 /// Reusable buffers for the fit path: the Gram matrix, the factor storage, the
 /// standardized targets, the dual-weight spare and the observe-path kernel row.
 ///
-/// Every [`GaussianProcess`] owns one arena and threads it through
-/// [`GaussianProcess::fit`] and [`GaussianProcess::observe`], so repeated refits at a
-/// stable training-set size perform **no allocation** (buffers are reshaped in place and
-/// factor storage ping-pongs between the active fit and the arena). The
-/// hyper-parameter optimizer creates one arena per restart worker for the same reason —
-/// its `O(restarts × iters)` trial loop reuses each worker's buffers across every
-/// likelihood evaluation.
+/// Each thread owns one arena (a `thread_local!`), not each model: only a running fit or
+/// observe reads these buffers, so every [`GaussianProcess`] on the thread shares them.
+/// [`GaussianProcess::fit`] and [`GaussianProcess::observe`] take the arena for the call
+/// and put it back; the fallback fit nested inside `observe` is handed the same arena
+/// explicitly instead of reaching for the thread-local a second time. Repeated fits at
+/// a stable size therefore allocate nothing (buffers are reshaped in place, and factor
+/// storage ping-pongs between the fitted models and the arena), while a model between
+/// fits holds only its factor, `α` and training data. The hyper-parameter optimizer
+/// creates one arena per restart worker, so its `O(restarts × iters)` trial loop reuses
+/// that worker's buffers across every likelihood evaluation.
 ///
-/// The arena carries **no model state**: it is never serialized, a cloned GP starts with
-/// a fresh one, and clearing it cannot change any computed value (buffer contents are
-/// fully overwritten before every read).
+/// The arena carries **no model state**: it is never serialized, and which models it
+/// served before cannot change any computed value (buffer contents are fully
+/// overwritten before every read). A thread's arena lives as long as the thread; the
+/// fleet's tenant workers are scoped threads of one round, so theirs last one round.
 #[derive(Default)]
 pub(crate) struct FitArena {
     /// Gram-matrix buffer, reshaped in place per fit.
@@ -55,6 +60,20 @@ pub(crate) struct FitArena {
     pub(crate) factor: FactorScratch,
     /// Kernel-row buffer for the incremental observe path.
     pub(crate) row: Vec<f64>,
+}
+
+thread_local! {
+    /// This thread's fit arena (see [`FitArena`]).
+    static ARENA: Cell<FitArena> = Cell::new(FitArena::default());
+}
+
+/// Runs `f` with this thread's arena taken out of its slot, then puts it back. A panic
+/// inside `f` loses the buffers, never model state: the slot refills with an empty arena.
+fn with_thread_arena<T>(f: impl FnOnce(&mut FitArena) -> T) -> T {
+    let mut arena = ARENA.take();
+    let out = f(&mut arena);
+    ARENA.set(arena);
+    out
 }
 
 /// Errors produced by GP fitting or prediction.
@@ -174,8 +193,6 @@ pub struct GaussianProcess {
     kernel: Box<dyn Kernel>,
     noise_variance: f64,
     fitted: Option<FittedState>,
-    /// Reusable fit/observe buffers (runtime-only; carries no model state).
-    arena: FitArena,
     /// Observability sink (runtime-only, never serialized; the default is the no-op
     /// sink). Instrumentation is read-only with respect to model state.
     telemetry: TelemetryHandle,
@@ -189,7 +206,6 @@ impl Clone for GaussianProcess {
             kernel: self.kernel.clone(),
             noise_variance: self.noise_variance,
             fitted: None,
-            arena: FitArena::default(),
             telemetry: self.telemetry.clone(),
         }
     }
@@ -204,7 +220,6 @@ impl GaussianProcess {
             kernel,
             noise_variance,
             fitted: None,
-            arena: FitArena::default(),
             telemetry: TelemetryHandle::disabled(),
         }
     }
@@ -263,12 +278,18 @@ impl GaussianProcess {
 
     /// Fits the GP to the given inputs and targets.
     ///
-    /// All working storage comes from the GP's internal fit arena: the Gram matrix is
-    /// rebuilt into a reused buffer, the factorization recycles the previous fit's
-    /// storage, and the dual weights swap with a spare — so repeated refits at a stable
-    /// training-set size allocate nothing. On failure the previous fit is kept intact
-    /// (the new factor is built in spare storage before the old one is retired).
+    /// All working storage comes from a fit arena owned by the calling thread and shared
+    /// by every model fitted on it: the Gram matrix is rebuilt into a reused buffer, the
+    /// factorization recycles retired factor storage, and the dual weights swap with a
+    /// spare — so repeated refits at a stable training-set size allocate nothing, and a
+    /// model between fits keeps only its factor, `α` and training data. On failure the previous fit is kept
+    /// intact (the new factor is built in spare storage before the old one is retired).
     pub fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), GpError> {
+        with_thread_arena(|arena| self.fit_in(x, y, arena))
+    }
+
+    /// [`GaussianProcess::fit`] with the arena passed in.
+    fn fit_in(&mut self, x: &[Vec<f64>], y: &[f64], arena: &mut FitArena) -> Result<(), GpError> {
         if x.is_empty() {
             return Err(GpError::EmptyTrainingSet);
         }
@@ -281,13 +302,13 @@ impl GaussianProcess {
         validate_finite(x, y)?;
         let dim = x[0].len();
         let standardizer = Standardizer::fit(y);
-        self.arena.y_std.clear();
-        self.arena
+        arena.y_std.clear();
+        arena
             .y_std
             .extend(y.iter().map(|&v| standardizer.transform(v)));
 
         let n = x.len();
-        self.arena.gram.reshape(n, n);
+        arena.gram.reshape(n, n);
         // Only the lower triangle (+ diagonal) is filled, in the same (i-outer,
         // j-inner) order `Matrix::from_fn` used: the Cholesky factorization never reads
         // above the diagonal and every kernel is exactly symmetric, so the factor — and
@@ -295,14 +316,14 @@ impl GaussianProcess {
         // at half the kernel-evaluation cost.
         for i in 0..n {
             for j in 0..=i {
-                self.arena.gram.set(i, j, self.kernel.eval(&x[i], &x[j]));
+                arena.gram.set(i, j, self.kernel.eval(&x[i], &x[j]));
             }
         }
-        self.arena
+        arena
             .gram
             .add_diagonal(self.noise_variance)
             .expect("gram matrix is square by construction");
-        let chol = Cholesky::decompose_with_jitter(&self.arena.gram, 1e-3, &mut self.arena.factor)
+        let chol = Cholesky::decompose_with_jitter(&arena.gram, 1e-3, &mut arena.factor)
             .map_err(|_| GpError::KernelNotPositiveDefinite)?;
         if chol.jitter() > 0.0 {
             self.telemetry.incr(CounterId::JitterEscalations);
@@ -314,17 +335,17 @@ impl GaussianProcess {
                 );
             }
         }
-        let mut alpha = std::mem::take(&mut self.arena.alpha_spare);
-        if chol.solve_into(&self.arena.y_std, &mut alpha).is_err() {
-            chol.into_scratch(&mut self.arena.factor);
-            self.arena.alpha_spare = alpha;
+        let mut alpha = std::mem::take(&mut arena.alpha_spare);
+        if chol.solve_into(&arena.y_std, &mut alpha).is_err() {
+            chol.into_scratch(&mut arena.factor);
+            arena.alpha_spare = alpha;
             return Err(GpError::KernelNotPositiveDefinite);
         }
 
         match self.fitted.as_mut() {
             Some(state) => {
-                std::mem::replace(&mut state.chol, chol).into_scratch(&mut self.arena.factor);
-                self.arena.alpha_spare = std::mem::replace(&mut state.alpha, alpha);
+                std::mem::replace(&mut state.chol, chol).into_scratch(&mut arena.factor);
+                arena.alpha_spare = std::mem::replace(&mut state.alpha, alpha);
                 // Reuse the retained training-set buffers (inner vectors keep their
                 // allocations via clone_from).
                 state.x.truncate(x.len());
@@ -371,8 +392,19 @@ impl GaussianProcess {
         if !y_new.is_finite() {
             return Err(GpError::NonFiniteTarget { index: 0 });
         }
+        with_thread_arena(|arena| self.observe_in(x_new, y_new, arena))
+    }
+
+    /// [`GaussianProcess::observe`] after the finiteness checks, with the arena passed in;
+    /// every fallback fit reuses that arena.
+    fn observe_in(
+        &mut self,
+        x_new: &[f64],
+        y_new: f64,
+        arena: &mut FitArena,
+    ) -> Result<(), GpError> {
         let Some(state) = self.fitted.as_mut() else {
-            return self.fit(&[x_new.to_vec()], &[y_new]);
+            return self.fit_in(&[x_new.to_vec()], &[y_new], arena);
         };
         if x_new.len() != state.dim {
             return Err(GpError::DimensionMismatch {
@@ -385,7 +417,7 @@ impl GaussianProcess {
         // bit-identical to a from-scratch factorization. The row lives in the arena so
         // the per-iteration observe path performs no allocation beyond the stored copy
         // of the observation itself.
-        let row = &mut self.arena.row;
+        let row = &mut arena.row;
         row.clear();
         row.extend(state.x.iter().map(|xi| self.kernel.eval(x_new, xi)));
         row.push(self.kernel.eval(x_new, x_new) + self.noise_variance);
@@ -394,7 +426,7 @@ impl GaussianProcess {
             state.x.push(x_new.to_vec());
             state.y_raw.push(y_new);
             state.standardizer = Standardizer::fit(&state.y_raw);
-            let y_std = &mut self.arena.y_std;
+            let y_std = &mut arena.y_std;
             y_std.clear();
             y_std.extend(state.y_raw.iter().map(|&v| state.standardizer.transform(v)));
             match state.chol.solve_into(y_std, &mut state.alpha) {
@@ -409,7 +441,7 @@ impl GaussianProcess {
                     let xs = state.x.clone();
                     let ys = state.y_raw.clone();
                     self.note_observe_fallback(xs.len(), "zero pivot after extension");
-                    return self.fit(&xs, &ys);
+                    return self.fit_in(&xs, &ys, arena);
                 }
             }
         }
@@ -421,7 +453,7 @@ impl GaussianProcess {
         let mut ys = state.y_raw.clone();
         ys.push(y_new);
         self.note_observe_fallback(xs.len(), "non-positive appended pivot");
-        self.fit(&xs, &ys)
+        self.fit_in(&xs, &ys, arena)
     }
 
     /// Counts (and journals) an incremental-observe fallback to a full refit.
@@ -746,6 +778,82 @@ mod tests {
         // (ContextualGp) is responsible for refitting on its full observation store.
         gp.observe(&[0.9], 4.0).unwrap();
         assert_eq!(gp.n_observations(), 1);
+    }
+
+    /// `n` scattered 3-d inputs with a smooth target.
+    fn scattered_problem(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let t = i as f64;
+                vec![(t * 0.37).fract(), (t * 0.61).fract(), (t * 0.83).fract()]
+            })
+            .collect();
+        let ys = xs
+            .iter()
+            .map(|x| (3.0 * x[0]).sin() + x[1] * x[2])
+            .collect();
+        (xs, ys)
+    }
+
+    /// Everything a fitted GP computed, as bits: its factor, jitter, `α` and the
+    /// posterior at a few probes.
+    fn fitted_bits(gp: &GaussianProcess) -> Vec<u64> {
+        let state = gp.fitted.as_ref().expect("fitted");
+        let mut bits: Vec<u64> = state
+            .chol
+            .factor()
+            .data()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        bits.push(state.chol.jitter().to_bits());
+        bits.extend(state.alpha.iter().map(|v| v.to_bits()));
+        for probe in scattered_problem(7).0 {
+            let p = gp.predict(&probe).unwrap();
+            bits.extend([p.mean.to_bits(), p.std_dev.to_bits()]);
+        }
+        bits
+    }
+
+    #[test]
+    fn a_thread_arena_that_served_other_models_fits_bit_identically_to_a_fresh_one() {
+        // 70 points cross the factorization's 64-column panel boundary.
+        fn fit_and_observe_70() -> (Vec<u64>, Vec<u64>) {
+            let (xs, ys) = scattered_problem(70);
+            let mut fitted = default_gp();
+            fitted.fit(&xs, &ys).unwrap();
+            let mut observed = default_gp();
+            for (x, y) in xs.iter().zip(ys.iter()) {
+                observed.observe(x, *y).unwrap();
+            }
+            (fitted_bits(&fitted), fitted_bits(&observed))
+        }
+        fn fit_first(n: usize) {
+            let (xs, ys) = scattered_problem(n);
+            default_gp().fit(&xs, &ys).unwrap();
+        }
+        fn jittered_fit_first() {
+            let xs: Vec<Vec<f64>> = (0..90).map(|i| vec![0.1 * (i % 3) as f64; 3]).collect();
+            let ys: Vec<f64> = (0..90).map(|i| i as f64).collect();
+            // Exact duplicates and a negligible noise leave zero pivots without jitter.
+            let kernel = Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(0.3)), 1.0));
+            let mut gp = GaussianProcess::new(kernel, f64::MIN_POSITIVE);
+            gp.fit(&xs, &ys).unwrap();
+            assert!(gp.fitted.as_ref().unwrap().chol.jitter() > 0.0);
+        }
+
+        let fresh = std::thread::spawn(fit_and_observe_70).join().unwrap();
+        let warm_ups: [fn(); 3] = [|| fit_first(130), || fit_first(20), jittered_fit_first];
+        for (i, warm_up) in warm_ups.into_iter().enumerate() {
+            let reused = std::thread::spawn(move || {
+                warm_up();
+                fit_and_observe_70()
+            })
+            .join()
+            .unwrap();
+            assert!(reused.0 == fresh.0, "fit differs after warm-up {i}");
+            assert!(reused.1 == fresh.1, "observe differs after warm-up {i}");
+        }
     }
 
     #[test]

@@ -401,23 +401,31 @@ impl ClusterManager {
         }
     }
 
-    /// Rebuilds a manager from an exported state. Each model is refitted on its restored
-    /// observations with its restored hyper-parameters; fitting is deterministic, so the
-    /// restored manager predicts and routes identically to the exported one.
-    pub fn restore(state: ClusterManagerState, options: ClusterOptions) -> Self {
-        let models: Vec<ContextualGp> = state
+    /// Rebuilds a manager from an exported state. Each model takes its restored
+    /// observations by move and is refitted with its restored hyper-parameters; fitting
+    /// is deterministic, so the restored manager predicts and routes identically to the
+    /// exported one.
+    ///
+    /// A model that does not refit on its restored observations (a non-finite value, for
+    /// instance) fails the whole restore with an error naming the model's index, instead
+    /// of coming back unfitted.
+    pub fn restore(state: ClusterManagerState, options: ClusterOptions) -> Result<Self, String> {
+        let models = state
             .models
-            .iter()
-            .map(|ms| {
+            .into_iter()
+            .enumerate()
+            .map(|(index, ms)| {
                 let mut model = budgeted_model(state.config_dim, state.context_dim, &options);
                 model.set_hyperparams(&ms.kernel_params, ms.noise_variance);
-                model.set_observations(ms.observations.clone());
-                if !ms.observations.is_empty() {
-                    let _ = model.refit();
+                model.set_observations(ms.observations);
+                if !model.is_empty() {
+                    model
+                        .refit()
+                        .map_err(|e| format!("model {index} does not refit: {e}"))?;
                 }
-                model
+                Ok(model)
             })
-            .collect();
+            .collect::<Result<Vec<ContextualGp>, String>>()?;
         let models = if models.is_empty() {
             vec![budgeted_model(
                 state.config_dim,
@@ -429,7 +437,7 @@ impl ClusterManager {
         };
         let mut updates = state.updates_since_hyperopt;
         updates.resize(models.len(), 0);
-        ClusterManager {
+        Ok(ClusterManager {
             config_dim: state.config_dim,
             context_dim: state.context_dim,
             options,
@@ -444,7 +452,7 @@ impl ClusterManager {
             recluster_count: state.recluster_count,
             hyperopt_suppressed: false,
             telemetry: telemetry::TelemetryHandle::disabled(),
-        }
+        })
     }
 }
 

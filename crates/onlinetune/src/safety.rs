@@ -59,12 +59,14 @@ impl Default for SafetyOptions {
 ///   cold-start fallback.
 ///
 /// The whole candidate sweep is **one batched posterior call**
-/// ([`ContextualGp::predict_batch_with_scratch`]): one cross-kernel matrix with a shared
-/// context column, one multi-RHS triangular solve, no per-candidate allocation. The
-/// resulting assessments are bit-identical to evaluating each candidate through the
-/// scalar [`ContextualGp::predict`] (the batched path's contract); a batch-level failure
-/// (e.g. a malformed candidate) recovers through the scalar per-candidate loop so
-/// well-formed candidates are still assessed exactly as before.
+/// ([`ContextualGp::predict_batch`]): one cross-kernel matrix with a shared context
+/// column, one multi-RHS triangular solve, no per-candidate allocation. The joint
+/// `[θ, c]` query rows belong to the calling thread, not to the caller, so a tuner keeps
+/// no candidate rows between iterations. The resulting assessments are bit-identical to
+/// evaluating each candidate through the scalar [`ContextualGp::predict`] (the batched
+/// path's contract); a batch-level failure (e.g. a malformed candidate) recovers through
+/// the scalar per-candidate loop so well-formed candidates are still assessed exactly as
+/// before.
 pub fn assess_candidates(
     model: &ContextualGp,
     context: &[f64],
@@ -74,34 +76,8 @@ pub fn assess_candidates(
     known_safe: &[Vec<f64>],
     options: &SafetyOptions,
 ) -> Vec<CandidateAssessment> {
-    let mut scratch = Vec::new();
-    assess_candidates_with_scratch(
-        model,
-        context,
-        candidates,
-        threshold,
-        beta,
-        known_safe,
-        options,
-        &mut scratch,
-    )
-}
-
-/// [`assess_candidates`] with a caller-owned scratch buffer for the joint query
-/// vectors, so a per-iteration suggest loop allocates nothing once warmed up.
-#[allow(clippy::too_many_arguments)]
-pub fn assess_candidates_with_scratch(
-    model: &ContextualGp,
-    context: &[f64],
-    candidates: &[Vec<f64>],
-    threshold: f64,
-    beta: f64,
-    known_safe: &[Vec<f64>],
-    options: &SafetyOptions,
-    scratch: &mut Vec<Vec<f64>>,
-) -> Vec<CandidateAssessment> {
     let assessments = assess_candidates_inner(
-        model, context, candidates, threshold, beta, known_safe, options, scratch,
+        model, context, candidates, threshold, beta, known_safe, options,
     );
     // Observability only: counts flow into the model's telemetry sink (a no-op branch
     // when none is installed) and never back into the assessment itself.
@@ -121,7 +97,6 @@ pub fn assess_candidates_with_scratch(
 }
 
 /// The assessment proper, free of instrumentation.
-#[allow(clippy::too_many_arguments)]
 fn assess_candidates_inner(
     model: &ContextualGp,
     context: &[f64],
@@ -130,7 +105,6 @@ fn assess_candidates_inner(
     beta: f64,
     known_safe: &[Vec<f64>],
     options: &SafetyOptions,
-    scratch: &mut Vec<Vec<f64>>,
 ) -> Vec<CandidateAssessment> {
     let model_ready = model.is_fitted() && model.len() >= options.min_observations;
     let threshold = threshold - options.threshold_margin * threshold.abs();
@@ -155,7 +129,7 @@ fn assess_candidates_inner(
         black_safe: false,
     };
     if model_ready {
-        match model.predict_batch_with_scratch(candidates, context, scratch) {
+        match model.predict_batch(candidates, context) {
             Ok(posteriors) => posteriors
                 .into_iter()
                 .enumerate()

@@ -16,7 +16,7 @@
 use crate::candidate::{select_candidate, SelectionReason};
 use crate::clustering::{ClusterManager, ClusterManagerState, ClusterOptions};
 use crate::diagnostics::{IterationDiagnostics, StageTimings};
-use crate::safety::{assess_candidates_with_scratch, SafetyOptions};
+use crate::safety::{assess_candidates, SafetyOptions};
 use crate::subspace::{Subspace, SubspaceOptions};
 use crate::whitebox::{RuleContext, RuleEngine, RuleStateSnapshot};
 use gp::acquisition::ucb_beta;
@@ -135,9 +135,6 @@ pub struct OnlineTune {
     iteration: usize,
     rng: StdRng,
     pending: Option<Pending>,
-    /// Reusable joint-vector buffers for the batched safety assessment (runtime-only
-    /// scratch — never serialized, carries no tuner state).
-    predict_scratch: Vec<Vec<f64>>,
     /// Observability sink (runtime-only, never serialized, no-op by default).
     /// Instrumentation is read-only with respect to tuning state: it draws no RNG
     /// values and feeds nothing back into suggestions, so replay is bit-identical with
@@ -179,7 +176,6 @@ impl OnlineTune {
             iteration: 0,
             rng: StdRng::seed_from_u64(seed),
             pending: None,
-            predict_scratch: Vec::new(),
             telemetry: TelemetryHandle::disabled(),
         }
     }
@@ -391,7 +387,7 @@ impl OnlineTune {
         // The whole candidate sweep is one batched posterior call: one cross-kernel
         // matrix (shared context column), one multi-RHS triangular solve. Assessments
         // are bit-identical to the scalar per-candidate path.
-        let assessments = assess_candidates_with_scratch(
+        let assessments = assess_candidates(
             self.clusters.model(model_id),
             context,
             &candidates,
@@ -399,7 +395,6 @@ impl OnlineTune {
             beta,
             &self.known_safe,
             &self.options.safety,
-            &mut self.predict_scratch,
         );
         diagnostics.blackbox_rejections = assessments.iter().filter(|a| !a.black_safe).count();
 
@@ -735,7 +730,9 @@ impl OnlineTune {
     /// bit-identically: same recommendations, same model updates, same RNG stream.
     ///
     /// Fails when the snapshot references a knob that does not exist in the full MySQL 5.7
-    /// catalogue (snapshots only store knob names, not full definitions).
+    /// catalogue (snapshots only store knob names, not full definitions), or when a
+    /// per-cluster model does not refit on its restored observations (see
+    /// [`ClusterManager::restore`]).
     pub fn restore(state: OnlineTuneState) -> Result<Self, String> {
         let full = KnobCatalogue::mysql57();
         let full_names: Vec<&str> = full.knobs().iter().map(|k| k.name).collect();
@@ -752,7 +749,7 @@ impl OnlineTune {
         };
         let mut whitebox = RuleEngine::with_default_rules();
         whitebox.restore_states(&state.whitebox);
-        let clusters = ClusterManager::restore(state.clusters, state.options.cluster.clone());
+        let clusters = ClusterManager::restore(state.clusters, state.options.cluster.clone())?;
         Ok(OnlineTune {
             catalogue,
             hardware: state.hardware,
@@ -767,7 +764,6 @@ impl OnlineTune {
             iteration: state.iteration,
             rng: state.rng,
             pending: state.pending,
-            predict_scratch: Vec::new(),
             telemetry: TelemetryHandle::disabled(),
         })
     }

@@ -1,0 +1,243 @@
+//! Live-heap bounds of the fit path, the suggest sweep and snapshot serialization.
+//!
+//! This binary installs a counting global allocator, so it holds a single `#[test]`. The
+//! allocator counts, per thread, the live heap bytes that thread allocated (its
+//! allocations minus its frees, a reallocation counting only its size change), not
+//! resident memory. Each bound is measured on the test thread alone, so worker threads
+//! that are still freeing their thread-locals after a fleet round cannot move it.
+//!
+//! Run with `cargo test --release --test memory -- --nocapture` to print the figures.
+
+use fleet::service::{small_tuner_options, FleetOptions, FleetService};
+use fleet::tenant::{TenantSpec, WorkloadFamily};
+use gp::contextual::{ContextObservation, ContextualGp};
+use onlinetune::{OnlineTune, OnlineTuneOptions};
+use simdb::{Configuration, HardwareSpec, KnobCatalogue};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    // Const-initialized and without destructors, so the allocator can read them at any
+    // point of a thread's life without allocating.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn grew(bytes: usize) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + bytes as isize;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+fn shrank(bytes: usize) {
+    let _ = LIVE.try_with(|live| live.set(live.get() - bytes as isize));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the wrapper only
+// counts the sizes of the blocks that succeed.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        shrank(layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let moved = System.realloc(ptr, layout, new_size);
+        if !moved.is_null() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                shrank(layout.size() - new_size);
+            }
+        }
+        moved
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Live heap bytes of the calling thread, relative to an arbitrary origin.
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+/// Runs `f` and returns its result with how far the calling thread's live heap rose above
+/// its level at the start of the call, at the highest point during the call.
+fn peak_rise<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let start = live();
+    PEAK.with(|peak| peak.set(start));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - start) as usize)
+}
+
+const F64: usize = std::mem::size_of::<f64>();
+const VEC: usize = std::mem::size_of::<Vec<f64>>();
+const CONFIG_DIM: usize = 40;
+const CONTEXT_DIM: usize = 12;
+/// Kernel, standardizer and other per-model bookkeeping that no allowance names.
+const SLACK: usize = 16 * 1024;
+
+/// `n` observations of a smooth objective over 40 configuration and 12 context
+/// dimensions, with a different offset per `model`.
+fn observations(model: usize, n: usize) -> Vec<ContextObservation> {
+    (0..n)
+        .map(|i| {
+            let t = (i * 7 + model * 131) as f64;
+            let config: Vec<f64> = (0..CONFIG_DIM)
+                .map(|d| (t * 0.37 + d as f64 * 0.11).fract())
+                .collect();
+            let context: Vec<f64> = (0..CONTEXT_DIM)
+                .map(|d| (t * 0.13 + d as f64 * 0.29).fract())
+                .collect();
+            let performance = config.iter().sum::<f64>() + 0.5 * context[0];
+            ContextObservation {
+                context,
+                config,
+                performance,
+            }
+        })
+        .collect()
+}
+
+/// (a) Fit, then refit, `k` models on one thread. The fit path's scratch — the Gram
+/// matrix, a spare factor, joint input rows — belongs to the thread, so every model
+/// after the first adds only what it keeps between fits: its factor, `α` and its
+/// training data (the observation store plus the GP's joint rows and targets).
+fn models_keep_no_fit_scratch() {
+    const N: usize = 150;
+    const K: usize = 4;
+    let joint_row = VEC + (CONFIG_DIM + CONTEXT_DIM) * F64;
+    let stored = std::mem::size_of::<ContextObservation>() + (CONFIG_DIM + CONTEXT_DIM) * F64;
+    let allowance = N * N * F64 + N * F64 + N * (stored + joint_row + F64);
+
+    let mut models = Vec::with_capacity(K);
+    let mut added = Vec::with_capacity(K);
+    for m in 0..K {
+        let data = observations(m, N);
+        let before = live();
+        let mut model = ContextualGp::new(CONFIG_DIM, CONTEXT_DIM);
+        model.set_observations(data);
+        model.refit().expect("fit");
+        model.refit().expect("refit");
+        added.push(live() - before);
+        models.push(model);
+    }
+    println!(
+        "(a) live bytes added per fitted model, n = {N}: {added:?}; allowance {allowance} + slack {SLACK}"
+    );
+    for (m, &bytes) in added.iter().enumerate().skip(1) {
+        assert!(
+            bytes <= (allowance + SLACK) as isize,
+            "model {m} added {bytes} B, more than its factor, α and data ({allowance} B) + {SLACK} B"
+        );
+    }
+}
+
+/// (b) A suggest sweep assesses every subspace candidate through one batched posterior
+/// call. Its joint candidate rows belong to the thread, so a second tenant's sweep on
+/// the same thread reuses them and leaves nothing behind in its tuner.
+fn suggest_keeps_no_candidate_rows_per_tuner() {
+    let catalogue = KnobCatalogue::mysql57();
+    let initial = Configuration::dba_default(&catalogue);
+    let mut tuner = OnlineTune::new(
+        catalogue.clone(),
+        HardwareSpec::default(),
+        CONTEXT_DIM,
+        &initial,
+        OnlineTuneOptions::default(),
+        5,
+    );
+    let context: Vec<f64> = (0..CONTEXT_DIM).map(|d| 0.1 * d as f64).collect();
+    for _ in 0..8 {
+        let suggestion = tuner.suggest(&context, 100.0, 32);
+        let performance = 100.0 + suggestion.normalized.iter().sum::<f64>();
+        tuner
+            .observe(&context, &suggestion.config, performance, None, true)
+            .expect("finite measurement");
+    }
+    // Restored tuners start with nothing cached from earlier sweeps.
+    let mut first = OnlineTune::restore(tuner.snapshot()).expect("restore");
+    let mut second = OnlineTune::restore(tuner.snapshot()).expect("restore");
+    let kept_by_sweep = |tuner: &mut OnlineTune| {
+        let before = live();
+        let suggestion = tuner.suggest(&context, 100.0, 32);
+        assert!(
+            suggestion.diagnostics.candidates_total > 200,
+            "the sweep must assess the full candidate set"
+        );
+        drop(suggestion);
+        live() - before
+    };
+    let first_kept = kept_by_sweep(&mut first);
+    let second_kept = kept_by_sweep(&mut second);
+    println!(
+        "(b) live bytes kept across one suggest sweep: {first_kept} by the thread's first, {second_kept} by a second tuner's"
+    );
+    assert!(
+        second_kept <= 8 * 1024,
+        "a second tuner's sweep left {second_kept} B behind; its pending suggestion needs well under 8 KiB"
+    );
+}
+
+/// (c) Serializing the fleet streams the live state: beyond the text itself, it holds
+/// at most one tenant's export at a time, never a copy of the whole fleet.
+fn serialization_holds_one_tenant_export_at_a_time() {
+    let mut svc = FleetService::new(FleetOptions {
+        workers: 1,
+        tuner: small_tuner_options(),
+        ..Default::default()
+    });
+    for i in 0..6 {
+        let family = WorkloadFamily::ALL[i % WorkloadFamily::ALL.len()];
+        let mut spec = TenantSpec::named(format!("tenant-{i}"), family, 300 + i as u64);
+        spec.deterministic = true;
+        svc.admit(spec).expect("admit");
+    }
+    svc.run_rounds(12);
+
+    let largest_export = svc
+        .sessions()
+        .iter()
+        .map(|session| peak_rise(|| session.export_state()).1)
+        .max()
+        .expect("tenants");
+    let (text, rise) = peak_rise(|| svc.canonical_snapshot_json());
+    let bound = text.capacity() + largest_export + 4 * 1024;
+    println!(
+        "(c) live-heap rise while serializing: {rise} B; text capacity {} B, largest tenant export {largest_export} B",
+        text.capacity()
+    );
+    assert!(
+        rise <= bound,
+        "serializing rose {rise} B, more than the text ({} B) plus one tenant export ({largest_export} B) + 4 KiB",
+        text.capacity()
+    );
+}
+
+#[test]
+fn fit_suggest_and_serialization_keep_only_what_they_must() {
+    models_keep_no_fit_scratch();
+    suggest_keeps_no_candidate_rows_per_tuner();
+    serialization_holds_one_tenant_export_at_a_time();
+}
