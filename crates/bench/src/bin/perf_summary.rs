@@ -5,7 +5,7 @@
 //! * **observe** — one incremental model update (`ContextualGp::observe`, `O(n²)`
 //!   Cholesky extension);
 //! * **suggest** — one batched 300-candidate posterior sweep
-//!   (`ContextualGp::predict_batch_with_scratch`);
+//!   (`ContextualGp::predict_batch`);
 //! * **fit** — one full from-scratch refit (`ContextualGp::refit`, blocked `O(n³)`
 //!   factorization);
 //! * **hyperopt** — one periodic hyper-parameter re-optimization
@@ -55,14 +55,11 @@ fn main() {
         .map(|_| (0..CONFIG_DIM).map(|_| rng.gen_range(0.0..1.0)).collect())
         .collect();
     let context: Vec<f64> = (0..CONTEXT_DIM).map(|_| rng.gen_range(0.0..1.0)).collect();
-    let mut scratch = Vec::new();
     let suggest_ms = median(
         (0..5)
             .map(|_| {
                 let start = Instant::now();
-                let posteriors = model
-                    .predict_batch_with_scratch(&candidates, &context, &mut scratch)
-                    .unwrap();
+                let posteriors = model.predict_batch(&candidates, &context).unwrap();
                 std::hint::black_box(posteriors.len());
                 start.elapsed().as_secs_f64() * 1e3
             })

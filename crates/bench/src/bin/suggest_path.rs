@@ -88,15 +88,13 @@ fn measure_sweep(model: &ContextualGp, n: usize, c: usize) -> SweepPoint {
         })
         .collect();
 
-    // Batched sweep: one cross-kernel matrix, one multi-RHS solve, reused scratch.
-    let mut scratch = Vec::new();
+    // Batched sweep: one cross-kernel matrix, one multi-RHS solve, and the thread's
+    // reused query rows.
     let mut batched_out = Vec::new();
     let batched_samples: Vec<f64> = (0..REPS)
         .map(|_| {
             let start = Instant::now();
-            let posteriors = model
-                .predict_batch_with_scratch(&candidates, &context, &mut scratch)
-                .unwrap();
+            let posteriors = model.predict_batch(&candidates, &context).unwrap();
             batched_out = posteriors
                 .into_iter()
                 .map(|p| {

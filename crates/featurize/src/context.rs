@@ -6,7 +6,7 @@ use simdb::OptimizerStats;
 /// Configuration of the context featurizer.
 #[derive(Debug, Clone)]
 pub struct ContextFeaturizerConfig {
-    /// Dimensionality of the query-composition embedding.
+    /// Dimensionality of the query-composition embedding (0 counts as 1).
     pub embedding_dim: usize,
     /// Seed of the (fixed) query encoder so features are reproducible.
     pub encoder_seed: u64,
@@ -54,7 +54,7 @@ impl ContextFeaturizer {
     /// Dimensionality of the produced context vectors.
     pub fn dim(&self) -> usize {
         let workload = if self.config.include_workload {
-            1 + self.config.embedding_dim
+            1 + self.encoder.dim()
         } else {
             0
         };
@@ -127,12 +127,28 @@ mod tests {
 
     #[test]
     fn featurize_produces_vectors_of_declared_dimension() {
-        let f = ContextFeaturizer::with_defaults();
         let tpcc = TpccWorkload::new_dynamic(1);
-        let spec = tpcc.spec_at(0);
-        let c = f.featurize(&tpcc.sample_queries(0, 30), None, &stats_for(&spec));
-        assert_eq!(c.len(), f.dim());
-        assert!(c.iter().all(|v| v.is_finite()));
+        let queries = tpcc.sample_queries(0, 30);
+        let stats = stats_for(&tpcc.spec_at(0));
+        for embedding_dim in [0, 1, 8] {
+            for include_workload in [false, true] {
+                for include_data in [false, true] {
+                    let f = ContextFeaturizer::new(ContextFeaturizerConfig {
+                        embedding_dim,
+                        include_workload,
+                        include_data,
+                        ..Default::default()
+                    });
+                    let c = f.featurize(&queries, None, &stats);
+                    assert_eq!(
+                        c.len(),
+                        f.dim(),
+                        "embedding_dim {embedding_dim}, workload {include_workload}, data {include_data}"
+                    );
+                    assert!(c.iter().all(|v| v.is_finite()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -344,24 +344,10 @@ impl ContextualGp {
         context: &[f64],
     ) -> Result<Vec<Posterior>, GpError> {
         let mut rows = QUERY_ROWS.take();
-        let posteriors = self.predict_batch_with_scratch(configs, context, &mut rows);
-        QUERY_ROWS.set(rows);
-        posteriors
-    }
-
-    /// Like [`ContextualGp::predict_batch`], but reuses `scratch` for the joint
-    /// `[θ, c]` query vectors: a per-iteration suggest sweep that keeps its scratch
-    /// alive performs no per-candidate allocation once the buffers have warmed up.
-    pub fn predict_batch_with_scratch(
-        &self,
-        configs: &[Vec<f64>],
-        context: &[f64],
-        scratch: &mut Vec<Vec<f64>>,
-    ) -> Result<Vec<Posterior>, GpError> {
-        scratch.truncate(configs.len());
+        rows.truncate(configs.len());
         for (i, config) in configs.iter().enumerate() {
-            if i < scratch.len() {
-                let joint = &mut scratch[i];
+            if i < rows.len() {
+                let joint = &mut rows[i];
                 joint.clear();
                 joint.extend_from_slice(config);
                 joint.extend_from_slice(context);
@@ -369,10 +355,12 @@ impl ContextualGp {
                 let mut joint = Vec::with_capacity(self.config_dim + self.context_dim);
                 joint.extend_from_slice(config);
                 joint.extend_from_slice(context);
-                scratch.push(joint);
+                rows.push(joint);
             }
         }
-        self.gp.predict_batch(scratch)
+        let posteriors = self.gp.predict_batch(&rows);
+        QUERY_ROWS.set(rows);
+        posteriors
     }
 
     /// Exports the kernel hyper-parameters (log space) and the observation-noise variance.
@@ -640,35 +628,30 @@ mod tests {
     fn predict_batch_is_bit_identical_to_pointwise_and_reuses_scratch() {
         let model = build_model();
         let candidates: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 / 8.0]).collect();
-        let context = [0.3];
-        let mut scratch = Vec::new();
-        let batch = model
-            .predict_batch_with_scratch(&candidates, &context, &mut scratch)
-            .unwrap();
+        let thread_rows = || {
+            let rows = QUERY_ROWS.take();
+            let count = rows.len();
+            QUERY_ROWS.set(rows);
+            count
+        };
+        let batch = model.predict_batch(&candidates, &[0.3]).unwrap();
         assert_eq!(batch.len(), candidates.len());
+        assert_eq!(thread_rows(), candidates.len());
         for (c, b) in candidates.iter().zip(batch.iter()) {
-            let p = model.predict(c, &context).unwrap();
+            let p = model.predict(c, &[0.3]).unwrap();
             assert_eq!(p.mean.to_bits(), b.mean.to_bits());
             assert_eq!(p.std_dev.to_bits(), b.std_dev.to_bits());
         }
-        // The scratch survives across sweeps of different sizes — stale joint vectors
-        // from a larger previous batch must not leak into a smaller one.
+        // The thread's rows survive across sweeps of different sizes — stale joint
+        // vectors from a larger previous batch must not leak into a smaller one.
         let fewer = &candidates[..3];
-        let batch2 = model
-            .predict_batch_with_scratch(fewer, &[0.45], &mut scratch)
-            .unwrap();
+        let batch2 = model.predict_batch(fewer, &[0.45]).unwrap();
         assert_eq!(batch2.len(), 3);
-        assert_eq!(scratch.len(), 3);
+        assert_eq!(thread_rows(), 3);
         for (c, b) in fewer.iter().zip(batch2.iter()) {
             let p = model.predict(c, &[0.45]).unwrap();
             assert_eq!(p.mean.to_bits(), b.mean.to_bits());
             assert_eq!(p.std_dev.to_bits(), b.std_dev.to_bits());
-        }
-        // And the convenience wrapper agrees.
-        let batch3 = model.predict_batch(fewer, &[0.45]).unwrap();
-        for (a, b) in batch2.iter().zip(batch3.iter()) {
-            assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-            assert_eq!(a.std_dev.to_bits(), b.std_dev.to_bits());
         }
     }
 

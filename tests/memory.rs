@@ -1,16 +1,19 @@
-//! Live-heap bounds of the fit path, the suggest sweep and snapshot serialization.
+//! Live-heap bounds of the fit path, the suggest sweep and snapshot serialization, and the
+//! allocation count of query encoding.
 //!
 //! This binary installs a counting global allocator, so it holds a single `#[test]`. The
 //! allocator counts, per thread, the live heap bytes that thread allocated (its
 //! allocations minus its frees, a reallocation counting only its size change), not
-//! resident memory. Each bound is measured on the test thread alone, so worker threads
-//! that are still freeing their thread-locals after a fleet round cannot move it.
+//! resident memory, and the allocation calls it made (allocations and reallocations).
+//! Each bound is measured on the test thread alone, so worker threads that are still
+//! freeing their thread-locals after a fleet round cannot move it.
 //!
 //! Run with `cargo test --release --test memory -- --nocapture` to print the figures.
 
 use fleet::service::{small_tuner_options, FleetOptions, FleetService};
 use fleet::tenant::{TenantSpec, WorkloadFamily};
 use gp::contextual::{ContextObservation, ContextualGp};
+use mlkit::{QueryEncoder, SqlTokenizer};
 use onlinetune::{OnlineTune, OnlineTuneOptions};
 use simdb::{Configuration, HardwareSpec, KnobCatalogue};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -23,6 +26,11 @@ thread_local! {
     // point of a thread's life without allocating.
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn called() {
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
 }
 
 fn grew(bytes: usize) {
@@ -38,9 +46,10 @@ fn shrank(bytes: usize) {
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the wrapper only
-// counts the sizes of the blocks that succeed.
+// counts the calls and the sizes of the blocks that succeed.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        called();
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             grew(layout.size());
@@ -49,6 +58,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        called();
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
             grew(layout.size());
@@ -62,6 +72,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        called();
         let moved = System.realloc(ptr, layout, new_size);
         if !moved.is_null() {
             if new_size >= layout.size() {
@@ -80,6 +91,11 @@ static ALLOCATOR: Counting = Counting;
 /// Live heap bytes of the calling thread, relative to an arbitrary origin.
 fn live() -> isize {
     LIVE.with(Cell::get)
+}
+
+/// Allocation calls the calling thread has made, relative to an arbitrary origin.
+fn calls() -> usize {
+    CALLS.with(Cell::get)
 }
 
 /// Runs `f` and returns its result with how far the calling thread's live heap rose above
@@ -235,9 +251,39 @@ fn serialization_holds_one_tenant_export_at_a_time() {
     );
 }
 
+/// (d) Encoding a workload allocates per call and per query, never per token: the
+/// tokenizer reuses one buffer, the encoder keeps token hashes, and the recurrent steps
+/// write into one stack of states.
+fn encoding_allocates_per_call_not_per_token() {
+    const QUERIES: usize = 30;
+    const BOUND: usize = 16 + 2 * QUERIES;
+    let encoder = QueryEncoder::new(8, 0x0417e5);
+    for family in WorkloadFamily::ALL {
+        let queries = family.build(7).sample_queries(0, QUERIES);
+        let mut tokens = 0;
+        let mut tokenizer = SqlTokenizer::new();
+        for query in &queries {
+            tokenizer.for_each_token(query, |_| tokens += 1);
+        }
+        let before = calls();
+        drop(encoder.encode_workload(&queries));
+        let made = calls() - before;
+        println!(
+            "(d) {}: {made} allocation calls to encode {QUERIES} queries of {tokens} tokens; bound {BOUND}",
+            family.label()
+        );
+        assert!(
+            made <= BOUND,
+            "encoding {} made {made} allocation calls for {tokens} tokens, more than {BOUND}",
+            family.label()
+        );
+    }
+}
+
 #[test]
 fn fit_suggest_and_serialization_keep_only_what_they_must() {
     models_keep_no_fit_scratch();
     suggest_keeps_no_candidate_rows_per_tuner();
     serialization_holds_one_tenant_export_at_a_time();
+    encoding_allocates_per_call_not_per_token();
 }
