@@ -2,8 +2,11 @@
 //!
 //! Figure 8 plots the per-iteration computation time of every method while tuning JOB;
 //! Table A1 breaks one OnlineTune iteration into its stages. This binary reproduces both
-//! from an actual tuning run (the Criterion benches in `benches/` provide the
-//! statistically rigorous version of the same measurements).
+//! from an actual tuning run. The tuner stages of Table A1 are the means of the spans the
+//! tuner records into an enabled telemetry handle (`SpanId::ModelSelection` …
+//! `SpanId::CandidateSelection`, and `SpanId::Observe` for the model update);
+//! featurization and the apply-and-evaluate interval happen outside the tuner and are
+//! timed here.
 //!
 //! Run with `cargo run --release -p bench --bin fig8_overhead [iterations]`.
 
@@ -14,6 +17,7 @@ use featurize::ContextFeaturizer;
 use onlinetune::{OnlineTune, OnlineTuneOptions};
 use simdb::{Configuration, HardwareSpec, KnobCatalogue, OptimizerStats, SimDatabase};
 use std::time::Instant;
+use telemetry::{SpanId, TelemetryHandle};
 use workloads::job::JobWorkload;
 use workloads::{Objective, WorkloadGenerator};
 
@@ -82,11 +86,10 @@ fn main() {
         OnlineTuneOptions::default(),
         3,
     );
+    tuner.set_telemetry(TelemetryHandle::enabled());
     let mut db = SimDatabase::with_catalogue(catalogue.clone(), HardwareSpec::default(), 3);
     db.set_data_size(job.initial_data_size_gib());
     let mut feat_time = 0.0;
-    let mut stage = onlinetune::diagnostics::StageTimings::default();
-    let mut update_time = 0.0;
     let mut apply_eval_time = 0.0;
     let breakdown_iters = iterations.min(100);
     for it in 0..breakdown_iters {
@@ -100,18 +103,12 @@ fn main() {
         let reference = db.peek(&initial, &spec);
         let threshold = Objective::ExecutionTime.score(&reference);
         let suggestion = tuner.suggest(&context, threshold, spec.clients);
-        let d = &suggestion.diagnostics.timings;
-        stage.model_selection_s += d.model_selection_s;
-        stage.subspace_adaptation_s += d.subspace_adaptation_s;
-        stage.safety_assessment_s += d.safety_assessment_s;
-        stage.candidate_selection_s += d.candidate_selection_s;
 
         let t = Instant::now();
         db.apply_config(&suggestion.config);
         let eval = db.run_interval(&spec, 180.0);
         apply_eval_time += t.elapsed().as_secs_f64() + 180.0; // simulated interval wall time
         let score = Objective::ExecutionTime.score(&eval.outcome);
-        let t = Instant::now();
         tuner
             .observe(
                 &context,
@@ -121,31 +118,19 @@ fn main() {
                 score >= threshold,
             )
             .expect("simulated measurements are finite");
-        update_time += t.elapsed().as_secs_f64();
     }
     let n = breakdown_iters as f64;
+    let stage = |label: &str, id: SpanId| {
+        let mean_s = tuner.telemetry().histogram(id).mean_ms() / 1e3;
+        vec![label.to_string(), format!("{mean_s:.4}")]
+    };
     let rows = vec![
         vec!["Featurization".to_string(), format!("{:.4}", feat_time / n)],
-        vec![
-            "Model Selection".to_string(),
-            format!("{:.4}", stage.model_selection_s / n),
-        ],
-        vec![
-            "Model Update".to_string(),
-            format!("{:.4}", update_time / n),
-        ],
-        vec![
-            "Subspace Adaptation".to_string(),
-            format!("{:.4}", stage.subspace_adaptation_s / n),
-        ],
-        vec![
-            "Safety Assessment".to_string(),
-            format!("{:.4}", stage.safety_assessment_s / n),
-        ],
-        vec![
-            "Candidate Selection".to_string(),
-            format!("{:.4}", stage.candidate_selection_s / n),
-        ],
+        stage("Model Selection", SpanId::ModelSelection),
+        stage("Model Update", SpanId::Observe),
+        stage("Subspace Adaptation", SpanId::SubspaceAdaptation),
+        stage("Safety Assessment", SpanId::SafetyAssessment),
+        stage("Candidate Selection", SpanId::CandidateSelection),
         vec![
             "Apply & Evaluation (interval)".to_string(),
             format!("{:.1}", apply_eval_time / n),

@@ -1,20 +1,22 @@
 //! Telemetry overhead — the cost of observing the fleet, and the proof it changes
 //! nothing.
 //!
-//! Runs the same deterministic multi-tenant workload twice — once with the no-op sink
-//! (a disabled [`telemetry::TelemetryHandle`] is a single branch per call site) and once
-//! with a live registry + journal — and measures:
+//! Runs the same deterministic multi-tenant workload with the no-op sink (a disabled
+//! [`telemetry::TelemetryHandle`] is a single branch per call site) and with a live
+//! registry + journal, in alternating pairs, and measures:
 //!
-//! * end-to-end fleet wall time (min over repeats, so scheduler noise cannot fake an
-//!   overhead), and the relative overhead of the enabled sink,
+//! * end-to-end fleet wall time of both modes and the relative overhead of the enabled
+//!   sink: the median over [`PAIRS`] pairs of each pair's overhead, where the pairs
+//!   alternate which mode runs first, so neither a slow stretch of the host nor a warm
+//!   cache favours one side;
 //! * nanosecond-scale microbenchmarks of the primitives (counter increment, span,
-//!   journal event) in both states,
-//! * the **replay gate**: the two runs' snapshot JSON must be byte-identical.
+//!   journal event) in both states;
+//! * the **replay gate**: every run's snapshot JSON must be byte-identical.
 //!
 //! Run with `cargo run --release -p bench --bin telemetry_overhead [-- --smoke]`. The
 //! full mode writes `BENCH_telemetry.json` (committed). `--smoke` runs the same
-//! measurement and exits non-zero when the enabled-mode overhead exceeds 5% or any
-//! replay byte diverges — CI uses it.
+//! measurement and exits non-zero when the median enabled-mode overhead exceeds 5% or
+//! any replay byte diverges — CI uses it.
 
 use bench::report::{iterations_from_env, section};
 use fleet::service::{small_tuner_options, FleetOptions, FleetService};
@@ -24,6 +26,9 @@ use telemetry::{CounterId, EventKind, SpanId, TelemetryHandle};
 
 /// Enabled-mode overhead (percent of the disabled-mode wall time) the smoke gate allows.
 const MAX_OVERHEAD_PCT: f64 = 5.0;
+/// Timed (disabled, enabled) pairs; even pairs run the disabled mode first, odd pairs
+/// the enabled mode.
+const PAIRS: usize = 60;
 
 #[derive(Debug, serde::Serialize)]
 struct MicroBench {
@@ -43,15 +48,17 @@ struct MicroBench {
 struct OverheadReport {
     tenants: usize,
     rounds: usize,
-    repeats: usize,
+    pairs: usize,
     iterations: usize,
-    /// Fleet wall time with the no-op sink (seconds, min over repeats).
+    /// Fleet wall time with the no-op sink (seconds, median over pairs).
     disabled_s: f64,
-    /// Fleet wall time with the live sink (seconds, min over repeats).
+    /// Fleet wall time with the live sink (seconds, median over pairs).
     enabled_s: f64,
-    /// `(enabled_s - disabled_s) / disabled_s * 100`.
+    /// Each pair's `(enabled - disabled) / disabled * 100`, in run order.
+    pair_overhead_pct: Vec<f64>,
+    /// Median of `pair_overhead_pct`: the gated figure.
     overhead_pct: f64,
-    /// Whether the two runs produced byte-identical fleet snapshots.
+    /// Whether every run produced byte-identical fleet snapshots.
     replay_identical: bool,
     micro: MicroBench,
 }
@@ -84,6 +91,18 @@ fn run_once(enabled: bool, rounds: usize) -> (f64, String, usize) {
     let wall = start.elapsed().as_secs_f64();
     let json = svc.snapshot_json().expect("snapshot serializes");
     (wall, json, report.iterations)
+}
+
+/// Median of `samples` (the mean of the middle two for an even count).
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    }
 }
 
 /// Times `op` per call over `n` calls (ns). The loop result is accumulated into a value
@@ -133,8 +152,7 @@ fn micro_bench() -> MicroBench {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let rounds = iterations_from_env(8);
-    let repeats = 3usize;
+    let rounds = iterations_from_env(24);
 
     section("Telemetry primitives (ns per call, 1e6 calls)");
     let micro = micro_bench();
@@ -155,37 +173,51 @@ fn main() {
     // Warm-up run (page cache, lazy init) that is not measured.
     run_once(false, 1);
 
-    let mut disabled_s = f64::INFINITY;
-    let mut enabled_s = f64::INFINITY;
-    let mut disabled_json = String::new();
-    let mut enabled_json = String::new();
+    let mut disabled_s = Vec::with_capacity(PAIRS);
+    let mut enabled_s = Vec::with_capacity(PAIRS);
+    let mut pair_overhead_pct = Vec::with_capacity(PAIRS);
+    let mut reference_json: Option<String> = None;
+    let mut replay_identical = true;
     let mut iterations = 0;
-    for _ in 0..repeats {
-        let (wall_off, json_off, iters) = run_once(false, rounds);
-        let (wall_on, json_on, _) = run_once(true, rounds);
-        disabled_s = disabled_s.min(wall_off);
-        enabled_s = enabled_s.min(wall_on);
-        disabled_json = json_off;
-        enabled_json = json_on;
-        iterations = iters;
+    for pair in 0..PAIRS {
+        let order = if pair.is_multiple_of(2) {
+            [false, true]
+        } else {
+            [true, false]
+        };
+        // Wall time per mode, indexed by `enabled as usize`.
+        let mut wall = [0.0; 2];
+        for enabled in order {
+            let (w, json, iters) = run_once(enabled, rounds);
+            wall[enabled as usize] = w;
+            replay_identical &= *reference_json.get_or_insert_with(|| json.clone()) == json;
+            iterations = iters;
+        }
+        disabled_s.push(wall[0]);
+        enabled_s.push(wall[1]);
+        pair_overhead_pct.push((wall[1] - wall[0]) / wall[0].max(1e-12) * 100.0);
     }
-    let overhead_pct = (enabled_s - disabled_s) / disabled_s.max(1e-12) * 100.0;
-    let replay_identical = disabled_json == enabled_json;
+    let overhead_pct = median(&pair_overhead_pct);
+    let (disabled_s, enabled_s) = (median(&disabled_s), median(&enabled_s));
+    println!("  6 tenants x {rounds} rounds ({iterations} iterations), {PAIRS} alternating pairs:");
+    let pairs: Vec<String> = pair_overhead_pct
+        .iter()
+        .map(|p| format!("{p:+.1}%"))
+        .collect();
+    println!("  per-pair overhead: {}", pairs.join(" "));
     println!(
-        "  6 tenants x {rounds} rounds ({iterations} iterations), min over {repeats} repeats:"
-    );
-    println!(
-        "  disabled {:.3}s   enabled {:.3}s   overhead {:+.2}%   snapshots byte-identical: {}",
+        "  median disabled {:.3}s   enabled {:.3}s   overhead {:+.2}%   snapshots byte-identical: {}",
         disabled_s, enabled_s, overhead_pct, replay_identical
     );
 
     let report = OverheadReport {
         tenants: 6,
         rounds,
-        repeats,
+        pairs: PAIRS,
         iterations,
         disabled_s,
         enabled_s,
+        pair_overhead_pct,
         overhead_pct,
         replay_identical,
         micro,
@@ -207,7 +239,7 @@ fn main() {
     }
     if overhead_pct > MAX_OVERHEAD_PCT {
         eprintln!(
-            "FAIL: enabled-mode overhead {overhead_pct:+.2}% exceeds the {MAX_OVERHEAD_PCT}% budget"
+            "FAIL: median enabled-mode overhead {overhead_pct:+.2}% exceeds the {MAX_OVERHEAD_PCT}% budget"
         );
         std::process::exit(1);
     }

@@ -12,9 +12,10 @@
 //! committed round, and an FNV-1a-64 digest of the owner's canonical post-round
 //! snapshot JSON that the replay is verified against.
 //!
-//! The recovery invariant — enforced by `bench --bin fault_injection` and
-//! `bench --bin serve_soak` in CI and fuzzed by the `crash_recovery_bit_identity`
-//! property — is:
+//! The recovery invariant — tested at every kill round for a fault-laced
+//! [`DurableFleet`] and for a [`FleetServer`](crate::serve::FleetServer) under mixed
+//! overload traffic (`crash_at_every_round_recovers_bit_identically`), and fuzzed by
+//! the `crash_recovery_bit_identity` property — is:
 //!
 //! > Kill the process after *any* round (tearing an arbitrary number of bytes off the
 //! > WAL tail), recover from the surviving storage, and continue to the horizon: the
@@ -324,11 +325,27 @@ mod tests {
             )
     }
 
-    /// Three suggests a round against a queue of 2 with one dispatch slot: the queue
-    /// stays full, so the server walks down the degradation ladder.
+    /// The round at which the storm admits [`joiner`].
+    const ADMIT_ROUND: usize = 4;
+
+    /// A fresh deterministic tenant the storm admits mid-run.
+    fn joiner() -> TenantSpec {
+        let mut spec = TenantSpec::named("t2", WorkloadFamily::ALL[2], 4002);
+        spec.deterministic = true;
+        spec
+    }
+
+    /// Mixed traffic against a queue of 2 with one dispatch slot. Every round opens
+    /// with a telemetry read, which the three suggests after it shed, and round
+    /// [`ADMIT_ROUND`] first admits [`joiner`]. The queue stays full, so the server
+    /// walks down the degradation ladder while it sheds, rejects and admits.
     fn storm() -> TrafficScript {
         let mut storm = TrafficScript::new("storm");
         for round in 0..HORIZON {
+            if round == ADMIT_ROUND {
+                storm = storm.at(round, Request::Admit { spec: joiner() });
+            }
+            storm = storm.at(round, Request::TelemetryRead);
             for _ in 0..3 {
                 storm = storm.at(
                     round,
@@ -510,6 +527,14 @@ mod tests {
         assert!(
             server.service().session("t0").unwrap().degradation() > DegradationTier::Full,
             "the storm must degrade the server for its recovery to carry tiers"
+        );
+        assert!(
+            server.service().session(&joiner().name).is_some(),
+            "the storm's admission must go through for kill points to replay it"
+        );
+        assert!(
+            server.serve_state().shed_reads > 0,
+            "the storm must shed reads for kill points to replay the shedding"
         );
         case::<DurableFleet>();
         case::<FleetServer>();

@@ -20,7 +20,8 @@
 //! * Therefore a fleet snapshot taken *between any two rounds* of a scenario and
 //!   restored elsewhere replays the remaining rounds bit-identically when driven by the
 //!   same `Scenario` value — the restored round counter re-anchors the event timeline.
-//!   `bench --bin scenario_path` enforces exactly this in CI.
+//!   `prop_mid_scenario_snapshot_replays_bit_identically` (`tests/scenario_engine.rs`)
+//!   tests exactly this.
 //!
 //! Scenarios are serde round-trippable, so a timeline can be stored next to the results
 //! it produced and replayed later.
@@ -385,21 +386,6 @@ pub struct ScenarioReport {
     pub scenario: String,
     /// One record per executed round.
     pub rounds: Vec<ScenarioRound>,
-}
-
-impl ScenarioReport {
-    /// The per-round series of `extract(summary)` for the named tenant; `None` for rounds
-    /// the tenant was not in the fleet. Bench curves are built from this.
-    pub fn tenant_series<T>(
-        &self,
-        tenant: &str,
-        extract: impl Fn(&TenantSummary) -> T,
-    ) -> Vec<Option<T>> {
-        self.rounds
-            .iter()
-            .map(|r| r.tenants.iter().find(|t| t.name == tenant).map(&extract))
-            .collect()
-    }
 }
 
 /// Drives `svc` through `rounds` rounds of the scenario.

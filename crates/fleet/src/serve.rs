@@ -42,8 +42,9 @@
 //! a genesis snapshot plus a per-round WAL of [`ServerSnapshot`] digests, truncated
 //! every [`ServeOptions::snapshot_interval`] rounds, recovered by deterministic
 //! re-execution ([`FleetServer::recover`]) that verifies every replayed round's digest.
-//! `bench --bin serve_soak` kills a soak at an arbitrary round and asserts the
-//! recovered server's snapshot bytes are identical to an uninterrupted run's.
+//! The recovery suite kills a server under sheds, rejections, an admission and
+//! degradation after every round, and asserts the recovered server's snapshot bytes are
+//! identical to an uninterrupted run's.
 //!
 //! [`DegradationTier`]: crate::tenant::DegradationTier
 

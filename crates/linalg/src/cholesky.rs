@@ -144,8 +144,8 @@ impl Cholesky {
     }
 
     /// The textbook row-by-row factorization, retained as the bit-identity reference for
-    /// the blocked [`Cholesky::decompose`] (property-tested in this module and enforced
-    /// per PR by `bench --bin fit_path`). Not used on any hot path.
+    /// the blocked [`Cholesky::decompose`] (tested against it in this module). Not used on
+    /// any hot path.
     pub fn decompose_reference(a: &Matrix) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {

@@ -1,36 +1,11 @@
-//! Per-iteration diagnostics: what the tuner did and how long each stage took.
+//! Per-iteration diagnostics: what the tuner did on one iteration.
 //!
-//! These power three artefacts of the paper's evaluation:
-//! Figure 8 (per-iteration computation time), Table A1 (stage-level time breakdown) and
-//! Figure 13 (selected model, subspace distance from the default, safety-set size).
+//! These power Figure 13 of the paper's evaluation (selected model, subspace distance
+//! from the default, safety-set size). How long each stage took is telemetry's job: the
+//! tuner records one span per Table A1 stage (`telemetry::SpanId::ModelSelection` and
+//! the three after it), which `fig8_overhead` reads.
 
 use serde::Serialize;
-
-/// Wall-clock timings of the OnlineTune stages for one iteration, in seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
-pub struct StageTimings {
-    /// Selecting the per-cluster model for the observed context (SVM routing).
-    pub model_selection_s: f64,
-    /// Adapting the configuration subspace.
-    pub subspace_adaptation_s: f64,
-    /// Black-box + white-box safety assessment over the discretized candidates.
-    pub safety_assessment_s: f64,
-    /// Candidate selection (UCB / boundary exploration).
-    pub candidate_selection_s: f64,
-    /// Model update (GP refit and periodic hyper-parameter optimization + re-clustering).
-    pub model_update_s: f64,
-}
-
-impl StageTimings {
-    /// Total tuner-side computation time for the iteration.
-    pub fn total_s(&self) -> f64 {
-        self.model_selection_s
-            + self.subspace_adaptation_s
-            + self.safety_assessment_s
-            + self.candidate_selection_s
-            + self.model_update_s
-    }
-}
 
 /// Everything the tuner can report about one iteration.
 #[derive(Debug, Clone, Default, Serialize)]
@@ -68,8 +43,6 @@ pub struct IterationDiagnostics {
     pub fell_back_to_center: bool,
     /// Whether the recommendation came from the boundary-exploration branch.
     pub explored_boundary: bool,
-    /// Stage timings.
-    pub timings: StageTimings,
 }
 
 #[cfg(test)]
@@ -77,23 +50,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn total_time_is_the_sum_of_stages() {
-        let t = StageTimings {
-            model_selection_s: 0.01,
-            subspace_adaptation_s: 0.02,
-            safety_assessment_s: 0.03,
-            candidate_selection_s: 0.04,
-            model_update_s: 0.05,
-        };
-        assert!((t.total_s() - 0.15).abs() < 1e-12);
-    }
-
-    #[test]
     fn default_diagnostics_are_empty() {
         let d = IterationDiagnostics::default();
         assert_eq!(d.safety_set_size, 0);
         assert!(d.overridden_rule.is_none());
-        assert_eq!(d.timings.total_s(), 0.0);
     }
 
     #[test]

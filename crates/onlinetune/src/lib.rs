@@ -27,10 +27,11 @@
 //!    of an `O(t³)` refit; a from-scratch refit only happens when hyper-parameters are
 //!    re-optimized, on re-clustering, or when the per-model observation budget evicts.
 //!
-//! Every stage records wall-clock timings in [`diagnostics::IterationDiagnostics`] so the
-//! overhead experiment (Figure 8 / Table A1) can be regenerated; the
-//! `bench --bin hotpath` binary tracks the incremental-vs-refit speedup
-//! (`BENCH_hotpath.json`).
+//! Stages 2–5 and 7 each record a telemetry span (`telemetry::SpanId::ModelSelection`,
+//! `SubspaceAdaptation`, `SafetyAssessment`, `CandidateSelection` and `Observe`) when the
+//! tuner holds an enabled handle, so `bench --bin fig8_overhead` regenerates the
+//! overhead experiment (Figure 8 / Table A1) from them. What each iteration decided is
+//! in [`diagnostics::IterationDiagnostics`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

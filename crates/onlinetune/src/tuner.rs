@@ -15,7 +15,7 @@
 
 use crate::candidate::{select_candidate, SelectionReason};
 use crate::clustering::{ClusterManager, ClusterManagerState, ClusterOptions};
-use crate::diagnostics::{IterationDiagnostics, StageTimings};
+use crate::diagnostics::IterationDiagnostics;
 use crate::safety::{assess_candidates, SafetyOptions};
 use crate::subspace::{Subspace, SubspaceOptions};
 use crate::whitebox::{RuleContext, RuleEngine, RuleStateSnapshot};
@@ -25,7 +25,6 @@ use mlkit::importance::{knob_importance, top_k_knobs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simdb::{Configuration, HardwareSpec, InternalMetrics, KnobCatalogue};
-use std::time::Instant;
 use telemetry::{CounterId, EventKind, GaugeId, SpanId, TelemetryHandle};
 
 /// Switches for the ablation study of §7.3.
@@ -322,7 +321,7 @@ impl OnlineTune {
         };
 
         // ── Model selection ────────────────────────────────────────────────────────────
-        let t = Instant::now();
+        let stage = self.telemetry.begin_span();
         let model_id = if self.options.ablation.use_clustering {
             self.clusters.select_model(context)
         } else {
@@ -333,13 +332,10 @@ impl OnlineTune {
         diagnostics.selected_model = model_id;
         diagnostics.n_models = self.clusters.n_models();
         diagnostics.recluster_count = self.clusters.recluster_count();
-        let mut timings = StageTimings {
-            model_selection_s: t.elapsed().as_secs_f64(),
-            ..Default::default()
-        };
+        self.telemetry.end_span(SpanId::ModelSelection, stage);
 
         // ── Subspace adaptation ────────────────────────────────────────────────────────
-        let t = Instant::now();
+        let stage = self.telemetry.begin_span();
         let no_safe_last_time = self.pending.as_ref().map(|p| p.fell_back).unwrap_or(false);
         let candidates: Vec<Vec<f64>> = if self.options.ablation.use_subspace {
             let mut oracle_dirs: Vec<Vec<f64>> = Vec::new();
@@ -369,10 +365,10 @@ impl OnlineTune {
             self.subspaces[model_id].center(),
             &self.initial_normalized,
         );
-        timings.subspace_adaptation_s = t.elapsed().as_secs_f64();
+        self.telemetry.end_span(SpanId::SubspaceAdaptation, stage);
 
         // ── Safety assessment ──────────────────────────────────────────────────────────
-        let t = Instant::now();
+        let stage = self.telemetry.begin_span();
         let beta = ucb_beta(
             self.iteration,
             self.catalogue.len() + context.len(),
@@ -463,10 +459,10 @@ impl OnlineTune {
             .zip(white_safe.iter())
             .filter(|(a, w)| a.black_safe && **w)
             .count();
-        timings.safety_assessment_s = t.elapsed().as_secs_f64();
+        self.telemetry.end_span(SpanId::SafetyAssessment, stage);
 
         // ── Candidate selection ────────────────────────────────────────────────────────
-        let t = Instant::now();
+        let stage = self.telemetry.begin_span();
         let selection = select_candidate(
             &candidates,
             &assessments,
@@ -479,14 +475,13 @@ impl OnlineTune {
             },
             &mut self.rng,
         );
-        timings.candidate_selection_s = t.elapsed().as_secs_f64();
+        self.telemetry.end_span(SpanId::CandidateSelection, stage);
         diagnostics.fell_back_to_center = selection.reason == SelectionReason::FallbackToCenter;
         diagnostics.explored_boundary = selection.reason == SelectionReason::BoundaryExploration;
 
         let normalized = candidates[selection.index].clone();
         diagnostics.recommendation_distance_from_default =
             linalg::vecops::euclidean_distance(&normalized, &self.initial_normalized);
-        diagnostics.timings = timings;
 
         let config = Configuration::from_normalized(&self.catalogue, &normalized);
         self.pending = Some(Pending {
@@ -965,13 +960,24 @@ mod tests {
     }
 
     #[test]
-    fn diagnostics_report_stage_timings() {
+    fn suggest_records_each_table_a1_stage_span_once() {
         let (mut tuner, _cat) = make_tuner(AblationFlags::default());
+        tuner.set_telemetry(TelemetryHandle::enabled());
         let suggestion = tuner.suggest(&context_for(0.5), 0.0, 16);
-        let t = &suggestion.diagnostics.timings;
-        assert!(t.total_s() >= 0.0);
-        assert!(t.safety_assessment_s >= 0.0);
         assert!(suggestion.diagnostics.candidates_total > 0);
+        let stages = [
+            SpanId::ModelSelection,
+            SpanId::SubspaceAdaptation,
+            SpanId::SafetyAssessment,
+            SpanId::CandidateSelection,
+        ];
+        let t = tuner.telemetry();
+        for id in stages.into_iter().chain([SpanId::Suggest]) {
+            assert_eq!(t.histogram(id).count, 1, "{}", id.name());
+        }
+        // The stages run one after another inside the suggest span.
+        let stage_nanos: u64 = stages.iter().map(|&id| t.histogram(id).sum_nanos).sum();
+        assert!(stage_nanos <= t.histogram(SpanId::Suggest).sum_nanos);
     }
 
     #[test]

@@ -281,11 +281,19 @@ pub enum SpanId {
     Round,
     /// One hyper-parameter re-optimization.
     Hyperopt,
+    /// Suggest stage: routing the context to its per-cluster model (Table A1).
+    ModelSelection,
+    /// Suggest stage: adapting and discretizing the configuration subspace (Table A1).
+    SubspaceAdaptation,
+    /// Suggest stage: the black-box and white-box checks over every candidate (Table A1).
+    SafetyAssessment,
+    /// Suggest stage: choosing the recommendation from the safety set (Table A1).
+    CandidateSelection,
 }
 
 impl SpanId {
     /// Number of span histograms in the registry.
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 9;
 
     /// All spans, in export order.
     pub const ALL: [SpanId; SpanId::COUNT] = [
@@ -294,6 +302,10 @@ impl SpanId {
         SpanId::Observe,
         SpanId::Round,
         SpanId::Hyperopt,
+        SpanId::ModelSelection,
+        SpanId::SubspaceAdaptation,
+        SpanId::SafetyAssessment,
+        SpanId::CandidateSelection,
     ];
 
     /// Stable export name.
@@ -304,6 +316,10 @@ impl SpanId {
             SpanId::Observe => "observe",
             SpanId::Round => "round",
             SpanId::Hyperopt => "hyperopt",
+            SpanId::ModelSelection => "model_selection",
+            SpanId::SubspaceAdaptation => "subspace_adaptation",
+            SpanId::SafetyAssessment => "safety_assessment",
+            SpanId::CandidateSelection => "candidate_selection",
         }
     }
 }

@@ -120,6 +120,61 @@ fn assert_bitwise_equal(a: &[TenantSummary], b: &[TenantSummary], label: &str) {
     }
 }
 
+/// An abrupt workload-family switch (OLTP YCSB → analytical JOB) must engage the
+/// tuner's re-clustering: the switched tenant ends with more re-clusterings and more
+/// models than the same fleet without the switch.
+///
+/// Counting re-clusterings before and after the switch in one run is not enough. The
+/// tuner re-learns its clustering on a fixed cadence, and the switched tenant's first
+/// re-clustering falls on the switch round whether or not its workload changed, so a
+/// before/after count passes on a fleet that never drifted. The control run is what
+/// separates the switch's effect from the cadence.
+#[test]
+fn abrupt_family_switch_engages_reclustering() {
+    const SWITCH_ROUND: usize = 24;
+    const ROUNDS: usize = 48;
+    let run = |switch: bool| {
+        let mut svc = FleetService::new(FleetOptions {
+            workers: 1,
+            tuner: small_tuner_options(),
+            ..Default::default()
+        });
+        for (i, (name, family)) in [
+            ("shift", WorkloadFamily::Ycsb),
+            ("writer", WorkloadFamily::Tpcc),
+            ("churner", WorkloadFamily::Twitter),
+            ("steady", WorkloadFamily::Job),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            svc.admit(spec(name, family, 4001 + i as u64, true))
+                .unwrap();
+        }
+        let mut scenario = Scenario::new("family-switch");
+        if switch {
+            scenario = scenario.at(
+                SWITCH_ROUND,
+                ScenarioEvent::Drift {
+                    tenant: "shift".into(),
+                    drift: WorkloadDrift::FamilySwitch {
+                        at: 0,
+                        to: WorkloadFamily::Job,
+                    },
+                },
+            );
+        }
+        run_scenario(&mut svc, &scenario, ROUNDS).unwrap();
+        let shift = svc.session("shift").unwrap().summary();
+        (shift.recluster_count, shift.n_models)
+    };
+    let (control, switched) = (run(false), run(true));
+    assert!(
+        switched.0 > control.0 && switched.1 > control.1,
+        "(reclusters, models): switched {switched:?} vs control {control:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
