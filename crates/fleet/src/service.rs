@@ -540,47 +540,34 @@ impl FleetService {
         Ok(idx)
     }
 
-    /// Tenant-level worker threads actually used per round: the configured value
-    /// (0 = one per CPU), clamped to `[1, n_tenants]`.
+    /// Tenant-level worker threads actually used per round: the worker budget clamped
+    /// to `[1, n_tenants]`.
     fn effective_workers(&self) -> usize {
-        let configured = if self.options.workers == 0 {
-            self.parallelism
-        } else {
-            self.options.workers
-        };
-        configured.clamp(1, self.tenants.len().max(1))
+        self.tenant_worker_budget()
+            .clamp(1, self.tenants.len().max(1))
     }
 
-    /// The tenant-worker term of the multiplicative budget: the *configured* worker
-    /// count (not the tenant-count-clamped one) so a tenant admitted early does not get
-    /// a grant the budget cannot honor once the fleet fills up.
-    fn budget_tenant_workers(&self) -> usize {
-        if self.options.workers == 0 {
-            self.parallelism
-        } else {
-            self.options.workers.max(1)
-        }
-    }
-
-    /// The tenant-worker term of the two-level budget (the configured worker count,
-    /// with 0 resolved against the stored parallelism sample) — the quantity the
-    /// serving layer's admission control sizes the fleet against (see
-    /// [`crate::serve::FleetServer`]).
+    /// The tenant-worker term of the two-level budget: the configured worker count, with
+    /// 0 resolved against the stored parallelism sample. It is not clamped to the tenant
+    /// count, so a tenant admitted early does not get a hyperopt grant the budget cannot
+    /// honor once the fleet fills up; the serving layer's admission control sizes the
+    /// fleet against it (see [`crate::serve::FleetServer`]).
     pub fn tenant_worker_budget(&self) -> usize {
-        self.budget_tenant_workers()
+        match self.options.workers {
+            0 => self.parallelism,
+            workers => workers,
+        }
     }
 
     /// Hyperopt-level worker threads granted to each tenant's periodic refit, clamped so
     /// the combined budget `tenant_workers × hyperopt_workers ≤ available_parallelism`
-    /// holds. The tenant side of the product uses the *configured* worker count (not the
-    /// tenant-count-clamped one) so a tenant admitted early does not get a grant the
-    /// budget cannot honor once the fleet fills up.
+    /// holds, with [`Self::tenant_worker_budget`] as the tenant side of the product.
     ///
     /// A request of 0 ("one per CPU") resolves to the full remaining budget. Selected
     /// hyper-parameters are worker-count independent, so this clamp only shapes
     /// wall-clock time, never results.
     pub fn effective_hyperopt_workers(&self) -> usize {
-        let budget = (self.parallelism / self.budget_tenant_workers()).max(1);
+        let budget = (self.parallelism / self.tenant_worker_budget()).max(1);
         match self.options.hyperopt_workers {
             0 => budget,
             w => w.min(budget),

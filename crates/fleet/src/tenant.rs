@@ -12,7 +12,7 @@ use gp::contextual::ContextObservation;
 use onlinetune::tuner::OnlineTuneState;
 use onlinetune::{OnlineTune, OnlineTuneOptions};
 use simdb::instance::SimDatabaseState;
-use simdb::{Configuration, HardwareSpec, OptimizerStats, SimDatabase};
+use simdb::{Configuration, HardwareSpec, OptimizerStats, SimDatabase, WorkloadSpec};
 use std::collections::VecDeque;
 use telemetry::{CounterId, EventKind, SpanId, TelemetryHandle};
 use workloads::cycle::TransactionalAnalyticalCycle;
@@ -21,7 +21,7 @@ use workloads::realworld::RealWorldWorkload;
 use workloads::tpcc::TpccWorkload;
 use workloads::twitter::TwitterWorkload;
 use workloads::ycsb::YcsbWorkload;
-use workloads::WorkloadGenerator;
+use workloads::{Objective, WorkloadGenerator};
 
 /// Window (iterations) over which the scheduler's "recent regret" signal is averaged.
 const REGRET_WINDOW: usize = 16;
@@ -87,9 +87,13 @@ impl WorkloadFamily {
 /// A serializable workload-drift transform applied on top of a tenant's base family.
 ///
 /// Iteration fields are absolute positions in the *tenant's* iteration stream. The
-/// drifts a tenant has accumulated live in its [`TenantSpec`], so a snapshot-restored
-/// session rebuilds the exact same composed generator (drift combinators are pure
-/// functions of the iteration index — see [`workloads::drift`]).
+/// drifts a tenant has accumulated live in its [`TenantSpec`], oldest first, and are the
+/// only representation of its drift: [`TenantSpec::build_generator`] applies them as pure
+/// functions of the iteration index, so a snapshot-restored session rebuilds the exact
+/// same workload stream. A family drift ([`Self::FamilySwitch`],
+/// [`Self::PeriodicFamilies`]) runs another family in place of the workload beneath it
+/// ([`Self::family_at`]); a load or data drift reshapes the spec of whatever runs
+/// beneath it ([`Self::apply`]).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum WorkloadDrift {
     /// Gradual load ramp: scale clients/arrival rate from `from_scale` to `to_scale`
@@ -114,7 +118,7 @@ pub enum WorkloadDrift {
     /// Periodic alternation between the current workload and another family; phases are
     /// anchored at iteration 0 of the tenant's stream.
     PeriodicFamilies {
-        /// Phase length in iterations.
+        /// Phase length in iterations (0 is treated as 1).
         period: usize,
         /// The family alternated with.
         other: WorkloadFamily,
@@ -122,21 +126,22 @@ pub enum WorkloadDrift {
     /// Smooth day/night load cycle: scale oscillates as
     /// `1 + amplitude·sin(2π·(iteration − anchor)/period)`.
     Diurnal {
-        /// Cycle length in iterations.
+        /// Cycle length in iterations (0 is treated as 1).
         period: usize,
-        /// Oscillation amplitude (clamped to `[0, 0.95]` by the combinator).
+        /// Oscillation amplitude (clamped to `[0, 0.95]`, so the load never vanishes).
         amplitude: f64,
         /// Iteration at which the cycle starts (phase anchor).
         anchor: usize,
     },
     /// Flash crowd: load spikes to `peak`× at `at`, then decays exponentially back to
-    /// baseline with the given half-life.
+    /// baseline with the given half-life: the scale is
+    /// `1 + (peak − 1)·2^(−(iteration − at)/half_life)` from `at` on.
     FlashCrowd {
         /// Iteration of the spike.
         at: usize,
         /// Peak load multiplier (clamped to `≥ 1`).
         peak: f64,
-        /// Decay half-life in iterations.
+        /// Decay half-life in iterations (0 is treated as 1).
         half_life: usize,
     },
     /// Gradual data-skew growth: access skew drifts to `to_skew` and the data volume
@@ -148,7 +153,8 @@ pub enum WorkloadDrift {
         over: usize,
         /// Target access skew (clamped to `[0, 1]`).
         to_skew: f64,
-        /// Final data-volume multiplier.
+        /// Final data-volume multiplier (clamped to `≥ 0.01`: a shrink is allowed,
+        /// vanishing data is not).
         data_factor: f64,
     },
 }
@@ -207,6 +213,92 @@ impl WorkloadDrift {
             },
         }
     }
+
+    /// The family this drift runs in place of the workload beneath it at `iteration`:
+    /// a `FamilySwitch` from its anchor on, a `PeriodicFamilies` in its odd phases.
+    /// `None` when the workload beneath runs, which is always the case for a load or
+    /// data drift.
+    pub fn family_at(&self, iteration: usize) -> Option<WorkloadFamily> {
+        match *self {
+            WorkloadDrift::FamilySwitch { at, to } => (iteration >= at).then_some(to),
+            WorkloadDrift::PeriodicFamilies { period, other } => {
+                (!(iteration / period.max(1)).is_multiple_of(2)).then_some(other)
+            }
+            _ => None,
+        }
+    }
+
+    /// Applies a load or data drift to `spec`, the workload running beneath it at
+    /// `iteration`; a family drift leaves it unchanged. Load drifts scale the client
+    /// count (never below one client) and the arrival rate; `SkewGrowth` moves the skew
+    /// and the data volume.
+    pub fn apply(&self, iteration: usize, spec: &mut WorkloadSpec) {
+        // Progress through a `[start, start + over]` window: 0 before, 1 after.
+        let progress = |start: usize, over: usize| {
+            if iteration < start {
+                0.0
+            } else if over == 0 {
+                1.0
+            } else {
+                ((iteration - start) as f64 / over as f64).min(1.0)
+            }
+        };
+        let scale = match *self {
+            WorkloadDrift::RateRamp {
+                start,
+                over,
+                from_scale,
+                to_scale,
+            } => from_scale + (to_scale - from_scale) * progress(start, over),
+            WorkloadDrift::Diurnal {
+                period,
+                amplitude,
+                anchor,
+            } => {
+                let phase = (iteration as f64 - anchor as f64) / period.max(1) as f64
+                    * std::f64::consts::TAU;
+                1.0 + amplitude.clamp(0.0, 0.95) * phase.sin()
+            }
+            WorkloadDrift::FlashCrowd {
+                at,
+                peak,
+                half_life,
+            } => {
+                if iteration < at {
+                    1.0
+                } else {
+                    let decay = 0.5_f64.powf((iteration - at) as f64 / half_life.max(1) as f64);
+                    1.0 + (peak.max(1.0) - 1.0) * decay
+                }
+            }
+            WorkloadDrift::SkewGrowth {
+                start,
+                over,
+                to_skew,
+                data_factor,
+            } => {
+                let p = progress(start, over);
+                spec.skew = (spec.skew + (to_skew.clamp(0.0, 1.0) - spec.skew) * p).clamp(0.0, 1.0);
+                spec.data_size_gib *= 1.0 + (data_factor.max(0.01) - 1.0) * p;
+                return;
+            }
+            WorkloadDrift::FamilySwitch { .. } | WorkloadDrift::PeriodicFamilies { .. } => return,
+        };
+        spec.clients = ((spec.clients as f64 * scale).round() as usize).max(1);
+        spec.arrival_rate_qps = spec.arrival_rate_qps.map(|q| q * scale);
+    }
+}
+
+/// The newest drift of a stack that runs a family in place of the workload beneath it
+/// at `iteration`: its index and that family, or `None` while the base family runs.
+/// [`TenantSpec::family_at`] and the tenant's generator both ask this, so the
+/// knowledge-base key and the running workload cannot disagree.
+fn running_family(drift: &[WorkloadDrift], iteration: usize) -> Option<(usize, WorkloadFamily)> {
+    drift
+        .iter()
+        .enumerate()
+        .rev()
+        .find_map(|(i, d)| Some((i, d.family_at(iteration)?)))
 }
 
 /// Static description of a tenant: everything needed to (re)build its session apart from
@@ -244,96 +336,98 @@ impl TenantSpec {
         }
     }
 
-    /// The workload family actually running at `iteration`, accounting for the drift
-    /// stack (a `FamilySwitch` past its anchor replaces the family; a `PeriodicFamilies`
-    /// alternates it). Knowledge-base contributions are keyed by this, not by the static
-    /// base family — safe configurations proven under a switched-to workload must not
-    /// leak into the original family's pool.
+    /// The workload family actually running at `iteration`: the newest family drift
+    /// active there, else the base family. Knowledge-base contributions are keyed by
+    /// this, not by the static base family — safe configurations proven under a
+    /// switched-to workload must not leak into the original family's pool.
     pub fn family_at(&self, iteration: usize) -> WorkloadFamily {
-        let mut family = self.family;
-        for drift in &self.drift {
-            match drift {
-                WorkloadDrift::FamilySwitch { at, to } => {
-                    if iteration >= *at {
-                        family = *to;
-                    }
-                }
-                WorkloadDrift::PeriodicFamilies { period, other } => {
-                    if !(iteration / (*period).max(1)).is_multiple_of(2) {
-                        family = *other;
-                    }
-                }
-                WorkloadDrift::RateRamp { .. }
-                | WorkloadDrift::Diurnal { .. }
-                | WorkloadDrift::FlashCrowd { .. }
-                | WorkloadDrift::SkewGrowth { .. } => {}
-            }
-        }
-        family
+        running_family(&self.drift, iteration).map_or(self.family, |(_, family)| family)
     }
 
-    /// Builds the tenant's workload generator: the base family wrapped in the spec's
-    /// drift stack, oldest drift innermost. Deterministic: the switched-to family of the
-    /// `i`-th drift derives its seed from the tenant seed and `i`, so two builds of the
-    /// same spec (fresh admit vs snapshot restore) produce identical streams.
+    /// Builds the tenant's workload generator: the base family under the spec's drift
+    /// stack. Deterministic: the switched-to family of the `i`-th drift derives its seed
+    /// from the tenant seed and `i`, so two builds of the same spec (fresh admit vs
+    /// snapshot restore) produce identical streams.
     pub fn build_generator(&self) -> Box<dyn WorkloadGenerator> {
-        let mut generator = self.family.build(self.seed);
-        for (i, drift) in self.drift.iter().enumerate() {
-            let drift_seed = self
-                .seed
-                .wrapping_add(0x5EED_D81F_u64.wrapping_mul(i as u64 + 1));
-            generator = match drift {
-                WorkloadDrift::RateRamp {
-                    start,
-                    over,
-                    from_scale,
-                    to_scale,
-                } => Box::new(workloads::drift::RateRamp::new(
-                    generator,
-                    *start,
-                    *over,
-                    *from_scale,
-                    *to_scale,
-                )),
-                WorkloadDrift::FamilySwitch { at, to } => Box::new(
-                    workloads::drift::AbruptSwitch::new(generator, to.build(drift_seed), *at),
-                ),
-                WorkloadDrift::PeriodicFamilies { period, other } => {
-                    Box::new(workloads::drift::PeriodicAlternation::new(
-                        generator,
-                        other.build(drift_seed),
-                        (*period).max(1),
-                    ))
-                }
-                WorkloadDrift::Diurnal {
-                    period,
-                    amplitude,
-                    anchor,
-                } => Box::new(workloads::drift::DiurnalLoad::new(
-                    generator, *period, *amplitude, *anchor,
-                )),
-                WorkloadDrift::FlashCrowd {
-                    at,
-                    peak,
-                    half_life,
-                } => Box::new(workloads::drift::FlashCrowd::new(
-                    generator, *at, *peak, *half_life,
-                )),
-                WorkloadDrift::SkewGrowth {
-                    start,
-                    over,
-                    to_skew,
-                    data_factor,
-                } => Box::new(workloads::drift::SkewGrowth::new(
-                    generator,
-                    *start,
-                    *over,
-                    *to_skew,
-                    *data_factor,
-                )),
-            };
+        let families = self
+            .drift
+            .iter()
+            .enumerate()
+            .map(|(i, drift)| {
+                let family = match drift {
+                    WorkloadDrift::FamilySwitch { to, .. } => *to,
+                    WorkloadDrift::PeriodicFamilies { other, .. } => *other,
+                    _ => return None,
+                };
+                let seed = self
+                    .seed
+                    .wrapping_add(0x5EED_D81F_u64.wrapping_mul(i as u64 + 1));
+                Some(family.build(seed))
+            })
+            .collect();
+        Box::new(DriftedWorkload {
+            base: self.family.build(self.seed),
+            drift: self.drift.clone(),
+            families,
+        })
+    }
+}
+
+/// A tenant's workload: its base family under its drift stack. At each iteration the
+/// newest active family drift picks the running workload, and the load and data drifts
+/// stacked after it apply to its spec, oldest first. The static objective and the
+/// initial data size are the base family's.
+struct DriftedWorkload {
+    base: Box<dyn WorkloadGenerator>,
+    drift: Vec<WorkloadDrift>,
+    /// The switched-to generator of each family drift, by drift index (`None` for load
+    /// and data drifts).
+    families: Vec<Option<Box<dyn WorkloadGenerator>>>,
+}
+
+impl DriftedWorkload {
+    /// The workload running at `iteration` and the drifts stacked over it.
+    fn running(&self, iteration: usize) -> (&dyn WorkloadGenerator, &[WorkloadDrift]) {
+        match running_family(&self.drift, iteration) {
+            Some((i, _)) => (
+                self.families[i]
+                    .as_deref()
+                    .expect("every family drift has a generator"),
+                &self.drift[i + 1..],
+            ),
+            None => (self.base.as_ref(), &self.drift),
         }
-        generator
+    }
+}
+
+impl WorkloadGenerator for DriftedWorkload {
+    fn name(&self) -> &str {
+        self.base.name()
+    }
+
+    fn spec_at(&self, iteration: usize) -> WorkloadSpec {
+        let (running, above) = self.running(iteration);
+        let mut spec = running.spec_at(iteration);
+        for drift in above {
+            drift.apply(iteration, &mut spec);
+        }
+        spec
+    }
+
+    fn sample_queries(&self, iteration: usize, n: usize) -> Vec<String> {
+        self.running(iteration).0.sample_queries(iteration, n)
+    }
+
+    fn objective(&self) -> Objective {
+        self.base.objective()
+    }
+
+    fn objective_at(&self, iteration: usize) -> Objective {
+        self.running(iteration).0.objective_at(iteration)
+    }
+
+    fn initial_data_size_gib(&self) -> f64 {
+        self.base.initial_data_size_gib()
     }
 }
 
@@ -939,18 +1033,7 @@ impl TenantSession {
         if was_safe {
             self.last_safe_config = Some(suggestion.config.clone());
         }
-
-        let regret = (threshold - score).max(0.0);
-        self.iteration += 1;
-        self.cumulative_regret += regret;
-        self.total_score += score;
-        if !was_safe {
-            self.unsafe_count += 1;
-        }
-        if self.recent_regret.len() == REGRET_WINDOW {
-            self.recent_regret.pop_front();
-        }
-        self.recent_regret.push_back(regret);
+        let regret = self.record_interval(score, threshold, was_safe);
 
         // Queue fleet-knowledge contributions (bounded).
         if was_safe && self.pending.safe_configs.len() < MAX_PENDING_CONTRIBUTIONS {
@@ -965,12 +1048,27 @@ impl TenantSession {
                 performance: score,
             });
         }
+        self.telemetry.end_span(SpanId::Iteration, span);
+        regret
+    }
 
+    /// Accounts one measured interval: advances the iteration, adds its regret to the
+    /// totals and the recent window, and counts it (as unsafe too when it was). Returns
+    /// the interval's regret.
+    fn record_interval(&mut self, score: f64, threshold: f64, was_safe: bool) -> f64 {
+        let regret = (threshold - score).max(0.0);
+        self.iteration += 1;
+        self.cumulative_regret += regret;
+        self.total_score += score;
+        if self.recent_regret.len() == REGRET_WINDOW {
+            self.recent_regret.pop_front();
+        }
+        self.recent_regret.push_back(regret);
         self.telemetry.incr(CounterId::Iterations);
         if !was_safe {
+            self.unsafe_count += 1;
             self.telemetry.incr(CounterId::UnsafeIterations);
         }
-        self.telemetry.end_span(SpanId::Iteration, span);
         regret
     }
 
@@ -1056,21 +1154,7 @@ impl TenantSession {
         if was_safe {
             self.last_safe_config = Some(config);
         }
-        let regret = (threshold - score).max(0.0);
-        self.iteration += 1;
-        self.cumulative_regret += regret;
-        self.total_score += score;
-        if !was_safe {
-            self.unsafe_count += 1;
-        }
-        if self.recent_regret.len() == REGRET_WINDOW {
-            self.recent_regret.pop_front();
-        }
-        self.recent_regret.push_back(regret);
-        self.telemetry.incr(CounterId::Iterations);
-        if !was_safe {
-            self.telemetry.incr(CounterId::UnsafeIterations);
-        }
+        let regret = self.record_interval(score, threshold, was_safe);
         self.telemetry.end_span(SpanId::Iteration, span);
         regret
     }
@@ -1125,21 +1209,7 @@ impl TenantSession {
         // position advances and regret/safety accounting continue, but the tuner sees
         // nothing (quarantine means its suggestions are not trusted to run yet).
         let was_safe = score >= threshold - 0.05 * threshold.abs();
-        let regret = (threshold - score).max(0.0);
-        self.iteration += 1;
-        self.cumulative_regret += regret;
-        self.total_score += score;
-        if !was_safe {
-            self.unsafe_count += 1;
-        }
-        if self.recent_regret.len() == REGRET_WINDOW {
-            self.recent_regret.pop_front();
-        }
-        self.recent_regret.push_back(regret);
-        self.telemetry.incr(CounterId::Iterations);
-        if !was_safe {
-            self.telemetry.incr(CounterId::UnsafeIterations);
-        }
+        let regret = self.record_interval(score, threshold, was_safe);
 
         let successes = probation_successes + 1;
         if successes >= self.retry.readmit_after.max(1) {
@@ -1612,7 +1682,7 @@ mod tests {
 
     #[test]
     fn nan_drift_parameters_degrade_into_backoff_not_panic() {
-        // A NaN amplitude survives the combinator's clamp (NaN.clamp is NaN) and poisons
+        // A NaN amplitude survives the drift's clamp (NaN.clamp is NaN) and poisons
         // the arrival rate, hence the tenant's context vector. The session must route
         // that through the fault machine — backoff, then quarantine — and never hand the
         // tuner a non-finite value or panic the worker. Probes of the pinned reference
@@ -1794,5 +1864,224 @@ mod tests {
             0,
             "NoRefit must suppress every periodic hyperopt refit"
         );
+    }
+
+    /// The generator of a `family` tenant (seed 7) under `drift`.
+    fn drifted(family: WorkloadFamily, drift: Vec<WorkloadDrift>) -> Box<dyn WorkloadGenerator> {
+        let mut spec = TenantSpec::named("drift", family, 7);
+        spec.drift = drift;
+        spec.build_generator()
+    }
+
+    /// The load scale a single load drift applies at `iteration`, read off JOB's arrival
+    /// rate, which a load drift multiplies by exactly its scale.
+    fn load_scale(drift: WorkloadDrift, iteration: usize) -> f64 {
+        let rate = |generator: &dyn WorkloadGenerator| {
+            generator.spec_at(iteration).arrival_rate_qps.unwrap()
+        };
+        rate(drifted(WorkloadFamily::Job, vec![drift]).as_ref())
+            / rate(WorkloadFamily::Job.build(7).as_ref())
+    }
+
+    #[test]
+    fn rate_ramp_scales_clients_linearly_and_saturates() {
+        let ramp = WorkloadDrift::RateRamp {
+            start: 10,
+            over: 20,
+            from_scale: 1.0,
+            to_scale: 2.0,
+        };
+        assert_eq!(load_scale(ramp.clone(), 0), 1.0);
+        assert_eq!(load_scale(ramp.clone(), 10), 1.0);
+        assert!((load_scale(ramp.clone(), 20) - 1.5).abs() < 1e-12);
+        assert_eq!(load_scale(ramp.clone(), 30), 2.0);
+        assert_eq!(load_scale(ramp.clone(), 500), 2.0);
+        let base_clients = WorkloadFamily::Ycsb.build(7).spec_at(0).clients;
+        let generator = drifted(WorkloadFamily::Ycsb, vec![ramp]);
+        assert_eq!(generator.spec_at(0).clients, base_clients);
+        assert_eq!(generator.spec_at(500).clients, base_clients * 2);
+        // The mix and the objective are untouched by a load ramp.
+        assert_eq!(generator.objective_at(500), Objective::Throughput);
+    }
+
+    #[test]
+    fn rate_ramp_with_zero_length_is_a_step_at_start() {
+        let ramp = WorkloadDrift::RateRamp {
+            start: 5,
+            over: 0,
+            from_scale: 1.0,
+            to_scale: 3.0,
+        };
+        assert_eq!(load_scale(ramp.clone(), 4), 1.0);
+        assert!((load_scale(ramp.clone(), 5) - 3.0).abs() < 1e-12);
+        assert!((load_scale(ramp, 6) - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rate_ramp_never_drops_clients_to_zero() {
+        let ramp = WorkloadDrift::RateRamp {
+            start: 0,
+            over: 0,
+            from_scale: 0.0,
+            to_scale: 0.0,
+        };
+        assert_eq!(
+            drifted(WorkloadFamily::Ycsb, vec![ramp])
+                .spec_at(10)
+                .clients,
+            1
+        );
+    }
+
+    #[test]
+    fn abrupt_switch_changes_spec_queries_and_objective_at_the_boundary() {
+        let switch = WorkloadDrift::FamilySwitch {
+            at: 50,
+            to: WorkloadFamily::Job,
+        };
+        let sw = drifted(WorkloadFamily::Ycsb, vec![switch]);
+        assert_eq!(sw.spec_at(49).name, "ycsb");
+        assert_eq!(sw.spec_at(50).name, "job-dynamic");
+        assert_eq!(sw.objective_at(49), Objective::Throughput);
+        assert_eq!(sw.objective_at(50), Objective::ExecutionTime);
+        // The static objective stays the base family's.
+        assert_eq!(sw.objective(), Objective::Throughput);
+        // Query text follows the running family.
+        assert!(sw
+            .sample_queries(49, 5)
+            .iter()
+            .any(|q| q.contains("usertable")));
+        assert!(sw
+            .sample_queries(50, 5)
+            .iter()
+            .all(|q| !q.contains("usertable")));
+        // Initial data size comes from the family the session starts with.
+        assert_eq!(sw.initial_data_size_gib(), YcsbWorkload::INITIAL_DATA_GIB);
+    }
+
+    #[test]
+    fn periodic_alternation_cycles_phases() {
+        let periodic = WorkloadDrift::PeriodicFamilies {
+            period: 25,
+            other: WorkloadFamily::Job,
+        };
+        assert_eq!(periodic.family_at(0), None);
+        assert_eq!(periodic.family_at(24), None);
+        assert_eq!(periodic.family_at(25), Some(WorkloadFamily::Job));
+        assert_eq!(periodic.family_at(50), None);
+        let alt = drifted(WorkloadFamily::Tpcc, vec![periodic]);
+        assert_eq!(alt.spec_at(10).name, "tpcc-dynamic");
+        assert_eq!(alt.spec_at(30).name, "job-dynamic");
+        assert_eq!(alt.objective_at(30), Objective::ExecutionTime);
+    }
+
+    #[test]
+    fn diurnal_load_oscillates_around_baseline_with_the_given_period() {
+        let scale = |anchor: usize, iteration: usize| {
+            let diurnal = WorkloadDrift::Diurnal {
+                period: 24,
+                amplitude: 0.5,
+                anchor,
+            };
+            load_scale(diurnal, iteration)
+        };
+        assert!((scale(0, 0) - 1.0).abs() < 1e-12);
+        assert!((scale(0, 6) - 1.5).abs() < 1e-9); // quarter period: peak
+        assert!((scale(0, 18) - 0.5).abs() < 1e-9); // three quarters: trough
+        assert!((scale(0, 24) - scale(0, 0)).abs() < 1e-9);
+        // Anchoring shifts the phase: the anchored curve at `it` equals the unanchored
+        // curve at `it - anchor`.
+        for it in [10, 16, 20, 40] {
+            assert!((scale(10, it) - scale(0, it - 10)).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn diurnal_amplitude_is_clamped_so_load_never_vanishes() {
+        let diurnal = WorkloadDrift::Diurnal {
+            period: 8,
+            amplitude: 5.0,
+            anchor: 0,
+        };
+        let generator = drifted(WorkloadFamily::Ycsb, vec![diurnal.clone()]);
+        for it in 0..16 {
+            assert!(load_scale(diurnal.clone(), it) > 0.0);
+            assert!(generator.spec_at(it).clients >= 1);
+        }
+    }
+
+    #[test]
+    fn flash_crowd_spikes_then_decays_with_the_half_life() {
+        let flash = WorkloadDrift::FlashCrowd {
+            at: 20,
+            peak: 5.0,
+            half_life: 10,
+        };
+        let scale = |it| load_scale(flash.clone(), it);
+        assert_eq!(scale(0), 1.0);
+        assert_eq!(scale(19), 1.0);
+        assert!((scale(20) - 5.0).abs() < 1e-12);
+        assert!((scale(30) - 3.0).abs() < 1e-9); // one half-life: 1 + 4/2
+        assert!((scale(40) - 2.0).abs() < 1e-9); // two half-lives: 1 + 4/4
+        assert!(scale(200) < 1.01); // long after: back to baseline
+        let base_clients = WorkloadFamily::Ycsb.build(7).spec_at(20).clients;
+        let generator = drifted(WorkloadFamily::Ycsb, vec![flash]);
+        assert_eq!(generator.spec_at(20).clients, base_clients * 5);
+    }
+
+    #[test]
+    fn skew_growth_interpolates_skew_and_scales_data() {
+        let base = WorkloadFamily::Ycsb.build(7);
+        let grow = WorkloadDrift::SkewGrowth {
+            start: 10,
+            over: 20,
+            to_skew: 1.0,
+            data_factor: 4.0,
+        };
+        let grow = drifted(WorkloadFamily::Ycsb, vec![grow]);
+        let base0 = base.spec_at(0);
+        let before = grow.spec_at(0);
+        assert_eq!(before.skew, base0.skew);
+        assert_eq!(before.data_size_gib, base0.data_size_gib);
+        let mid = grow.spec_at(20); // halfway through the window
+        assert!((mid.skew - (base0.skew + (1.0 - base0.skew) * 0.5)).abs() < 1e-9);
+        assert!((mid.data_size_gib - base0.data_size_gib * 2.5).abs() < 1e-9);
+        let after = grow.spec_at(100);
+        assert!((after.skew - 1.0).abs() < 1e-12);
+        assert!((after.data_size_gib - base0.data_size_gib * 4.0).abs() < 1e-9);
+        // Query mix and objective are untouched (the base mix itself varies with the
+        // iteration, so compare against the base at the same position).
+        assert_eq!(after.mix.weights(), base.spec_at(100).mix.weights());
+        assert_eq!(grow.objective_at(100), Objective::Throughput);
+    }
+
+    #[test]
+    fn combinators_are_pure_functions_of_the_iteration() {
+        // Two independently built generators of the same stack must agree exactly — the
+        // snapshot-restore path rebuilds generators from serialized specs and relies on
+        // this.
+        let build = || {
+            let switch = WorkloadDrift::FamilySwitch {
+                at: 40,
+                to: WorkloadFamily::Job,
+            };
+            let ramp = WorkloadDrift::RateRamp {
+                start: 10,
+                over: 30,
+                from_scale: 1.0,
+                to_scale: 1.8,
+            };
+            drifted(WorkloadFamily::Ycsb, vec![switch, ramp])
+        };
+        let a = build();
+        let b = build();
+        for it in [0, 9, 10, 39, 40, 41, 100] {
+            let sa = a.spec_at(it);
+            let sb = b.spec_at(it);
+            assert_eq!(sa.name, sb.name);
+            assert_eq!(sa.clients, sb.clients);
+            assert_eq!(sa.mix.weights(), sb.mix.weights());
+            assert_eq!(a.sample_queries(it, 8), b.sample_queries(it, 8));
+        }
     }
 }

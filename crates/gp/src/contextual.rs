@@ -1,8 +1,8 @@
 //! Contextual Gaussian process: a GP over the joint `(configuration, context)` space.
 //!
 //! This is the surrogate model of §5.2. The configuration is expected to be normalized into
-//! the unit hypercube (see [`crate::normalize::MinMaxScaler`]); the context is the feature
-//! vector produced by the `featurize` crate. Internally the model simply concatenates
+//! the unit hypercube (`simdb::Configuration::normalized` does this); the context is the
+//! feature vector produced by the `featurize` crate. Internally the model simply concatenates
 //! `[θ, c]` and uses the additive contextual kernel.
 //!
 //! # Hot path

@@ -12,7 +12,8 @@
 //! * [`acquisition`] — Expected Improvement (used by the OtterTune-style baseline),
 //!   GP-UCB and the lower confidence bound used for black-box safety assessment,
 //!   including the `β_t` schedule of Srinivas et al. referenced by the paper.
-//! * [`normalize`] — input min–max scaling and output standardization helpers.
+//! * [`normalize`] — output standardization (configurations arrive already in the unit
+//!   hypercube).
 //! * [`contextual`] — a convenience wrapper that manages the `(context, configuration)`
 //!   joint input space, with an optional observation budget.
 //!

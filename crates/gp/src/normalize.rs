@@ -1,9 +1,9 @@
-//! Input/output normalization helpers.
+//! Output normalization.
 //!
-//! GP surrogates behave poorly when raw knob values (bytes, counts, microseconds) spanning
-//! ten orders of magnitude are fed directly into a stationary kernel, so configuration
-//! vectors are min–max scaled to the unit hypercube and observed performance values are
-//! standardized to zero mean / unit variance before fitting.
+//! Observed performance values are standardized to zero mean and unit variance before a
+//! GP is fitted, and predictions are mapped back to the objective's units. Configurations
+//! need no scaler here: they reach the GP already in the unit hypercube
+//! (`simdb::Configuration::normalized`).
 
 /// Standardizes scalars to zero mean and unit variance (and back).
 #[derive(Debug, Clone, PartialEq)]
@@ -51,67 +51,6 @@ impl Standardizer {
     }
 }
 
-/// Min–max scaler mapping each coordinate of a vector into `[0, 1]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MinMaxScaler {
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-}
-
-impl MinMaxScaler {
-    /// Creates a scaler from explicit per-dimension bounds. Degenerate dimensions
-    /// (`lo == hi`) map to 0.5.
-    pub fn from_bounds(lo: Vec<f64>, hi: Vec<f64>) -> Self {
-        assert_eq!(lo.len(), hi.len());
-        MinMaxScaler { lo, hi }
-    }
-
-    /// Fits the scaler from data (per-dimension min and max).
-    pub fn fit(data: &[Vec<f64>]) -> Self {
-        assert!(!data.is_empty(), "cannot fit a scaler on empty data");
-        let dim = data[0].len();
-        let mut lo = vec![f64::INFINITY; dim];
-        let mut hi = vec![f64::NEG_INFINITY; dim];
-        for row in data {
-            for (d, &v) in row.iter().enumerate() {
-                lo[d] = lo[d].min(v);
-                hi[d] = hi[d].max(v);
-            }
-        }
-        MinMaxScaler { lo, hi }
-    }
-
-    /// Dimensionality of the scaler.
-    pub fn dim(&self) -> usize {
-        self.lo.len()
-    }
-
-    /// Scales a vector into the unit hypercube (values outside the bounds are clamped).
-    pub fn transform(&self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.lo.len());
-        x.iter()
-            .enumerate()
-            .map(|(d, &v)| {
-                let span = self.hi[d] - self.lo[d];
-                if span.abs() < 1e-12 {
-                    0.5
-                } else {
-                    ((v - self.lo[d]) / span).clamp(0.0, 1.0)
-                }
-            })
-            .collect()
-    }
-
-    /// Maps a unit-hypercube vector back to original units.
-    pub fn inverse(&self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.lo.len());
-        x.iter()
-            .enumerate()
-            .map(|(d, &v)| self.lo[d] + v.clamp(0.0, 1.0) * (self.hi[d] - self.lo[d]))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,56 +75,11 @@ mod tests {
         assert_eq!(s.scale(), 1.0);
     }
 
-    #[test]
-    fn minmax_from_bounds_scales_and_clamps() {
-        let s = MinMaxScaler::from_bounds(vec![0.0, 100.0], vec![10.0, 200.0]);
-        assert_eq!(s.transform(&[5.0, 150.0]), vec![0.5, 0.5]);
-        assert_eq!(s.transform(&[-5.0, 500.0]), vec![0.0, 1.0]);
-        assert_eq!(s.inverse(&[0.5, 0.5]), vec![5.0, 150.0]);
-    }
-
-    #[test]
-    fn minmax_fit_uses_data_extent() {
-        let data = vec![vec![1.0, -2.0], vec![3.0, 4.0], vec![2.0, 1.0]];
-        let s = MinMaxScaler::fit(&data);
-        assert_eq!(s.transform(&[1.0, -2.0]), vec![0.0, 0.0]);
-        assert_eq!(s.transform(&[3.0, 4.0]), vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn minmax_degenerate_dimension_maps_to_half() {
-        let s = MinMaxScaler::from_bounds(vec![3.0], vec![3.0]);
-        assert_eq!(s.transform(&[3.0]), vec![0.5]);
-        assert_eq!(s.inverse(&[0.7]), vec![3.0]);
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
-            #[test]
-            fn prop_minmax_transform_in_unit_cube(
-                x in proptest::collection::vec(-1000.0f64..1000.0, 5),
-            ) {
-                let s = MinMaxScaler::from_bounds(vec![-100.0; 5], vec![100.0; 5]);
-                for v in s.transform(&x) {
-                    prop_assert!((0.0..=1.0).contains(&v));
-                }
-            }
-
-            #[test]
-            fn prop_minmax_roundtrip_within_bounds(
-                x in proptest::collection::vec(0.0f64..1.0, 4),
-            ) {
-                let s = MinMaxScaler::from_bounds(vec![10.0, -5.0, 0.0, 100.0], vec![20.0, 5.0, 1.0, 900.0]);
-                let orig = s.inverse(&x);
-                let back = s.transform(&orig);
-                for (a, b) in x.iter().zip(back.iter()) {
-                    prop_assert!((a - b).abs() < 1e-9);
-                }
-            }
-
             #[test]
             fn prop_standardizer_roundtrip(values in proptest::collection::vec(-1e6f64..1e6, 2..50), probe in -1e6f64..1e6) {
                 let s = Standardizer::fit(&values);

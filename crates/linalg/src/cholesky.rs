@@ -1,11 +1,9 @@
 //! Cholesky factorization of symmetric positive-definite matrices and the associated
 //! solves used by Gaussian-process regression.
 //!
-//! Besides the from-scratch factorization, the factor supports two incremental
-//! operations that keep online GP updates at `O(n²)` per observation instead of `O(n³)`:
-//!
-//! * [`Cholesky::extend`] — append one row/column to the factored matrix, and
-//! * [`Cholesky::rank_one_update`] — replace the factored matrix `A` by `A + v vᵀ`.
+//! Besides the from-scratch factorization, the factor supports one incremental
+//! operation that keeps online GP updates at `O(n²)` per observation instead of `O(n³)`:
+//! [`Cholesky::extend`] appends one row/column to the factored matrix.
 //!
 //! `extend` performs the *same* floating-point operations, in the same order, that
 //! [`Cholesky::decompose`] would perform for the appended row, so a factor grown
@@ -395,43 +393,6 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Rank-1 update: replaces the factored matrix `A = L Lᵀ` by `A + v vᵀ` in `O(n²)`.
-    ///
-    /// Uses the standard hyperbolic-rotation-free update (a sequence of Givens-like
-    /// scalings), which is unconditionally stable because `A + v vᵀ` remains positive
-    /// definite. The factor is only replaced when every pivot stays finite; otherwise an
-    /// error is returned and the factor is left unchanged.
-    pub fn rank_one_update(&mut self, v: &[f64]) -> Result<()> {
-        let n = self.dim();
-        if v.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "rank_one_update",
-                lhs: (n, n),
-                rhs: (v.len(), 1),
-            });
-        }
-        let mut l = self.l.clone();
-        let mut work = v.to_vec();
-        for k in 0..n {
-            let lkk = l.get(k, k);
-            let r = (lkk * lkk + work[k] * work[k]).sqrt();
-            if r <= 0.0 || !r.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite { pivot: k, value: r });
-            }
-            let c = r / lkk;
-            let s = work[k] / lkk;
-            l.set(k, k, r);
-            #[allow(clippy::needless_range_loop)] // work[i] and l(i, k) advance in lockstep
-            for i in (k + 1)..n {
-                let lik = (l.get(i, k) + s * work[i]) / c;
-                work[i] = c * work[i] - s * lik;
-                l.set(i, k, lik);
-            }
-        }
-        self.l = l;
-        Ok(())
-    }
-
     /// The lower-triangular factor `L`.
     pub fn factor(&self) -> &Matrix {
         &self.l
@@ -626,53 +587,6 @@ impl Cholesky {
         Matrix::from_vec(m, n, out)
     }
 
-    /// Multi-RHS backward substitution: solves `Lᵀ xᵣ = bᵣ` for every **row** `bᵣ` of `b`
-    /// (same layout contract as [`Cholesky::solve_lower_multi`]).
-    ///
-    /// The backward sweep reads a *column* of `L` per pivot; it is gathered into a scratch
-    /// buffer once per pivot and reused across all right-hand sides, so the strided column
-    /// loads are paid once instead of once per row. Each row's floating-point operations
-    /// match the scalar [`Cholesky::solve_upper`] exactly, so row `r` of the result is
-    /// bit-identical to `solve_upper(b.row(r))`.
-    pub fn solve_upper_multi(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.dim();
-        if b.cols() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "solve_upper_multi",
-                lhs: (n, n),
-                rhs: (b.rows(), b.cols()),
-            });
-        }
-        let m = b.rows();
-        let mut out: Vec<f64> = b.data().to_vec();
-        let mut col = vec![0.0; n];
-        for i in (0..n).rev() {
-            let d = self.l.get(i, i);
-            if d == 0.0 {
-                return Err(LinalgError::Singular);
-            }
-            for (j, c) in col.iter_mut().enumerate().take(n).skip(i + 1) {
-                *c = self.l.get(j, i);
-            }
-            for r in 0..m {
-                let x = &mut out[r * n..(r + 1) * n];
-                let mut sum = x[i];
-                for j in (i + 1)..n {
-                    sum -= col[j] * x[j];
-                }
-                x[i] = sum / d;
-            }
-        }
-        Matrix::from_vec(m, n, out)
-    }
-
-    /// Multi-RHS solve of `A xᵣ = bᵣ` (`A = L Lᵀ`) for every row of `b`: forward then
-    /// backward substitution, each row bit-identical to the scalar [`Cholesky::solve`].
-    pub fn solve_multi(&self, b: &Matrix) -> Result<Matrix> {
-        let y = self.solve_lower_multi(b)?;
-        self.solve_upper_multi(&y)
-    }
-
     /// Log-determinant of `A = L L^T`: `2 * Σ log(L_ii)`.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l.get(i, i).ln()).sum::<f64>() * 2.0
@@ -837,32 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_one_update_matches_direct_factorization() {
-        let a = spd3();
-        let mut c = Cholesky::decompose(&a).unwrap();
-        let v = [0.5, -1.0, 2.0];
-        c.rank_one_update(&v).unwrap();
-        let mut updated = a.clone();
-        for i in 0..3 {
-            for j in 0..3 {
-                updated.set(i, j, updated.get(i, j) + v[i] * v[j]);
-            }
-        }
-        let direct = Cholesky::decompose(&updated).unwrap();
-        assert!(c.factor().max_abs_diff(direct.factor()).unwrap() < 1e-10);
-        assert!((c.log_det() - direct.log_det()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn rank_one_update_wrong_length_is_rejected() {
-        let mut c = Cholesky::decompose(&spd3()).unwrap();
-        assert!(matches!(
-            c.rank_one_update(&[1.0]),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn multi_rhs_solves_match_scalar_rows_bitwise() {
         let a = spd3();
         let c = Cholesky::decompose(&a).unwrap();
@@ -870,24 +758,10 @@ mod tests {
         // full and partial blocks.
         let b = Matrix::from_fn(40, 3, |r, j| (r as f64 * 0.37 - 2.0) + (j as f64).sin());
         let lower = c.solve_lower_multi(&b).unwrap();
-        let upper = c.solve_upper_multi(&b).unwrap();
-        let full = c.solve_multi(&b).unwrap();
         for r in 0..b.rows() {
             let sl = c.solve_lower(b.row(r)).unwrap();
-            let su = c.solve_upper(b.row(r)).unwrap();
-            let sf = c.solve(b.row(r)).unwrap();
-            for j in 0..3 {
-                assert_eq!(
-                    lower.get(r, j).to_bits(),
-                    sl[j].to_bits(),
-                    "lower ({r},{j})"
-                );
-                assert_eq!(
-                    upper.get(r, j).to_bits(),
-                    su[j].to_bits(),
-                    "upper ({r},{j})"
-                );
-                assert_eq!(full.get(r, j).to_bits(), sf[j].to_bits(), "solve ({r},{j})");
+            for (j, s) in sl.iter().enumerate() {
+                assert_eq!(lower.get(r, j).to_bits(), s.to_bits(), "lower ({r},{j})");
             }
         }
     }
@@ -900,13 +774,8 @@ mod tests {
             c.solve_lower_multi(&bad),
             Err(LinalgError::DimensionMismatch { .. })
         ));
-        assert!(matches!(
-            c.solve_upper_multi(&bad),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
         let empty = Matrix::zeros(0, 3);
         assert_eq!(c.solve_lower_multi(&empty).unwrap().rows(), 0);
-        assert_eq!(c.solve_multi(&empty).unwrap().rows(), 0);
     }
 
     /// Deterministic pseudo-random SPD matrix `B Bᵀ + n·I` large enough to cross panel
@@ -1109,32 +978,15 @@ mod tests {
             }
 
             #[test]
-            fn prop_rank_one_update_agrees_with_decompose(
-                a in spd_strategy(5),
-                v in proptest::collection::vec(-2.0f64..2.0, 5),
-            ) {
-                let mut c = Cholesky::decompose(&a).unwrap();
-                c.rank_one_update(&v).unwrap();
-                let mut updated = a.clone();
-                for i in 0..5 {
-                    for j in 0..5 {
-                        updated.set(i, j, updated.get(i, j) + v[i] * v[j]);
-                    }
-                }
-                let direct = Cholesky::decompose(&updated).unwrap();
-                prop_assert!(c.factor().max_abs_diff(direct.factor()).unwrap() < 1e-8);
-            }
-
-            #[test]
             fn prop_multi_rhs_solve_bit_identical_to_scalar(
                 a in spd_strategy(5),
                 rhs in proptest::collection::vec(proptest::collection::vec(-5.0f64..5.0, 5), 1..40),
             ) {
                 let c = Cholesky::decompose(&a).unwrap();
                 let b = Matrix::from_rows(&rhs).unwrap();
-                let multi = c.solve_multi(&b).unwrap();
+                let multi = c.solve_lower_multi(&b).unwrap();
                 for (r, row) in rhs.iter().enumerate() {
-                    let scalar = c.solve(row).unwrap();
+                    let scalar = c.solve_lower(row).unwrap();
                     for (j, s) in scalar.iter().enumerate() {
                         prop_assert_eq!(multi.get(r, j).to_bits(), s.to_bits());
                     }

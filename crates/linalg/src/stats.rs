@@ -1,5 +1,5 @@
-//! Scalar statistics helpers: standard-normal PDF/CDF (needed by the Expected Improvement
-//! acquisition function) and simple online summaries.
+//! Scalar statistics helpers: the standard-normal PDF/CDF needed by the Expected
+//! Improvement acquisition function.
 
 use std::f64::consts::PI;
 
@@ -35,81 +35,6 @@ pub fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Incrementally maintained mean / variance / extrema summary (Welford's algorithm).
-///
-/// Used for observation normalization and for the experiment harness to summarize series
-/// without storing them twice.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    count: usize,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        let delta2 = x - self.mean;
-        self.m2 += delta * delta2;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Mean of the observations (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (+inf when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observation (-inf when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,28 +62,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn running_stats_matches_batch_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut rs = RunningStats::new();
-        for &x in &xs {
-            rs.push(x);
-        }
-        assert_eq!(rs.count(), 8);
-        assert!((rs.mean() - 5.0).abs() < 1e-12);
-        assert!((rs.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(rs.min(), 2.0);
-        assert_eq!(rs.max(), 9.0);
-    }
-
-    #[test]
-    fn running_stats_empty_is_well_defined() {
-        let rs = RunningStats::new();
-        assert_eq!(rs.count(), 0);
-        assert_eq!(rs.mean(), 0.0);
-        assert_eq!(rs.variance(), 0.0);
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -174,14 +77,6 @@ mod tests {
             fn prop_cdf_in_unit_interval(x in -50.0f64..50.0) {
                 let c = normal_cdf(x);
                 prop_assert!((0.0..=1.0).contains(&c));
-            }
-
-            #[test]
-            fn prop_running_stats_matches_vecops(xs in proptest::collection::vec(-100.0f64..100.0, 2..64)) {
-                let mut rs = RunningStats::new();
-                for &x in &xs { rs.push(x); }
-                prop_assert!((rs.mean() - crate::vecops::mean(&xs)).abs() < 1e-8);
-                prop_assert!((rs.variance() - crate::vecops::variance(&xs)).abs() < 1e-6);
             }
         }
     }

@@ -160,14 +160,6 @@ impl TelemetryHandle {
         }
     }
 
-    /// Records a duration directly into a span histogram.
-    #[inline]
-    pub fn record_nanos(&self, id: SpanId, nanos: u64) {
-        if let Some(core) = &self.0 {
-            core.histograms[id as usize].record(nanos);
-        }
-    }
-
     /// Starts a span (reads the clock only when enabled).
     #[inline]
     pub fn begin_span(&self) -> ActiveSpan {
@@ -338,7 +330,8 @@ mod tests {
         let parent = TelemetryHandle::enabled();
         let child = parent.child();
         child.add(CounterId::Iterations, 3);
-        child.record_nanos(SpanId::Iteration, 40_000);
+        let span = child.begin_span();
+        child.end_span(SpanId::Iteration, span);
         child.event(EventKind::Recluster, "t1", "models 1 -> 2");
         child.drain_into(&parent);
         assert_eq!(child.counter(CounterId::Iterations), 0);

@@ -10,10 +10,9 @@
 //! * **Real-world** ([`realworld`]) — a diurnal trace with a fluctuating arrival rate and a
 //!   read/write ratio varying between 3:1 and 74:1.
 //!
-//! On top of the base families, the [`drift`] module provides *drift combinators* —
-//! gradual load ramps, abrupt family switches and periodic family alternation — that wrap
-//! any generator and are themselves generators, so a scenario engine can script
-//! adversarial environment change as a pure function of the iteration index.
+//! Scripted drift on top of a base family (load ramps, family switches and alternations,
+//! diurnal cycles, flash crowds, skew growth) is the fleet's `WorkloadDrift` stack, which
+//! the `fleet` crate applies to these generators as a pure function of the iteration.
 //!
 //! Each generator implements [`WorkloadGenerator`]: it produces the [`simdb::WorkloadSpec`]
 //! for a given tuning iteration (this is where the *dynamics* live — sine-modulated
@@ -25,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod cycle;
-pub mod drift;
 pub mod job;
 pub mod realworld;
 pub mod sql;
@@ -81,8 +79,9 @@ pub trait WorkloadGenerator: Send + Sync {
     fn objective(&self) -> Objective;
 
     /// The objective at a specific iteration. Defaults to the static [`Self::objective`];
-    /// drift combinators that switch workload families mid-stream (see [`crate::drift`])
-    /// override this so the objective follows the active family.
+    /// a generator whose family changes mid-stream (a fleet tenant's workload under a
+    /// family switch or alternation) overrides this so the objective follows the running
+    /// family.
     fn objective_at(&self, _iteration: usize) -> Objective {
         self.objective()
     }
