@@ -11,6 +11,7 @@ use crate::{Tuner, TuningInput};
 use gp::acquisition::expected_improvement;
 use gp::kernels::{Matern52Kernel, ScaledKernel};
 use gp::regression::GaussianProcess;
+use gp::rows::Row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simdb::{Configuration, InternalMetrics, KnobCatalogue};
@@ -76,7 +77,11 @@ impl Tuner for BoTuner {
         let normalized = if self.observations.len() < self.options.initial_random_samples {
             self.random_config()
         } else {
-            let xs: Vec<Vec<f64>> = self.observations.iter().map(|(x, _)| x.clone()).collect();
+            let xs: Vec<Row> = self
+                .observations
+                .iter()
+                .map(|(x, _)| x[..].into())
+                .collect();
             let ys: Vec<f64> = self.observations.iter().map(|(_, y)| *y).collect();
             let best = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let mut model = GaussianProcess::new(

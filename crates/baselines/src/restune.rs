@@ -11,6 +11,7 @@ use crate::{Tuner, TuningInput};
 use gp::acquisition::expected_improvement;
 use gp::kernels::{Matern52Kernel, ScaledKernel};
 use gp::regression::{GaussianProcess, Posterior};
+use gp::rows::Row;
 use linalg::stats::normal_cdf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -169,7 +170,7 @@ impl Tuner for ResTuneTuner {
         {
             self.random_config()
         } else {
-            let xs: Vec<Vec<f64>> = target_obs.iter().map(|(x, _, _)| x.clone()).collect();
+            let xs: Vec<Row> = target_obs.iter().map(|(x, _, _)| x[..].into()).collect();
             let ys: Vec<f64> = target_obs.iter().map(|(_, y, _)| *y).collect();
             let feasible: Vec<f64> = target_obs
                 .iter()
@@ -243,7 +244,7 @@ impl Tuner for ResTuneTuner {
             let start = self.source_models.len() * self.options.source_task_size;
             let end = start + self.options.source_task_size;
             let block = &self.observations[start..end];
-            let xs: Vec<Vec<f64>> = block.iter().map(|(x, _, _)| x.clone()).collect();
+            let xs: Vec<Row> = block.iter().map(|(x, _, _)| x[..].into()).collect();
             let ys: Vec<f64> = block.iter().map(|(_, y, _)| *y).collect();
             let mut model = new_gp();
             if model.fit(&xs, &ys).is_ok() {

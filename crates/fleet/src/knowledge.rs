@@ -7,8 +7,11 @@
 //! and hands a bounded sample to newly admitted tenants. This generalizes the paper's
 //! cold-start fallback (which trusts only configurations near the initial default) to
 //! "configurations the *fleet* has already proven safe on this kind of instance".
+//!
+//! Pools hold shared rows ([`gp::rows`]): an entry bit-identical to what a tenant's
+//! repository holds is that repository's row, and a warm start hands the pool's rows on.
 
-use gp::contextual::ContextObservation;
+use gp::rows::{RowInterner, SharedConfig, SharedObservation};
 use simdb::HardwareSpec;
 
 use crate::tenant::WorkloadFamily;
@@ -66,9 +69,9 @@ impl Default for KnowledgeBaseOptions {
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct KnowledgePool {
     /// Normalized configurations observed to be safe, newest (last confirmed) last.
-    pub safe_configs: Vec<Vec<f64>>,
+    pub safe_configs: Vec<SharedConfig>,
     /// Transferred observations, newest last.
-    pub observations: Vec<ContextObservation>,
+    pub observations: Vec<SharedObservation>,
     /// Number of contribution merges this pool received.
     pub contributions: usize,
     /// Safe configurations evicted (oldest-first) to enforce the pool bound.
@@ -99,9 +102,9 @@ pub struct KnowledgeTotals {
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     /// Known-safe normalized configurations.
-    pub safe_configs: Vec<Vec<f64>>,
+    pub safe_configs: Vec<SharedConfig>,
     /// Observations to absorb into the tenant's models.
-    pub observations: Vec<ContextObservation>,
+    pub observations: Vec<SharedObservation>,
 }
 
 impl WarmStart {
@@ -171,12 +174,13 @@ impl KnowledgeBase {
         &mut self.pools.last_mut().expect("just pushed").1
     }
 
-    /// Merges a session's contribution into the pool for `key`.
+    /// Merges a session's contribution into the pool for `key`. The entries keep their
+    /// rows.
     pub fn contribute(
         &mut self,
         key: &PoolKey,
-        safe_configs: Vec<Vec<f64>>,
-        observations: Vec<ContextObservation>,
+        safe_configs: Vec<SharedConfig>,
+        observations: Vec<SharedObservation>,
     ) {
         if safe_configs.is_empty() && observations.is_empty() {
             return;
@@ -232,6 +236,19 @@ impl KnowledgeBase {
                 .to_vec(),
         }
     }
+
+    /// Maps every pool entry onto the row `rows` holds for its values. A restore calls
+    /// this once its tenants are rebuilt, so the base shares their rows again.
+    pub fn intern(&mut self, rows: &mut RowInterner) {
+        for (_, pool) in &mut self.pools {
+            for config in &mut pool.safe_configs {
+                *config = rows.share_config(config);
+            }
+            for obs in &mut pool.observations {
+                *obs = rows.share(obs);
+            }
+        }
+    }
 }
 
 impl Default for KnowledgeBase {
@@ -244,12 +261,17 @@ impl Default for KnowledgeBase {
 mod tests {
     use super::*;
 
-    fn obs(v: f64) -> ContextObservation {
-        ContextObservation {
-            context: vec![v],
-            config: vec![v],
-            performance: v,
-        }
+    fn values(configs: &[SharedConfig]) -> Vec<Vec<f64>> {
+        configs.iter().map(|c| c.to_vec()).collect()
+    }
+
+    /// One-knob configurations, one per value.
+    fn configs(values: &[f64]) -> Vec<SharedConfig> {
+        values.iter().map(|v| SharedConfig::new(&[*v])).collect()
+    }
+
+    fn obs(v: f64) -> SharedObservation {
+        SharedObservation::new(&[v], &[v], v)
     }
 
     fn key() -> PoolKey {
@@ -272,7 +294,7 @@ mod tests {
     fn contribute_then_warm_start_roundtrips() {
         let mut kb = KnowledgeBase::default();
         assert!(kb.warm_start(&key()).is_empty());
-        kb.contribute(&key(), vec![vec![0.5], vec![0.6]], vec![obs(1.0), obs(2.0)]);
+        kb.contribute(&key(), configs(&[0.5, 0.6]), vec![obs(1.0), obs(2.0)]);
         let ws = kb.warm_start(&key());
         assert_eq!(ws.safe_configs.len(), 2);
         assert_eq!(ws.observations.len(), 2);
@@ -290,11 +312,7 @@ mod tests {
             warm_start_observations: 10,
         });
         for i in 0..10 {
-            kb.contribute(
-                &key(),
-                vec![vec![i as f64], vec![i as f64]],
-                vec![obs(i as f64)],
-            );
+            kb.contribute(&key(), configs(&[i as f64, i as f64]), vec![obs(i as f64)]);
         }
         let pool = kb.pool(&key()).unwrap();
         assert_eq!(pool.safe_configs.len(), 4, "dedup + cap");
@@ -312,12 +330,15 @@ mod tests {
             ..Default::default()
         });
         for i in 0..5 {
-            kb.contribute(&key(), vec![vec![i as f64]], vec![obs(i as f64)]);
+            kb.contribute(&key(), configs(&[i as f64]), vec![obs(i as f64)]);
         }
         let pool = kb.pool(&key()).unwrap();
         // Exactly the bound survives, and it is the newest entries in insertion order —
         // the oldest were evicted first.
-        assert_eq!(pool.safe_configs, vec![vec![2.0], vec![3.0], vec![4.0]]);
+        assert_eq!(
+            values(&pool.safe_configs),
+            vec![vec![2.0], vec![3.0], vec![4.0]]
+        );
         assert_eq!(
             pool.observations
                 .iter()
@@ -339,11 +360,11 @@ mod tests {
         });
         kb.contribute(
             &key(),
-            (0..6).map(|i| vec![i as f64]).collect(),
+            (0..6).map(|i| SharedConfig::new(&[i as f64])).collect(),
             (0..6).map(|i| obs(i as f64)).collect(),
         );
         let pool = kb.pool(&key()).unwrap();
-        assert_eq!(pool.safe_configs, vec![vec![4.0], vec![5.0]]);
+        assert_eq!(values(&pool.safe_configs), vec![vec![4.0], vec![5.0]]);
         assert_eq!(pool.observations.len(), 2);
         assert_eq!(pool.evicted_safe, 4);
         assert_eq!(pool.evicted_observations, 4);
@@ -355,26 +376,32 @@ mod tests {
             max_safe_per_pool: 3,
             ..Default::default()
         });
-        kb.contribute(&key(), vec![vec![1.0], vec![2.0], vec![3.0]], vec![]);
+        kb.contribute(&key(), configs(&[1.0, 2.0, 3.0]), Vec::new());
         // Re-confirm the oldest config: it moves to the newest slot (no duplicate)...
-        kb.contribute(&key(), vec![vec![1.0]], vec![]);
+        kb.contribute(&key(), configs(&[1.0]), Vec::new());
         assert_eq!(
-            kb.pool(&key()).unwrap().safe_configs,
+            values(&kb.pool(&key()).unwrap().safe_configs),
             vec![vec![2.0], vec![3.0], vec![1.0]]
         );
         // ...so the next eviction removes the *least recently confirmed* config instead.
-        kb.contribute(&key(), vec![vec![4.0]], vec![]);
+        kb.contribute(&key(), configs(&[4.0]), Vec::new());
         let pool = kb.pool(&key()).unwrap();
-        assert_eq!(pool.safe_configs, vec![vec![3.0], vec![1.0], vec![4.0]]);
+        assert_eq!(
+            values(&pool.safe_configs),
+            vec![vec![3.0], vec![1.0], vec![4.0]]
+        );
         assert_eq!(pool.evicted_safe, 1);
         // And the warm-start tail reflects confirmation recency.
         let mut kb2 = KnowledgeBase::new(KnowledgeBaseOptions {
             warm_start_safe: 1,
             ..Default::default()
         });
-        kb2.contribute(&key(), vec![vec![7.0], vec![8.0]], vec![]);
-        kb2.contribute(&key(), vec![vec![7.0]], vec![]);
-        assert_eq!(kb2.warm_start(&key()).safe_configs, vec![vec![7.0]]);
+        kb2.contribute(&key(), configs(&[7.0, 8.0]), Vec::new());
+        kb2.contribute(&key(), configs(&[7.0]), Vec::new());
+        assert_eq!(
+            values(&kb2.warm_start(&key()).safe_configs),
+            vec![vec![7.0]]
+        );
     }
 
     #[test]
@@ -387,9 +414,9 @@ mod tests {
         assert_eq!(kb.totals(), KnowledgeTotals::default());
         let other = PoolKey::for_tenant(&HardwareSpec::default(), WorkloadFamily::Job);
         for i in 0..4 {
-            kb.contribute(&key(), vec![vec![i as f64]], vec![obs(i as f64)]);
+            kb.contribute(&key(), configs(&[i as f64]), vec![obs(i as f64)]);
         }
-        kb.contribute(&other, vec![vec![9.0]], vec![]);
+        kb.contribute(&other, configs(&[9.0]), Vec::new());
         let totals = kb.totals();
         assert_eq!(totals.pools, 2);
         assert_eq!(totals.safe_configs, 3); // 2 capped + 1 in the other pool
@@ -406,13 +433,9 @@ mod tests {
             warm_start_observations: 1,
             ..Default::default()
         });
-        kb.contribute(
-            &key(),
-            vec![vec![1.0], vec![2.0], vec![3.0]],
-            vec![obs(1.0), obs(2.0)],
-        );
+        kb.contribute(&key(), configs(&[1.0, 2.0, 3.0]), vec![obs(1.0), obs(2.0)]);
         let ws = kb.warm_start(&key());
-        assert_eq!(ws.safe_configs, vec![vec![2.0], vec![3.0]]);
+        assert_eq!(values(&ws.safe_configs), vec![vec![2.0], vec![3.0]]);
         assert_eq!(ws.observations.len(), 1);
         assert_eq!(ws.observations[0].performance, 2.0);
     }

@@ -27,7 +27,7 @@
 
 use crate::error::FleetError;
 use crate::scenario::Scenario;
-use crate::service::{FleetService, FleetSnapshot};
+use crate::service::FleetService;
 use crate::wal::{fnv1a64, WriteAheadLog, FRAME_LEN};
 use telemetry::{CounterId, EventKind, TelemetryHandle};
 
@@ -256,11 +256,7 @@ impl DurableFleet {
             storage,
             &telemetry,
             "fleet",
-            |json| {
-                let snapshot: FleetSnapshot = serde_json::from_str(json)
-                    .map_err(|e| FleetError::SnapshotParse(e.to_string()))?;
-                FleetService::restore_with_telemetry(snapshot, telemetry.clone())
-            },
+            |json| FleetService::restore_with_telemetry(json, telemetry.clone()),
             |svc| {
                 scripted_round(svc, &scenario)?;
                 Ok(svc.canonical_snapshot_json())

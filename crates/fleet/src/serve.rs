@@ -52,7 +52,7 @@ use crate::error::FleetError;
 use crate::recovery::{DurableStorage, Journal, RecoveryReport};
 use crate::service::{FleetService, FleetSnapshot};
 use crate::tenant::{SessionHealth, TenantSpec};
-use serde::{Serialize, Serializer};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use telemetry::{CounterId, EventKind, GaugeId, TelemetryHandle};
 
 /// Options of the serving front end. Serialized inside every [`ServerSnapshot`], so a
@@ -232,7 +232,9 @@ impl ServeState {
 /// the serving state. Canonical JSON of this structure is what the server's WAL
 /// digests and what crash-recovery bit-identity compares; the server writes that text
 /// from its live state ([`FleetServer::canonical_server_json`]) through the same writer.
-#[derive(Debug, Clone, serde::Deserialize)]
+/// The text is read back only by [`FleetServer::restore_json`], which restores the fleet
+/// tenant by tenant as it reads it instead of parsing this structure.
+#[derive(Debug, Clone)]
 pub struct ServerSnapshot {
     /// Serving options.
     pub options: ServeOptions,
@@ -272,6 +274,29 @@ impl<F: Serialize> Serialize for ServerText<'_, F> {
         self.serve.serialize(out);
         out.end_object();
     }
+}
+
+/// Reads a server snapshot object, with the fleet restored as it is read (see
+/// [`FleetService::read`]). Members are matched as there.
+fn read_server(
+    de: &mut Deserializer<'_>,
+) -> Result<(ServeOptions, Result<FleetService, FleetError>, ServeState), serde::Error> {
+    let (mut options, mut fleet, mut serve) = (None, None, None);
+    de.begin_object()?;
+    while let Some(key) = de.next_key()? {
+        match &*key {
+            "options" if options.is_none() => options = Some(ServeOptions::deserialize(de)?),
+            "fleet" if fleet.is_none() => fleet = Some(FleetService::read(de)?),
+            "serve" if serve.is_none() => serve = Some(ServeState::deserialize(de)?),
+            _ => de.skip_value()?,
+        }
+    }
+    let missing = |field: &str| de.error(format_args!("missing field `{field}` in ServerSnapshot"));
+    Ok((
+        options.ok_or_else(|| missing("options"))?,
+        fleet.ok_or_else(|| missing("fleet"))?,
+        serve.ok_or_else(|| missing("serve"))?,
+    ))
 }
 
 /// One scripted request submission.
@@ -705,14 +730,19 @@ impl FleetServer {
     }
 
     /// Restores a server from a [`ServerSnapshot`] JSON document (without WAL replay;
-    /// see [`FleetServer::recover`] for the full crash path). The fleet's worker
-    /// grants are re-clamped for this machine exactly as in [`FleetService::restore`];
-    /// degradation tiers and the pressure counters come back verbatim.
+    /// see [`FleetServer::recover`] for the full crash path). The fleet is restored as
+    /// [`FleetService::restore_json`] restores it: read tenant by tenant, with the worker
+    /// grants re-clamped for this machine, and a parse error anywhere wins over a tenant
+    /// that does not restore. Degradation tiers and the pressure counters come back
+    /// verbatim.
     pub fn restore_json(json: &str, telemetry: TelemetryHandle) -> Result<Self, FleetError> {
-        let snapshot: ServerSnapshot =
-            serde_json::from_str(json).map_err(|e| FleetError::SnapshotParse(e.to_string()))?;
-        let svc = FleetService::restore_with_telemetry(snapshot.fleet, telemetry)?;
-        Ok(FleetServer::anchored(svc, snapshot.options, snapshot.serve))
+        let mut de = Deserializer::new(json);
+        let (options, fleet, serve) = read_server(&mut de)
+            .and_then(|parts| de.end().map(|()| parts))
+            .map_err(|e| FleetError::SnapshotParse(e.to_string()))?;
+        let mut svc = fleet?;
+        svc.note_restored(telemetry);
+        Ok(FleetServer::anchored(svc, options, serve))
     }
 
     /// Recovers a server from crash-surviving storage: drops any torn WAL tail,

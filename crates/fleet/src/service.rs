@@ -12,9 +12,10 @@ use crate::error::FleetError;
 use crate::knowledge::{KnowledgeBase, KnowledgeBaseOptions, KnowledgeTotals, PoolKey};
 use crate::scheduler::{SchedulerOptions, SessionScheduler, TenantStatus};
 use crate::tenant::{RetryPolicy, TenantSession, TenantSessionState, TenantSpec, TenantSummary};
+use gp::rows::RowInterner;
 use onlinetune::subspace::SubspaceOptions;
 use onlinetune::OnlineTuneOptions;
-use serde::{Serialize, Serializer};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use telemetry::{CounterId, EventKind, GaugeId, SpanId, TelemetryHandle};
 
 /// Options of the fleet service.
@@ -140,11 +141,13 @@ impl FleetReport {
     }
 }
 
-/// Serializable snapshot of the entire fleet (see [`FleetService::snapshot`]).
+/// The entire fleet's state as one structure (see [`FleetService::snapshot`]).
 ///
 /// Its text is written by the same writer as [`FleetService::snapshot_json`], which
-/// streams the live service instead of building this structure first.
-#[derive(Debug, Clone, serde::Deserialize)]
+/// streams the live service instead of building this structure first. The text is read
+/// back only by [`FleetService::restore_json`], which rebuilds each tenant as it reads
+/// it instead of parsing this structure.
+#[derive(Debug, Clone)]
 pub struct FleetSnapshot {
     /// Service options.
     pub options: FleetOptions,
@@ -796,7 +799,53 @@ impl FleetService {
             .expect("an in-memory fleet snapshot always serializes")
     }
 
-    /// Rebuilds a service from a snapshot; every session continues bit-identically.
+    /// The service around restored tenants, with the knowledge base mapped onto their
+    /// rows and the worker grants re-clamped for this machine.
+    fn rebuilt(
+        options: FleetOptions,
+        tenants: Vec<TenantSession>,
+        mut knowledge: KnowledgeBase,
+        scheduler: SessionScheduler,
+        rounds: usize,
+        rows: &mut RowInterner,
+    ) -> Self {
+        knowledge.intern(rows);
+        let mut svc = FleetService {
+            options,
+            tenants,
+            knowledge,
+            scheduler,
+            rounds,
+            parallelism: sample_parallelism(),
+            telemetry: TelemetryHandle::disabled(),
+        };
+        svc.regrant_workers();
+        svc
+    }
+
+    /// Installs `telemetry` on a just-restored service and records the restore on it.
+    pub(crate) fn note_restored(&mut self, telemetry: TelemetryHandle) {
+        self.set_telemetry(telemetry);
+        self.telemetry.incr(CounterId::RestoresCompleted);
+        if self.telemetry.is_enabled() {
+            self.telemetry.event(
+                EventKind::Restored,
+                "fleet",
+                &format!("rounds={} tenants={}", self.rounds, self.tenants.len()),
+            );
+        }
+    }
+
+    /// Restores a service from JSON produced by [`FleetService::snapshot_json`]; every
+    /// session continues bit-identically. The restored service has telemetry off (see
+    /// [`FleetService::restore_with_telemetry`]).
+    ///
+    /// The tenants are read one at a time: each is rebuilt as soon as its state is read,
+    /// so the restore never holds the parsed state of more than one tenant. Restored
+    /// state holds each payload once: the tenants are rebuilt through one
+    /// [`RowInterner`], which maps every model-window, known-safe and repository entry
+    /// onto a row already holding its bits, and the knowledge base is then mapped onto
+    /// the same rows.
     ///
     /// The hyperopt worker grant is re-clamped against *this* machine's parallelism,
     /// sampled once for the restored service (snapshots may have been taken on a
@@ -805,55 +854,86 @@ impl FleetService {
     /// All worker-count-dependent computations are bit-identical across grants, so the
     /// re-grant cannot perturb replay.
     ///
-    /// Malformed per-tenant state surfaces as [`FleetError::TenantRestore`] naming the
-    /// offending tenant — a damaged snapshot degrades into a typed error, not a panic.
-    pub fn restore(snapshot: FleetSnapshot) -> Result<Self, FleetError> {
-        let tenants = snapshot
-            .tenants
-            .into_iter()
-            .map(TenantSession::restore)
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut svc = FleetService {
-            options: snapshot.options,
-            tenants,
-            knowledge: snapshot.knowledge,
-            scheduler: snapshot.scheduler,
-            rounds: snapshot.rounds,
-            parallelism: sample_parallelism(),
-            telemetry: TelemetryHandle::disabled(),
-        };
-        svc.regrant_workers();
-        Ok(svc)
+    /// Truncated or bit-flipped bytes yield [`FleetError::SnapshotParse`], wherever they
+    /// are; structurally valid JSON with a broken tenant yields
+    /// [`FleetError::TenantRestore`] naming the offending tenant — a damaged snapshot
+    /// degrades into a typed error, not a panic.
+    pub fn restore_json(json: &str) -> Result<Self, FleetError> {
+        let mut de = Deserializer::new(json);
+        FleetService::read(&mut de)
+            .and_then(|restored| de.end().map(|()| restored))
+            .map_err(|e| FleetError::SnapshotParse(e.to_string()))?
     }
 
-    /// [`FleetService::restore`] plus telemetry re-installation: snapshots never carry
-    /// telemetry state, so a restored service that should keep observing must be handed a
-    /// (fresh or shared) sink explicitly. Records the restore on that sink.
+    /// [`FleetService::restore_json`] plus telemetry re-installation: snapshots never
+    /// carry telemetry state, so a restored service that should keep observing must be
+    /// handed a (fresh or shared) sink explicitly. Records the restore on that sink.
     pub fn restore_with_telemetry(
-        snapshot: FleetSnapshot,
+        json: &str,
         telemetry: TelemetryHandle,
     ) -> Result<Self, FleetError> {
-        let mut svc = FleetService::restore(snapshot)?;
-        svc.set_telemetry(telemetry);
-        svc.telemetry.incr(CounterId::RestoresCompleted);
-        if svc.telemetry.is_enabled() {
-            svc.telemetry.event(
-                EventKind::Restored,
-                "fleet",
-                &format!("rounds={} tenants={}", svc.rounds, svc.tenants.len()),
-            );
-        }
+        let mut svc = FleetService::restore_json(json)?;
+        svc.note_restored(telemetry);
         Ok(svc)
     }
 
-    /// Restores a service from JSON produced by [`FleetService::snapshot_json`].
-    /// Truncated or bit-flipped bytes yield [`FleetError::SnapshotParse`]; structurally
-    /// valid JSON with a broken tenant yields [`FleetError::TenantRestore`].
-    pub fn restore_json(json: &str) -> Result<Self, FleetError> {
-        let snapshot: FleetSnapshot =
-            serde_json::from_str(json).map_err(|e| FleetError::SnapshotParse(e.to_string()))?;
-        FleetService::restore(snapshot)
+    /// Reads one fleet snapshot object, restoring tenants as they are read. The outer
+    /// error is a parse error; the inner one the first tenant that did not restore. After
+    /// such a tenant the rest are still read, so a parse error later in the text wins.
+    /// Members may come in any order: unknown ones are skipped, of duplicates the first
+    /// counts, and a missing one is an error naming it.
+    pub(crate) fn read(
+        de: &mut Deserializer<'_>,
+    ) -> Result<Result<Self, FleetError>, serde::Error> {
+        let mut rows = RowInterner::default();
+        let (mut options, mut tenants, mut knowledge, mut scheduler, mut rounds) =
+            (None, None, None, None, None);
+        de.begin_object()?;
+        while let Some(key) = de.next_key()? {
+            match &*key {
+                "options" if options.is_none() => options = Some(FleetOptions::deserialize(de)?),
+                "tenants" if tenants.is_none() => tenants = Some(read_tenants(de, &mut rows)?),
+                "knowledge" if knowledge.is_none() => {
+                    knowledge = Some(KnowledgeBase::deserialize(de)?)
+                }
+                "scheduler" if scheduler.is_none() => {
+                    scheduler = Some(SessionScheduler::deserialize(de)?)
+                }
+                "rounds" if rounds.is_none() => rounds = Some(usize::deserialize(de)?),
+                _ => de.skip_value()?,
+            }
+        }
+        let missing =
+            |field: &str| de.error(format_args!("missing field `{field}` in FleetSnapshot"));
+        let options = options.ok_or_else(|| missing("options"))?;
+        let tenants = tenants.ok_or_else(|| missing("tenants"))?;
+        let knowledge = knowledge.ok_or_else(|| missing("knowledge"))?;
+        let scheduler = scheduler.ok_or_else(|| missing("scheduler"))?;
+        let rounds = rounds.ok_or_else(|| missing("rounds"))?;
+        Ok(tenants.map(|tenants| {
+            FleetService::rebuilt(options, tenants, knowledge, scheduler, rounds, &mut rows)
+        }))
     }
+}
+
+/// Reads a snapshot's `tenants` array, rebuilding each tenant as soon as its state is
+/// read. After the first tenant that does not restore, the rest are read but not rebuilt.
+fn read_tenants(
+    de: &mut Deserializer<'_>,
+    rows: &mut RowInterner,
+) -> Result<Result<Vec<TenantSession>, FleetError>, serde::Error> {
+    let mut tenants = Ok(Vec::new());
+    de.begin_array()?;
+    while de.next_element()? {
+        let state = TenantSessionState::deserialize(de)?;
+        if let Ok(restored) = &mut tenants {
+            match TenantSession::restore(state, rows) {
+                Ok(session) => restored.push(session),
+                Err(e) => tenants = Err(e),
+            }
+        }
+    }
+    Ok(tenants)
 }
 
 #[cfg(test)]
@@ -1193,7 +1273,8 @@ mod tests {
         for t in &mut snapshot.tenants {
             t.tuner.options.cluster.hyperopt_workers = 999;
         }
-        let restored = FleetService::restore(snapshot).unwrap();
+        let json = serde_json::to_string(&snapshot).unwrap();
+        let restored = FleetService::restore_json(&json).unwrap();
         let granted = restored.effective_hyperopt_workers();
         assert!(granted >= 1);
         for t in &restored.tenants {
@@ -1286,13 +1367,13 @@ mod tests {
         let mut svc = small_service(2, 1);
         svc.set_telemetry(TelemetryHandle::enabled());
         svc.run_rounds(1);
-        let snapshot = svc.snapshot();
+        let json = svc.canonical_snapshot_json();
         // Plain restore leaves telemetry off.
-        let restored = FleetService::restore(svc.snapshot()).unwrap();
+        let restored = FleetService::restore_json(&json).unwrap();
         assert!(!restored.telemetry().is_enabled());
         // restore_with_telemetry turns it back on and records the restore.
         let mut restored =
-            FleetService::restore_with_telemetry(snapshot, TelemetryHandle::enabled()).unwrap();
+            FleetService::restore_with_telemetry(&json, TelemetryHandle::enabled()).unwrap();
         assert!(restored.telemetry().is_enabled());
         restored.run_rounds(1);
         let snap = restored.metrics_snapshot();
@@ -1365,6 +1446,13 @@ mod tests {
             }
             other => panic!("expected TenantRestore, got {other}"),
         }
+
+        // Tenants are rebuilt as they are read, yet a parse error after the poisoned
+        // tenant still wins over it.
+        let Err(err) = FleetService::restore_json(&poisoned[..poisoned.len() - 1]) else {
+            panic!("a truncated snapshot must not restore");
+        };
+        assert!(matches!(err, FleetError::SnapshotParse(_)), "{err}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`TenantSessionState`], so a restored session continues bit-identically.
 
 use featurize::ContextFeaturizer;
-use gp::contextual::ContextObservation;
+use gp::rows::{RowInterner, SharedConfig, SharedObservation};
 use onlinetune::tuner::OnlineTuneState;
 use onlinetune::{OnlineTune, OnlineTuneOptions};
 use simdb::instance::SimDatabaseState;
@@ -436,9 +436,9 @@ impl WorkloadGenerator for DriftedWorkload {
 #[derive(Debug, Clone, Default)]
 pub struct Contribution {
     /// Normalized configurations observed to be safe.
-    pub safe_configs: Vec<Vec<f64>>,
+    pub safe_configs: Vec<SharedConfig>,
     /// `(context, config, performance)` observations.
-    pub observations: Vec<ContextObservation>,
+    pub observations: Vec<SharedObservation>,
 }
 
 impl Contribution {
@@ -876,7 +876,8 @@ impl TenantSession {
         self.warm_start_observations += warm.observations.len();
         self.tuner
             .extend_known_safe(warm.safe_configs.iter().cloned());
-        self.tuner.absorb_observations(&warm.observations);
+        self.tuner
+            .absorb_observations(warm.observations.iter().cloned());
     }
 
     /// Applies a workload drift to the running session. The drift's iteration anchors are
@@ -1035,18 +1036,25 @@ impl TenantSession {
         }
         let regret = self.record_interval(score, threshold, was_safe);
 
-        // Queue fleet-knowledge contributions (bounded).
-        if was_safe && self.pending.safe_configs.len() < MAX_PENDING_CONTRIBUTIONS {
-            self.pending
-                .safe_configs
-                .push(suggestion.normalized.clone());
-        }
-        if self.pending.observations.len() < MAX_PENDING_CONTRIBUTIONS {
-            self.pending.observations.push(ContextObservation {
-                context,
-                config: suggestion.normalized,
-                performance: score,
-            });
+        // Queue fleet-knowledge contributions (bounded). They carry the suggested
+        // configuration, which shares the row the tuner just stored only when it is
+        // bit-identical to the applied one.
+        let queue_safe = was_safe && self.pending.safe_configs.len() < MAX_PENDING_CONTRIBUTIONS;
+        if queue_safe || self.pending.observations.len() < MAX_PENDING_CONTRIBUTIONS {
+            let observation = match self.tuner.observations().last() {
+                Some(last) if last.has_bits(&suggestion.normalized, &context) => {
+                    let mut observation = last.clone();
+                    observation.performance = score;
+                    observation
+                }
+                _ => SharedObservation::new(&suggestion.normalized, &context, score),
+            };
+            if queue_safe {
+                self.pending.safe_configs.push(observation.shared_config());
+            }
+            if self.pending.observations.len() < MAX_PENDING_CONTRIBUTIONS {
+                self.pending.observations.push(observation);
+            }
         }
         self.telemetry.end_span(SpanId::Iteration, span);
         regret
@@ -1282,11 +1290,6 @@ impl TenantSession {
         self.faulted_count
     }
 
-    /// The session's retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Installs a retry policy (the fleet service does this at admission so all
     /// sessions share the fleet-level policy).
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
@@ -1399,13 +1402,19 @@ impl TenantSession {
     /// bit-identically to the exported one. A malformed tenant state — truncated,
     /// bit-flipped, or referencing unknown knobs — yields a typed
     /// [`crate::error::FleetError::TenantRestore`] naming the tenant, never a panic.
-    pub fn restore(state: TenantSessionState) -> Result<Self, crate::error::FleetError> {
+    ///
+    /// The tuner's observations and known-safe configurations are taken from `rows`
+    /// (see [`OnlineTune::restore`]), so equal payloads share one row.
+    pub fn restore(
+        state: TenantSessionState,
+        rows: &mut RowInterner,
+    ) -> Result<Self, crate::error::FleetError> {
         let name = state.spec.name.clone();
         let tenant_err = |reason: String| crate::error::FleetError::TenantRestore {
             tenant: name.clone(),
             reason,
         };
-        let mut tuner = OnlineTune::restore(state.tuner).map_err(&tenant_err)?;
+        let mut tuner = OnlineTune::restore(state.tuner, rows).map_err(&tenant_err)?;
         // The suppression flag is runtime-only; re-derive it from the serialized tier
         // so a restored degraded session sheds exactly the same work.
         tuner.set_hyperopt_suppressed(state.tier >= DegradationTier::NoRefit);
@@ -1445,6 +1454,72 @@ mod tests {
     use crate::service::small_tuner_options;
 
     #[test]
+    fn restore_json_shares_rows_by_bits_and_keeps_signed_zeros_apart() {
+        use crate::service::{FleetOptions, FleetService};
+        use std::sync::Arc;
+        let mut svc = FleetService::new(FleetOptions {
+            workers: 1,
+            tuner: small_tuner_options(),
+            ..Default::default()
+        });
+        for (i, family) in [
+            WorkloadFamily::Ycsb,
+            WorkloadFamily::Ycsb,
+            WorkloadFamily::Tpcc,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut spec = TenantSpec::named(format!("t{i}"), family, 40 + i as u64);
+            spec.deterministic = true;
+            svc.admit(spec).unwrap();
+        }
+        svc.run_rounds(6);
+        // Two repository entries that differ only in the sign of a zero: the text writes
+        // them as `0` and `-0.0`, and interning them by `==` would change those bytes.
+        let mut snapshot = svc.snapshot();
+        let clusters = &mut snapshot.tenants[0].tuner.clusters;
+        let mut positive = clusters.observations[0].clone();
+        positive.config[0] = 0.0;
+        let mut negative = positive.clone();
+        negative.config[0] = -0.0;
+        clusters.observations.extend([positive, negative]);
+        clusters.labels.extend([0, 0]);
+        let json = serde_json::to_string(&snapshot).unwrap();
+        assert!(json.contains("-0.0"));
+
+        let restored = FleetService::restore_json(&json).unwrap();
+        assert_eq!(restored.canonical_snapshot_json(), json);
+        let repository = restored.sessions()[0].tuner.observations();
+        let [.., zero, negative_zero] = repository else {
+            panic!("the repository lost its entries");
+        };
+        assert_eq!(zero.config()[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(negative_zero.config()[0].to_bits(), (-0.0f64).to_bits());
+        assert!(!Arc::ptr_eq(zero.row(), negative_zero.row()));
+
+        // The knowledge base reads its entries from the tenants' repository rows.
+        let rows: Vec<&SharedObservation> = restored
+            .sessions()
+            .iter()
+            .flat_map(|s| s.tuner.observations())
+            .collect();
+        let mut shared = 0;
+        for (_, pool) in restored.knowledge().pools() {
+            for obs in &pool.observations {
+                if rows.iter().any(|r| r.has_bits(obs.config(), obs.context())) {
+                    assert!(rows.iter().any(|r| Arc::ptr_eq(r.row(), obs.row())));
+                    shared += 1;
+                }
+            }
+        }
+        assert!(
+            shared > 0,
+            "no knowledge-base observation matches a repository row"
+        );
+    }
+
+    #[test]
     fn session_steps_and_accumulates_stats() {
         let mut spec = TenantSpec::named("t0", WorkloadFamily::Ycsb, 7);
         spec.deterministic = true;
@@ -1470,7 +1545,7 @@ mod tests {
         }
         original.drain_contribution();
         let state = original.export_state();
-        let mut restored = TenantSession::restore(state).unwrap();
+        let mut restored = TenantSession::restore(state, &mut RowInterner::default()).unwrap();
 
         for i in 0..6 {
             let a = original.step();
@@ -1505,7 +1580,8 @@ mod tests {
             }]
         );
         original.drain_contribution();
-        let mut restored = TenantSession::restore(original.export_state()).unwrap();
+        let mut restored =
+            TenantSession::restore(original.export_state(), &mut RowInterner::default()).unwrap();
         // Both sessions cross the switch boundary and must stay bit-identical through it.
         for i in 0..6 {
             let a = original.step();
@@ -1527,7 +1603,8 @@ mod tests {
         // The resize is part of the snapshot: the restored session continues on the new
         // hardware bit-identically.
         s.drain_contribution();
-        let mut restored = TenantSession::restore(s.export_state()).unwrap();
+        let mut restored =
+            TenantSession::restore(s.export_state(), &mut RowInterner::default()).unwrap();
         for _ in 0..3 {
             assert_eq!(s.step().to_bits(), restored.step().to_bits());
         }
@@ -1647,7 +1724,7 @@ mod tests {
             b.step();
             b.tick_round();
         }
-        let mut b = TenantSession::restore(b.export_state()).unwrap();
+        let mut b = TenantSession::restore(b.export_state(), &mut RowInterner::default()).unwrap();
         for _ in 0..6 {
             a.step();
             a.tick_round();
@@ -1715,7 +1792,8 @@ mod tests {
             observations,
             "the tuner must never observe a poisoned measurement"
         );
-        assert!(s.faulted_count() >= s.retry_policy().max_attempts);
+        // `TenantSession::new` installs the default policy.
+        assert!(s.faulted_count() >= RetryPolicy::default().max_attempts);
         assert!(
             s.telemetry().counter(CounterId::Quarantines) >= 1,
             "repeated non-finite contexts must exhaust the retry budget"
@@ -1824,7 +1902,9 @@ mod tests {
             original.set_degradation(tier);
             original.step();
             original.drain_contribution();
-            let mut restored = TenantSession::restore(original.export_state()).unwrap();
+            let mut restored =
+                TenantSession::restore(original.export_state(), &mut RowInterner::default())
+                    .unwrap();
             assert_eq!(restored.degradation(), tier);
             for i in 0..4 {
                 let a = original.step();

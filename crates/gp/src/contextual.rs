@@ -15,15 +15,22 @@
 //! observation replacement ([`ContextualGp::set_observations`]) and snapshot restore.
 //! An optional [`ObservationBudget`] bounds memory and per-iteration cost by evicting
 //! low-information observations in batches once a window size is exceeded.
+//!
+//! The model keeps each observation as a [`SharedObservation`]: its joint row `[θ ‖ c]`
+//! is the same allocation the caller's repository holds, and the underlying GP trains on
+//! that row too, so a model adds no copy of any observation's values.
 
 use crate::hyperopt::{optimize_hyperparameters, HyperOptOptions, HyperOptReport};
 use crate::kernels::AdditiveContextKernel;
 use crate::regression::{GaussianProcess, GpError, Posterior};
+use crate::rows::{Row, SharedObservation};
 use rand::Rng;
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// One `(context, configuration, performance)` observation, in the units used by the tuner
-/// (normalized configuration, raw context feature, raw performance).
+/// (normalized configuration, raw context feature, raw performance), as snapshots write it.
+/// Models keep observations as [`SharedObservation`]s instead.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ContextObservation {
     /// Context feature vector `c_t`.
@@ -76,7 +83,7 @@ pub struct ContextualGp {
     gp: GaussianProcess,
     config_dim: usize,
     context_dim: usize,
-    observations: Vec<ContextObservation>,
+    observations: Vec<SharedObservation>,
     budget: Option<ObservationBudget>,
 }
 
@@ -93,13 +100,13 @@ impl ContextualGp {
         }
     }
 
-    /// The stored observations as joint `[θ, c]` input rows and targets, built for one
-    /// refit and dropped after it: between refits a model keeps no copy of them.
-    fn training_set(&self) -> (Vec<Vec<f64>>, Vec<f64>) {
+    /// The stored observations' shared joint rows and their targets, gathered for one
+    /// refit: handles on the rows, not copies of them.
+    fn training_set(&self) -> (Vec<Row>, Vec<f64>) {
         let x = self
             .observations
             .iter()
-            .map(|o| self.joint(&o.config, &o.context))
+            .map(|o| Arc::clone(o.row()))
             .collect();
         let y = self.observations.iter().map(|o| o.performance).collect();
         (x, y)
@@ -138,7 +145,7 @@ impl ContextualGp {
     }
 
     /// The stored observations.
-    pub fn observations(&self) -> &[ContextObservation] {
+    pub fn observations(&self) -> &[SharedObservation] {
         &self.observations
     }
 
@@ -160,12 +167,15 @@ impl ContextualGp {
     }
 
     /// Adds an observation without refitting (call [`ContextualGp::refit`] afterwards).
+    /// A [`SharedObservation`] is kept by reference; a [`ContextObservation`] is copied
+    /// into a row of its own.
     ///
     /// Prefer [`ContextualGp::observe`] in per-iteration loops — it keeps the model
     /// fitted at `O(n²)` instead of deferring an `O(n³)` refit.
-    pub fn add_observation(&mut self, obs: ContextObservation) {
-        debug_assert_eq!(obs.config.len(), self.config_dim);
-        debug_assert_eq!(obs.context.len(), self.context_dim);
+    pub fn add_observation(&mut self, obs: impl Into<SharedObservation>) {
+        let obs = obs.into();
+        debug_assert_eq!(obs.config().len(), self.config_dim);
+        debug_assert_eq!(obs.context().len(), self.context_dim);
         self.observations.push(obs);
     }
 
@@ -183,37 +193,32 @@ impl ContextualGp {
     /// A wrong-dimension observation is rejected before it touches the store — unlike the
     /// `debug_assert` in [`ContextualGp::add_observation`], this holds in release builds,
     /// where a single malformed observation would otherwise poison every later refit.
-    pub fn observe(&mut self, obs: ContextObservation) -> Result<(), GpError> {
-        if obs.config.len() != self.config_dim {
+    pub fn observe(&mut self, obs: SharedObservation) -> Result<(), GpError> {
+        if obs.config().len() != self.config_dim {
             return Err(GpError::DimensionMismatch {
                 expected: self.config_dim,
-                actual: obs.config.len(),
+                actual: obs.config().len(),
             });
         }
-        if obs.context.len() != self.context_dim {
+        if obs.context().len() != self.context_dim {
             return Err(GpError::DimensionMismatch {
                 expected: self.context_dim,
-                actual: obs.context.len(),
+                actual: obs.context().len(),
             });
         }
         // Non-finite data is rejected *before* the store push: once a NaN observation
         // lives in the store, every later refit would fail forever.
-        if obs
-            .config
-            .iter()
-            .chain(obs.context.iter())
-            .any(|v| !v.is_finite())
-        {
+        if obs.row().iter().any(|v| !v.is_finite()) {
             return Err(GpError::NonFiniteInput { index: 0 });
         }
         if !obs.performance.is_finite() {
             return Err(GpError::NonFiniteTarget { index: 0 });
         }
-        let joint = self.joint(&obs.config, &obs.context);
+        let joint = Arc::clone(obs.row());
         let performance = obs.performance;
         self.observations.push(obs);
         if self.gp.is_fitted() && self.gp.n_observations() + 1 == self.observations.len() {
-            self.gp.observe(&joint, performance)?;
+            self.gp.observe(joint, performance)?;
         } else {
             self.refit()?;
         }
@@ -254,7 +259,7 @@ impl ContextualGp {
         // Chronological order keeps "most recent" semantics stable across evictions.
         keep_idx.sort_unstable();
 
-        let kept: Vec<ContextObservation> = keep_idx
+        let kept: Vec<SharedObservation> = keep_idx
             .into_iter()
             .map(|i| self.observations[i].clone())
             .collect();
@@ -276,20 +281,24 @@ impl ContextualGp {
         self.refit()
     }
 
-    /// Replaces all observations (used when re-clustering reassigns observations to
-    /// models). Invalidates the underlying fit: the cached factorization belongs to the
-    /// old observation set, and a same-length replacement would otherwise be
-    /// indistinguishable from it on the next [`ContextualGp::observe`]. Call
+    /// Replaces all observations (a restore sets a model's window this way).
+    /// [`SharedObservation`]s are kept by reference; [`ContextObservation`]s are copied
+    /// into rows of their own. Invalidates the underlying fit: the cached factorization
+    /// belongs to the old observation set, and a same-length replacement would otherwise
+    /// be indistinguishable from it on the next [`ContextualGp::observe`]. Call
     /// [`ContextualGp::refit`] to fit on the new set.
-    pub fn set_observations(&mut self, obs: Vec<ContextObservation>) {
-        self.observations = obs;
+    pub fn set_observations<O: Into<SharedObservation>>(
+        &mut self,
+        obs: impl IntoIterator<Item = O>,
+    ) {
+        self.observations = obs.into_iter().map(Into::into).collect();
         self.gp.invalidate_fit();
     }
 
-    /// Refits the underlying GP on the stored observations. The joint-input rows are
-    /// built for this refit and dropped after it; the Gram matrix and factor storage come
-    /// from the thread's fit arena (see [`GaussianProcess::fit`]), so a model between
-    /// refits holds only its fit and its observations.
+    /// Refits the underlying GP on the stored observations' shared rows. The Gram matrix
+    /// and factor storage come from the thread's fit arena (see
+    /// [`GaussianProcess::fit`]), so a model between refits holds only its fit and its
+    /// observations, and both refer to the same rows.
     pub fn refit(&mut self) -> Result<(), GpError> {
         if self.observations.is_empty() {
             return Err(GpError::EmptyTrainingSet);
@@ -384,16 +393,6 @@ impl ContextualGp {
     pub fn is_fitted(&self) -> bool {
         self.gp.is_fitted()
     }
-
-    /// The best observed performance (and the corresponding configuration) under *any*
-    /// context, or `None` when empty. OnlineTune centers its subspace on this configuration.
-    pub fn best_observation(&self) -> Option<&ContextObservation> {
-        self.observations.iter().max_by(|a, b| {
-            a.performance
-                .partial_cmp(&b.performance)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -455,23 +454,10 @@ mod tests {
     }
 
     #[test]
-    fn best_observation_returns_maximum() {
-        let model = build_model();
-        let best = model.best_observation().unwrap();
-        let max = model
-            .observations()
-            .iter()
-            .map(|o| o.performance)
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(best.performance, max);
-    }
-
-    #[test]
     fn empty_model_refit_is_an_error() {
         let mut model = ContextualGp::new(2, 3);
         assert!(model.refit().is_err());
         assert!(model.is_empty());
-        assert!(model.best_observation().is_none());
     }
 
     #[test]
@@ -485,7 +471,7 @@ mod tests {
                 config: vec![theta],
                 performance: toy(theta, 0.3),
             };
-            incremental.observe(o.clone()).unwrap();
+            incremental.observe(o.clone().into()).unwrap();
             scratch.add_observation(o);
         }
         scratch.refit().unwrap();
@@ -504,22 +490,14 @@ mod tests {
         for i in 0..6 {
             let theta = i as f64 / 5.0;
             model
-                .observe(ContextObservation {
-                    context: vec![0.2],
-                    config: vec![theta],
-                    performance: toy(theta, 0.2),
-                })
+                .observe(SharedObservation::new(&[theta], &[0.2], toy(theta, 0.2)))
                 .unwrap();
         }
         let (params, _) = model.hyperparams();
         model.set_hyperparams(&params, 5e-2); // invalidates the fit
         assert!(!model.is_fitted());
         model
-            .observe(ContextObservation {
-                context: vec![0.2],
-                config: vec![0.5],
-                performance: toy(0.5, 0.2),
-            })
+            .observe(SharedObservation::new(&[0.5], &[0.2], toy(0.5, 0.2)))
             .unwrap();
         // The fallback refit must cover the whole store, not just the new point.
         assert!(model.is_fitted());
@@ -532,11 +510,8 @@ mod tests {
     fn observe_rejects_wrong_dimensions_without_mutating_the_store() {
         let mut model = ContextualGp::new(2, 1);
         assert!(matches!(
-            model.observe(ContextObservation {
-                context: vec![0.1],
-                config: vec![0.5], // should be 2-dimensional
-                performance: 1.0,
-            }),
+            // The configuration should be 2-dimensional.
+            model.observe(SharedObservation::new(&[0.5], &[0.1], 1.0)),
             Err(GpError::DimensionMismatch { .. })
         ));
         assert!(model.is_empty());
@@ -552,7 +527,7 @@ mod tests {
         };
         let mut model = ContextualGp::new(1, 1);
         for i in 0..8 {
-            model.observe(obs_at(i as f64 / 7.0, 0.2)).unwrap();
+            model.observe(obs_at(i as f64 / 7.0, 0.2).into()).unwrap();
         }
         // Same-length bulk replacement: the observation count alone cannot distinguish
         // the new store from the old one, so set_observations must drop the cached fit.
@@ -560,7 +535,7 @@ mod tests {
             (0..8).map(|i| obs_at(i as f64 / 7.0, 0.8)).collect();
         model.set_observations(replacement.clone());
         assert!(!model.is_fitted());
-        model.observe(obs_at(0.5, 0.8)).unwrap();
+        model.observe(obs_at(0.5, 0.8).into()).unwrap();
 
         let mut scratch = ContextualGp::new(1, 1);
         scratch.set_observations(replacement);
@@ -579,11 +554,7 @@ mod tests {
         for i in 0..50 {
             let theta = (i % 10) as f64 / 10.0;
             model
-                .observe(ContextObservation {
-                    context: vec![0.5],
-                    config: vec![theta],
-                    performance: i as f64,
-                })
+                .observe(SharedObservation::new(&[theta], &[0.5], i as f64))
                 .unwrap();
         }
         assert!(model.len() <= 20, "len = {}", model.len());
@@ -602,19 +573,15 @@ mod tests {
             evict_to: 6,
         }));
         model
-            .observe(ContextObservation {
-                context: vec![0.5],
-                config: vec![0.0],
-                performance: 100.0,
-            })
+            .observe(SharedObservation::new(&[0.0], &[0.5], 100.0))
             .unwrap();
         for i in 0..10 {
             model
-                .observe(ContextObservation {
-                    context: vec![0.5],
-                    config: vec![0.1 + 0.08 * i as f64],
-                    performance: 1.0 + 0.01 * i as f64,
-                })
+                .observe(SharedObservation::new(
+                    &[0.1 + 0.08 * i as f64],
+                    &[0.5],
+                    1.0 + 0.01 * i as f64,
+                ))
                 .unwrap();
         }
         assert!(model.len() <= 10);
@@ -698,7 +665,7 @@ mod tests {
                 let mut model = ContextualGp::new(1, 1);
                 model.set_budget(Some(budget));
                 for i in 0..n {
-                    model.observe(drifting_obs(i, drift)).unwrap();
+                    model.observe(drifting_obs(i, drift).into()).unwrap();
                     assert!(model.len() <= window, "budget bound violated: {}", model.len());
                     // Every one of the `recent_keep` newest fed observations is retained,
                     // in chronological order at the tail of the store.
@@ -735,13 +702,13 @@ mod tests {
                         config: vec![(i % 4) as f64 / 4.0],
                         performance: (i % 3) as f64,
                     };
-                    a.observe(o.clone()).unwrap();
-                    b.observe(o).unwrap();
+                    a.observe(o.clone().into()).unwrap();
+                    b.observe(o.into()).unwrap();
                 }
                 assert_eq!(a.len(), b.len());
                 for (x, y) in a.observations().iter().zip(b.observations().iter()) {
                     assert_eq!(x.performance.to_bits(), y.performance.to_bits());
-                    assert_eq!(x.config[0].to_bits(), y.config[0].to_bits());
+                    assert_eq!(x.config()[0].to_bits(), y.config()[0].to_bits());
                 }
                 let pa = a.predict(&[0.4], &[0.5]).unwrap();
                 let pb = b.predict(&[0.4], &[0.5]).unwrap();
@@ -760,7 +727,7 @@ mod tests {
                 let mut model = ContextualGp::new(1, 1);
                 model.set_budget(Some(ObservationBudget::new(window)));
                 for i in 0..120 {
-                    model.observe(drifting_obs(i, drift)).unwrap();
+                    model.observe(drifting_obs(i, drift).into()).unwrap();
                 }
                 assert!(model.is_fitted());
                 for probe in [0.0, 0.25, 0.5, 0.75, 1.0] {

@@ -11,6 +11,7 @@
 use crate::kernels::Kernel;
 use crate::normalize::Standardizer;
 use crate::regression::{FitArena, GaussianProcess};
+use crate::rows::Row;
 use linalg::Cholesky;
 use rand::Rng;
 
@@ -221,13 +222,17 @@ pub fn nelder_mead(
 /// this function. Callers must not fit again afterwards — fitting is deterministic, so a
 /// second fit on the same data is pure redundant `O(n³)` work (and if the internal fit
 /// failed, a retry would fail identically; check [`GaussianProcess::is_fitted`] instead).
-pub fn optimize_hyperparameters<R: Rng>(
+pub fn optimize_hyperparameters<X, R>(
     gp: &mut GaussianProcess,
-    x: &[Vec<f64>],
+    x: &[X],
     y: &[f64],
     options: &HyperOptOptions,
     rng: &mut R,
-) -> HyperOptReport {
+) -> HyperOptReport
+where
+    X: AsRef<[f64]> + Clone + Into<Row> + Sync,
+    R: Rng,
+{
     let span = gp.telemetry().begin_span();
     let initial_kernel_params = gp.kernel().params();
     let initial_noise = gp.noise_variance();
@@ -266,8 +271,8 @@ pub fn optimize_hyperparameters<R: Rng>(
         for i in 0..n {
             for j in 0..n {
                 gp.kernel().pair_stats(
-                    &x[i],
-                    &x[j],
+                    x[i].as_ref(),
+                    x[j].as_ref(),
                     &mut stats[(i * n + j) * n_stats..][..n_stats],
                 );
             }

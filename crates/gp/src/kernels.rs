@@ -9,6 +9,7 @@
 //! [`Kernel::set_params`], which makes the marginal-likelihood optimization in
 //! [`crate::hyperopt`] an unconstrained problem.
 
+use crate::rows::Row;
 use linalg::vecops::{dot, squared_distance};
 use linalg::Matrix;
 
@@ -26,7 +27,7 @@ pub trait Kernel: Send + Sync {
     /// structure shared across queries (see [`AdditiveContextKernel`]) must stay
     /// **bit-identical** to the fallback: batched prediction is contractually
     /// indistinguishable from per-point prediction.
-    fn eval_cross(&self, train: &[Vec<f64>], queries: &[Vec<f64>]) -> Matrix {
+    fn eval_cross(&self, train: &[Row], queries: &[Vec<f64>]) -> Matrix {
         Matrix::from_fn(queries.len(), train.len(), |q, i| {
             self.eval(&train[i], &queries[q])
         })
@@ -369,7 +370,7 @@ impl Kernel for AdditiveContextKernel {
     /// produced by exactly the evaluation the scalar path would perform (identical
     /// inputs, identical operations), and floating-point evaluation is deterministic.
     /// Queries with differing contexts fall back to the pairwise sweep.
-    fn eval_cross(&self, train: &[Vec<f64>], queries: &[Vec<f64>]) -> Matrix {
+    fn eval_cross(&self, train: &[Row], queries: &[Vec<f64>]) -> Matrix {
         let shared_context = match queries.split_first() {
             Some((first, rest)) => {
                 let (_, c0) = self.split(first);
@@ -567,7 +568,7 @@ mod tests {
 
     #[test]
     fn eval_cross_matches_scalar_eval_bitwise() {
-        let train: Vec<Vec<f64>> = (0..6)
+        let train: Vec<Row> = (0..6)
             .map(|i| (0..4).map(|j| (i * 4 + j) as f64 * 0.13 - 1.0).collect())
             .collect();
         // Shared context across queries (exercises the additive kernel's shared-context
@@ -600,9 +601,9 @@ mod tests {
     #[test]
     fn eval_cross_handles_empty_batches() {
         let k = AdditiveContextKernel::new(2);
-        let train = vec![vec![0.1, 0.2, 0.3]];
-        assert_eq!(k.eval_cross(&train, &[]).rows(), 0);
-        assert_eq!(k.eval_cross(&[], &train).cols(), 0);
+        let point = vec![0.1, 0.2, 0.3];
+        assert_eq!(k.eval_cross(&[Row::from(point.as_slice())], &[]).rows(), 0);
+        assert_eq!(k.eval_cross(&[], &[point]).cols(), 0);
     }
 
     #[test]

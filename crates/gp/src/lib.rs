@@ -16,6 +16,8 @@
 //!   hypercube).
 //! * [`contextual`] — a convenience wrapper that manages the `(context, configuration)`
 //!   joint input space, with an optional observation budget.
+//! * [`rows`] — observations kept once: one shared joint row per observation, held by
+//!   every model, safe set and knowledge pool that keeps it.
 //!
 //! ## The incremental-vs-refit contract
 //!
@@ -42,6 +44,7 @@ pub mod hyperopt;
 pub mod kernels;
 pub mod normalize;
 pub mod regression;
+pub mod rows;
 
 pub use acquisition::{
     expected_improvement, lower_confidence_bound, ucb_beta, upper_confidence_bound,
@@ -51,3 +54,4 @@ pub use kernels::{
     AdditiveContextKernel, Kernel, LinearKernel, Matern52Kernel, RbfKernel, ScaledKernel,
 };
 pub use regression::{GaussianProcess, GpError, Posterior};
+pub use rows::{Row, RowInterner, SharedConfig, SharedObservation};

@@ -26,6 +26,7 @@
 
 use crate::kernels::Kernel;
 use crate::normalize::Standardizer;
+use crate::rows::Row;
 use linalg::{Cholesky, FactorScratch, Matrix};
 use std::cell::Cell;
 use telemetry::{CounterId, EventKind, TelemetryHandle};
@@ -40,7 +41,8 @@ use telemetry::{CounterId, EventKind, TelemetryHandle};
 /// explicitly instead of reaching for the thread-local a second time. Repeated fits at
 /// a stable size therefore allocate nothing (buffers are reshaped in place, and factor
 /// storage ping-pongs between the fitted models and the arena), while a model between
-/// fits holds only its factor, `α` and training data. The hyper-parameter optimizer
+/// fits holds only its factor, `α`, standardizer and training targets, plus a handle on
+/// each of its shared training rows. The hyper-parameter optimizer
 /// creates one arena per restart worker, so its `O(restarts × iters)` trial loop reuses
 /// that worker's buffers across every likelihood evaluation.
 ///
@@ -146,9 +148,9 @@ impl std::error::Error for GpError {}
 /// Rejects non-finite training data before it can reach the factorization. A single
 /// NaN in the Gram matrix silently poisons every subsequent solve, so the boundary
 /// check is the only place the damage can be contained with a typed error.
-fn validate_finite(x: &[Vec<f64>], y: &[f64]) -> Result<(), GpError> {
+fn validate_finite<X: AsRef<[f64]>>(x: &[X], y: &[f64]) -> Result<(), GpError> {
     for (index, row) in x.iter().enumerate() {
-        if row.iter().any(|v| !v.is_finite()) {
+        if row.as_ref().iter().any(|v| !v.is_finite()) {
             return Err(GpError::NonFiniteInput { index });
         }
     }
@@ -180,7 +182,9 @@ struct FittedState {
     chol: Cholesky,
     /// `(K + σ²I)^{-1} y` in standardized output space.
     alpha: Vec<f64>,
-    x: Vec<Vec<f64>>,
+    /// The training inputs, shared with whoever else holds them (a contextual model's
+    /// observations share theirs with the cluster repository).
+    x: Vec<Row>,
     /// Raw (un-standardized) targets; kept so incremental observes can refresh the
     /// standardizer and so fallback refits have the full training set at hand.
     y_raw: Vec<f64>,
@@ -281,15 +285,26 @@ impl GaussianProcess {
     /// All working storage comes from a fit arena owned by the calling thread and shared
     /// by every model fitted on it: the Gram matrix is rebuilt into a reused buffer, the
     /// factorization recycles retired factor storage, and the dual weights swap with a
-    /// spare — so repeated refits at a stable training-set size allocate nothing, and a
-    /// model between fits keeps only its factor, `α` and training data. On failure the previous fit is kept
-    /// intact (the new factor is built in spare storage before the old one is retired).
-    pub fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), GpError> {
+    /// spare. A model between fits keeps only its factor, `α` and training data. On
+    /// failure the previous fit is kept intact (the new factor is built in spare storage
+    /// before the old one is retired).
+    ///
+    /// The fit keeps its inputs as [`Row`]s: shared rows are kept by reference, so
+    /// repeated refits on [`Row`] inputs at a stable training-set size allocate nothing.
+    /// Any other row type is converted into a new row on every fit (a `Vec<f64>` is
+    /// cloned and then copied), so callers that refit should pass [`Row`]s.
+    pub fn fit<X>(&mut self, x: &[X], y: &[f64]) -> Result<(), GpError>
+    where
+        X: AsRef<[f64]> + Clone + Into<Row>,
+    {
         with_thread_arena(|arena| self.fit_in(x, y, arena))
     }
 
     /// [`GaussianProcess::fit`] with the arena passed in.
-    fn fit_in(&mut self, x: &[Vec<f64>], y: &[f64], arena: &mut FitArena) -> Result<(), GpError> {
+    fn fit_in<X>(&mut self, x: &[X], y: &[f64], arena: &mut FitArena) -> Result<(), GpError>
+    where
+        X: AsRef<[f64]> + Clone + Into<Row>,
+    {
         if x.is_empty() {
             return Err(GpError::EmptyTrainingSet);
         }
@@ -300,7 +315,7 @@ impl GaussianProcess {
             });
         }
         validate_finite(x, y)?;
-        let dim = x[0].len();
+        let dim = x[0].as_ref().len();
         let standardizer = Standardizer::fit(y);
         arena.y_std.clear();
         arena
@@ -316,7 +331,9 @@ impl GaussianProcess {
         // at half the kernel-evaluation cost.
         for i in 0..n {
             for j in 0..=i {
-                arena.gram.set(i, j, self.kernel.eval(&x[i], &x[j]));
+                arena
+                    .gram
+                    .set(i, j, self.kernel.eval(x[i].as_ref(), x[j].as_ref()));
             }
         }
         arena
@@ -346,14 +363,8 @@ impl GaussianProcess {
             Some(state) => {
                 std::mem::replace(&mut state.chol, chol).into_scratch(&mut arena.factor);
                 arena.alpha_spare = std::mem::replace(&mut state.alpha, alpha);
-                // Reuse the retained training-set buffers (inner vectors keep their
-                // allocations via clone_from).
-                state.x.truncate(x.len());
-                let reused = state.x.len();
-                for (dst, src) in state.x.iter_mut().zip(x.iter()) {
-                    dst.clone_from(src);
-                }
-                state.x.extend(x[reused..].iter().cloned());
+                state.x.clear();
+                state.x.extend(x.iter().map(|row| row.clone().into()));
                 state.y_raw.clear();
                 state.y_raw.extend_from_slice(y);
                 state.standardizer = standardizer;
@@ -363,7 +374,7 @@ impl GaussianProcess {
                 self.fitted = Some(FittedState {
                     chol,
                     alpha,
-                    x: x.to_vec(),
+                    x: x.iter().map(|row| row.clone().into()).collect(),
                     y_raw: y.to_vec(),
                     standardizer,
                     dim,
@@ -384,8 +395,10 @@ impl GaussianProcess {
     /// Falls back to a full `fit` (with jitter escalation) when the factor extension
     /// fails, e.g. because the new point duplicates an existing one. On an unfitted model
     /// this is simply `fit` on the single observation. If the fallback itself fails the
-    /// previous fit is kept and the new observation is dropped.
-    pub fn observe(&mut self, x_new: &[f64], y_new: f64) -> Result<(), GpError> {
+    /// previous fit is kept and the new observation is dropped. The model keeps `x_new`
+    /// as a [`Row`], by reference when it is one.
+    pub fn observe(&mut self, x_new: impl Into<Row>, y_new: f64) -> Result<(), GpError> {
+        let x_new = x_new.into();
         if x_new.iter().any(|v| !v.is_finite()) {
             return Err(GpError::NonFiniteInput { index: 0 });
         }
@@ -397,14 +410,9 @@ impl GaussianProcess {
 
     /// [`GaussianProcess::observe`] after the finiteness checks, with the arena passed in;
     /// every fallback fit reuses that arena.
-    fn observe_in(
-        &mut self,
-        x_new: &[f64],
-        y_new: f64,
-        arena: &mut FitArena,
-    ) -> Result<(), GpError> {
+    fn observe_in(&mut self, x_new: Row, y_new: f64, arena: &mut FitArena) -> Result<(), GpError> {
         let Some(state) = self.fitted.as_mut() else {
-            return self.fit_in(&[x_new.to_vec()], &[y_new], arena);
+            return self.fit_in(&[x_new], &[y_new], arena);
         };
         if x_new.len() != state.dim {
             return Err(GpError::DimensionMismatch {
@@ -415,15 +423,14 @@ impl GaussianProcess {
         // Kernel row of the new point, evaluated in the same argument order the gram
         // matrix construction in `fit` uses (row index first) so the extended factor is
         // bit-identical to a from-scratch factorization. The row lives in the arena so
-        // the per-iteration observe path performs no allocation beyond the stored copy
-        // of the observation itself.
+        // the per-iteration observe path allocates nothing for it.
         let row = &mut arena.row;
         row.clear();
-        row.extend(state.x.iter().map(|xi| self.kernel.eval(x_new, xi)));
-        row.push(self.kernel.eval(x_new, x_new) + self.noise_variance);
+        row.extend(state.x.iter().map(|xi| self.kernel.eval(&x_new, xi)));
+        row.push(self.kernel.eval(&x_new, &x_new) + self.noise_variance);
 
         if state.chol.extend(row).is_ok() {
-            state.x.push(x_new.to_vec());
+            state.x.push(x_new);
             state.y_raw.push(y_new);
             state.standardizer = Standardizer::fit(&state.y_raw);
             let y_std = &mut arena.y_std;
@@ -449,7 +456,7 @@ impl GaussianProcess {
         // The appended pivot was not positive: refit from scratch, letting
         // `decompose_with_jitter` escalate the diagonal jitter.
         let mut xs = state.x.clone();
-        xs.push(x_new.to_vec());
+        xs.push(x_new);
         let mut ys = state.y_raw.clone();
         ys.push(y_new);
         self.note_observe_fallback(xs.len(), "non-positive appended pivot");
@@ -565,7 +572,11 @@ impl GaussianProcess {
     ///
     /// Computed in standardized output space; only relative values matter for
     /// hyper-parameter selection.
-    pub fn log_marginal_likelihood(&self, x: &[Vec<f64>], y: &[f64]) -> Result<f64, GpError> {
+    pub fn log_marginal_likelihood<X: AsRef<[f64]>>(
+        &self,
+        x: &[X],
+        y: &[f64],
+    ) -> Result<f64, GpError> {
         if x.is_empty() {
             return Err(GpError::EmptyTrainingSet);
         }
@@ -578,7 +589,7 @@ impl GaussianProcess {
         let standardizer = Standardizer::fit(y);
         let y_std: Vec<f64> = y.iter().map(|&v| standardizer.transform(v)).collect();
         let n = x.len();
-        let mut k = Matrix::from_fn(n, n, |i, j| self.kernel.eval(&x[i], &x[j]));
+        let mut k = Matrix::from_fn(n, n, |i, j| self.kernel.eval(x[i].as_ref(), x[j].as_ref()));
         k.add_diagonal(self.noise_variance)
             .expect("gram matrix is square by construction");
         let chol = Cholesky::decompose_with_jitter(&k, 1e-3, &mut FactorScratch::default())
@@ -645,7 +656,10 @@ mod tests {
         let mut gp = default_gp();
         let err = gp.fit(&[vec![0.0], vec![1.0]], &[1.0]).unwrap_err();
         assert!(matches!(err, GpError::LengthMismatch { .. }));
-        assert_eq!(gp.fit(&[], &[]).unwrap_err(), GpError::EmptyTrainingSet);
+        assert_eq!(
+            gp.fit::<Vec<f64>>(&[], &[]).unwrap_err(),
+            GpError::EmptyTrainingSet
+        );
     }
 
     #[test]
@@ -713,7 +727,7 @@ mod tests {
         let (xs, ys) = sample_problem();
         let mut incremental = default_gp();
         for (x, y) in xs.iter().zip(ys.iter()) {
-            incremental.observe(x, *y).unwrap();
+            incremental.observe(x.as_slice(), *y).unwrap();
         }
         let mut scratch = default_gp();
         scratch.fit(&xs, &ys).unwrap();
@@ -730,7 +744,7 @@ mod tests {
     #[test]
     fn observe_on_unfitted_model_fits_single_point() {
         let mut gp = default_gp();
-        gp.observe(&[0.5], 3.0).unwrap();
+        gp.observe([0.5], 3.0).unwrap();
         assert!(gp.is_fitted());
         assert_eq!(gp.n_observations(), 1);
         let p = gp.predict(&[0.5]).unwrap();
@@ -740,10 +754,10 @@ mod tests {
     #[test]
     fn observe_duplicate_point_falls_back_to_jittered_refit() {
         let mut gp = default_gp();
-        gp.observe(&[0.5], 1.0).unwrap();
+        gp.observe([0.5], 1.0).unwrap();
         // An exact duplicate makes the incremental pivot fail; the fallback refit with
         // jitter must still produce a usable model containing both observations.
-        gp.observe(&[0.5], 1.01).unwrap();
+        gp.observe([0.5], 1.01).unwrap();
         assert_eq!(gp.n_observations(), 2);
         let p = gp.predict(&[0.5]).unwrap();
         assert!(p.mean.is_finite() && p.std_dev.is_finite());
@@ -758,9 +772,9 @@ mod tests {
     #[test]
     fn observe_dimension_mismatch_is_rejected() {
         let mut gp = default_gp();
-        gp.observe(&[0.1], 1.0).unwrap();
+        gp.observe([0.1], 1.0).unwrap();
         assert!(matches!(
-            gp.observe(&[0.1, 0.2], 2.0),
+            gp.observe([0.1, 0.2], 2.0),
             Err(GpError::DimensionMismatch { .. })
         ));
         assert_eq!(gp.n_observations(), 1);
@@ -770,13 +784,13 @@ mod tests {
     fn hyperparameter_change_invalidates_fit_and_forces_refit() {
         let mut gp = default_gp();
         for i in 0..5 {
-            gp.observe(&[i as f64 / 4.0], i as f64).unwrap();
+            gp.observe([i as f64 / 4.0], i as f64).unwrap();
         }
         gp.set_noise_variance(1e-2);
         assert!(!gp.is_fitted());
         // observe() on the invalidated model only knows about the new point; the caller
         // (ContextualGp) is responsible for refitting on its full observation store.
-        gp.observe(&[0.9], 4.0).unwrap();
+        gp.observe([0.9], 4.0).unwrap();
         assert_eq!(gp.n_observations(), 1);
     }
 
@@ -824,7 +838,7 @@ mod tests {
             fitted.fit(&xs, &ys).unwrap();
             let mut observed = default_gp();
             for (x, y) in xs.iter().zip(ys.iter()) {
-                observed.observe(x, *y).unwrap();
+                observed.observe(x.as_slice(), *y).unwrap();
             }
             (fitted_bits(&fitted), fitted_bits(&observed))
         }
@@ -918,11 +932,11 @@ mod tests {
         gp.fit(&xs, &ys).unwrap();
         let before = gp.predict(&[0.5]).unwrap();
         assert_eq!(
-            gp.observe(&[f64::NEG_INFINITY], 1.0).unwrap_err(),
+            gp.observe([f64::NEG_INFINITY], 1.0).unwrap_err(),
             GpError::NonFiniteInput { index: 0 }
         );
         assert_eq!(
-            gp.observe(&[0.7], f64::NAN).unwrap_err(),
+            gp.observe([0.7], f64::NAN).unwrap_err(),
             GpError::NonFiniteTarget { index: 0 }
         );
         let after = gp.predict(&[0.5]).unwrap();
@@ -956,7 +970,7 @@ mod tests {
                         3 => (f64::NEG_INFINITY, f64::NAN),
                         _ => (*x, *y),
                     };
-                    let result = gp.observe(&[xq], yq);
+                    let result = gp.observe([xq], yq);
                     if *poison == 0 {
                         prop_assert!(result.is_ok());
                     } else {
@@ -1046,7 +1060,7 @@ mod tests {
                 // in practice; the tolerance is the contract the ISSUE pins).
                 let mut incremental = default_gp();
                 for (x, y) in &raw {
-                    incremental.observe(&[*x], *y).unwrap();
+                    incremental.observe([*x], *y).unwrap();
                 }
                 let xs: Vec<Vec<f64>> = raw.iter().map(|(x, _)| vec![*x]).collect();
                 let ys: Vec<f64> = raw.iter().map(|(_, y)| *y).collect();

@@ -348,11 +348,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute difference between two matrices of equal shape.
     pub fn max_abs_diff(&self, rhs: &Matrix) -> Result<f64> {
         if self.rows != rhs.rows || self.cols != rhs.cols {
@@ -368,21 +363,6 @@ impl Matrix {
             .zip(rhs.data.iter())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max))
-    }
-
-    /// Returns true if the matrix is symmetric within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self.get(i, j) - self.get(j, i)).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -507,14 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_check() {
-        let s = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 5.0]).unwrap();
-        assert!(s.is_symmetric(1e-12));
-        let ns = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.1, 5.0]).unwrap();
-        assert!(!ns.is_symmetric(1e-3));
-    }
-
-    #[test]
     fn grow_square_preserves_entries_and_zero_fills_the_new_rim() {
         let mut m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         m.grow_square().unwrap();
@@ -572,11 +544,5 @@ mod tests {
             ptr,
             "regrowth within capacity must not reallocate"
         );
-    }
-
-    #[test]
-    fn frobenius_norm_of_identity() {
-        let i = Matrix::identity(4);
-        assert!((i.frobenius_norm() - 2.0).abs() < 1e-12);
     }
 }

@@ -143,24 +143,6 @@ pub fn argmin(a: &[f64]) -> Option<usize> {
     argmax(&a.iter().map(|v| -v).collect::<Vec<_>>())
 }
 
-/// Clamps every element of `x` into the inclusive ranges given by `lo`/`hi`.
-pub fn clamp_to_bounds(x: &mut [f64], lo: &[f64], hi: &[f64]) {
-    debug_assert_eq!(x.len(), lo.len());
-    debug_assert_eq!(x.len(), hi.len());
-    for i in 0..x.len() {
-        x[i] = x[i].clamp(lo[i], hi[i]);
-    }
-}
-
-/// Linearly maps `x` from `[from_lo, from_hi]` to `[to_lo, to_hi]`. Degenerate source
-/// ranges map to the midpoint of the target range.
-pub fn remap(x: f64, from_lo: f64, from_hi: f64, to_lo: f64, to_hi: f64) -> f64 {
-    if (from_hi - from_lo).abs() < f64::EPSILON {
-        return 0.5 * (to_lo + to_hi);
-    }
-    to_lo + (x - from_lo) / (from_hi - from_lo) * (to_hi - to_lo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,15 +194,6 @@ mod tests {
         assert_eq!(argmax(&[f64::NAN]), None);
     }
 
-    #[test]
-    fn clamp_and_remap() {
-        let mut x = vec![-1.0, 0.5, 2.0];
-        clamp_to_bounds(&mut x, &[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]);
-        assert_eq!(x, vec![0.0, 0.5, 1.0]);
-        assert!((remap(5.0, 0.0, 10.0, 0.0, 1.0) - 0.5).abs() < 1e-12);
-        assert!((remap(3.0, 3.0, 3.0, 0.0, 2.0) - 1.0).abs() < 1e-12);
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -245,17 +218,6 @@ mod tests {
             #[test]
             fn prop_variance_nonnegative(a in proptest::collection::vec(-100.0f64..100.0, 1..32)) {
                 prop_assert!(variance(&a) >= 0.0);
-            }
-
-            #[test]
-            fn prop_clamp_respects_bounds(x in proptest::collection::vec(-10.0f64..10.0, 6)) {
-                let lo = vec![-1.0; 6];
-                let hi = vec![1.0; 6];
-                let mut y = x.clone();
-                clamp_to_bounds(&mut y, &lo, &hi);
-                for v in y {
-                    prop_assert!((-1.0..=1.0).contains(&v));
-                }
             }
         }
     }

@@ -140,19 +140,6 @@ impl LinearSvm {
         let scores = self.decision_scores(x);
         linalg::vecops::argmax(&scores).unwrap_or(0)
     }
-
-    /// Accuracy on a labelled set.
-    pub fn accuracy(&self, points: &[Vec<f64>], labels: &[usize]) -> f64 {
-        if points.is_empty() {
-            return 0.0;
-        }
-        let correct = points
-            .iter()
-            .zip(labels.iter())
-            .filter(|(x, &l)| self.predict(x) == l)
-            .count();
-        correct as f64 / points.len() as f64
-    }
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -164,6 +151,16 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Share of `points` the boundary routes to their label.
+    fn accuracy(svm: &LinearSvm, points: &[Vec<f64>], labels: &[usize]) -> f64 {
+        let correct = points
+            .iter()
+            .zip(labels)
+            .filter(|(x, &l)| svm.predict(x) == l)
+            .count();
+        correct as f64 / points.len() as f64
+    }
 
     fn grid(center: (f64, f64), n: usize, spread: f64) -> Vec<Vec<f64>> {
         (0..n)
@@ -184,7 +181,7 @@ mod tests {
         let labels: Vec<usize> = (0..40).map(|i| usize::from(i >= 20)).collect();
         let mut rng = StdRng::seed_from_u64(3);
         let svm = LinearSvm::train(&points, &labels, &SvmOptions::default(), &mut rng).unwrap();
-        assert!(svm.accuracy(&points, &labels) >= 0.95);
+        assert!(accuracy(&svm, &points, &labels) >= 0.95);
         assert_eq!(svm.predict(&[0.1, -0.1]), 0);
         assert_eq!(svm.predict(&[4.2, 3.9]), 1);
     }
@@ -198,7 +195,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let svm = LinearSvm::train(&points, &labels, &SvmOptions::default(), &mut rng).unwrap();
         assert_eq!(svm.n_classes(), 3);
-        assert!(svm.accuracy(&points, &labels) >= 0.9);
+        assert!(accuracy(&svm, &points, &labels) >= 0.9);
         assert_eq!(svm.predict(&[5.1, 0.2]), 1);
         assert_eq!(svm.predict(&[-0.2, 5.3]), 2);
     }

@@ -9,6 +9,7 @@
 
 use gp::contextual::{ContextObservation, ContextualGp, ObservationBudget};
 use gp::hyperopt::HyperOptOptions;
+use gp::rows::{RowInterner, SharedObservation};
 use mlkit::dbscan::{cluster_members, dbscan, DbscanParams};
 use mlkit::normalized_mutual_information;
 use mlkit::svm::{LinearSvm, SvmOptions};
@@ -71,7 +72,9 @@ pub struct ClusterManager {
     context_dim: usize,
     options: ClusterOptions,
     /// All observations ever collected (the "data repository" of the architecture figure).
-    observations: Vec<ContextObservation>,
+    /// Each one's row is allocated here; the models' windows and their GPs, the tuner's
+    /// known-safe set and the fleet's knowledge base hold the same row.
+    observations: Vec<SharedObservation>,
     /// Cluster label of each observation under the current clustering.
     labels: Vec<i32>,
     /// One contextual GP per cluster.
@@ -166,7 +169,7 @@ impl ClusterManager {
     }
 
     /// All observations (immutable view).
-    pub fn observations(&self) -> &[ContextObservation] {
+    pub fn observations(&self) -> &[SharedObservation] {
         &self.observations
     }
 
@@ -195,11 +198,13 @@ impl ClusterManager {
     /// A wrong-dimension observation is rejected wholesale — it enters neither the
     /// repository nor any model (a poisoned repository would resurface at the next
     /// re-clustering) — and cluster 0 is returned. The check holds in release builds.
-    pub fn add_observation<R: Rng>(&mut self, obs: ContextObservation, rng: &mut R) -> usize {
-        if obs.config.len() != self.config_dim || obs.context.len() != self.context_dim {
+    ///
+    /// The repository and the model share the observation's row.
+    pub fn add_observation<R: Rng>(&mut self, obs: SharedObservation, rng: &mut R) -> usize {
+        if obs.config().len() != self.config_dim || obs.context().len() != self.context_dim {
             return 0;
         }
-        let cluster = self.select_model(&obs.context);
+        let cluster = self.select_model(obs.context());
         self.observations.push(obs.clone());
         self.labels.push(cluster as i32);
         self.observations_since_recluster_check += 1;
@@ -259,7 +264,7 @@ impl ClusterManager {
         let contexts: Vec<Vec<f64>> = self
             .observations
             .iter()
-            .map(|o| o.context.clone())
+            .map(|o| o.context().to_vec())
             .collect();
         let mut candidate = dbscan(&contexts, &self.options.dbscan);
         assign_noise_to_nearest(&contexts, &mut candidate);
@@ -372,12 +377,17 @@ pub struct ClusterManagerState {
 }
 
 impl ClusterManager {
-    /// Exports the complete manager state for snapshots.
+    /// Exports the complete manager state for snapshots, copying every observation out
+    /// of its shared row.
     pub fn export_state(&self) -> ClusterManagerState {
         ClusterManagerState {
             config_dim: self.config_dim,
             context_dim: self.context_dim,
-            observations: self.observations.clone(),
+            observations: self
+                .observations
+                .iter()
+                .map(SharedObservation::to_observation)
+                .collect(),
             labels: self.labels.clone(),
             models: self
                 .models
@@ -385,7 +395,11 @@ impl ClusterManager {
                 .map(|m| {
                     let (kernel_params, noise_variance) = m.hyperparams();
                     ModelState {
-                        observations: m.observations().to_vec(),
+                        observations: m
+                            .observations()
+                            .iter()
+                            .map(SharedObservation::to_observation)
+                            .collect(),
                         kernel_params,
                         noise_variance,
                     }
@@ -401,23 +415,34 @@ impl ClusterManager {
         }
     }
 
-    /// Rebuilds a manager from an exported state. Each model takes its restored
-    /// observations by move and is refitted with its restored hyper-parameters; fitting
-    /// is deterministic, so the restored manager predicts and routes identically to the
-    /// exported one.
+    /// Rebuilds a manager from an exported state. Each model is refitted with its
+    /// restored hyper-parameters; fitting is deterministic, so the restored manager
+    /// predicts and routes identically to the exported one.
+    ///
+    /// Every observation is taken from `rows`: the repository's observations first, so a
+    /// model-window entry bit-identical to a repository entry shares that entry's row
+    /// (as it did before the snapshot) instead of getting a row of its own.
     ///
     /// A model that does not refit on its restored observations (a non-finite value, for
     /// instance) fails the whole restore with an error naming the model's index, instead
     /// of coming back unfitted.
-    pub fn restore(state: ClusterManagerState, options: ClusterOptions) -> Result<Self, String> {
+    pub fn restore(
+        state: ClusterManagerState,
+        options: ClusterOptions,
+        rows: &mut RowInterner,
+    ) -> Result<Self, String> {
+        let mut intern =
+            |o: &ContextObservation| rows.observation(&o.config, &o.context, o.performance);
+        let observations: Vec<SharedObservation> =
+            state.observations.iter().map(&mut intern).collect();
         let models = state
             .models
-            .into_iter()
+            .iter()
             .enumerate()
             .map(|(index, ms)| {
                 let mut model = budgeted_model(state.config_dim, state.context_dim, &options);
                 model.set_hyperparams(&ms.kernel_params, ms.noise_variance);
-                model.set_observations(ms.observations);
+                model.set_observations(ms.observations.iter().map(&mut intern));
                 if !model.is_empty() {
                     model
                         .refit()
@@ -441,7 +466,7 @@ impl ClusterManager {
             config_dim: state.config_dim,
             context_dim: state.context_dim,
             options,
-            observations: state.observations,
+            observations,
             labels: state.labels,
             svm: state
                 .svm
@@ -493,16 +518,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn obs(context: Vec<f64>, config: Vec<f64>, perf: f64) -> ContextObservation {
-        ContextObservation {
-            context,
-            config,
-            performance: perf,
-        }
+    fn obs(context: Vec<f64>, config: Vec<f64>, perf: f64) -> SharedObservation {
+        SharedObservation::new(&config, &context, perf)
     }
 
     /// Two well-separated context regimes with different optima.
-    fn two_regime_observations(n_per: usize) -> Vec<ContextObservation> {
+    fn two_regime_observations(n_per: usize) -> Vec<SharedObservation> {
         let mut out = Vec::new();
         for i in 0..n_per {
             let theta = i as f64 / n_per as f64;

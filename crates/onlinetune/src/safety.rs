@@ -11,6 +11,7 @@
 use gp::acquisition::{lower_confidence_bound, upper_confidence_bound};
 use gp::contextual::ContextualGp;
 use gp::regression::Posterior;
+use gp::rows::SharedConfig;
 
 /// Assessment of one candidate configuration.
 #[derive(Debug, Clone)]
@@ -73,7 +74,7 @@ pub fn assess_candidates(
     candidates: &[Vec<f64>],
     threshold: f64,
     beta: f64,
-    known_safe: &[Vec<f64>],
+    known_safe: &[SharedConfig],
     options: &SafetyOptions,
 ) -> Vec<CandidateAssessment> {
     let assessments = assess_candidates_inner(
@@ -103,7 +104,7 @@ fn assess_candidates_inner(
     candidates: &[Vec<f64>],
     threshold: f64,
     beta: f64,
-    known_safe: &[Vec<f64>],
+    known_safe: &[SharedConfig],
     options: &SafetyOptions,
 ) -> Vec<CandidateAssessment> {
     let model_ready = model.is_fitted() && model.len() >= options.min_observations;
@@ -295,7 +296,7 @@ mod tests {
     fn cold_start_falls_back_to_proximity() {
         let model = ContextualGp::new(2, 1); // empty model
         let candidates = vec![vec![0.5, 0.5], vec![0.9, 0.9]];
-        let known_safe = vec![vec![0.5, 0.52]];
+        let known_safe = vec![SharedConfig::new(&[0.5, 0.52])];
         let out = assess_candidates(
             &model,
             &[0.0],

@@ -20,7 +20,7 @@ use crate::safety::{assess_candidates, SafetyOptions};
 use crate::subspace::{Subspace, SubspaceOptions};
 use crate::whitebox::{RuleContext, RuleEngine, RuleStateSnapshot};
 use gp::acquisition::ucb_beta;
-use gp::contextual::ContextObservation;
+use gp::rows::{RowInterner, SharedConfig, SharedObservation};
 use mlkit::importance::{knob_importance, top_k_knobs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,7 +98,10 @@ impl Default for OnlineTuneOptions {
 pub struct Suggestion {
     /// The recommended configuration in native units.
     pub config: Configuration,
-    /// The same configuration as a normalized `[0, 1]^m` vector.
+    /// The selected candidate as a normalized `[0, 1]^m` vector, before
+    /// `Configuration::from_normalized` rounds integer-valued knobs into `config`: where
+    /// rounding moved a knob, `config.normalized(..)` (what [`OnlineTune::observe`]
+    /// records) differs from this vector.
     pub normalized: Vec<f64>,
     /// What the tuner did this iteration.
     pub diagnostics: IterationDiagnostics,
@@ -129,7 +132,9 @@ pub struct OnlineTune {
     /// Best `(normalized config, improvement over the default)` seen per model.
     best_per_model: Vec<Option<(Vec<f64>, f64)>>,
     initial_normalized: Vec<f64>,
-    known_safe: Vec<Vec<f64>>,
+    /// Configurations measured (or handed over as) safe. One measured here is read from
+    /// its observation's row in the repository.
+    known_safe: Vec<SharedConfig>,
     last_metrics: Option<InternalMetrics>,
     iteration: usize,
     rng: StdRng,
@@ -169,7 +174,7 @@ impl OnlineTune {
             whitebox,
             subspaces,
             best_per_model: vec![None],
-            known_safe: vec![initial_normalized.clone()],
+            known_safe: vec![SharedConfig::new(&initial_normalized)],
             initial_normalized,
             last_metrics: None,
             iteration: 0,
@@ -201,6 +206,11 @@ impl OnlineTune {
     /// Number of observations collected so far.
     pub fn observation_count(&self) -> usize {
         self.clusters.len()
+    }
+
+    /// The observation repository, oldest first.
+    pub fn observations(&self) -> &[SharedObservation] {
+        self.clusters.observations()
     }
 
     /// Number of per-cluster models currently maintained.
@@ -284,7 +294,7 @@ impl OnlineTune {
         let observations = self.clusters.model(model_id).observations();
         let use_important = observations.len() >= 10 && self.rng.gen_bool(0.5);
         if use_important {
-            let configs: Vec<Vec<f64>> = observations.iter().map(|o| o.config.clone()).collect();
+            let configs: Vec<Vec<f64>> = observations.iter().map(|o| o.config().to_vec()).collect();
             let perfs: Vec<f64> = observations.iter().map(|o| o.performance).collect();
             let importance = knob_importance(&configs, &perfs, 4);
             let top = top_k_knobs(&importance, 5);
@@ -571,15 +581,11 @@ impl OnlineTune {
             }
         };
 
-        // Model update (Algorithm 3, lines 11–13).
-        self.clusters.add_observation(
-            ContextObservation {
-                context: context.to_vec(),
-                config: normalized.clone(),
-                performance,
-            },
-            &mut self.rng,
-        );
+        // Model update (Algorithm 3, lines 11–13). The observation's row is allocated
+        // once; the repository, its model and (when safe) the known-safe set share it.
+        let observation = SharedObservation::new(&normalized, context, performance);
+        self.clusters
+            .add_observation(observation.clone(), &mut self.rng);
         if self.options.ablation.use_clustering && self.clusters.maybe_recluster(&mut self.rng) {
             self.sync_model_structures();
         }
@@ -614,7 +620,7 @@ impl OnlineTune {
         }
 
         if was_safe {
-            self.known_safe.push(normalized);
+            self.known_safe.push(observation.shared_config());
             if self.known_safe.len() > self.options.known_safe_capacity {
                 let excess = self.known_safe.len() - self.options.known_safe_capacity;
                 self.known_safe.drain(0..excess);
@@ -713,7 +719,7 @@ impl OnlineTune {
             subspaces: self.subspaces.clone(),
             best_per_model: self.best_per_model.clone(),
             initial_normalized: self.initial_normalized.clone(),
-            known_safe: self.known_safe.clone(),
+            known_safe: self.known_safe.iter().map(|c| c.to_vec()).collect(),
             last_metrics: self.last_metrics.clone(),
             iteration: self.iteration,
             rng: self.rng.clone(),
@@ -728,7 +734,11 @@ impl OnlineTune {
     /// catalogue (snapshots only store knob names, not full definitions), or when a
     /// per-cluster model does not refit on its restored observations (see
     /// [`ClusterManager::restore`]).
-    pub fn restore(state: OnlineTuneState) -> Result<Self, String> {
+    ///
+    /// Observations and known-safe configurations are taken from `rows`, so a known-safe
+    /// configuration bit-identical to a repository observation's shares that
+    /// observation's row, as it did before the snapshot.
+    pub fn restore(state: OnlineTuneState, rows: &mut RowInterner) -> Result<Self, String> {
         let full = KnobCatalogue::mysql57();
         let full_names: Vec<&str> = full.knobs().iter().map(|k| k.name).collect();
         let wanted: Vec<&str> = state.knob_names.iter().map(|s| s.as_str()).collect();
@@ -744,7 +754,9 @@ impl OnlineTune {
         };
         let mut whitebox = RuleEngine::with_default_rules();
         whitebox.restore_states(&state.whitebox);
-        let clusters = ClusterManager::restore(state.clusters, state.options.cluster.clone())?;
+        let clusters =
+            ClusterManager::restore(state.clusters, state.options.cluster.clone(), rows)?;
+        let known_safe = state.known_safe.iter().map(|c| rows.config(c)).collect();
         Ok(OnlineTune {
             catalogue,
             hardware: state.hardware,
@@ -754,7 +766,7 @@ impl OnlineTune {
             subspaces: state.subspaces,
             best_per_model: state.best_per_model,
             initial_normalized: state.initial_normalized,
-            known_safe: state.known_safe,
+            known_safe,
             last_metrics: state.last_metrics,
             iteration: state.iteration,
             rng: state.rng,
@@ -764,9 +776,10 @@ impl OnlineTune {
     }
 
     /// Seeds the safety set with externally known-safe configurations (normalized), e.g.
-    /// from a fleet-level knowledge base. Duplicates are skipped; the capacity bound of
+    /// from a fleet-level knowledge base, whose rows are shared rather than copied.
+    /// Duplicates (by `==`) are skipped; the capacity bound of
     /// [`OnlineTuneOptions::known_safe_capacity`] is enforced.
-    pub fn extend_known_safe<I: IntoIterator<Item = Vec<f64>>>(&mut self, configs: I) {
+    pub fn extend_known_safe(&mut self, configs: impl IntoIterator<Item = SharedConfig>) {
         let dim = self.catalogue.len();
         for cfg in configs {
             if cfg.len() != dim || self.known_safe.contains(&cfg) {
@@ -782,13 +795,17 @@ impl OnlineTune {
 
     /// Absorbs observations transferred from another tuning session (cross-tenant
     /// warm start). The observations join the repository and the per-cluster models as if
-    /// they had been collected locally, generalizing the paper's cold-start fallback.
-    pub fn absorb_observations(&mut self, observations: &[ContextObservation]) {
+    /// they had been collected locally, generalizing the paper's cold-start fallback;
+    /// they keep their rows.
+    pub fn absorb_observations(
+        &mut self,
+        observations: impl IntoIterator<Item = SharedObservation>,
+    ) {
         for obs in observations {
-            if obs.config.len() != self.catalogue.len() {
+            if obs.config().len() != self.catalogue.len() {
                 continue;
             }
-            self.clusters.add_observation(obs.clone(), &mut self.rng);
+            self.clusters.add_observation(obs, &mut self.rng);
         }
         if self.options.ablation.use_clustering {
             self.clusters.maybe_recluster(&mut self.rng);
@@ -800,7 +817,9 @@ impl OnlineTune {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gp::contextual::ContextObservation;
     use simdb::{SimDatabase, WorkloadSpec};
+    use std::sync::Arc;
 
     fn context_for(read_ratio: f64) -> Vec<f64> {
         vec![read_ratio, 1.0 - read_ratio, 0.5]
@@ -1006,7 +1025,40 @@ mod tests {
 
         let json = serde_json::to_string(&original.snapshot()).unwrap();
         let state: OnlineTuneState = serde_json::from_str(&json).unwrap();
-        let mut restored = OnlineTune::restore(state).unwrap();
+        let mut restored = OnlineTune::restore(state, &mut RowInterner::default()).unwrap();
+
+        // The restore shares rows as the live tuner did: every model-window entry, and
+        // every known-safe configuration bit-identical to a repository entry's, is read
+        // from a repository row.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let repository = restored.observations();
+        for id in 0..restored.clusters.n_models() {
+            for obs in restored.clusters.model(id).observations() {
+                assert!(
+                    repository.iter().any(|r| Arc::ptr_eq(r.row(), obs.row())),
+                    "a restored model-window entry holds a row of its own"
+                );
+            }
+        }
+        // A configuration is the prefix of its row, so the same allocation means the same
+        // address.
+        let mut shared_safe = 0;
+        for safe in &restored.known_safe {
+            let same = |r: &&SharedObservation| bits(r.config()) == bits(safe);
+            if repository.iter().any(|r| same(&r)) {
+                assert!(
+                    repository
+                        .iter()
+                        .any(|r| same(&r) && std::ptr::eq(r.config().as_ptr(), safe.as_ptr())),
+                    "a restored known-safe configuration holds a row of its own"
+                );
+                shared_safe += 1;
+            }
+        }
+        assert!(
+            shared_safe > 0,
+            "no known-safe configuration was measured here"
+        );
 
         // Drive both tuners with the same inputs: every recommendation must be identical
         // down to the last bit, and so must the internal bookkeeping.
@@ -1038,15 +1090,15 @@ mod tests {
                 performance: 100.0 + i as f64,
             })
             .collect();
-        tuner.extend_known_safe(transferred.iter().map(|o| o.config.clone()));
-        tuner.absorb_observations(&transferred);
+        tuner.extend_known_safe(transferred.iter().map(|o| SharedConfig::new(&o.config)));
+        tuner.absorb_observations(transferred.iter().map(SharedObservation::from));
         assert_eq!(tuner.observation_count(), 5);
         // Mismatched dimensions are skipped, not absorbed.
-        tuner.absorb_observations(&[ContextObservation {
-            context: context_for(0.5),
-            config: vec![0.5; dim + 1],
-            performance: 1.0,
-        }]);
+        tuner.absorb_observations([SharedObservation::new(
+            &vec![0.5; dim + 1],
+            &context_for(0.5),
+            1.0,
+        )]);
         assert_eq!(tuner.observation_count(), 5);
     }
 

@@ -149,11 +149,6 @@ impl SimDatabase {
         self.failures
     }
 
-    /// Total injected faults that have hit this instance's measurements.
-    pub fn faults_injected(&self) -> usize {
-        self.fault_plan.injected
-    }
-
     /// The instance's pending fault schedule.
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.fault_plan
@@ -212,11 +207,6 @@ impl SimDatabase {
     /// in the catalogue, as in the paper). Values are sanitized into their legal domains.
     pub fn apply_config(&mut self, config: &Configuration) {
         self.current_config = Configuration::from_values(&self.catalogue, config.values().to_vec());
-    }
-
-    /// Convenience: applies the vendor-default configuration.
-    pub fn apply_vendor_default(&mut self) {
-        self.current_config = Configuration::vendor_default(&self.catalogue);
     }
 
     /// Convenience: applies the DBA-default configuration.
@@ -553,7 +543,7 @@ mod tests {
             "a destroyed interval must not grow data"
         );
         assert_eq!(db.failures(), 0, "injected faults are not organic failures");
-        assert_eq!(db.faults_injected(), 1);
+        assert_eq!(db.fault_plan().injected, 1);
         // The next interval is clean again.
         let clean = db.run_interval(&wl, 180.0);
         assert_eq!(clean.fault, None);
@@ -605,7 +595,7 @@ mod tests {
             assert_eq!(a.fault, b.fault);
             assert_eq!(a.outcome.failed, b.outcome.failed);
         }
-        assert_eq!(db.faults_injected(), twin.faults_injected());
+        assert_eq!(db.fault_plan().injected, twin.fault_plan().injected);
     }
 
     #[test]

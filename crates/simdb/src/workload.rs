@@ -108,17 +108,6 @@ impl WorkloadMix {
             .map(|(_, w)| w)
             .sum()
     }
-
-    /// Linear interpolation between two mixes (`t` in `[0, 1]`), used by the dynamic
-    /// query-composition schedules.
-    pub fn blend(&self, other: &WorkloadMix, t: f64) -> WorkloadMix {
-        let t = t.clamp(0.0, 1.0);
-        let mut w = [0.0; 7];
-        for (i, wi) in w.iter_mut().enumerate() {
-            *wi = (1.0 - t) * self.weights[i] + t * other.weights[i];
-        }
-        WorkloadMix::new(w)
-    }
 }
 
 /// Everything the performance model needs to know about one tuning interval's workload.
@@ -209,17 +198,6 @@ mod tests {
         let mix = WorkloadMix::new([-5.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
         assert_eq!(mix.weight(QueryClass::PointSelect), 0.0);
         assert_eq!(mix.weight(QueryClass::RangeSelect), 1.0);
-    }
-
-    #[test]
-    fn blend_interpolates() {
-        let oltp = WorkloadMix::new([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        let olap = WorkloadMix::new([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
-        let mid = oltp.blend(&olap, 0.5);
-        assert!((mid.weight(QueryClass::PointSelect) - 0.5).abs() < 1e-12);
-        assert!((mid.weight(QueryClass::Join) - 0.5).abs() < 1e-12);
-        let clamped = oltp.blend(&olap, 2.0);
-        assert!((clamped.weight(QueryClass::Join) - 1.0).abs() < 1e-12);
     }
 
     #[test]

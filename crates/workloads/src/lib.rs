@@ -53,11 +53,6 @@ impl Objective {
             Objective::ExecutionTime => -outcome.latency_avg_ms,
         }
     }
-
-    /// Whether larger raw metric values are better.
-    pub fn higher_is_better(&self) -> bool {
-        matches!(self, Objective::Throughput)
-    }
 }
 
 /// A deterministic source of per-iteration workload descriptions.
@@ -132,8 +127,6 @@ mod tests {
         assert!(Objective::Throughput.score(&good) > Objective::Throughput.score(&bad));
         assert!(Objective::P99Latency.score(&good) > Objective::P99Latency.score(&bad));
         assert!(Objective::ExecutionTime.score(&good) > Objective::ExecutionTime.score(&bad));
-        assert!(Objective::Throughput.higher_is_better());
-        assert!(!Objective::P99Latency.higher_is_better());
     }
 
     #[test]

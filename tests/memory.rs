@@ -13,6 +13,7 @@
 use fleet::service::{small_tuner_options, FleetOptions, FleetService};
 use fleet::tenant::{TenantSpec, WorkloadFamily};
 use gp::contextual::{ContextObservation, ContextualGp};
+use gp::rows::{Row, RowInterner, SharedObservation};
 use mlkit::{QueryEncoder, SqlTokenizer};
 use onlinetune::{OnlineTune, OnlineTuneOptions};
 use simdb::{Configuration, HardwareSpec, KnobCatalogue};
@@ -108,9 +109,17 @@ fn peak_rise<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 const F64: usize = std::mem::size_of::<f64>();
-const VEC: usize = std::mem::size_of::<Vec<f64>>();
+const USIZE: usize = std::mem::size_of::<usize>();
 const CONFIG_DIM: usize = 40;
 const CONTEXT_DIM: usize = 12;
+/// Per repository observation, besides its values: the row's reference counts, the
+/// repository entry and label, a model-window entry, the GP's handle, target and dual
+/// weight, and a known-safe handle.
+const ROW_HANDLES: usize = 160;
+/// A restored tenant's state apart from its observations: the simulated instance, the
+/// featurizer, the workload generator, rule and subspace state, and its share of the
+/// knowledge base.
+const PER_TENANT: usize = 48 * 1024;
 /// Kernel, standardizer and other per-model bookkeeping that no allowance names.
 const SLACK: usize = 16 * 1024;
 
@@ -137,15 +146,16 @@ fn observations(model: usize, n: usize) -> Vec<ContextObservation> {
 }
 
 /// (a) Fit, then refit, `k` models on one thread. The fit path's scratch — the Gram
-/// matrix, a spare factor, joint input rows — belongs to the thread, so every model
-/// after the first adds only what it keeps between fits: its factor, `α` and its
-/// training data (the observation store plus the GP's joint rows and targets).
+/// matrix and a spare factor — belongs to the thread, so every model after the first
+/// adds only what it keeps between fits: its factor, `α` and its training data (one
+/// shared row per observation, the store's entry and the GP's handle on that row, and
+/// the targets).
 fn models_keep_no_fit_scratch() {
     const N: usize = 150;
     const K: usize = 4;
-    let joint_row = VEC + (CONFIG_DIM + CONTEXT_DIM) * F64;
-    let stored = std::mem::size_of::<ContextObservation>() + (CONFIG_DIM + CONTEXT_DIM) * F64;
-    let allowance = N * N * F64 + N * F64 + N * (stored + joint_row + F64);
+    let row = 2 * USIZE + (CONFIG_DIM + CONTEXT_DIM) * F64;
+    let handles = std::mem::size_of::<SharedObservation>() + std::mem::size_of::<Row>();
+    let allowance = N * N * F64 + N * F64 + N * (row + handles + F64);
 
     let mut models = Vec::with_capacity(K);
     let mut added = Vec::with_capacity(K);
@@ -193,8 +203,10 @@ fn suggest_keeps_no_candidate_rows_per_tuner() {
             .expect("finite measurement");
     }
     // Restored tuners start with nothing cached from earlier sweeps.
-    let mut first = OnlineTune::restore(tuner.snapshot()).expect("restore");
-    let mut second = OnlineTune::restore(tuner.snapshot()).expect("restore");
+    let mut first =
+        OnlineTune::restore(tuner.snapshot(), &mut RowInterner::default()).expect("restore");
+    let mut second =
+        OnlineTune::restore(tuner.snapshot(), &mut RowInterner::default()).expect("restore");
     let kept_by_sweep = |tuner: &mut OnlineTune| {
         let before = live();
         let suggestion = tuner.suggest(&context, 100.0, 32);
@@ -216,9 +228,8 @@ fn suggest_keeps_no_candidate_rows_per_tuner() {
     );
 }
 
-/// (c) Serializing the fleet streams the live state: beyond the text itself, it holds
-/// at most one tenant's export at a time, never a copy of the whole fleet.
-fn serialization_holds_one_tenant_export_at_a_time() {
+/// Six deterministic tenants, one of each family and then some, after `rounds` rounds.
+fn six_tenant_fleet(rounds: usize) -> FleetService {
     let mut svc = FleetService::new(FleetOptions {
         workers: 1,
         tuner: small_tuner_options(),
@@ -230,7 +241,14 @@ fn serialization_holds_one_tenant_export_at_a_time() {
         spec.deterministic = true;
         svc.admit(spec).expect("admit");
     }
-    svc.run_rounds(12);
+    svc.run_rounds(rounds);
+    svc
+}
+
+/// (c) Serializing the fleet streams the live state: beyond the text itself, it holds
+/// at most one tenant's export at a time, never a copy of the whole fleet.
+fn serialization_holds_one_tenant_export_at_a_time() {
+    let svc = six_tenant_fleet(12);
 
     let largest_export = svc
         .sessions()
@@ -248,6 +266,44 @@ fn serialization_holds_one_tenant_export_at_a_time() {
         rise <= bound,
         "serializing rose {rise} B, more than the text ({} B) plus one tenant export ({largest_export} B) + 4 KiB",
         text.capacity()
+    );
+}
+
+/// (e) A restored fleet holds each observation's values once, in its repository's row.
+/// The model windows, the GPs' training rows, the known-safe sets and the knowledge base
+/// hold handles on those rows, so the restored fleet's live heap stays within one row
+/// per repository observation, the models' Cholesky factors and a per-tenant constant.
+fn restored_fleet_keeps_each_observation_once() {
+    let json = six_tenant_fleet(24).canonical_snapshot_json();
+    let before = live();
+    let restored = FleetService::restore_json(&json).expect("restore");
+    let held = live() - before;
+
+    let (mut observations, mut row_values, mut factors) = (0, 0, 0);
+    for session in restored.sessions() {
+        let clusters = session.export_state().tuner.clusters;
+        observations += clusters.observations.len();
+        row_values += clusters
+            .observations
+            .iter()
+            .map(|o| o.config.len() + o.context.len())
+            .sum::<usize>();
+        factors += clusters
+            .models
+            .iter()
+            .map(|m| m.observations.len().pow(2) * F64)
+            .sum::<usize>();
+    }
+    let tenants = restored.n_tenants();
+    let bound = row_values * F64 + observations * ROW_HANDLES + factors + tenants * PER_TENANT;
+    println!(
+        "(e) restored fleet: {held} B live for {observations} observations ({row_values} values) \
+         in {tenants} tenants; bound {bound} B (factors {factors} B)"
+    );
+    assert!(
+        held <= bound as isize,
+        "the restored fleet holds {held} B, more than one row per observation plus factors and \
+         {PER_TENANT} B per tenant ({bound} B): some observation is stored twice"
     );
 }
 
@@ -285,5 +341,6 @@ fn fit_suggest_and_serialization_keep_only_what_they_must() {
     models_keep_no_fit_scratch();
     suggest_keeps_no_candidate_rows_per_tuner();
     serialization_holds_one_tenant_export_at_a_time();
+    restored_fleet_keeps_each_observation_once();
     encoding_allocates_per_call_not_per_token();
 }

@@ -183,8 +183,7 @@ proptest! {
                 unsafe_rate_ceiling: 0.5,
             },
         );
-        let snapshot = serde_json::from_str(&cut_json).map_err(|e| e.to_string()).unwrap();
-        let mut resumed = FleetService::restore_with_telemetry(snapshot, reconfigured).unwrap();
+        let mut resumed = FleetService::restore_with_telemetry(&cut_json, reconfigured).unwrap();
         run_scenario(&mut resumed, &scenario, rounds - cut).unwrap();
 
         prop_assert_eq!(
