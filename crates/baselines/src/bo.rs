@@ -12,6 +12,7 @@ use gp::acquisition::expected_improvement;
 use gp::kernels::{Matern52Kernel, ScaledKernel};
 use gp::regression::GaussianProcess;
 use gp::rows::Row;
+use onlinetune::IterationDiagnostics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simdb::{Configuration, InternalMetrics, KnobCatalogue};
@@ -73,7 +74,10 @@ impl Tuner for BoTuner {
         "BO"
     }
 
-    fn suggest(&mut self, _input: &TuningInput<'_>) -> Configuration {
+    fn suggest(
+        &mut self,
+        _input: &TuningInput<'_>,
+    ) -> (Configuration, Option<IterationDiagnostics>) {
         let normalized = if self.observations.len() < self.options.initial_random_samples {
             self.random_config()
         } else {
@@ -107,7 +111,10 @@ impl Tuner for BoTuner {
                 Err(_) => self.random_config(),
             }
         };
-        Configuration::from_normalized(&self.catalogue, &normalized)
+        (
+            Configuration::from_normalized(&self.catalogue, &normalized),
+            None,
+        )
     }
 
     fn observe(
@@ -151,8 +158,8 @@ mod tests {
     fn warm_up_phase_samples_randomly() {
         let cat = KnobCatalogue::mysql57();
         let mut bo = BoTuner::new(cat.clone(), BoOptions::default(), 1);
-        let a = bo.suggest(&input());
-        let b = bo.suggest(&input());
+        let a = bo.suggest(&input()).0;
+        let b = bo.suggest(&input()).0;
         assert_ne!(a, b, "random warm-up should not repeat configurations");
     }
 
@@ -174,7 +181,7 @@ mod tests {
         );
         let mut best = f64::NEG_INFINITY;
         for _ in 0..35 {
-            let cfg = bo.suggest(&input());
+            let cfg = bo.suggest(&input()).0;
             let y = objective(&cfg.normalized(&cat));
             best = best.max(y);
             bo.observe(&input(), &cfg, y, &InternalMetrics::zeroed(), true);
@@ -201,6 +208,6 @@ mod tests {
             context: &[-5.0, 9.0],
             ..input()
         };
-        assert_eq!(a.suggest(&input_a), b.suggest(&input_b));
+        assert_eq!(a.suggest(&input_a).0, b.suggest(&input_b).0);
     }
 }

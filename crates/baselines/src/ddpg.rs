@@ -10,6 +10,7 @@
 
 use crate::{Tuner, TuningInput};
 use mlkit::nn::{Activation, Mlp};
+use onlinetune::IterationDiagnostics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simdb::{Configuration, InternalMetrics, KnobCatalogue};
@@ -188,7 +189,10 @@ impl Tuner for DdpgTuner {
         "DDPG"
     }
 
-    fn suggest(&mut self, input: &TuningInput<'_>) -> Configuration {
+    fn suggest(
+        &mut self,
+        input: &TuningInput<'_>,
+    ) -> (Configuration, Option<IterationDiagnostics>) {
         let state = Self::normalize_state(input.metrics);
         let mut action = self.actor.forward(&state);
         for a in action.iter_mut() {
@@ -198,7 +202,7 @@ impl Tuner for DdpgTuner {
         let unit = Self::action_to_unit(&action);
         self.last_state = Some(state);
         self.last_action = Some(action);
-        Configuration::from_normalized(&self.catalogue, &unit)
+        (Configuration::from_normalized(&self.catalogue, &unit), None)
     }
 
     fn observe(
@@ -258,7 +262,7 @@ mod tests {
         let cat = KnobCatalogue::mysql57();
         let mut agent = DdpgTuner::new(cat.clone(), DdpgOptions::default(), 1);
         let metrics = InternalMetrics::zeroed();
-        let cfg = agent.suggest(&input_with(Some(&metrics)));
+        let cfg = agent.suggest(&input_with(Some(&metrics))).0;
         for (v, k) in cfg.values().iter().zip(cat.knobs()) {
             assert!(*v >= k.min() && *v <= k.max(), "{}", k.name);
         }
@@ -271,7 +275,7 @@ mod tests {
         let initial = agent.exploration_noise();
         let metrics = InternalMetrics::zeroed();
         for _ in 0..50 {
-            let cfg = agent.suggest(&input_with(Some(&metrics)));
+            let cfg = agent.suggest(&input_with(Some(&metrics))).0;
             agent.observe(&input_with(Some(&metrics)), &cfg, 100.0, &metrics, true);
         }
         assert!(agent.exploration_noise() < initial);
@@ -282,8 +286,14 @@ mod tests {
         let cat = KnobCatalogue::mysql57();
         let mut agent = DdpgTuner::new(cat.clone(), DdpgOptions::default(), 3);
         let metrics = InternalMetrics::zeroed();
-        let a = agent.suggest(&input_with(Some(&metrics))).normalized(&cat);
-        let b = agent.suggest(&input_with(Some(&metrics))).normalized(&cat);
+        let a = agent
+            .suggest(&input_with(Some(&metrics)))
+            .0
+            .normalized(&cat);
+        let b = agent
+            .suggest(&input_with(Some(&metrics)))
+            .0
+            .normalized(&cat);
         assert!(linalg::vecops::euclidean_distance(&a, &b) > 0.1);
     }
 
@@ -299,7 +309,7 @@ mod tests {
         let mut agent = DdpgTuner::new(cat, options, 4);
         let metrics = InternalMetrics::zeroed();
         for i in 0..30 {
-            let cfg = agent.suggest(&input_with(Some(&metrics)));
+            let cfg = agent.suggest(&input_with(Some(&metrics))).0;
             agent.observe(
                 &input_with(Some(&metrics)),
                 &cfg,

@@ -2,6 +2,7 @@
 //! "apply the best offline configuration forever" baseline of Figure 1d.
 
 use crate::{Tuner, TuningInput};
+use onlinetune::IterationDiagnostics;
 use simdb::{Configuration, InternalMetrics, KnobCatalogue};
 
 /// Always recommends the same configuration.
@@ -40,8 +41,11 @@ impl Tuner for FixedConfigTuner {
         &self.name
     }
 
-    fn suggest(&mut self, _input: &TuningInput<'_>) -> Configuration {
-        self.config.clone()
+    fn suggest(
+        &mut self,
+        _input: &TuningInput<'_>,
+    ) -> (Configuration, Option<IterationDiagnostics>) {
+        (self.config.clone(), None)
     }
 
     fn observe(
@@ -70,9 +74,9 @@ mod tests {
             safety_threshold: 0.0,
             clients: 8,
         };
-        let a = t.suggest(&input);
+        let a = t.suggest(&input).0;
         t.observe(&input, &a, 1.0, &InternalMetrics::zeroed(), true);
-        let b = t.suggest(&input);
+        let b = t.suggest(&input).0;
         assert_eq!(a, b);
         assert_eq!(t.name(), "DBA Default");
         assert_eq!(a, Configuration::dba_default(&cat));

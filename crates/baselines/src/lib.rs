@@ -26,6 +26,7 @@ pub mod mysqltuner;
 pub mod qtune;
 pub mod restune;
 
+use onlinetune::IterationDiagnostics;
 use simdb::{Configuration, InternalMetrics};
 
 /// Everything a tuner may look at when producing a recommendation.
@@ -46,8 +47,10 @@ pub trait Tuner {
     /// Display name used in experiment tables.
     fn name(&self) -> &str;
 
-    /// Recommends a configuration for the upcoming interval.
-    fn suggest(&mut self, input: &TuningInput<'_>) -> Configuration;
+    /// Recommends a configuration for the upcoming interval, with the tuner's account of
+    /// how it chose it (`None` for tuners that keep no diagnostics).
+    fn suggest(&mut self, input: &TuningInput<'_>)
+        -> (Configuration, Option<IterationDiagnostics>);
 
     /// Feeds back the observed performance (higher-is-better units) of `config`.
     fn observe(
@@ -75,12 +78,6 @@ impl OnlineTuneBaseline {
     pub fn inner(&self) -> &onlinetune::OnlineTune {
         &self.inner
     }
-
-    /// Mutable access to the wrapped tuner (used by the case-study harness, which needs the
-    /// per-iteration diagnostics the plain [`Tuner`] interface does not expose).
-    pub fn inner_mut(&mut self) -> &mut onlinetune::OnlineTune {
-        &mut self.inner
-    }
 }
 
 impl Tuner for OnlineTuneBaseline {
@@ -88,10 +85,14 @@ impl Tuner for OnlineTuneBaseline {
         "OnlineTune"
     }
 
-    fn suggest(&mut self, input: &TuningInput<'_>) -> Configuration {
-        self.inner
-            .suggest(input.context, input.safety_threshold, input.clients)
-            .config
+    fn suggest(
+        &mut self,
+        input: &TuningInput<'_>,
+    ) -> (Configuration, Option<IterationDiagnostics>) {
+        let suggestion = self
+            .inner
+            .suggest(input.context, input.safety_threshold, input.clients);
+        (suggestion.config, Some(suggestion.diagnostics))
     }
 
     fn observe(
@@ -133,7 +134,8 @@ mod tests {
             safety_threshold: 100.0,
             clients: 32,
         };
-        let config = baseline.suggest(&input);
+        let (config, diagnostics) = baseline.suggest(&input);
+        assert_eq!(diagnostics.map(|d| d.iteration), Some(1));
         baseline.observe(&input, &config, 120.0, &InternalMetrics::zeroed(), true);
         assert_eq!(baseline.inner().observation_count(), 1);
     }

@@ -11,6 +11,7 @@
 //! optimum").
 
 use crate::{Tuner, TuningInput};
+use onlinetune::IterationDiagnostics;
 use simdb::{Configuration, HardwareSpec, InternalMetrics, KnobCatalogue};
 
 const MIB: f64 = 1024.0 * 1024.0;
@@ -144,11 +145,14 @@ impl Tuner for MysqlTunerBaseline {
         "MysqlTuner"
     }
 
-    fn suggest(&mut self, input: &TuningInput<'_>) -> Configuration {
+    fn suggest(
+        &mut self,
+        input: &TuningInput<'_>,
+    ) -> (Configuration, Option<IterationDiagnostics>) {
         if let Some(metrics) = input.metrics {
             self.apply_heuristics(metrics, input.clients);
         }
-        self.current.clone()
+        (self.current.clone(), None)
     }
 
     fn observe(
@@ -192,7 +196,7 @@ mod tests {
         let mut t = MysqlTunerBaseline::new(cat.clone(), HardwareSpec::default());
         let before = t.current().get(&cat, "innodb_buffer_pool_size").unwrap();
         let metrics = metrics_with(0.5, 0.0);
-        let cfg = t.suggest(&input_with(&metrics));
+        let cfg = t.suggest(&input_with(&metrics)).0;
         assert!(cfg.get(&cat, "innodb_buffer_pool_size").unwrap() > before);
     }
 
@@ -202,10 +206,10 @@ mod tests {
         let hw = HardwareSpec::default();
         let mut t = MysqlTunerBaseline::new(cat.clone(), hw);
         let metrics = metrics_with(0.9, 0.3);
-        let mut last = t.suggest(&input_with(&metrics));
+        let mut last = t.suggest(&input_with(&metrics)).0;
         for _ in 0..30 {
             t.observe(&input_with(&metrics), &last, 100.0, &metrics, true);
-            last = t.suggest(&input_with(&metrics));
+            last = t.suggest(&input_with(&metrics)).0;
             let bp = last.get(&cat, "innodb_buffer_pool_size").unwrap();
             assert!(
                 bp <= hw.usable_ram_bytes() * 0.75,
@@ -214,7 +218,7 @@ mod tests {
         }
         // After many rounds the advice stabilizes (local optimum behaviour).
         t.observe(&input_with(&metrics), &last, 100.0, &metrics, true);
-        let next = t.suggest(&input_with(&metrics));
+        let next = t.suggest(&input_with(&metrics)).0;
         assert_eq!(last, next);
     }
 
@@ -226,7 +230,7 @@ mod tests {
         m.tmp_disk_table_ratio = 0.5;
         m.joins_without_index_ratio = 0.4;
         let before_sort = t.current().get(&cat, "sort_buffer_size").unwrap();
-        let cfg = t.suggest(&input_with(&m));
+        let cfg = t.suggest(&input_with(&m)).0;
         assert!(cfg.get(&cat, "sort_buffer_size").unwrap() > before_sort);
         assert!(cfg.get(&cat, "tmp_table_size").unwrap() > 16.0 * MIB);
         assert!(cfg.get(&cat, "join_buffer_size").unwrap() > 256.0 * 1024.0);
@@ -237,7 +241,7 @@ mod tests {
         let cat = KnobCatalogue::mysql57();
         let mut t = MysqlTunerBaseline::new(cat.clone(), HardwareSpec::default());
         let metrics = metrics_with(0.99, 0.0);
-        let cfg = t.suggest(&input_with(&metrics));
+        let cfg = t.suggest(&input_with(&metrics)).0;
         assert_eq!(cfg.get(&cat, "query_cache_size").unwrap(), 0.0);
         assert_eq!(cfg.get(&cat, "innodb_thread_concurrency").unwrap(), 0.0);
     }
@@ -252,6 +256,6 @@ mod tests {
             safety_threshold: 0.0,
             clients: 32,
         };
-        assert_eq!(t.suggest(&input), Configuration::vendor_default(&cat));
+        assert_eq!(t.suggest(&input).0, Configuration::vendor_default(&cat));
     }
 }

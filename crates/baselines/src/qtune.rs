@@ -10,6 +10,7 @@
 use crate::ddpg::{DdpgOptions, DdpgTuner};
 use crate::{Tuner, TuningInput};
 use mlkit::nn::{Activation, Mlp};
+use onlinetune::IterationDiagnostics;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simdb::{Configuration, InternalMetrics, KnobCatalogue};
@@ -77,7 +78,10 @@ impl Tuner for QtuneTuner {
         "QTune"
     }
 
-    fn suggest(&mut self, input: &TuningInput<'_>) -> Configuration {
+    fn suggest(
+        &mut self,
+        input: &TuningInput<'_>,
+    ) -> (Configuration, Option<IterationDiagnostics>) {
         // Workload-level granularity: the agent's state is the *predicted* metrics for the
         // observed workload context.
         let predicted = self.predict_metrics(input.context);
@@ -156,7 +160,7 @@ mod tests {
                 safety_threshold: 0.0,
                 clients: 16,
             };
-            let cfg = q.suggest(&input);
+            let cfg = q.suggest(&input).0;
             for (v, k) in cfg.values().iter().zip(cat.knobs()) {
                 assert!(*v >= k.min() && *v <= k.max());
             }

@@ -13,6 +13,7 @@ use gp::kernels::{Matern52Kernel, ScaledKernel};
 use gp::regression::{GaussianProcess, Posterior};
 use gp::rows::Row;
 use linalg::stats::normal_cdf;
+use onlinetune::IterationDiagnostics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simdb::{Configuration, InternalMetrics, KnobCatalogue};
@@ -66,11 +67,6 @@ impl ResTuneTuner {
             source_models: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Number of frozen source-task models.
-    pub fn source_model_count(&self) -> usize {
-        self.source_models.len()
     }
 
     fn random_config(&mut self) -> Vec<f64> {
@@ -160,7 +156,10 @@ impl Tuner for ResTuneTuner {
         "ResTune"
     }
 
-    fn suggest(&mut self, input: &TuningInput<'_>) -> Configuration {
+    fn suggest(
+        &mut self,
+        input: &TuningInput<'_>,
+    ) -> (Configuration, Option<IterationDiagnostics>) {
         let target_start = self.source_models.len() * self.options.source_task_size;
         let target_obs: Vec<(Vec<f64>, f64, bool)> =
             self.observations[target_start.min(self.observations.len())..].to_vec();
@@ -225,7 +224,10 @@ impl Tuner for ResTuneTuner {
             }
         };
         let _ = input;
-        Configuration::from_normalized(&self.catalogue, &normalized)
+        (
+            Configuration::from_normalized(&self.catalogue, &normalized),
+            None,
+        )
     }
 
     fn observe(
@@ -282,10 +284,10 @@ mod tests {
         };
         let mut tuner = ResTuneTuner::new(cat.clone(), options, 1);
         for i in 0..35 {
-            let cfg = tuner.suggest(&input());
+            let cfg = tuner.suggest(&input()).0;
             tuner.observe(&input(), &cfg, i as f64, &InternalMetrics::zeroed(), true);
         }
-        assert_eq!(tuner.source_model_count(), 3);
+        assert_eq!(tuner.source_models.len(), 3);
     }
 
     #[test]
@@ -302,7 +304,7 @@ mod tests {
         );
         let mut best = f64::NEG_INFINITY;
         for _ in 0..40 {
-            let cfg = tuner.suggest(&input());
+            let cfg = tuner.suggest(&input()).0;
             let y = objective(&cfg.normalized(&cat));
             best = best.max(y);
             tuner.observe(&input(), &cfg, y, &InternalMetrics::zeroed(), y >= 50.0);
@@ -322,13 +324,13 @@ mod tests {
             5,
         );
         for i in 0..20 {
-            let cfg = tuner.suggest(&input());
+            let cfg = tuner.suggest(&input()).0;
             let y = objective(&cfg.normalized(&cat)) + i as f64 * 0.01;
             tuner.observe(&input(), &cfg, y, &InternalMetrics::zeroed(), true);
         }
         let target: Vec<(Vec<f64>, f64, bool)> = tuner.observations[16..].to_vec();
         let w = tuner.rgpe_weights(&target);
-        assert_eq!(w.len(), tuner.source_model_count() + 1);
+        assert_eq!(w.len(), tuner.source_models.len() + 1);
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(w.iter().all(|x| *x >= 0.0));
     }

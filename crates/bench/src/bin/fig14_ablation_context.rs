@@ -79,6 +79,7 @@ fn main() {
                     seed: 14,
                     ..Default::default()
                 },
+                |_, _, _| {},
             );
             rows.push(vec![
                 label.to_string(),

@@ -51,6 +51,7 @@ fn main() {
                     seed: 15,
                     ..Default::default()
                 },
+                |_, _, _| {},
             );
             rows.push(vec![
                 kind.label().to_string(),

@@ -47,6 +47,7 @@ fn main() {
                 seed: 16,
                 ..Default::default()
             },
+            |_, _, _| {},
         );
         // Normalize the cumulative improvement per minute of tuning so different interval
         // counts are comparable (the paper plots cumulative improvement over wall time).

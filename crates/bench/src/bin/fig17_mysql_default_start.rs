@@ -57,6 +57,7 @@ fn main() {
                 reference_config: Some(reference),
                 ..Default::default()
             },
+            |_, _, _| {},
         );
         let last_quarter: Vec<f64> = result
             .records

@@ -53,6 +53,7 @@ fn main() {
                     seed: 18,
                     ..Default::default()
                 },
+                |_, _, _| {},
             );
             let search_step = result
                 .search_step(0.1)

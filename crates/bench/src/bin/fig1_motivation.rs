@@ -74,6 +74,7 @@ fn main() {
                 seed: 99,
                 ..Default::default()
             },
+            |_, _, _| {},
         );
         let below_default = result
             .records
@@ -139,7 +140,7 @@ fn main() {
                 safety_threshold: 0.0,
                 clients: spec.clients,
             };
-            let cfg = fixed.suggest(&input);
+            let (cfg, _) = fixed.suggest(&input);
             let tuned = db.peek(&cfg, &spec).throughput_tps;
             let reference = db.peek(&dba, &spec).throughput_tps;
             // Advance data growth under the tuned configuration.

@@ -45,6 +45,7 @@ fn main() {
                     seed: 2022,
                     ..Default::default()
                 },
+                |_, _, _| {},
             );
             rows.push(summary_row(&result, 180.0, objective));
             results.push(result);

@@ -39,6 +39,7 @@ fn main() {
                 seed: 6,
                 ..Default::default()
             },
+            |_, _, _| {},
         );
         if kind == TunerKind::OnlineTune {
             onlinetune_latency_series = result
@@ -87,6 +88,7 @@ fn main() {
                 seed: 7,
                 ..Default::default()
             },
+            |_, _, _| {},
         );
         if kind == TunerKind::OnlineTune {
             let series: Vec<f64> = result.records.iter().map(|r| r.throughput_tps).collect();

@@ -6,20 +6,23 @@
 //! tuner records into an enabled telemetry handle (`SpanId::ModelSelection` …
 //! `SpanId::CandidateSelection`, and `SpanId::Observe` for the model update);
 //! featurization and the apply-and-evaluate interval happen outside the tuner and are
-//! timed here.
+//! timed here. Both tables come from `run_session` sessions.
 //!
 //! Run with `cargo run --release -p bench --bin fig8_overhead [iterations]`.
 
+use baselines::OnlineTuneBaseline;
 use bench::report::{iterations_from_env, print_series, print_table, section};
 use bench::tuners::{build_tuner, TunerKind};
 use bench::{run_session, SessionOptions};
 use featurize::ContextFeaturizer;
+use fleet::interval::Interval;
 use onlinetune::{OnlineTune, OnlineTuneOptions};
-use simdb::{Configuration, HardwareSpec, KnobCatalogue, OptimizerStats, SimDatabase};
+use simdb::{Configuration, HardwareSpec, KnobCatalogue, SimDatabase};
+use std::hint::black_box;
 use std::time::Instant;
 use telemetry::{SpanId, TelemetryHandle};
 use workloads::job::JobWorkload;
-use workloads::{Objective, WorkloadGenerator};
+use workloads::WorkloadGenerator;
 
 fn main() {
     let iterations = iterations_from_env(200);
@@ -49,6 +52,7 @@ fn main() {
                 seed: 8,
                 ..Default::default()
             },
+            |_, _, _| {},
         );
         let times: Vec<f64> = result.records.iter().map(|r| r.tuner_time_s).collect();
         let late_avg = times.iter().rev().take(20).sum::<f64>() / 20.0_f64.min(times.len() as f64);
@@ -77,51 +81,49 @@ fn main() {
 
     // ── Table A1: stage breakdown for one OnlineTune iteration ────────────────────────
     section("Table A1: average time breakdown of one OnlineTune iteration (JOB workload)");
-    let initial = Configuration::dba_default(&catalogue);
-    let mut tuner = OnlineTune::new(
+    let reference = Configuration::dba_default(&catalogue);
+    let mut online = OnlineTune::new(
         catalogue.clone(),
         HardwareSpec::default(),
         featurizer.dim(),
-        &initial,
+        &reference,
         OnlineTuneOptions::default(),
         3,
     );
-    tuner.set_telemetry(TelemetryHandle::enabled());
-    let mut db = SimDatabase::with_catalogue(catalogue.clone(), HardwareSpec::default(), 3);
-    db.set_data_size(job.initial_data_size_gib());
+    online.set_telemetry(TelemetryHandle::enabled());
+    let mut tuner = OnlineTuneBaseline::new(online);
+    // Featurization and the apply-and-evaluate interval happen outside the tuner. The hook
+    // times both again on a second instance that holds the session's data size, so each
+    // iteration featurizes the same context and runs the same configuration.
+    let mut replica = SimDatabase::with_catalogue(catalogue.clone(), HardwareSpec::default(), 3);
+    replica.set_data_size(job.initial_data_size_gib());
     let mut feat_time = 0.0;
     let mut apply_eval_time = 0.0;
     let breakdown_iters = iterations.min(100);
-    for it in 0..breakdown_iters {
-        let spec = job.spec_at(it);
-        let queries = job.sample_queries(it, 30);
-        let stats = OptimizerStats::estimate(&spec);
-        let t = Instant::now();
-        let context = featurizer.featurize(&queries, spec.arrival_rate_qps, &stats);
-        feat_time += t.elapsed().as_secs_f64();
-
-        let reference = db.peek(&initial, &spec);
-        let threshold = Objective::ExecutionTime.score(&reference);
-        let suggestion = tuner.suggest(&context, threshold, spec.clients);
-
-        let t = Instant::now();
-        db.apply_config(&suggestion.config);
-        let eval = db.run_interval(&spec, 180.0);
-        apply_eval_time += t.elapsed().as_secs_f64() + 180.0; // simulated interval wall time
-        let score = Objective::ExecutionTime.score(&eval.outcome);
-        tuner
-            .observe(
-                &context,
-                &suggestion.config,
-                score,
-                Some(&eval.metrics),
-                score >= threshold,
-            )
-            .expect("simulated measurements are finite");
-    }
+    run_session(
+        &mut tuner,
+        &job,
+        &catalogue,
+        &featurizer,
+        &SessionOptions {
+            iterations: breakdown_iters,
+            seed: 3,
+            ..Default::default()
+        },
+        |record, config, _| {
+            let interval = Interval::open(&job, &replica, &reference, record.iteration);
+            let t = Instant::now();
+            black_box(interval.context(&job, &replica, &featurizer));
+            feat_time += t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            black_box(interval.measure(&mut replica, config, 180.0));
+            apply_eval_time += t.elapsed().as_secs_f64() + 180.0; // simulated interval wall time
+            replica.set_data_size(record.data_size_gib);
+        },
+    );
     let n = breakdown_iters as f64;
     let stage = |label: &str, id: SpanId| {
-        let mean_s = tuner.telemetry().histogram(id).mean_ms() / 1e3;
+        let mean_s = tuner.inner().telemetry().histogram(id).mean_ms() / 1e3;
         vec![label.to_string(), format!("{mean_s:.4}")]
     };
     let rows = vec![

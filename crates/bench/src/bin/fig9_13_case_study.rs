@@ -12,7 +12,6 @@
 //! Run with `cargo run --release -p bench --bin fig9_13_case_study [iterations]`.
 
 use baselines::OnlineTuneBaseline;
-use baselines::{Tuner, TuningInput};
 use bench::report::{
     iterations_from_env, print_series, print_table, section, summary_headers, summary_row,
     write_json,
@@ -21,7 +20,7 @@ use bench::tuners::{build_tuner, TunerKind};
 use bench::{run_session, SessionOptions};
 use featurize::ContextFeaturizer;
 use onlinetune::{OnlineTune, OnlineTuneOptions};
-use simdb::{Configuration, HardwareSpec, OptimizerStats, SimDatabase};
+use simdb::{Configuration, HardwareSpec, SimDatabase};
 use workloads::ycsb::YcsbWorkload;
 use workloads::{Objective, WorkloadGenerator};
 
@@ -140,6 +139,7 @@ fn main() {
                 seed: 9,
                 ..Default::default()
             },
+            |_, _, _| {},
         );
         if kind == TunerKind::OnlineTune {
             onlinetune_series = result.records.iter().map(|r| r.throughput_tps).collect();
@@ -154,65 +154,39 @@ fn main() {
 
     // ── Figures 12 & 13: knob values applied + tuner internals over iterations ─────────
     section("Figures 12-13: applied knob values and OnlineTune internals over iterations");
-    let initial = Configuration::dba_default(&catalogue);
-    let inner = OnlineTune::new(
+    let mut tuner = OnlineTuneBaseline::new(OnlineTune::new(
         catalogue.clone(),
         HardwareSpec::default(),
         featurizer.dim(),
-        &initial,
+        &Configuration::dba_default(&catalogue),
         OnlineTuneOptions::default(),
         13,
-    );
-    let mut tuner = OnlineTuneBaseline::new(inner);
-    let mut db = SimDatabase::with_catalogue(catalogue.clone(), HardwareSpec::default(), 13);
-    db.set_data_size(ycsb.initial_data_size_gib());
+    ));
     let mut spin_values = Vec::new();
     let mut heap_values = Vec::new();
     let mut center_distance = Vec::new();
     let mut safety_set_size = Vec::new();
     let mut improvement = Vec::new();
-    let mut last_metrics: Option<simdb::InternalMetrics> = None;
-    for it in 0..iterations {
-        let spec = ycsb.spec_at(it);
-        let queries = ycsb.sample_queries(it, 30);
-        let stats = OptimizerStats::estimate(&spec);
-        let context = featurizer.featurize(&queries, spec.arrival_rate_qps, &stats);
-        let threshold = db.peek(&initial, &spec).throughput_tps;
-        // Use the inner tuner directly so the per-iteration diagnostics are visible.
-        let suggestion = tuner_inner_suggest(&mut tuner, &context, threshold, spec.clients);
-        spin_values.push(
-            suggestion
-                .config
-                .get(&catalogue, "innodb_spin_wait_delay")
-                .unwrap_or(0.0),
-        );
-        heap_values.push(
-            suggestion
-                .config
-                .get(&catalogue, "max_heap_table_size")
-                .unwrap_or(0.0),
-        );
-        center_distance.push(suggestion.diagnostics.center_distance_from_default);
-        safety_set_size.push(suggestion.diagnostics.safety_set_size as f64);
-        db.apply_config(&suggestion.config);
-        let eval = db.run_interval(&spec, 180.0);
-        improvement.push((eval.outcome.throughput_tps / threshold - 1.0) * 100.0);
-        let input = TuningInput {
-            context: &context,
-            metrics: last_metrics.as_ref(),
-            safety_threshold: threshold,
-            clients: spec.clients,
-        };
-        let safe = eval.outcome.throughput_tps >= threshold * 0.98;
-        tuner.observe(
-            &input,
-            &suggestion.config,
-            eval.outcome.throughput_tps,
-            &eval.metrics,
-            safe,
-        );
-        last_metrics = Some(eval.metrics);
-    }
+    run_session(
+        &mut tuner,
+        &ycsb,
+        &catalogue,
+        &featurizer,
+        &SessionOptions {
+            iterations,
+            seed: 13,
+            ..Default::default()
+        },
+        |record, config, diagnostics| {
+            let knob = |name| config.get(&catalogue, name).unwrap_or(0.0);
+            spin_values.push(knob("innodb_spin_wait_delay"));
+            heap_values.push(knob("max_heap_table_size"));
+            let diagnostics = diagnostics.expect("OnlineTune reports its diagnostics");
+            center_distance.push(diagnostics.center_distance_from_default);
+            safety_set_size.push(diagnostics.safety_set_size as f64);
+            improvement.push((record.throughput_tps / record.reference_score - 1.0) * 100.0);
+        },
+    );
     print_series(
         "Figure 12: innodb_spin_wait_delay applied",
         &spin_values,
@@ -240,15 +214,4 @@ fn main() {
         tuner.inner().recluster_count()
     );
     println!("\nExpected shape: OnlineTune's cumulative performance approaches the oracle Best with near-zero unsafe intervals; its applied knob values stay inside the safe band and adapt to the read-ratio phases; the subspace centre drifts away from the default and the safety-set size grows as the model gains confidence.");
-}
-
-/// Helper: reach the inner OnlineTune through the adapter to obtain diagnostics (the
-/// adapter's `Tuner` impl drops them).
-fn tuner_inner_suggest(
-    adapter: &mut OnlineTuneBaseline,
-    context: &[f64],
-    threshold: f64,
-    clients: usize,
-) -> onlinetune::Suggestion {
-    adapter.inner_mut().suggest(context, threshold, clients)
 }

@@ -1,9 +1,15 @@
 //! The tuning-session harness: one tuner, one workload generator, one simulated instance.
+//!
+//! [`run_session`] is the one single-session loop: every figure binary, the examples and
+//! the integration tests run their sessions through it, and every interval through
+//! [`fleet::interval::Interval`], the interval the fleet's tenants run too.
 
 use baselines::{Tuner, TuningInput};
 use featurize::ContextFeaturizer;
+use fleet::interval::Interval;
+use onlinetune::IterationDiagnostics;
 use serde::Serialize;
-use simdb::{Configuration, HardwareSpec, KnobCatalogue, OptimizerStats, SimDatabase};
+use simdb::{Configuration, HardwareSpec, InternalMetrics, KnobCatalogue, SimDatabase};
 use std::time::Instant;
 use workloads::{Objective, WorkloadGenerator};
 
@@ -18,13 +24,6 @@ pub struct SessionOptions {
     /// RNG seed of the simulated instance (noise); the same seed must be used for every
     /// tuner of a comparison so they all see the same noise sequence.
     pub seed: u64,
-    /// Relative tolerance when classifying a recommendation as unsafe: a configuration is
-    /// unsafe when its score falls below `threshold - tolerance·|threshold|`.
-    pub unsafe_tolerance: f64,
-    /// Whether the tuner is seeded with one observation of the reference (default)
-    /// configuration before iteration 0 — the paper adds the DBA default to every
-    /// baseline's training set for fairness.
-    pub seed_with_default: bool,
     /// The configuration whose performance defines the safety threshold (and the starting
     /// point of the tuning). `None` means the DBA default.
     pub reference_config: Option<Configuration>,
@@ -36,8 +35,6 @@ impl Default for SessionOptions {
             iterations: 400,
             interval_s: 180.0,
             seed: 2022,
-            unsafe_tolerance: 0.05,
-            seed_with_default: true,
             reference_config: None,
         }
     }
@@ -56,7 +53,8 @@ pub struct IterationRecord {
     pub score: f64,
     /// Objective score the reference (default) configuration would have achieved.
     pub reference_score: f64,
-    /// Whether the recommendation was unsafe (score below the reference, beyond tolerance).
+    /// Whether the interval was unsafe: its score fell below the reference's by more than
+    /// the verdict's tolerance ([`fleet::interval::is_safe`]).
     pub is_unsafe: bool,
     /// Whether the instance failed (hung) during the interval.
     pub failed: bool,
@@ -159,108 +157,96 @@ impl SessionResult {
     }
 }
 
-/// Runs a tuning session.
+/// Runs a tuning session and calls `on_iteration` after every iteration with its
+/// record, the configuration applied and the tuner's diagnostics (`None` for tuners that
+/// keep none).
 ///
-/// The same `options.seed` must be used across tuners of a comparison so every tuner sees
-/// the same instance-noise sequence and the same workload trace.
+/// Before iteration 0 the tuner observes the reference configuration once, at its τ in
+/// the first interval: the paper adds the DBA default to every baseline's training set
+/// for fairness. The same `options.seed` must be used across tuners of a comparison so
+/// every tuner sees the same instance-noise sequence and the same workload trace.
 pub fn run_session(
     tuner: &mut dyn Tuner,
     generator: &dyn WorkloadGenerator,
     catalogue: &KnobCatalogue,
     featurizer: &ContextFeaturizer,
     options: &SessionOptions,
+    mut on_iteration: impl FnMut(&IterationRecord, &Configuration, Option<&IterationDiagnostics>),
 ) -> SessionResult {
-    let hardware = HardwareSpec::default();
-    let mut db = SimDatabase::with_catalogue(catalogue.clone(), hardware, options.seed);
+    let mut db =
+        SimDatabase::with_catalogue(catalogue.clone(), HardwareSpec::default(), options.seed);
     db.set_data_size(generator.initial_data_size_gib());
-
-    let objective = generator.objective();
     let reference = options
         .reference_config
         .clone()
         .unwrap_or_else(|| Configuration::dba_default(catalogue));
 
+    let first = Interval::open(generator, &db, &reference, 0);
+    let context = first.context(generator, &db, featurizer);
+    let seed_input = TuningInput {
+        context: &context,
+        metrics: None,
+        safety_threshold: first.threshold,
+        clients: first.spec.clients,
+    };
+    tuner.observe(
+        &seed_input,
+        &reference,
+        first.threshold,
+        &InternalMetrics::zeroed(),
+        true,
+    );
+
     let mut records = Vec::with_capacity(options.iterations);
-    let mut last_metrics: Option<simdb::InternalMetrics> = None;
-
-    // Seed every tuner with one observation of the reference configuration (fairness).
-    if options.seed_with_default {
-        let spec0 = generator.spec_at(0);
-        let queries0 = generator.sample_queries(0, 30);
-        let mut spec_sized = spec0.clone();
-        spec_sized.data_size_gib = db.data_size_gib().unwrap_or(spec0.data_size_gib);
-        let stats0 = OptimizerStats::estimate(&spec_sized);
-        let context0 = featurizer.featurize(&queries0, spec0.arrival_rate_qps, &stats0);
-        let outcome0 = db.peek(&reference, &spec0);
-        let score0 = objective.score(&outcome0);
-        let input0 = TuningInput {
-            context: &context0,
-            metrics: None,
-            safety_threshold: score0,
-            clients: spec0.clients,
-        };
-        tuner.observe(
-            &input0,
-            &reference,
-            score0,
-            &simdb::InternalMetrics::zeroed(),
-            true,
-        );
-    }
-
+    let mut last_metrics: Option<InternalMetrics> = None;
     for iteration in 0..options.iterations {
-        let spec = generator.spec_at(iteration);
-        let queries = generator.sample_queries(iteration, 30);
-        let mut spec_sized = spec.clone();
-        spec_sized.data_size_gib = db.data_size_gib().unwrap_or(spec.data_size_gib);
-        let stats = OptimizerStats::estimate(&spec_sized);
-        let context = featurizer.featurize(&queries, spec.arrival_rate_qps, &stats);
-
-        // The safety threshold: the default configuration's performance under the current
-        // workload and data (the paper assumes this is obtainable, §3).
-        let reference_outcome = db.peek(&reference, &spec);
-        let reference_score = objective.score(&reference_outcome);
-
+        let interval = Interval::open(generator, &db, &reference, iteration);
+        let context = interval.context(generator, &db, featurizer);
         let input = TuningInput {
             context: &context,
             metrics: last_metrics.as_ref(),
-            safety_threshold: reference_score,
-            clients: spec.clients,
+            safety_threshold: interval.threshold,
+            clients: interval.spec.clients,
         };
 
         let t0 = Instant::now();
-        let config = tuner.suggest(&input);
+        let (config, diagnostics) = tuner.suggest(&input);
         let suggest_time = t0.elapsed().as_secs_f64();
 
-        db.apply_config(&config);
-        let eval = db.run_interval(&spec, options.interval_s);
-        let score = objective.score(&eval.outcome);
-        let tolerance = options.unsafe_tolerance * reference_score.abs();
-        let is_unsafe = eval.outcome.failed || score < reference_score - tolerance;
+        let measured = interval.measure(&mut db, &config, options.interval_s);
+        let outcome = &measured.evaluation.outcome;
 
         let t1 = Instant::now();
-        tuner.observe(&input, &config, score, &eval.metrics, !is_unsafe);
+        tuner.observe(
+            &input,
+            &config,
+            measured.score,
+            &measured.evaluation.metrics,
+            measured.safe,
+        );
         let observe_time = t1.elapsed().as_secs_f64();
 
-        last_metrics = Some(eval.metrics.clone());
-        records.push(IterationRecord {
+        let record = IterationRecord {
             iteration,
-            throughput_tps: eval.outcome.throughput_tps,
-            latency_p99_ms: eval.outcome.latency_p99_ms,
-            score,
-            reference_score,
-            is_unsafe,
-            failed: eval.outcome.failed,
-            data_size_gib: eval.data_size_gib,
+            throughput_tps: outcome.throughput_tps,
+            latency_p99_ms: outcome.latency_p99_ms,
+            score: measured.score,
+            reference_score: interval.threshold,
+            is_unsafe: !measured.safe,
+            failed: outcome.failed,
+            data_size_gib: measured.evaluation.data_size_gib,
             tuner_time_s: suggest_time + observe_time,
-            read_fraction: spec.mix.read_fraction(),
-        });
+            read_fraction: interval.spec.mix.read_fraction(),
+        };
+        on_iteration(&record, &config, diagnostics.as_ref());
+        records.push(record);
+        last_metrics = Some(measured.evaluation.metrics);
     }
 
     SessionResult {
         tuner: tuner.name().to_string(),
         workload: generator.name().to_string(),
-        objective_name: format!("{objective:?}"),
+        objective_name: format!("{:?}", generator.objective()),
         records,
     }
 }
@@ -290,6 +276,7 @@ mod tests {
             &catalogue,
             &featurizer,
             &quick_options(),
+            |_, _, _| {},
         );
         assert_eq!(result.records.len(), 12);
         // Noise can push individual intervals slightly below the noiseless reference, but
@@ -315,6 +302,7 @@ mod tests {
             &catalogue,
             &featurizer,
             &quick_options(),
+            |_, _, _| {},
         );
         assert_eq!(result.tuner, "OnlineTune");
         assert_eq!(result.records.len(), 12);
@@ -322,6 +310,57 @@ mod tests {
         assert!(result.records.iter().all(|r| r.score.is_finite()));
         assert!(result.mean_tuner_time_s() >= 0.0);
         assert!(result.search_step(0.1).is_some());
+    }
+
+    /// The harness's session and the fleet's tenant step run the same interval: on the
+    /// same generator, seeds and tuner options they regret the same bits and count the
+    /// same unsafe intervals.
+    #[test]
+    fn run_session_agrees_with_the_fleet_tenant_step() {
+        use baselines::OnlineTuneBaseline;
+        use fleet::tenant::{TenantSession, TenantSpec, WorkloadFamily};
+        use onlinetune::{OnlineTune, OnlineTuneOptions};
+
+        let catalogue = KnobCatalogue::mysql57();
+        let featurizer = ContextFeaturizer::with_defaults();
+        for (family, seed) in [(WorkloadFamily::Tpcc, 11), (WorkloadFamily::Job, 12)] {
+            let mut session = TenantSession::new(
+                TenantSpec::named("agreement", family, seed),
+                OnlineTuneOptions::default(),
+            )
+            .unwrap();
+            let fleet_regrets: Vec<f64> = (0..40).map(|_| session.step()).collect();
+
+            let mut tuner = OnlineTuneBaseline::new(OnlineTune::new(
+                catalogue.clone(),
+                HardwareSpec::default(),
+                featurizer.dim(),
+                &Configuration::dba_default(&catalogue),
+                OnlineTuneOptions::default(),
+                seed,
+            ));
+            let result = run_session(
+                &mut tuner,
+                family.build(seed).as_ref(),
+                &catalogue,
+                &featurizer,
+                &SessionOptions {
+                    iterations: 40,
+                    seed,
+                    ..Default::default()
+                },
+                |_, _, _| {},
+            );
+            let harness_regrets: Vec<f64> = result
+                .records
+                .iter()
+                .map(|r| (r.reference_score - r.score).max(0.0))
+                .collect();
+
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fleet_regrets), bits(&harness_regrets), "{family:?}");
+            assert_eq!(session.unsafe_count(), result.unsafe_count(), "{family:?}");
+        }
     }
 
     #[test]
@@ -337,6 +376,7 @@ mod tests {
             &catalogue,
             &featurizer,
             &quick_options(),
+            |_, _, _| {},
         );
         let rb = run_session(
             b.as_mut(),
@@ -344,6 +384,7 @@ mod tests {
             &catalogue,
             &featurizer,
             &quick_options(),
+            |_, _, _| {},
         );
         for (x, y) in ra.records.iter().zip(rb.records.iter()) {
             assert_eq!(x.throughput_tps, y.throughput_tps);

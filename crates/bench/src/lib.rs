@@ -3,8 +3,10 @@
 //! This crate contains the shared machinery that regenerates every table and figure of the
 //! paper's evaluation section:
 //!
-//! * [`harness`] — runs one tuning session (a tuner driving the simulated database over a
-//!   workload generator for N intervals) and records per-iteration results;
+//! * [`harness`] — [`run_session`], the one single-session loop (a tuner driving the
+//!   simulated database over a workload generator for N intervals, each one a
+//!   `fleet::interval::Interval`), which records per-iteration results and hands each
+//!   to a hook;
 //! * [`tuners`] — a factory that builds every baseline from the paper by name;
 //! * [`report`] — table/series printing and JSON export used by the `fig*` binaries.
 //!

@@ -230,7 +230,7 @@ mod tests {
                 safety_threshold: 100.0,
                 clients: 32,
             };
-            let cfg = tuner.suggest(&input);
+            let (cfg, _) = tuner.suggest(&input);
             assert_eq!(cfg.len(), catalogue.len(), "{}", kind.label());
             for (v, k) in cfg.values().iter().zip(catalogue.knobs()) {
                 assert!(

@@ -8,17 +8,11 @@
 //! * the **underlying data**: three optimizer-derived statistics (estimated rows examined,
 //!   predicate filter fraction, index usage).
 //!
-//! The [`ContextFeaturizer`] assembles these into a single context vector `c_t`. The crate
-//! also provides [`DefaultPerformancePredictor`], a small regression model that learns the
-//! *default-configuration performance* as a function of the context — the paper's
-//! suggestion for obtaining the safety threshold when the default performance fluctuates
-//! with the workload (§3).
+//! The [`ContextFeaturizer`] assembles these into a single context vector `c_t`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod context;
-pub mod default_perf;
 
 pub use context::{ContextFeaturizer, ContextFeaturizerConfig};
-pub use default_perf::DefaultPerformancePredictor;

@@ -9,6 +9,9 @@
 //! * [`tenant`] — a [`tenant::TenantSession`] bundles one `OnlineTune` tuner with one
 //!   `simdb` instance and one workload generator, steppable one suggest→apply→observe
 //!   iteration at a time so a scheduler can interleave many tenants.
+//! * [`interval`] — the one tuning interval every session runs (the tenant step here and
+//!   the `bench` harness's session): open it, featurize its context, measure a
+//!   configuration and judge it against the reference with [`interval::is_safe`].
 //! * [`scheduler`] — a [`scheduler::SessionScheduler`] plans each service round:
 //!   round-robin base slots guarantee no tenant starves, and tenants with high *recent
 //!   regret* (their tuner is currently losing the most against the default configuration)
@@ -63,6 +66,7 @@
 
 pub mod error;
 pub mod fuzz;
+pub mod interval;
 pub mod knowledge;
 pub mod recovery;
 pub mod scenario;

@@ -7,12 +7,13 @@
 //! [`TenantSpec`], and the complete dynamic state is exportable as a
 //! [`TenantSessionState`], so a restored session continues bit-identically.
 
+use crate::interval::{Interval, Measurement};
 use featurize::ContextFeaturizer;
 use gp::rows::{RowInterner, SharedConfig, SharedObservation};
 use onlinetune::tuner::OnlineTuneState;
 use onlinetune::{OnlineTune, OnlineTuneOptions};
 use simdb::instance::SimDatabaseState;
-use simdb::{Configuration, HardwareSpec, OptimizerStats, SimDatabase, WorkloadSpec};
+use simdb::{Configuration, HardwareSpec, SimDatabase, WorkloadSpec};
 use std::collections::VecDeque;
 use telemetry::{CounterId, EventKind, SpanId, TelemetryHandle};
 use workloads::cycle::TransactionalAnalyticalCycle;
@@ -733,6 +734,15 @@ pub struct TenantSessionState {
     pub tier: DegradationTier,
 }
 
+/// Why a measurement teaches nothing, if it does not: the injected fault that hit it, or
+/// a non-finite score.
+fn fault_kind(measured: &Measurement) -> Option<&'static str> {
+    match measured.evaluation.fault {
+        Some(fault) => Some(fault.name()),
+        None => (!measured.score.is_finite()).then_some("non_finite_score"),
+    }
+}
+
 impl TenantSession {
     /// Builds a fresh (cold) session for `spec` with the given tuner options.
     ///
@@ -761,15 +771,11 @@ impl TenantSession {
             spec.seed,
         );
 
-        // Seed with one observation of the reference configuration (cold-start fairness).
-        let spec0 = generator.spec_at(0);
-        let queries0 = generator.sample_queries(0, 30);
-        let mut sized0 = spec0.clone();
-        sized0.data_size_gib = db.data_size_gib().unwrap_or(spec0.data_size_gib);
-        let stats0 = OptimizerStats::estimate(&sized0);
-        let context0 = featurizer.featurize(&queries0, spec0.arrival_rate_qps, &stats0);
-        let objective = generator.objective_at(0);
-        let score0 = objective.score(&db.peek(&reference, &spec0));
+        // Seed with one observation of the reference configuration (cold-start fairness):
+        // its score is τ of the first interval.
+        let first = Interval::open(generator.as_ref(), &db, &reference, 0);
+        let context0 = first.context(generator.as_ref(), &db, &featurizer);
+        let score0 = first.threshold;
         if !score0.is_finite() || context0.iter().any(|v| !v.is_finite()) {
             return Err(crate::error::FleetError::AdmissionDenied {
                 tenant: spec.name.clone(),
@@ -973,20 +979,9 @@ impl TenantSession {
             return self.pinned_step();
         }
         let span = self.telemetry.begin_span();
-        let it = self.iteration;
-        let spec = self.generator.spec_at(it);
-        let queries = self.generator.sample_queries(it, 30);
-        let mut sized = spec.clone();
-        sized.data_size_gib = self.db.data_size_gib().unwrap_or(spec.data_size_gib);
-        let stats = OptimizerStats::estimate(&sized);
-        let context = self
-            .featurizer
-            .featurize(&queries, spec.arrival_rate_qps, &stats);
-        let objective = self.generator.objective_at(it);
-
-        // Safety threshold: the reference configuration's performance under the current
-        // workload and data size.
-        let threshold = objective.score(&self.db.peek(&self.reference, &spec));
+        let interval = self.open_interval();
+        let context = interval.context(self.generator.as_ref(), &self.db, &self.featurizer);
+        let threshold = interval.threshold;
 
         // A drift stack with pathological parameters (NaN amplitudes, infinite scales)
         // can poison the workload position itself; the tuner must never see a non-finite
@@ -1003,18 +998,18 @@ impl TenantSession {
             return 0.0;
         }
 
-        let suggestion = self.tuner.suggest(&context, threshold, spec.clients);
-        self.db.apply_config(&suggestion.config);
-        let eval = self.db.run_interval(&spec, self.spec.interval_s);
-        let score = objective.score(&eval.outcome);
-        if eval.fault.is_some() || !score.is_finite() {
-            let kind = eval.fault.map(|f| f.name()).unwrap_or("non_finite_score");
+        let suggestion = self
+            .tuner
+            .suggest(&context, threshold, interval.spec.clients);
+        let measured = interval.measure(&mut self.db, &suggestion.config, self.spec.interval_s);
+        let score = measured.score;
+        if let Some(kind) = fault_kind(&measured) {
             self.note_fault(kind, score);
             self.telemetry.end_span(SpanId::Iteration, span);
             return 0.0;
         }
         self.fault_attempts = 0;
-        let was_safe = score >= threshold - 0.05 * threshold.abs();
+        let was_safe = measured.safe;
         if self.tier < DegradationTier::CachedPosterior {
             // Score and context were validated finite above, so a rejection here is a
             // contract break in the tuner — degrade like a faulted measurement rather
@@ -1023,7 +1018,7 @@ impl TenantSession {
                 &context,
                 &suggestion.config,
                 score,
-                Some(&eval.metrics),
+                Some(&measured.evaluation.metrics),
                 was_safe,
             ) {
                 self.note_fault(&format!("observe_rejected: {e}"), score);
@@ -1140,31 +1135,41 @@ impl TenantSession {
     /// faults feed the ordinary backoff machine and no probation bookkeeping runs.
     fn pinned_step(&mut self) -> f64 {
         let span = self.telemetry.begin_span();
-        let it = self.iteration;
-        let spec = self.generator.spec_at(it);
-        let objective = self.generator.objective_at(it);
-        let threshold = objective.score(&self.db.peek(&self.reference, &spec));
-        let config = self
-            .last_safe_config
-            .clone()
-            .unwrap_or_else(|| self.reference.clone());
-        self.db.apply_config(&config);
-        let eval = self.db.run_interval(&spec, self.spec.interval_s);
-        let score = objective.score(&eval.outcome);
-        if eval.fault.is_some() || !score.is_finite() || !threshold.is_finite() {
-            let kind = eval.fault.map(|f| f.name()).unwrap_or("non_finite_score");
-            self.note_fault(kind, score);
+        let (interval, measured) = self.measure_pinned();
+        let (score, threshold) = (measured.score, interval.threshold);
+        let fault = fault_kind(&measured);
+        if fault.is_some() || !threshold.is_finite() {
+            self.note_fault(fault.unwrap_or("non_finite_score"), score);
             self.telemetry.end_span(SpanId::Iteration, span);
             return 0.0;
         }
         self.fault_attempts = 0;
-        let was_safe = score >= threshold - 0.05 * threshold.abs();
-        if was_safe {
-            self.last_safe_config = Some(config);
+        if measured.safe {
+            self.last_safe_config
+                .get_or_insert_with(|| self.reference.clone());
         }
-        let regret = self.record_interval(score, threshold, was_safe);
+        let regret = self.record_interval(score, threshold, measured.safe);
         self.telemetry.end_span(SpanId::Iteration, span);
         regret
+    }
+
+    /// Opens the session's next interval.
+    fn open_interval(&self) -> Interval {
+        Interval::open(
+            self.generator.as_ref(),
+            &self.db,
+            &self.reference,
+            self.iteration,
+        )
+    }
+
+    /// Measures the pinned configuration — the last one measured safe, else the
+    /// reference — in the next interval, without featurizing or consulting the tuner.
+    fn measure_pinned(&mut self) -> (Interval, Measurement) {
+        let interval = self.open_interval();
+        let config = self.last_safe_config.as_ref().unwrap_or(&self.reference);
+        let measured = interval.measure(&mut self.db, config, self.spec.interval_s);
+        (interval, measured)
     }
 
     /// One probation iteration of a quarantined session: measure the pinned last-safe
@@ -1179,30 +1184,23 @@ impl TenantSession {
             return 0.0;
         };
         let span = self.telemetry.begin_span();
-        let it = self.iteration;
-        let spec = self.generator.spec_at(it);
-        let objective = self.generator.objective_at(it);
-        let threshold = objective.score(&self.db.peek(&self.reference, &spec));
-        let probe_config = self
-            .last_safe_config
-            .clone()
-            .unwrap_or_else(|| self.reference.clone());
-        self.db.apply_config(&probe_config);
-        let eval = self.db.run_interval(&spec, self.spec.interval_s);
-        let score = objective.score(&eval.outcome);
+        let (interval, measured) = self.measure_pinned();
+        let score = measured.score;
         self.telemetry.incr(CounterId::ProbeIterations);
 
-        if eval.fault.is_some() || !score.is_finite() {
+        if let Some(kind) = fault_kind(&measured) {
             // A faulted probe resets probation but is not a new backoff escalation —
             // the session is already in the deepest degradation state.
             self.faulted_count += 1;
             self.telemetry.incr(CounterId::MeasurementFaults);
             if self.telemetry.is_enabled() {
-                let kind = eval.fault.map(|f| f.name()).unwrap_or("non_finite_score");
                 self.telemetry.event(
                     EventKind::MeasurementFault,
                     &self.spec.name,
-                    &format!("iteration={} kind={kind} score={score} probe=true", it),
+                    &format!(
+                        "iteration={} kind={kind} score={score} probe=true",
+                        self.iteration
+                    ),
                 );
             }
             self.health = SessionHealth::Quarantined {
@@ -1216,8 +1214,7 @@ impl TenantSession {
         // A clean probe is a real iteration of the pinned configuration: the workload
         // position advances and regret/safety accounting continue, but the tuner sees
         // nothing (quarantine means its suggestions are not trusted to run yet).
-        let was_safe = score >= threshold - 0.05 * threshold.abs();
-        let regret = self.record_interval(score, threshold, was_safe);
+        let regret = self.record_interval(score, interval.threshold, measured.safe);
 
         let successes = probation_successes + 1;
         if successes >= self.retry.readmit_after.max(1) {

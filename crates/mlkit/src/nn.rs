@@ -115,18 +115,6 @@ impl Mlp {
         }
     }
 
-    /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
-        self.layers
-            .first()
-            .map_or(0, |l| l.weights.first().map_or(0, Vec::len))
-    }
-
-    /// Output dimensionality.
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().map_or(0, |l| l.weights.len())
-    }
-
     /// Forward pass.
     pub fn forward(&self, input: &[f64]) -> Vec<f64> {
         let mut x = input.to_vec();
@@ -265,8 +253,8 @@ mod tests {
             1e-3,
             &mut rng,
         );
-        assert_eq!(net.input_dim(), 3);
-        assert_eq!(net.output_dim(), 2);
+        assert_eq!(net.layers[0].weights[0].len(), 3);
+        assert_eq!(net.layers[1].weights.len(), 2);
         let out = net.forward(&[0.1, -0.2, 0.3]);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|v| v.is_finite()));

@@ -902,7 +902,7 @@ mod tests {
         // The safe tuner should only rarely go below the default on this easy workload (the
         // measured default is noiseless here, so mild noise dips count as "unsafe").
         assert!(unsafe_count <= 6, "unsafe recommendations: {unsafe_count}");
-        assert_eq!(db.failures(), 0);
+        assert_eq!(db.snapshot().failures, 0);
     }
 
     #[test]

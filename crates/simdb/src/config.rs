@@ -97,23 +97,21 @@ impl Configuration {
             .map(|(v, k)| k.normalize(*v))
             .collect()
     }
-
-    /// Euclidean distance to another configuration in normalized space — the metric used by
-    /// subspace radii and the diagnostics plots (Figure 13).
-    pub fn normalized_distance(&self, other: &Configuration, catalogue: &KnobCatalogue) -> f64 {
-        let a = self.normalized(catalogue);
-        let b = other.normalized(catalogue);
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Euclidean distance between two configurations in normalized space.
+    fn normalized_distance(a: &Configuration, b: &Configuration, cat: &KnobCatalogue) -> f64 {
+        let (a, b) = (a.normalized(cat), b.normalized(cat));
+        a.iter()
+            .zip(&b)
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum::<f64>()
+            .sqrt()
+    }
 
     #[test]
     fn defaults_reflect_catalogue() {
@@ -129,7 +127,7 @@ mod tests {
             dba.get(&cat, "innodb_buffer_pool_size").unwrap(),
             13.0 * 1024.0 * 1024.0 * 1024.0
         );
-        assert!(vendor.normalized_distance(&dba, &cat) > 0.5);
+        assert!(normalized_distance(&vendor, &dba, &cat) > 0.5);
     }
 
     #[test]
@@ -187,6 +185,6 @@ mod tests {
     fn distance_to_self_is_zero() {
         let cat = KnobCatalogue::mysql57();
         let cfg = Configuration::dba_default(&cat);
-        assert_eq!(cfg.normalized_distance(&cfg, &cat), 0.0);
+        assert_eq!(normalized_distance(&cfg, &cfg, &cat), 0.0);
     }
 }

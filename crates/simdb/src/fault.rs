@@ -111,11 +111,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Whether the plan has no pending faults at all.
-    pub fn is_exhausted(&self) -> bool {
-        self.scripted.is_empty() && self.seeded.is_none()
-    }
-
     /// Schedules `count` faults of `kind` starting at measurement index `from_interval`.
     pub fn schedule(&mut self, kind: FaultKind, from_interval: usize, count: usize) {
         if count == 0 {
@@ -184,7 +179,7 @@ mod tests {
     #[test]
     fn empty_plan_never_faults() {
         let mut plan = FaultPlan::new();
-        assert!(plan.is_exhausted());
+        assert!(plan.scripted.is_empty() && plan.seeded.is_none());
         for i in 0..10 {
             assert_eq!(plan.next_fault(i), None);
         }
@@ -201,7 +196,7 @@ mod tests {
         assert_eq!(plan.next_fault(3), Some(FaultKind::Failure));
         assert_eq!(plan.next_fault(4), Some(FaultKind::Failure));
         assert_eq!(plan.next_fault(5), None);
-        assert!(plan.is_exhausted());
+        assert!(plan.scripted.is_empty() && plan.seeded.is_none());
         assert_eq!(plan.injected, 2);
     }
 
@@ -222,7 +217,10 @@ mod tests {
             draws_a.iter().any(|f| f.is_none()),
             "rate 0.5 over 20 draws"
         );
-        assert!(a.is_exhausted(), "window must close after its intervals");
+        assert!(
+            a.scripted.is_empty() && a.seeded.is_none(),
+            "window must close after its intervals"
+        );
         assert_eq!(a.next_fault(21), None);
     }
 

@@ -144,11 +144,6 @@ impl SimDatabase {
         self.intervals_run
     }
 
-    /// Number of system failures (hangs) observed so far.
-    pub fn failures(&self) -> usize {
-        self.failures
-    }
-
     /// The instance's pending fault schedule.
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.fault_plan
@@ -395,7 +390,7 @@ mod tests {
         assert!(eval.outcome.throughput_tps > 0.0);
         assert!(eval.transactions() > 0.0);
         assert_eq!(db.intervals_run(), 1);
-        assert_eq!(db.failures(), 0);
+        assert_eq!(db.failures, 0);
     }
 
     #[test]
@@ -442,7 +437,7 @@ mod tests {
         let eval = db.run_interval(&tpcc_like(), 180.0);
         assert!(eval.outcome.failed);
         assert_eq!(eval.outcome.throughput_tps, 0.0);
-        assert_eq!(db.failures(), 1);
+        assert_eq!(db.failures, 1);
     }
 
     #[test]
@@ -542,7 +537,7 @@ mod tests {
             (db.data_size_gib().unwrap() - size_before).abs() < 1e-12,
             "a destroyed interval must not grow data"
         );
-        assert_eq!(db.failures(), 0, "injected faults are not organic failures");
+        assert_eq!(db.failures, 0, "injected faults are not organic failures");
         assert_eq!(db.fault_plan().injected, 1);
         // The next interval is clean again.
         let clean = db.run_interval(&wl, 180.0);

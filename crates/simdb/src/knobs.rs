@@ -82,18 +82,6 @@ impl KnobDef {
         }
     }
 
-    /// Whether the knob has a natural ordering a smooth surrogate can exploit.
-    ///
-    /// Enum and boolean knobs, and `innodb_thread_concurrency` (where 0 means "unlimited"),
-    /// do not; the paper uses `thread_concurrency` as the example of a knob whose lack of
-    /// ordering misleads the GP unless white-box rules intervene (§7.3.2).
-    pub fn is_ordinal(&self) -> bool {
-        match &self.kind {
-            KnobKind::Enum { .. } | KnobKind::Bool => false,
-            _ => self.name != "innodb_thread_concurrency",
-        }
-    }
-
     /// Clamps (and for integer/enum/bool knobs, rounds) a raw value into the legal domain.
     pub fn sanitize(&self, value: f64) -> f64 {
         let v = value.clamp(self.min(), self.max());
@@ -705,23 +693,6 @@ mod tests {
         assert_eq!(tc.sanitize(1e9), 64.0);
         let dirty = cat.knob(cat.index_of("innodb_max_dirty_pages_pct").unwrap());
         assert!((dirty.sanitize(42.42) - 42.42).abs() < 1e-12); // float knob keeps fractions
-    }
-
-    #[test]
-    fn thread_concurrency_and_enums_are_not_ordinal() {
-        let cat = KnobCatalogue::mysql57();
-        assert!(!cat
-            .knob(cat.index_of("innodb_thread_concurrency").unwrap())
-            .is_ordinal());
-        assert!(!cat
-            .knob(cat.index_of("innodb_flush_log_at_trx_commit").unwrap())
-            .is_ordinal());
-        assert!(!cat
-            .knob(cat.index_of("innodb_doublewrite").unwrap())
-            .is_ordinal());
-        assert!(cat
-            .knob(cat.index_of("innodb_buffer_pool_size").unwrap())
-            .is_ordinal());
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! cargo run --release --example five_knob_case_study
 //! ```
 
+use baselines::OnlineTuneBaseline;
+use bench::{run_session, SessionOptions};
 use featurize::ContextFeaturizer;
 use onlinetune::{OnlineTune, OnlineTuneOptions};
-use simdb::{Configuration, HardwareSpec, OptimizerStats, SimDatabase};
+use simdb::{Configuration, HardwareSpec, SimDatabase};
 use workloads::ycsb::YcsbWorkload;
 use workloads::WorkloadGenerator;
 
@@ -23,79 +25,60 @@ fn main() {
     let featurizer = ContextFeaturizer::with_defaults();
     let ycsb = YcsbWorkload::new(5);
     let initial = Configuration::dba_default(&catalogue);
-
-    let mut db = SimDatabase::with_catalogue(catalogue.clone(), HardwareSpec::default(), 31);
-    db.set_data_size(YcsbWorkload::INITIAL_DATA_GIB);
-    let mut tuner = OnlineTune::new(
+    let mut tuner = OnlineTuneBaseline::new(OnlineTune::new(
         catalogue.clone(),
         HardwareSpec::default(),
         featurizer.dim(),
         &initial,
         OnlineTuneOptions::default(),
         31,
-    );
+    ));
+
+    // Brute-force reference over a coarse grid of the two headline knobs, evaluated
+    // without noise at the data size the tuned instance had when each interval began.
+    let mut grid = SimDatabase::with_catalogue(catalogue.clone(), HardwareSpec::default(), 31);
+    grid.set_data_size(ycsb.initial_data_size_gib());
+    let mut best_total = 0.0;
 
     let iterations = 120;
-    let mut tuned_total = 0.0;
-    let mut default_total = 0.0;
-    let mut best_total = 0.0;
-    let mut unsafe_count = 0;
-    for it in 0..iterations {
-        let spec = ycsb.spec_at(it);
-        let queries = ycsb.sample_queries(it, 30);
-        let stats = OptimizerStats::estimate(&spec);
-        let context = featurizer.featurize(&queries, spec.arrival_rate_qps, &stats);
-        let threshold = db.peek(&initial, &spec).throughput_tps;
-
-        // Brute-force reference over a coarse grid of the two headline knobs.
-        let mut best = f64::NEG_INFINITY;
-        for bp in [0.5, 0.8, 0.95] {
-            for heap in [0.2, 0.6, 0.9] {
-                let mut unit = initial.normalized(&catalogue);
-                unit[0] = bp;
-                unit[1] = heap;
-                best = best.max(
-                    db.peek(&Configuration::from_normalized(&catalogue, &unit), &spec)
-                        .throughput_tps,
-                );
+    let result = run_session(
+        &mut tuner,
+        &ycsb,
+        &catalogue,
+        &featurizer,
+        &SessionOptions {
+            iterations,
+            seed: 31,
+            ..Default::default()
+        },
+        |record, _, _| {
+            let spec = ycsb.spec_at(record.iteration);
+            let mut best = f64::NEG_INFINITY;
+            for bp in [0.5, 0.8, 0.95] {
+                for heap in [0.2, 0.6, 0.9] {
+                    let mut unit = initial.normalized(&catalogue);
+                    unit[0] = bp;
+                    unit[1] = heap;
+                    let config = Configuration::from_normalized(&catalogue, &unit);
+                    best = best.max(grid.peek(&config, &spec).throughput_tps);
+                }
             }
-        }
+            best_total += best;
+            grid.set_data_size(record.data_size_gib);
+        },
+    );
 
-        let suggestion = tuner.suggest(&context, threshold, spec.clients);
-        db.apply_config(&suggestion.config);
-        let eval = db.run_interval(&spec, 180.0);
-        let tps = eval.outcome.throughput_tps;
-        if tps < threshold * 0.95 {
-            unsafe_count += 1;
-        }
-        tuner
-            .observe(
-                &context,
-                &suggestion.config,
-                tps,
-                Some(&eval.metrics),
-                tps >= threshold * 0.95,
-            )
-            .expect("simulated measurements are finite");
-
-        tuned_total += tps;
-        default_total += threshold;
-        best_total += best;
-    }
-
+    let mean = |total: f64| total / iterations as f64;
+    let tuned_total: f64 = result.records.iter().map(|r| r.throughput_tps).sum();
+    let default_total: f64 = result.records.iter().map(|r| r.reference_score).sum();
     println!("mean throughput over {iterations} intervals (read ratio drifting 40%..100%):");
+    println!("  OnlineTune : {:>9.0} tps", mean(tuned_total));
+    println!("  DBA default: {:>9.0} tps", mean(default_total));
+    println!("  Best (grid): {:>9.0} tps", mean(best_total));
     println!(
-        "  OnlineTune : {:>9.0} tps",
-        tuned_total / iterations as f64
-    );
-    println!(
-        "  DBA default: {:>9.0} tps",
-        default_total / iterations as f64
-    );
-    println!("  Best (grid): {:>9.0} tps", best_total / iterations as f64);
-    println!(
-        "  unsafe intervals: {unsafe_count}, instance hangs: {}",
-        db.failures()
+        "  unsafe intervals: {}, instance hangs: {}",
+        result.unsafe_count(),
+        result.failure_count()
     );
     println!("\nOnlineTune should sit between the DBA default and the per-phase Best, moving closer to Best as iterations accumulate while staying safe.");
 }

@@ -4,20 +4,21 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! The loop below is the whole OnlineTune workflow: featurize the context, ask the tuner
-//! for a safe configuration, apply it, run the interval, feed the observation back.
+//! `run_session` runs the whole OnlineTune workflow one interval at a time: featurize the
+//! context, compute τ (what the DBA default would score there), ask the tuner for a safe
+//! configuration, apply it, run the interval, judge it against τ and feed the observation
+//! back. The hook prints each interval as it completes.
 
+use baselines::OnlineTuneBaseline;
+use bench::{run_session, SessionOptions};
 use featurize::ContextFeaturizer;
 use onlinetune::{OnlineTune, OnlineTuneOptions};
-use simdb::{Configuration, HardwareSpec, KnobCatalogue, OptimizerStats, SimDatabase};
+use simdb::{Configuration, HardwareSpec, KnobCatalogue};
 use workloads::tpcc::TpccWorkload;
-use workloads::WorkloadGenerator;
 
 fn main() {
     // The simulated cloud database: 8 vCPU / 16 GiB, 40 tunable knobs, TPC-C data loaded.
     let catalogue = KnobCatalogue::mysql57();
-    let mut db = SimDatabase::new(42);
-    db.set_data_size(TpccWorkload::INITIAL_DATA_GIB);
 
     // The workload: TPC-C with a drifting transaction mix.
     let workload = TpccWorkload::new_dynamic(7);
@@ -26,51 +27,43 @@ fn main() {
     let featurizer = ContextFeaturizer::with_defaults();
 
     // The tuner, seeded with the DBA default as the initial safety set.
-    let initial = Configuration::dba_default(&catalogue);
-    let mut tuner = OnlineTune::new(
+    let mut tuner = OnlineTuneBaseline::new(OnlineTune::new(
         catalogue.clone(),
         HardwareSpec::default(),
         featurizer.dim(),
-        &initial,
+        &Configuration::dba_default(&catalogue),
         OnlineTuneOptions::default(),
         1,
-    );
+    ));
 
     println!("iter  throughput(tps)  default(tps)  improvement  safety-set");
-    let mut cumulative_gain = 0.0;
-    for iteration in 0..30 {
-        let spec = workload.spec_at(iteration);
-        let queries = workload.sample_queries(iteration, 30);
-        let stats = OptimizerStats::estimate(&spec);
-        let context = featurizer.featurize(&queries, spec.arrival_rate_qps, &stats);
-
-        // Safety threshold: the default configuration's performance under this workload.
-        let default_tps = db.peek(&initial, &spec).throughput_tps;
-
-        let suggestion = tuner.suggest(&context, default_tps, spec.clients);
-        db.apply_config(&suggestion.config);
-        let eval = db.run_interval(&spec, 180.0);
-        let tps = eval.outcome.throughput_tps;
-        cumulative_gain += (tps - default_tps) * 180.0;
-
-        println!(
-            "{iteration:>4}  {tps:>15.0}  {default_tps:>12.0}  {:>+10.1}%  {:>10}",
-            (tps / default_tps - 1.0) * 100.0,
-            suggestion.diagnostics.safety_set_size,
-        );
-
-        tuner
-            .observe(
-                &context,
-                &suggestion.config,
-                tps,
-                Some(&eval.metrics),
-                tps >= default_tps * 0.98,
-            )
-            .expect("simulated measurements are finite");
-    }
-    println!(
-        "\ncumulative transactions gained vs. always running the DBA default: {cumulative_gain:+.0}"
+    let result = run_session(
+        &mut tuner,
+        &workload,
+        &catalogue,
+        &featurizer,
+        &SessionOptions {
+            iterations: 30,
+            seed: 42,
+            ..Default::default()
+        },
+        |record, _, diagnostics| {
+            let (tps, default_tps) = (record.throughput_tps, record.reference_score);
+            println!(
+                "{:>4}  {tps:>15.0}  {default_tps:>12.0}  {:>+10.1}%  {:>10}",
+                record.iteration,
+                (tps / default_tps - 1.0) * 100.0,
+                diagnostics.map_or(0, |d| d.safety_set_size),
+            );
+        },
     );
-    println!("system failures during tuning: {}", db.failures());
+    println!(
+        "\ncumulative transactions gained vs. always running the DBA default: {:+.0}",
+        result.cumulative_improvement() * 180.0
+    );
+    println!(
+        "unsafe intervals: {}, system failures during tuning: {}",
+        result.unsafe_count(),
+        result.failure_count()
+    );
 }

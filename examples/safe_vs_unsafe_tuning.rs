@@ -10,48 +10,34 @@
 //! whether it ever hung the instance — the paper's core safety argument (Figure 1c / 5).
 
 use baselines::bo::{BoOptions, BoTuner};
-use baselines::{OnlineTuneBaseline, Tuner, TuningInput};
+use baselines::{OnlineTuneBaseline, Tuner};
+use bench::{run_session, SessionOptions};
 use featurize::ContextFeaturizer;
 use onlinetune::{OnlineTune, OnlineTuneOptions};
-use simdb::{Configuration, HardwareSpec, KnobCatalogue, OptimizerStats, SimDatabase};
+use simdb::{Configuration, HardwareSpec, KnobCatalogue};
 use workloads::twitter::TwitterWorkload;
-use workloads::WorkloadGenerator;
+use workloads::Objective;
 
 fn run(tuner: &mut dyn Tuner, iterations: usize) -> (f64, usize, usize) {
     let catalogue = KnobCatalogue::mysql57();
     let featurizer = ContextFeaturizer::with_defaults();
-    let workload = TwitterWorkload::new_dynamic(3);
-    let mut db = SimDatabase::new(11);
-    db.set_data_size(TwitterWorkload::INITIAL_DATA_GIB);
-    let reference = Configuration::dba_default(&catalogue);
-
-    let mut total_txn = 0.0;
-    let mut unsafe_count = 0;
-    let mut last_metrics = None;
-    for it in 0..iterations {
-        let spec = workload.spec_at(it);
-        let queries = workload.sample_queries(it, 30);
-        let stats = OptimizerStats::estimate(&spec);
-        let context = featurizer.featurize(&queries, spec.arrival_rate_qps, &stats);
-        let threshold = db.peek(&reference, &spec).throughput_tps;
-        let input = TuningInput {
-            context: &context,
-            metrics: last_metrics.as_ref(),
-            safety_threshold: threshold,
-            clients: spec.clients,
-        };
-        let cfg = tuner.suggest(&input);
-        db.apply_config(&cfg);
-        let eval = db.run_interval(&spec, 180.0);
-        let tps = eval.outcome.throughput_tps;
-        total_txn += tps * 180.0;
-        if eval.outcome.failed || tps < threshold * 0.95 {
-            unsafe_count += 1;
-        }
-        tuner.observe(&input, &cfg, tps, &eval.metrics, tps >= threshold * 0.95);
-        last_metrics = Some(eval.metrics);
-    }
-    (total_txn, unsafe_count, db.failures())
+    let result = run_session(
+        tuner,
+        &TwitterWorkload::new_dynamic(3),
+        &catalogue,
+        &featurizer,
+        &SessionOptions {
+            iterations,
+            seed: 11,
+            ..Default::default()
+        },
+        |_, _, _| {},
+    );
+    (
+        result.cumulative_performance(180.0, Objective::Throughput),
+        result.unsafe_count(),
+        result.failure_count(),
+    )
 }
 
 fn main() {

@@ -9,73 +9,50 @@
 //! tuner maintains separate per-cluster models and re-selects the matching one when a phase
 //! returns.
 
+use baselines::OnlineTuneBaseline;
+use bench::{run_session, SessionOptions};
 use featurize::ContextFeaturizer;
 use onlinetune::{OnlineTune, OnlineTuneOptions};
-use simdb::{Configuration, HardwareSpec, KnobCatalogue, OptimizerStats, SimDatabase};
+use simdb::{Configuration, HardwareSpec, KnobCatalogue};
 use workloads::cycle::TransactionalAnalyticalCycle;
-use workloads::{Objective, WorkloadGenerator};
 
 fn main() {
     let catalogue = KnobCatalogue::mysql57();
     let featurizer = ContextFeaturizer::with_defaults();
     // Shorter phases than the paper's 100 iterations so the example finishes quickly.
     let cycle = TransactionalAnalyticalCycle::with_phase_length(9, 25);
-    let initial = Configuration::dba_default(&catalogue);
-
-    let mut db = SimDatabase::new(23);
-    db.set_data_size(cycle.initial_data_size_gib());
-    let mut tuner = OnlineTune::new(
+    let mut tuner = OnlineTuneBaseline::new(OnlineTune::new(
         catalogue.clone(),
         HardwareSpec::default(),
         featurizer.dim(),
-        &initial,
+        &Configuration::dba_default(&catalogue),
         OnlineTuneOptions::default(),
         23,
+    ));
+
+    let result = run_session(
+        &mut tuner,
+        &cycle,
+        &catalogue,
+        &featurizer,
+        &SessionOptions {
+            iterations: 100,
+            seed: 23,
+            ..Default::default()
+        },
+        |_, _, _| {},
     );
 
-    let iterations = 100;
-    let mut phase_latency: Vec<(bool, f64, f64)> = Vec::new();
-    for it in 0..iterations {
-        let spec = cycle.spec_at(it);
-        let queries = cycle.sample_queries(it, 30);
-        let stats = OptimizerStats::estimate(&spec);
-        let context = featurizer.featurize(&queries, spec.arrival_rate_qps, &stats);
-        // The objective is p99 latency, so scores are negated latencies.
-        let default_latency = db.peek(&initial, &spec).latency_p99_ms;
-        let threshold = Objective::P99Latency.score(&simdb::PerformanceOutcome {
-            throughput_tps: 0.0,
-            latency_avg_ms: 0.0,
-            latency_p99_ms: default_latency,
-            failed: false,
-        });
-
-        let suggestion = tuner.suggest(&context, threshold, spec.clients);
-        db.apply_config(&suggestion.config);
-        let eval = db.run_interval(&spec, 180.0);
-        let score = Objective::P99Latency.score(&eval.outcome);
-        tuner
-            .observe(
-                &context,
-                &suggestion.config,
-                score,
-                Some(&eval.metrics),
-                score >= threshold * 1.05, // latency scores are negative; 5% slack
-            )
-            .expect("simulated measurements are finite");
-        phase_latency.push((
-            cycle.is_transactional_phase(it),
-            eval.outcome.latency_p99_ms,
-            default_latency,
-        ));
-    }
-
     let summarize = |transactional: bool, label: &str| {
-        let rows: Vec<&(bool, f64, f64)> = phase_latency
+        let phase: Vec<_> = result
+            .records
             .iter()
-            .filter(|(t, _, _)| *t == transactional)
+            .filter(|r| cycle.is_transactional_phase(r.iteration) == transactional)
             .collect();
-        let tuned: f64 = rows.iter().map(|(_, l, _)| l).sum::<f64>() / rows.len() as f64;
-        let default: f64 = rows.iter().map(|(_, _, d)| d).sum::<f64>() / rows.len() as f64;
+        let n = phase.len() as f64;
+        let tuned = phase.iter().map(|r| r.latency_p99_ms).sum::<f64>() / n;
+        // The objective is p99 latency, so τ is the default's negated p99 latency.
+        let default = -phase.iter().map(|r| r.reference_score).sum::<f64>() / n;
         println!(
             "{label:<22} mean p99 latency: tuned {tuned:>9.1} ms   DBA default {default:>9.1} ms"
         );
@@ -84,8 +61,8 @@ fn main() {
     summarize(false, "JOB phases");
     println!(
         "\ncontext clusters maintained: {}   re-clusterings: {}",
-        tuner.model_count(),
-        tuner.recluster_count()
+        tuner.inner().model_count(),
+        tuner.inner().recluster_count()
     );
     println!("After both phases have been visited, OnlineTune keeps one surrogate per phase and switches between them as the cycle repeats.");
 }

@@ -3,50 +3,27 @@
 
 use baselines::bo::{BoOptions, BoTuner};
 use baselines::ddpg::{DdpgOptions, DdpgTuner};
-use baselines::{OnlineTuneBaseline, Tuner, TuningInput};
+use baselines::{OnlineTuneBaseline, Tuner};
+use bench::{run_session, SessionOptions};
 use featurize::ContextFeaturizer;
 use onlinetune::{OnlineTune, OnlineTuneOptions};
-use simdb::{Configuration, HardwareSpec, KnobCatalogue, OptimizerStats, SimDatabase};
+use simdb::{Configuration, HardwareSpec, KnobCatalogue};
 use workloads::tpcc::TpccWorkload;
-use workloads::WorkloadGenerator;
 
 fn run(tuner: &mut dyn Tuner, iterations: usize) -> (usize, usize) {
-    let catalogue = KnobCatalogue::mysql57();
-    let featurizer = ContextFeaturizer::with_defaults();
-    let generator = TpccWorkload::new_dynamic(5);
-    let reference = Configuration::dba_default(&catalogue);
-    let mut db = SimDatabase::new(55);
-    db.set_data_size(generator.initial_data_size_gib());
-    let mut unsafe_count = 0;
-    let mut last_metrics = None;
-    for it in 0..iterations {
-        let spec = generator.spec_at(it);
-        let queries = generator.sample_queries(it, 25);
-        let stats = OptimizerStats::estimate(&spec);
-        let context = featurizer.featurize(&queries, spec.arrival_rate_qps, &stats);
-        let threshold = db.peek(&reference, &spec).throughput_tps;
-        let input = TuningInput {
-            context: &context,
-            metrics: last_metrics.as_ref(),
-            safety_threshold: threshold,
-            clients: spec.clients,
-        };
-        let cfg = tuner.suggest(&input);
-        db.apply_config(&cfg);
-        let eval = db.run_interval(&spec, 180.0);
-        if eval.outcome.failed || eval.outcome.throughput_tps < threshold * 0.95 {
-            unsafe_count += 1;
-        }
-        tuner.observe(
-            &input,
-            &cfg,
-            eval.outcome.throughput_tps,
-            &eval.metrics,
-            eval.outcome.throughput_tps >= threshold * 0.95,
-        );
-        last_metrics = Some(eval.metrics);
-    }
-    (unsafe_count, db.failures())
+    let result = run_session(
+        tuner,
+        &TpccWorkload::new_dynamic(5),
+        &KnobCatalogue::mysql57(),
+        &ContextFeaturizer::with_defaults(),
+        &SessionOptions {
+            iterations,
+            seed: 55,
+            ..Default::default()
+        },
+        |_, _, _| {},
+    );
+    (result.unsafe_count(), result.failure_count())
 }
 
 #[test]

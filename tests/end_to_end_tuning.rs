@@ -1,13 +1,48 @@
-//! End-to-end integration tests: the full OnlineTune loop against the simulated database
-//! across crates (simdb + workloads + featurize + onlinetune).
+//! End-to-end integration tests: full OnlineTune sessions against the simulated database,
+//! run by `bench::run_session` (simdb + workloads + featurize + onlinetune + fleet's
+//! interval).
 
+use baselines::OnlineTuneBaseline;
+use bench::{run_session, SessionOptions, SessionResult};
 use featurize::ContextFeaturizer;
 use onlinetune::{OnlineTune, OnlineTuneOptions};
-use simdb::{Configuration, HardwareSpec, KnobCatalogue, OptimizerStats, SimDatabase};
+use simdb::{Configuration, HardwareSpec, KnobCatalogue, WorkloadSpec};
 use workloads::job::JobWorkload;
 use workloads::tpcc::TpccWorkload;
 use workloads::twitter::TwitterWorkload;
-use workloads::WorkloadGenerator;
+use workloads::{Objective, WorkloadGenerator};
+
+/// Runs a full OnlineTune session (tuner and instance seeded alike) and returns it with
+/// the tuner.
+fn session(
+    generator: &dyn WorkloadGenerator,
+    iterations: usize,
+    seed: u64,
+) -> (SessionResult, OnlineTuneBaseline) {
+    let catalogue = KnobCatalogue::mysql57();
+    let featurizer = ContextFeaturizer::with_defaults();
+    let mut tuner = OnlineTuneBaseline::new(OnlineTune::new(
+        catalogue.clone(),
+        HardwareSpec::default(),
+        featurizer.dim(),
+        &Configuration::dba_default(&catalogue),
+        OnlineTuneOptions::default(),
+        seed,
+    ));
+    let result = run_session(
+        &mut tuner,
+        generator,
+        &catalogue,
+        &featurizer,
+        &SessionOptions {
+            iterations,
+            seed,
+            ..Default::default()
+        },
+        |_, _, _| {},
+    );
+    (result, tuner)
+}
 
 /// Runs a full OnlineTune session and returns (tuned cumulative txn, default cumulative txn,
 /// unsafe intervals, instance failures).
@@ -16,49 +51,18 @@ fn tune_session(
     iterations: usize,
     seed: u64,
 ) -> (f64, f64, usize, usize) {
-    let catalogue = KnobCatalogue::mysql57();
-    let featurizer = ContextFeaturizer::with_defaults();
-    let initial = Configuration::dba_default(&catalogue);
-    let mut db = SimDatabase::new(seed);
-    db.set_data_size(generator.initial_data_size_gib());
-    let mut tuner = OnlineTune::new(
-        catalogue.clone(),
-        HardwareSpec::default(),
-        featurizer.dim(),
-        &initial,
-        OnlineTuneOptions::default(),
-        seed,
-    );
-
-    let mut tuned = 0.0;
-    let mut default = 0.0;
-    let mut unsafe_count = 0;
-    for it in 0..iterations {
-        let spec = generator.spec_at(it);
-        let queries = generator.sample_queries(it, 25);
-        let stats = OptimizerStats::estimate(&spec);
-        let context = featurizer.featurize(&queries, spec.arrival_rate_qps, &stats);
-        let threshold = db.peek(&initial, &spec).throughput_tps;
-        let suggestion = tuner.suggest(&context, threshold, spec.clients);
-        db.apply_config(&suggestion.config);
-        let eval = db.run_interval(&spec, 180.0);
-        let tps = eval.outcome.throughput_tps;
-        if eval.outcome.failed || tps < threshold * 0.95 {
-            unsafe_count += 1;
-        }
-        tuned += tps * 180.0;
-        default += threshold * 180.0;
-        tuner
-            .observe(
-                &context,
-                &suggestion.config,
-                tps,
-                Some(&eval.metrics),
-                tps >= threshold * 0.95,
-            )
-            .expect("simulated measurements are finite");
-    }
-    (tuned, default, unsafe_count, db.failures())
+    let (result, _) = session(generator, iterations, seed);
+    let default: f64 = result
+        .records
+        .iter()
+        .map(|r| r.reference_score * 180.0)
+        .sum();
+    (
+        result.cumulative_performance(180.0, Objective::Throughput),
+        default,
+        result.unsafe_count(),
+        result.failure_count(),
+    )
 }
 
 #[test]
@@ -88,51 +92,58 @@ fn onlinetune_handles_a_read_heavy_skewed_workload() {
     assert!(unsafe_count <= 10, "unsafe = {unsafe_count}");
 }
 
+/// Alternates a write-heavy OLTP phase (TPC-C) and a pure-OLAP phase (JOB) every 10
+/// intervals, scored on throughput, on 20 GiB of data.
+struct OltpOlapPhases {
+    tpcc: TpccWorkload,
+    job: JobWorkload,
+}
+
+impl OltpOlapPhases {
+    fn phase(&self, iteration: usize) -> &dyn WorkloadGenerator {
+        if (iteration / 10).is_multiple_of(2) {
+            &self.tpcc
+        } else {
+            &self.job
+        }
+    }
+}
+
+impl WorkloadGenerator for OltpOlapPhases {
+    fn name(&self) -> &str {
+        "tpcc-job-phases"
+    }
+
+    fn spec_at(&self, iteration: usize) -> WorkloadSpec {
+        self.phase(iteration).spec_at(iteration)
+    }
+
+    fn sample_queries(&self, iteration: usize, n: usize) -> Vec<String> {
+        self.phase(iteration).sample_queries(iteration, n)
+    }
+
+    fn objective(&self) -> Objective {
+        Objective::Throughput
+    }
+
+    fn initial_data_size_gib(&self) -> f64 {
+        20.0
+    }
+}
+
 #[test]
 fn observations_accumulate_and_clusters_form_across_distinct_phases() {
-    let catalogue = KnobCatalogue::mysql57();
-    let featurizer = ContextFeaturizer::with_defaults();
-    let initial = Configuration::dba_default(&catalogue);
-    let mut tuner = OnlineTune::new(
-        catalogue.clone(),
-        HardwareSpec::default(),
-        featurizer.dim(),
-        &initial,
-        OnlineTuneOptions::default(),
-        7,
-    );
-    let tpcc = TpccWorkload::new_dynamic(3);
-    let job = JobWorkload::new_dynamic(3);
-    let mut db = SimDatabase::new(7);
-    db.set_data_size(20.0);
-    for it in 0..70 {
-        // Alternate between a write-heavy OLTP phase and a pure-OLAP phase: their context
-        // features are far apart, so DBSCAN must separate them.
-        let (spec, queries) = if (it / 10) % 2 == 0 {
-            (tpcc.spec_at(it), tpcc.sample_queries(it, 25))
-        } else {
-            (job.spec_at(it), job.sample_queries(it, 25))
-        };
-        let stats = OptimizerStats::estimate(&spec);
-        let context = featurizer.featurize(&queries, spec.arrival_rate_qps, &stats);
-        let threshold = db.peek(&initial, &spec).throughput_tps;
-        let suggestion = tuner.suggest(&context, threshold, spec.clients);
-        db.apply_config(&suggestion.config);
-        let eval = db.run_interval(&spec, 180.0);
-        tuner
-            .observe(
-                &context,
-                &suggestion.config,
-                eval.outcome.throughput_tps,
-                Some(&eval.metrics),
-                eval.outcome.throughput_tps >= threshold * 0.95,
-            )
-            .expect("simulated measurements are finite");
-    }
-    assert_eq!(tuner.observation_count(), 70);
+    // The two phases' context features are far apart, so DBSCAN must separate them.
+    let phases = OltpOlapPhases {
+        tpcc: TpccWorkload::new_dynamic(3),
+        job: JobWorkload::new_dynamic(3),
+    };
+    let (_, tuner) = session(&phases, 70, 7);
+    // 70 intervals plus the reference observation `run_session` seeds the tuner with.
+    assert_eq!(tuner.inner().observation_count(), 71);
     assert!(
-        tuner.model_count() >= 2,
+        tuner.inner().model_count() >= 2,
         "two clearly different workload phases should produce at least two context clusters, got {}",
-        tuner.model_count()
+        tuner.inner().model_count()
     );
 }
