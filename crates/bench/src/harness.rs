@@ -80,8 +80,9 @@ pub struct SessionResult {
 }
 
 impl SessionResult {
-    /// Cumulative performance: total transactions for throughput objectives, total
-    /// execution time (seconds) for latency objectives (lower is better there).
+    /// Cumulative performance: total transactions for throughput objectives; for latency
+    /// objectives, the objective's own latency (p99 or average, its negated score) summed
+    /// in seconds (lower is better there).
     pub fn cumulative_performance(&self, interval_s: f64, objective: Objective) -> f64 {
         match objective {
             Objective::Throughput => self
@@ -89,9 +90,8 @@ impl SessionResult {
                 .iter()
                 .map(|r| r.throughput_tps * interval_s)
                 .sum(),
-            Objective::P99Latency => self.records.iter().map(|r| r.latency_p99_ms / 1000.0).sum(),
-            Objective::ExecutionTime => {
-                self.records.iter().map(|r| r.latency_p99_ms / 1000.0).sum()
+            Objective::P99Latency | Objective::ExecutionTime => {
+                self.records.iter().map(|r| -r.score / 1000.0).sum()
             }
         }
     }
@@ -288,6 +288,33 @@ mod tests {
         );
         assert_eq!(result.failure_count(), 0);
         assert!(result.cumulative_performance(180.0, Objective::Throughput) > 0.0);
+    }
+
+    #[test]
+    fn execution_time_sums_the_latency_the_objective_scores() {
+        let record = |latency_p99_ms: f64, latency_avg_ms: f64| IterationRecord {
+            iteration: 0,
+            throughput_tps: 0.0,
+            latency_p99_ms,
+            score: -latency_avg_ms,
+            reference_score: -latency_avg_ms,
+            is_unsafe: false,
+            failed: false,
+            data_size_gib: 0.0,
+            tuner_time_s: 0.0,
+            read_fraction: 0.0,
+        };
+        let result = SessionResult {
+            tuner: "t".into(),
+            workload: "job".into(),
+            objective_name: "ExecutionTime".into(),
+            records: vec![record(9_000.0, 1_500.0), record(7_000.0, 2_500.0)],
+        };
+        // Seconds of average latency, the quantity the tuner minimizes, not p99.
+        assert_eq!(
+            result.cumulative_performance(180.0, Objective::ExecutionTime),
+            4.0
+        );
     }
 
     #[test]

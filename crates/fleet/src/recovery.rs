@@ -5,7 +5,10 @@
 //! [`FleetServer`](crate::serve::FleetServer) (the serving front end, driven by a
 //! [`TrafficScript`](crate::serve::TrafficScript)) keep their crash-safety state in one
 //! journal: the last periodic snapshot plus a [`WriteAheadLog`] of per-round commit
-//! records. A crash leaves a [`DurableStorage`]; recovery returns a [`RecoveryReport`].
+//! records. The journal holds that snapshot as the owner's snapshot structure (a
+//! [`FleetSnapshot`] or a [`ServerSnapshot`](crate::serve::ServerSnapshot)), whose
+//! knowledge base shares the live fleet's rows, and writes it to text only when it
+//! crashes. A crash leaves a [`DurableStorage`]; recovery returns a [`RecoveryReport`].
 //! The fleet's determinism contract does the heavy lifting: a round's outcome is a pure
 //! function of the snapshot it started from and the script, so the *redo function is
 //! re-execution*. WAL entries carry no observations — only a sequence number, the
@@ -27,8 +30,9 @@
 
 use crate::error::FleetError;
 use crate::scenario::Scenario;
-use crate::service::FleetService;
+use crate::service::{FleetService, FleetSnapshot};
 use crate::wal::{fnv1a64, WriteAheadLog, FRAME_LEN};
+use serde::Serialize;
 use telemetry::{CounterId, EventKind, TelemetryHandle};
 
 /// A [`DurableFleet`] takes a full snapshot (and truncates the WAL) every this many
@@ -58,17 +62,35 @@ pub struct RecoveryReport {
 }
 
 /// The crash-safety state a [`DurableFleet`] or a [`FleetServer`](crate::serve::FleetServer)
-/// owns: the last periodic snapshot and the WAL of the rounds committed since (one frame
+/// owns: its last periodic snapshot and the WAL of the rounds committed since (one frame
 /// each).
-#[derive(Default)]
-pub(crate) struct Journal {
-    snapshot_json: String,
+///
+/// The snapshot is held as the owner's snapshot structure `S` (a [`FleetSnapshot`] or a
+/// [`ServerSnapshot`](crate::serve::ServerSnapshot)), not as text: [`Journal::crash`]
+/// writes it. Each structure writes its owner's canonical text through the writer the
+/// owner's streamed text goes through, so that text is the one the anchoring commit
+/// digested.
+pub(crate) struct Journal<S> {
+    /// `None` only while [`FleetServer::recover`](crate::serve::FleetServer::recover)
+    /// replays, before it anchors the recovered server.
+    snapshot: Option<S>,
     snapshot_round: usize,
     wal: WriteAheadLog,
 }
 
-// The snapshot JSON is large; summarize instead.
-impl std::fmt::Debug for Journal {
+impl<S> Default for Journal<S> {
+    /// A journal anchored nowhere yet, for an owner that anchors before it is handed out.
+    fn default() -> Self {
+        Journal {
+            snapshot: None,
+            snapshot_round: 0,
+            wal: WriteAheadLog::default(),
+        }
+    }
+}
+
+// The snapshot is large; summarize instead.
+impl<S> std::fmt::Debug for Journal<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
             .field("snapshot_round", &self.snapshot_round)
@@ -77,95 +99,100 @@ impl std::fmt::Debug for Journal {
     }
 }
 
-impl Journal {
-    /// A journal anchored at `snapshot_json`, the owner's canonical JSON at `round`,
-    /// with an empty WAL.
-    pub(crate) fn anchor(snapshot_json: String, round: usize) -> Self {
+impl<S: Serialize> Journal<S> {
+    /// A journal anchored at `snapshot`, the owner's state at `round`, with an empty WAL.
+    pub(crate) fn anchor(snapshot: S, round: usize) -> Self {
         Journal {
-            snapshot_json,
+            snapshot: Some(snapshot),
             snapshot_round: round,
             ..Default::default()
         }
     }
 
-    /// Commits a round: appends the digest of `json`, the owner's canonical JSON after
-    /// `round`, to the WAL, and every `interval` commits makes `json` the snapshot and
-    /// truncates the WAL (the sequence counter runs on).
+    /// Commits a round: appends the digest of `json`, the owner's canonical text after
+    /// `round`, to the WAL, and every `interval` commits anchors at `snapshot()`, the
+    /// owner's state as a structure, and truncates the WAL (the sequence counter runs on).
     pub(crate) fn commit(
         &mut self,
-        json: String,
+        json: &str,
         round: usize,
         interval: usize,
         telemetry: &TelemetryHandle,
+        snapshot: impl FnOnce() -> S,
     ) {
         self.wal.append(round as u64, fnv1a64(json.as_bytes()));
         telemetry.incr(CounterId::WalAppends);
         if self.wal.bytes().len() / FRAME_LEN >= interval.max(1) {
-            self.snapshot_json = json;
+            self.snapshot = Some(snapshot());
             self.snapshot_round = round;
             self.wal.clear();
         }
     }
 
     /// What a crash right now would leave behind, minus the last `torn` WAL bytes
-    /// (`torn` larger than the journal tears it to empty).
+    /// (`torn` larger than the journal tears it to empty). The snapshot is written to
+    /// text here, and only here.
     pub(crate) fn crash(&self, torn: usize) -> DurableStorage {
+        let snapshot = self
+            .snapshot
+            .as_ref()
+            .expect("a journal is anchored before its owner is handed out");
         let wal = self.wal.bytes();
         DurableStorage {
-            snapshot_json: self.snapshot_json.clone(),
+            snapshot_json: serde_json::to_string(snapshot)
+                .expect("an in-memory snapshot always serializes"),
             snapshot_round: self.snapshot_round,
             wal_bytes: wal[..wal.len().saturating_sub(torn)].to_vec(),
         }
     }
+}
 
-    /// Recovers the journal's owner from crash-surviving storage. The WAL is scanned
-    /// (dropping a torn tail) before the expensive `restore` of the snapshot, so a
-    /// corrupt journal fails first. Then, per committed entry, `round` runs one
-    /// *uncommitted* round and returns the owner's canonical JSON, whose digest must
-    /// match the entry's or the replay fails with [`FleetError::RecoveryDivergence`].
-    /// `subject` names the owner in the recovery event; the caller anchors a fresh
-    /// journal on the result.
-    pub(crate) fn replay<D>(
-        storage: &DurableStorage,
-        telemetry: &TelemetryHandle,
-        subject: &str,
-        restore: impl FnOnce(&str) -> Result<D, FleetError>,
-        mut round: impl FnMut(&mut D) -> Result<String, FleetError>,
-    ) -> Result<(D, RecoveryReport), FleetError> {
-        let scan = WriteAheadLog::scan(&storage.wal_bytes)?;
-        let mut owner = restore(&storage.snapshot_json)?;
-        telemetry.add(
-            CounterId::WalTornEntriesDropped,
-            (scan.torn_bytes > 0) as u64,
-        );
-        for entry in &scan.entries {
-            let digest = fnv1a64(round(&mut owner)?.as_bytes());
-            telemetry.incr(CounterId::RecoveryReplays);
-            if digest != entry.digest {
-                return Err(FleetError::RecoveryDivergence {
-                    round: entry.round as usize,
-                    expected: entry.digest,
-                    actual: digest,
-                });
-            }
+/// Recovers a journal's owner from crash-surviving storage. The WAL is scanned (dropping a
+/// torn tail) before the expensive `restore` of the snapshot, so a corrupt journal fails
+/// first. Then, per committed entry, `round` runs one *uncommitted* round and returns the
+/// owner's canonical JSON, whose digest must match the entry's or the replay fails with
+/// [`FleetError::RecoveryDivergence`]. `subject` names the owner in the recovery event;
+/// the caller anchors a fresh journal on the result.
+pub(crate) fn replay<D>(
+    storage: &DurableStorage,
+    telemetry: &TelemetryHandle,
+    subject: &str,
+    restore: impl FnOnce(&str) -> Result<D, FleetError>,
+    mut round: impl FnMut(&mut D) -> Result<String, FleetError>,
+) -> Result<(D, RecoveryReport), FleetError> {
+    let scan = WriteAheadLog::scan(&storage.wal_bytes)?;
+    let mut owner = restore(&storage.snapshot_json)?;
+    telemetry.add(
+        CounterId::WalTornEntriesDropped,
+        (scan.torn_bytes > 0) as u64,
+    );
+    for entry in &scan.entries {
+        let digest = fnv1a64(round(&mut owner)?.as_bytes());
+        telemetry.incr(CounterId::RecoveryReplays);
+        if digest != entry.digest {
+            return Err(FleetError::RecoveryDivergence {
+                round: entry.round as usize,
+                expected: entry.digest,
+                actual: digest,
+            });
         }
-        let report = RecoveryReport {
-            snapshot_round: storage.snapshot_round,
-            replayed_rounds: scan.entries.len(),
-            torn_bytes: scan.torn_bytes,
-        };
-        if telemetry.is_enabled() {
-            telemetry.event(
-                EventKind::WalRecovered,
-                subject,
-                &format!(
-                    "snapshot@{} +{} replayed, {} torn bytes dropped",
-                    report.snapshot_round, report.replayed_rounds, report.torn_bytes
-                ),
-            );
-        }
-        Ok((owner, report))
     }
+    let report = RecoveryReport {
+        snapshot_round: storage.snapshot_round,
+        replayed_rounds: scan.entries.len(),
+        torn_bytes: scan.torn_bytes,
+    };
+    if telemetry.is_enabled() {
+        telemetry.event(
+            EventKind::WalRecovered,
+            subject,
+            &format!(
+                "snapshot@{} +{} replayed, {} torn bytes dropped",
+                report.snapshot_round, report.replayed_rounds, report.torn_bytes
+            ),
+        );
+    }
+    Ok((owner, report))
 }
 
 /// A crash-safe wrapper around a scenario-driven fleet.
@@ -179,7 +206,7 @@ pub struct DurableFleet {
     // FleetService holds live sessions (no Debug); summarize instead.
     svc: FleetService,
     scenario: Scenario,
-    journal: Journal,
+    journal: Journal<FleetSnapshot>,
 }
 
 impl std::fmt::Debug for DurableFleet {
@@ -195,7 +222,7 @@ impl std::fmt::Debug for DurableFleet {
 impl DurableFleet {
     /// Wraps a service and its driving scenario, taking the genesis snapshot.
     pub fn new(svc: FleetService, scenario: Scenario) -> Self {
-        let journal = Journal::anchor(svc.canonical_snapshot_json(), svc.rounds());
+        let journal = Journal::anchor(svc.export(), svc.rounds());
         DurableFleet {
             svc,
             scenario,
@@ -218,10 +245,11 @@ impl DurableFleet {
     pub fn run_round(&mut self) -> Result<usize, FleetError> {
         let iterations = scripted_round(&mut self.svc, &self.scenario)?;
         self.journal.commit(
-            self.svc.canonical_snapshot_json(),
+            &self.svc.canonical_snapshot_json(),
             self.svc.rounds(),
             SNAPSHOT_INTERVAL,
             self.svc.telemetry(),
+            || self.svc.export(),
         );
         Ok(iterations)
     }
@@ -252,7 +280,7 @@ impl DurableFleet {
         scenario: Scenario,
         telemetry: TelemetryHandle,
     ) -> Result<(Self, RecoveryReport), FleetError> {
-        let (svc, report) = Journal::replay(
+        let (svc, report) = replay(
             storage,
             &telemetry,
             "fleet",
@@ -365,6 +393,8 @@ mod tests {
         /// The canonical JSON the WAL digests.
         fn bytes(&self) -> String;
         fn kill(&self, torn: usize) -> DurableStorage;
+        /// Restores from the canonical JSON, with no WAL to replay.
+        fn restore(json: &str) -> Self;
         /// Recovers under its own script, or under a different one if `wrong`.
         fn revive(
             storage: &DurableStorage,
@@ -390,6 +420,9 @@ mod tests {
         }
         fn kill(&self, torn: usize) -> DurableStorage {
             self.crash(torn)
+        }
+        fn restore(json: &str) -> Self {
+            DurableFleet::new(FleetService::restore_json(json).unwrap(), faulty_scenario())
         }
         fn revive(
             storage: &DurableStorage,
@@ -441,6 +474,9 @@ mod tests {
         fn kill(&self, torn: usize) -> DurableStorage {
             self.crash(torn)
         }
+        fn restore(json: &str) -> Self {
+            FleetServer::restore_json(json, TelemetryHandle::disabled()).unwrap()
+        }
         fn revive(
             storage: &DurableStorage,
             wrong: bool,
@@ -487,6 +523,39 @@ mod tests {
             // …and the sequence counter runs on across the truncation.
             durable.run(1);
             assert_eq!(wal_entries(&durable.kill(0))[0].seq, D::INTERVAL as u64);
+        }
+        case::<DurableFleet>();
+        case::<FleetServer>();
+    }
+
+    #[test]
+    fn the_crash_snapshot_is_the_text_of_the_last_anchor() {
+        fn case<D: Durable>() {
+            let name = std::any::type_name::<D>();
+            let mut durable = D::start();
+            let mut anchored = durable.bytes();
+            for round in 1..=2 * D::INTERVAL + 1 {
+                durable.run(1);
+                if round % D::INTERVAL == 0 {
+                    anchored = durable.bytes();
+                }
+                let storage = durable.kill(0);
+                assert_eq!(
+                    storage.snapshot_json, anchored,
+                    "{name} after round {round}: not the text of the last periodic commit"
+                );
+                // Recovery anchors at the state it recovered, and a restore at the state
+                // it read.
+                let (recovered, _) =
+                    D::revive(&storage, false, TelemetryHandle::disabled()).unwrap();
+                let text = recovered.bytes();
+                assert_eq!(recovered.kill(0).snapshot_json, text, "{name} recovered");
+                assert_eq!(
+                    D::restore(&text).kill(0).snapshot_json,
+                    text,
+                    "{name} restored"
+                );
+            }
         }
         case::<DurableFleet>();
         case::<FleetServer>();

@@ -49,7 +49,7 @@
 //! [`DegradationTier`]: crate::tenant::DegradationTier
 
 use crate::error::FleetError;
-use crate::recovery::{DurableStorage, Journal, RecoveryReport};
+use crate::recovery::{self, DurableStorage, Journal, RecoveryReport};
 use crate::service::{FleetService, FleetSnapshot};
 use crate::tenant::{SessionHealth, TenantSpec};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
@@ -231,9 +231,11 @@ impl ServeState {
 /// The complete serializable server state: options, the wrapped fleet's snapshot and
 /// the serving state. Canonical JSON of this structure is what the server's WAL
 /// digests and what crash-recovery bit-identity compares; the server writes that text
-/// from its live state ([`FleetServer::canonical_server_json`]) through the same writer.
-/// The text is read back only by [`FleetServer::restore_json`], which restores the fleet
-/// tenant by tenant as it reads it instead of parsing this structure.
+/// from its live state ([`FleetServer::canonical_server_json`]) through the same writer,
+/// and its crash journal holds its last periodic snapshot as this structure, written to
+/// text only when the server crashes. The text is read back only by
+/// [`FleetServer::restore_json`], which restores the fleet tenant by tenant as it reads
+/// it instead of parsing this structure.
 #[derive(Debug, Clone)]
 pub struct ServerSnapshot {
     /// Serving options.
@@ -366,7 +368,7 @@ pub struct FleetServer {
     svc: FleetService,
     options: ServeOptions,
     serve: ServeState,
-    journal: Journal,
+    journal: Journal<ServerSnapshot>,
 }
 
 impl std::fmt::Debug for FleetServer {
@@ -384,19 +386,34 @@ impl FleetServer {
     /// Wraps a service behind the front end, taking the genesis snapshot (so
     /// [`FleetServer::crash`] is total — no window in which a crash loses everything).
     pub fn new(svc: FleetService, options: ServeOptions) -> Self {
-        FleetServer::anchored(svc, options, ServeState::new())
+        FleetServer::unanchored(svc, options, ServeState::new()).anchored()
     }
 
-    /// Assembles a server with its journal anchored at its current state.
-    fn anchored(svc: FleetService, options: ServeOptions, serve: ServeState) -> Self {
-        let mut server = FleetServer {
+    /// Assembles a server whose journal is not anchored yet.
+    fn unanchored(svc: FleetService, options: ServeOptions, serve: ServeState) -> Self {
+        FleetServer {
             svc,
             options,
             serve,
             journal: Journal::default(),
-        };
-        server.journal = Journal::anchor(server.canonical_server_json(), server.svc.rounds());
-        server
+        }
+    }
+
+    /// The server with its journal anchored at its current state.
+    fn anchored(mut self) -> Self {
+        self.journal = Journal::anchor(self.snapshot(), self.svc.rounds());
+        self
+    }
+
+    /// The server's state as one structure, the journal's anchor. It writes the bytes of
+    /// [`FleetServer::canonical_server_json`], but, unlike that text, is not counted as a
+    /// snapshot: the commit that takes it has already counted the text it wrote.
+    pub(crate) fn snapshot(&self) -> ServerSnapshot {
+        ServerSnapshot {
+            options: self.options,
+            fleet: self.svc.export(),
+            serve: self.serve.clone(),
+        }
     }
 
     /// The wrapped service.
@@ -617,12 +634,17 @@ impl FleetServer {
     /// [`ServeOptions::snapshot_interval`] rounds).
     pub fn run_round(&mut self, script: &TrafficScript) -> ServeRoundReport {
         let report = self.serve_round(script);
-        self.journal.commit(
-            self.canonical_server_json(),
+        let json = self.canonical_server_json();
+        // Out of the server for the commit, so that the anchor can read the whole server.
+        let mut journal = std::mem::take(&mut self.journal);
+        journal.commit(
+            &json,
             self.svc.rounds(),
             self.options.snapshot_interval,
             self.svc.telemetry(),
+            || self.snapshot(),
         );
+        self.journal = journal;
         report
     }
 
@@ -736,13 +758,18 @@ impl FleetServer {
     /// that does not restore. Degradation tiers and the pressure counters come back
     /// verbatim.
     pub fn restore_json(json: &str, telemetry: TelemetryHandle) -> Result<Self, FleetError> {
+        FleetServer::read_json(json, telemetry).map(FleetServer::anchored)
+    }
+
+    /// [`FleetServer::restore_json`] without anchoring the journal.
+    fn read_json(json: &str, telemetry: TelemetryHandle) -> Result<Self, FleetError> {
         let mut de = Deserializer::new(json);
         let (options, fleet, serve) = read_server(&mut de)
             .and_then(|parts| de.end().map(|()| parts))
             .map_err(|e| FleetError::SnapshotParse(e.to_string()))?;
         let mut svc = fleet?;
         svc.note_restored(telemetry);
-        Ok(FleetServer::anchored(svc, options, serve))
+        Ok(FleetServer::unanchored(svc, options, serve))
     }
 
     /// Recovers a server from crash-surviving storage: drops any torn WAL tail,
@@ -756,20 +783,18 @@ impl FleetServer {
         script: &TrafficScript,
         telemetry: TelemetryHandle,
     ) -> Result<(Self, RecoveryReport), FleetError> {
-        let (mut server, report) = Journal::replay(
+        let (server, report) = recovery::replay(
             storage,
             &telemetry,
             "server",
-            |json| FleetServer::restore_json(json, telemetry.clone()),
+            |json| FleetServer::read_json(json, telemetry.clone()),
             |server| {
                 server.serve_round(script);
                 Ok(server.canonical_server_json())
             },
         )?;
-        // Re-anchor at a fresh post-recovery snapshot; the old WAL bytes are
-        // superseded.
-        server.journal = Journal::anchor(server.canonical_server_json(), server.svc.rounds());
-        Ok((server, report))
+        // Anchor once, at the recovered state; the old WAL bytes are superseded.
+        Ok((server.anchored(), report))
     }
 }
 
@@ -1109,7 +1134,7 @@ mod tests {
             ..Default::default()
         };
         let mut script = TrafficScript::new("backlog");
-        for round in 0..3 {
+        for round in 0..5 {
             for tenant in ["t0", "t1", "t0"] {
                 script = script.at(
                     round,
@@ -1129,7 +1154,8 @@ mod tests {
                 .metrics_snapshot()
                 .counter(CounterId::SnapshotsTaken)
         };
-        for round in 1..=3 {
+        // Round 4 is a periodic commit: the journal's anchor is taken uncounted.
+        for round in 1..=5 {
             server.run_round(&script);
             assert_eq!(
                 taken(&server),
@@ -1143,7 +1169,9 @@ mod tests {
         );
 
         let streamed = server.canonical_server_json();
-        assert_eq!(taken(&server), 4, "one more for one more serialization");
+        assert_eq!(taken(&server), 6, "one more for one more serialization");
+        assert_eq!(streamed, serde_json::to_string(&server.snapshot()).unwrap());
+        assert_eq!(taken(&server), 6, "the journal's structure is not counted");
         let built = ServerSnapshot {
             options: server.options,
             fleet: server.service().snapshot(),

@@ -144,9 +144,11 @@ impl FleetReport {
 /// The entire fleet's state as one structure (see [`FleetService::snapshot`]).
 ///
 /// Its text is written by the same writer as [`FleetService::snapshot_json`], which
-/// streams the live service instead of building this structure first. The text is read
-/// back only by [`FleetService::restore_json`], which rebuilds each tenant as it reads
-/// it instead of parsing this structure.
+/// streams the live service instead of building this structure first, so a
+/// [`DurableFleet`](crate::recovery::DurableFleet)'s journal can keep its anchor as this
+/// structure and write the same text when it crashes. The text is read back only by
+/// [`FleetService::restore_json`], which rebuilds each tenant as it reads it instead of
+/// parsing this structure.
 #[derive(Debug, Clone)]
 pub struct FleetSnapshot {
     /// Service options.
@@ -739,10 +741,20 @@ impl FleetService {
     /// bytes) is identical whether telemetry is disabled, enabled, or was reconfigured
     /// mid-run.
     ///
-    /// This clones every tenant's state at once; serialization does not need it
-    /// ([`FleetService::snapshot_json`] streams the live state instead).
+    /// This copies every tenant's state at once (the knowledge base's clone shares the
+    /// live rows), for callers that want the structure; serialization does not need it
+    /// ([`FleetService::snapshot_json`] streams the live state instead). The crash
+    /// journal is one such caller: a [`DurableFleet`](crate::recovery::DurableFleet)
+    /// holds its last periodic snapshot as this structure and writes it to text only
+    /// when it crashes. The journal takes it uncounted, since the commit that takes it
+    /// has already counted the text it wrote.
     pub fn snapshot(&self) -> FleetSnapshot {
         self.note_snapshot();
+        self.export()
+    }
+
+    /// [`FleetService::snapshot`] without counting a snapshot.
+    pub(crate) fn export(&self) -> FleetSnapshot {
         FleetSnapshot {
             options: self.options.clone(),
             tenants: self

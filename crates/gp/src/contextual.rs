@@ -318,18 +318,13 @@ impl ContextualGp {
         }
         let report = {
             let (x, y) = self.training_set();
-            optimize_hyperparameters(&mut self.gp, &x, &y, options, rng)
+            optimize_hyperparameters(&mut self.gp, &x, &y, options, rng)?
         };
-        // Invariant: `optimize_hyperparameters` refits the GP as its final step, so
-        // fitting again here would redo the O(n³) work it just did. If that internal fit
-        // failed, retrying the identical deterministic fit cannot succeed either —
-        // surface the failure instead of double-fitting.
-        if self.gp.is_fitted() {
-            self.enforce_budget()?;
-            Ok(report)
-        } else {
-            Err(GpError::KernelNotPositiveDefinite)
-        }
+        // Invariant: `optimize_hyperparameters` refits the GP as its final step (and
+        // returns that fit's error, leaving the GP unfitted), so fitting again here would
+        // redo the O(n³) work it just did.
+        self.enforce_budget()?;
+        Ok(report)
     }
 
     /// Predicts the performance of `config` under `context`.

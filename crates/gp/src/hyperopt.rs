@@ -10,7 +10,7 @@
 
 use crate::kernels::Kernel;
 use crate::normalize::Standardizer;
-use crate::regression::{FitArena, GaussianProcess};
+use crate::regression::{FitArena, GaussianProcess, GpError};
 use crate::rows::Row;
 use linalg::Cholesky;
 use rand::Rng;
@@ -220,15 +220,16 @@ pub fn nelder_mead(
 ///
 /// Invariant: the final `fit` on `(x, y)` with the best hyper-parameters happens *inside*
 /// this function. Callers must not fit again afterwards — fitting is deterministic, so a
-/// second fit on the same data is pure redundant `O(n³)` work (and if the internal fit
-/// failed, a retry would fail identically; check [`GaussianProcess::is_fitted`] instead).
+/// second fit on the same data is pure redundant `O(n³)` work. If that fit fails, its
+/// error is returned and the GP is left unfitted: setting the new hyper-parameters has
+/// already dropped the previous fit, so no factor made under other parameters survives.
 pub fn optimize_hyperparameters<X, R>(
     gp: &mut GaussianProcess,
     x: &[X],
     y: &[f64],
     options: &HyperOptOptions,
     rng: &mut R,
-) -> HyperOptReport
+) -> Result<HyperOptReport, GpError>
 where
     X: AsRef<[f64]> + Clone + Into<Row> + Sync,
     R: Rng,
@@ -393,7 +394,7 @@ where
     if let Some(&log_noise) = noise_part.first() {
         gp.set_noise_variance(log_noise.exp().clamp(1e-8, 1.0));
     }
-    let _ = gp.fit(x, y);
+    let fitted = gp.fit(x, y);
 
     let report = HyperOptReport {
         best_lml: -best_neg,
@@ -424,7 +425,7 @@ where
             ),
         );
     }
-    report
+    fitted.map(|()| report)
 }
 
 #[cfg(test)]
@@ -484,7 +485,8 @@ mod tests {
         let before = gp.log_marginal_likelihood(&xs, &ys).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let report =
-            optimize_hyperparameters(&mut gp, &xs, &ys, &HyperOptOptions::default(), &mut rng);
+            optimize_hyperparameters(&mut gp, &xs, &ys, &HyperOptOptions::default(), &mut rng)
+                .unwrap();
         assert!(
             report.best_lml > before,
             "{} vs {}",
@@ -552,7 +554,8 @@ mod tests {
                     &ys,
                     &HyperOptOptions::default(),
                     &mut rng,
-                );
+                )
+                .unwrap();
                 (gp.kernel().params(), gp.noise_variance(), report)
             };
             let (params_cached, noise_cached, report_cached) = run(kernel.clone_box());
@@ -598,7 +601,8 @@ mod tests {
                 ..Default::default()
             },
             &mut rng,
-        );
+        )
+        .unwrap();
         (gp.kernel().params(), gp.noise_variance(), report)
     }
 
@@ -674,7 +678,31 @@ mod tests {
         let before = gp.log_marginal_likelihood(&xs, &ys).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let report =
-            optimize_hyperparameters(&mut gp, &xs, &ys, &HyperOptOptions::default(), &mut rng);
+            optimize_hyperparameters(&mut gp, &xs, &ys, &HyperOptOptions::default(), &mut rng)
+                .unwrap();
         assert!(report.best_lml + 1e-9 >= before);
+    }
+
+    #[test]
+    fn a_failed_final_fit_returns_its_error_and_leaves_the_gp_unfitted() {
+        let xs: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64 / 11.0]).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x[0].sin()).collect();
+        let mut gp = GaussianProcess::new(
+            Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(0.3)), 1.0)),
+            1e-3,
+        );
+        gp.fit(&xs, &ys).unwrap();
+        let mut bad = xs.clone();
+        bad[5][0] = f64::NAN;
+        let mut rng = StdRng::seed_from_u64(3);
+        let err =
+            optimize_hyperparameters(&mut gp, &bad, &ys, &HyperOptOptions::default(), &mut rng)
+                .unwrap_err();
+        assert_eq!(err, GpError::NonFiniteInput { index: 5 });
+        assert!(
+            !gp.is_fitted(),
+            "the previous fit's factor must not survive"
+        );
+        assert!(matches!(gp.predict(&[0.5]), Err(GpError::NotFitted)));
     }
 }

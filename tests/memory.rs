@@ -1,5 +1,5 @@
-//! Live-heap bounds of the fit path, the suggest sweep and snapshot serialization, and the
-//! allocation count of query encoding.
+//! Live-heap bounds of the fit path, the suggest sweep, snapshot serialization and the
+//! server's crash journal, and the allocation count of query encoding.
 //!
 //! This binary installs a counting global allocator, so it holds a single `#[test]`. The
 //! allocator counts, per thread, the live heap bytes that thread allocated (its
@@ -10,6 +10,7 @@
 //!
 //! Run with `cargo test --release --test memory -- --nocapture` to print the figures.
 
+use fleet::serve::{FleetServer, ServeOptions, TrafficScript};
 use fleet::service::{small_tuner_options, FleetOptions, FleetService};
 use fleet::tenant::{TenantSpec, WorkloadFamily};
 use gp::contextual::{ContextObservation, ContextualGp};
@@ -19,6 +20,7 @@ use onlinetune::{OnlineTune, OnlineTuneOptions};
 use simdb::{Configuration, HardwareSpec, KnobCatalogue};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use telemetry::TelemetryHandle;
 
 struct Counting;
 
@@ -307,6 +309,70 @@ fn restored_fleet_keeps_each_observation_once() {
     );
 }
 
+/// Live heap bytes of the fleet's parts that a copy of its state does not share with it:
+/// every tenant's exported state, as a vector of them, and a copy of the knowledge base,
+/// whose entries are handles on the fleet's rows.
+fn unshared_state_bytes(svc: &FleetService) -> usize {
+    let before = live();
+    let exports: Vec<_> = svc.sessions().iter().map(|s| s.export_state()).collect();
+    let knowledge = svc.knowledge().clone();
+    let bytes = live() - before;
+    drop((exports, knowledge));
+    bytes as usize
+}
+
+/// Takes the fleet out of `server` and returns it with the heap the server held beyond
+/// it: what dropping the rest of the server frees.
+fn held_beyond_fleet(mut server: FleetServer) -> (FleetService, isize) {
+    let empty = FleetService::new(FleetOptions::default());
+    let fleet = std::mem::replace(server.service_mut(), empty);
+    let before = live();
+    drop(server);
+    (fleet, before - live())
+}
+
+/// (f) A server's crash journal holds its last periodic snapshot as the snapshot
+/// structure, not as text: beyond its fleet, a server holds its tenants' exports and a
+/// knowledge base whose entries share the fleet's rows, at construction, after a
+/// periodic commit and after a restore.
+fn server_journal_holds_the_snapshot_structure() {
+    let options = ServeOptions::default();
+    let check = |when: &str, server: FleetServer| -> FleetService {
+        let state = unshared_state_bytes(server.service());
+        let text = server.canonical_server_json().len();
+        let (fleet, held) = held_beyond_fleet(server);
+        let bound = state + 4 * 1024;
+        println!(
+            "(f) server beyond its fleet {when}: {held} B; tenant exports and knowledge-base \
+             handles {state} B, snapshot text {text} B"
+        );
+        assert!(
+            held <= bound as isize,
+            "{when}, the server held {held} B beyond its fleet, more than its tenants' \
+             exports and knowledge-base handles ({state} B) + 4 KiB: the journal keeps more \
+             than the snapshot structure"
+        );
+        fleet
+    };
+
+    let svc = check(
+        "at construction",
+        FleetServer::new(six_tenant_fleet(24), options),
+    );
+    let mut server = FleetServer::new(svc, options);
+    for _ in 0..options.snapshot_interval {
+        server.run_round(&TrafficScript::new("quiet"));
+    }
+    assert!(
+        server.crash(0).wal_bytes.is_empty(),
+        "the last round must have been a periodic commit"
+    );
+    let svc = check("after a periodic commit", server);
+    let json = FleetServer::new(svc, options).canonical_server_json();
+    let restored = FleetServer::restore_json(&json, TelemetryHandle::disabled()).expect("restore");
+    check("after restore_json", restored);
+}
+
 /// (d) Encoding a workload allocates per call and per query, never per token: the
 /// tokenizer reuses one buffer, the encoder keeps token hashes, and the recurrent steps
 /// write into one stack of states.
@@ -342,5 +408,6 @@ fn fit_suggest_and_serialization_keep_only_what_they_must() {
     suggest_keeps_no_candidate_rows_per_tuner();
     serialization_holds_one_tenant_export_at_a_time();
     restored_fleet_keeps_each_observation_once();
+    server_journal_holds_the_snapshot_structure();
     encoding_allocates_per_call_not_per_token();
 }
