@@ -88,9 +88,7 @@ pub use scenario::{
     ScenarioStep,
 };
 pub use scheduler::{HealthClass, RoundPlan, SchedulerOptions, SessionScheduler, TenantStatus};
-pub use serve::{
-    FleetServer, Request, Response, ServeOptions, ServeRoundReport, ServerSnapshot, TrafficScript,
-};
+pub use serve::{FleetServer, Request, Response, ServeOptions, ServeRoundReport, TrafficScript};
 pub use service::{FleetOptions, FleetReport, FleetService, FleetSnapshot, SloReport};
 pub use tenant::{
     DegradationTier, RetryPolicy, SessionHealth, TenantSession, TenantSessionState, TenantSpec,

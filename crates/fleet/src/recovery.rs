@@ -5,15 +5,14 @@
 //! [`FleetServer`](crate::serve::FleetServer) (the serving front end, driven by a
 //! [`TrafficScript`](crate::serve::TrafficScript)) keep their crash-safety state in one
 //! journal: the last periodic snapshot plus a [`WriteAheadLog`] of per-round commit
-//! records. The journal holds that snapshot as the owner's snapshot structure (a
-//! [`FleetSnapshot`] or a [`ServerSnapshot`](crate::serve::ServerSnapshot)), whose
-//! knowledge base shares the live fleet's rows, and writes it to text only when it
-//! crashes. A crash leaves a [`DurableStorage`]; recovery returns a [`RecoveryReport`].
-//! The fleet's determinism contract does the heavy lifting: a round's outcome is a pure
-//! function of the snapshot it started from and the script, so the *redo function is
-//! re-execution*. WAL entries carry no observations — only a sequence number, the
-//! committed round, and an FNV-1a-64 digest of the owner's canonical post-round
-//! snapshot JSON that the replay is verified against.
+//! records. The journal holds that snapshot as a copy of its owner whose tenants hold
+//! handles on the live fleet's observation rows and no model fit, and writes it to text
+//! only when it crashes. A crash leaves a [`DurableStorage`]; recovery returns a
+//! [`RecoveryReport`]. The fleet's determinism contract does the heavy lifting: a
+//! round's outcome is a pure function of the snapshot it started from and the script, so
+//! the *redo function is re-execution*. WAL entries carry no observations — only a
+//! sequence number, the committed round, and an FNV-1a-64 digest of the owner's
+//! canonical post-round snapshot JSON that the replay is verified against.
 //!
 //! The recovery invariant — tested at every kill round for a fault-laced
 //! [`DurableFleet`] and for a [`FleetServer`](crate::serve::FleetServer) under mixed
@@ -30,9 +29,8 @@
 
 use crate::error::FleetError;
 use crate::scenario::Scenario;
-use crate::service::{FleetService, FleetSnapshot};
+use crate::service::FleetService;
 use crate::wal::{fnv1a64, WriteAheadLog, FRAME_LEN};
-use serde::Serialize;
 use telemetry::{CounterId, EventKind, TelemetryHandle};
 
 /// A [`DurableFleet`] takes a full snapshot (and truncates the WAL) every this many
@@ -65,15 +63,18 @@ pub struct RecoveryReport {
 /// owns: its last periodic snapshot and the WAL of the rounds committed since (one frame
 /// each).
 ///
-/// The snapshot is held as the owner's snapshot structure `S` (a [`FleetSnapshot`] or a
-/// [`ServerSnapshot`](crate::serve::ServerSnapshot)), not as text: [`Journal::crash`]
-/// writes it. Each structure writes its owner's canonical text through the writer the
-/// owner's streamed text goes through, so that text is the one the anchoring commit
-/// digested.
+/// The snapshot is held as `S`, a copy of the owner at the anchoring commit that exists
+/// only to be written: a [`FleetService`] for the durable fleet, and for the server a
+/// server with an empty journal around such a fleet. Its tenants hold handles on the
+/// observation rows the live fleet keeps and no model fit (see
+/// [`FleetService::unfitted_copy`]), so an anchor costs the handles and a per-tenant
+/// constant instead of a second copy of every observation.
+/// [`Journal::crash`] writes the copy with the owner's own streamed writer, one tenant
+/// export at a time, so the crash text is the text the anchoring commit digested.
 pub(crate) struct Journal<S> {
     /// `None` only while [`FleetServer::recover`](crate::serve::FleetServer::recover)
     /// replays, before it anchors the recovered server.
-    snapshot: Option<S>,
+    anchor: Option<S>,
     snapshot_round: usize,
     wal: WriteAheadLog,
 }
@@ -82,14 +83,14 @@ impl<S> Default for Journal<S> {
     /// A journal anchored nowhere yet, for an owner that anchors before it is handed out.
     fn default() -> Self {
         Journal {
-            snapshot: None,
+            anchor: None,
             snapshot_round: 0,
             wal: WriteAheadLog::default(),
         }
     }
 }
 
-// The snapshot is large; summarize instead.
+// The anchor is large; summarize instead.
 impl<S> std::fmt::Debug for Journal<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
@@ -99,48 +100,47 @@ impl<S> std::fmt::Debug for Journal<S> {
     }
 }
 
-impl<S: Serialize> Journal<S> {
-    /// A journal anchored at `snapshot`, the owner's state at `round`, with an empty WAL.
-    pub(crate) fn anchor(snapshot: S, round: usize) -> Self {
+impl<S> Journal<S> {
+    /// A journal anchored at `anchor`, a copy of the owner at `round`, with an empty WAL.
+    pub(crate) fn anchor(anchor: S, round: usize) -> Self {
         Journal {
-            snapshot: Some(snapshot),
+            anchor: Some(anchor),
             snapshot_round: round,
             ..Default::default()
         }
     }
 
     /// Commits a round: appends the digest of `json`, the owner's canonical text after
-    /// `round`, to the WAL, and every `interval` commits anchors at `snapshot()`, the
-    /// owner's state as a structure, and truncates the WAL (the sequence counter runs on).
+    /// `round`, to the WAL, and every `interval` commits anchors at `copy()`, a copy of
+    /// the owner, and truncates the WAL (the sequence counter runs on).
     pub(crate) fn commit(
         &mut self,
         json: &str,
         round: usize,
         interval: usize,
         telemetry: &TelemetryHandle,
-        snapshot: impl FnOnce() -> S,
+        copy: impl FnOnce() -> S,
     ) {
         self.wal.append(round as u64, fnv1a64(json.as_bytes()));
         telemetry.incr(CounterId::WalAppends);
         if self.wal.bytes().len() / FRAME_LEN >= interval.max(1) {
-            self.snapshot = Some(snapshot());
+            self.anchor = Some(copy());
             self.snapshot_round = round;
             self.wal.clear();
         }
     }
 
     /// What a crash right now would leave behind, minus the last `torn` WAL bytes
-    /// (`torn` larger than the journal tears it to empty). The snapshot is written to
-    /// text here, and only here.
-    pub(crate) fn crash(&self, torn: usize) -> DurableStorage {
-        let snapshot = self
-            .snapshot
+    /// (`torn` larger than the journal tears it to empty). `text` writes the anchor's
+    /// canonical text; the snapshot is written here, and only here.
+    pub(crate) fn crash(&self, torn: usize, text: impl FnOnce(&S) -> String) -> DurableStorage {
+        let anchor = self
+            .anchor
             .as_ref()
             .expect("a journal is anchored before its owner is handed out");
         let wal = self.wal.bytes();
         DurableStorage {
-            snapshot_json: serde_json::to_string(snapshot)
-                .expect("an in-memory snapshot always serializes"),
+            snapshot_json: text(anchor),
             snapshot_round: self.snapshot_round,
             wal_bytes: wal[..wal.len().saturating_sub(torn)].to_vec(),
         }
@@ -206,7 +206,7 @@ pub struct DurableFleet {
     // FleetService holds live sessions (no Debug); summarize instead.
     svc: FleetService,
     scenario: Scenario,
-    journal: Journal<FleetSnapshot>,
+    journal: Journal<FleetService>,
 }
 
 impl std::fmt::Debug for DurableFleet {
@@ -222,7 +222,7 @@ impl std::fmt::Debug for DurableFleet {
 impl DurableFleet {
     /// Wraps a service and its driving scenario, taking the genesis snapshot.
     pub fn new(svc: FleetService, scenario: Scenario) -> Self {
-        let journal = Journal::anchor(svc.export(), svc.rounds());
+        let journal = Journal::anchor(svc.unfitted_copy(), svc.rounds());
         DurableFleet {
             svc,
             scenario,
@@ -249,7 +249,7 @@ impl DurableFleet {
             self.svc.rounds(),
             SNAPSHOT_INTERVAL,
             self.svc.telemetry(),
-            || self.svc.export(),
+            || self.svc.unfitted_copy(),
         );
         Ok(iterations)
     }
@@ -266,7 +266,8 @@ impl DurableFleet {
     /// Simulates a crash that loses the last `torn` bytes of the WAL and returns what
     /// survives. (`torn` larger than the journal tears it to empty.)
     pub fn crash(&self, torn: usize) -> DurableStorage {
-        self.journal.crash(torn)
+        self.journal
+            .crash(torn, FleetService::canonical_snapshot_json)
     }
 
     /// Recovers a durable fleet from crash-surviving storage: drops any torn WAL tail,

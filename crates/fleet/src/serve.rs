@@ -34,14 +34,14 @@
 //!
 //! # Determinism contract
 //!
-//! Everything the server does is a pure function of its serialized state
-//! ([`ServerSnapshot`] = options + fleet snapshot + serve state) and the driving
-//! [`TrafficScript`]: request ids, shed decisions, deadline expiries and tier
-//! transitions are all counted in rounds and queue positions, never wall time. The
+//! Everything the server does is a pure function of its serialized state (options +
+//! fleet snapshot + serve state, written by [`FleetServer::canonical_server_json`]) and
+//! the driving [`TrafficScript`]: request ids, shed decisions, deadline expiries and
+//! tier transitions are all counted in rounds and queue positions, never wall time. The
 //! server therefore shares the fleet's crash-safety journal (see [`crate::recovery`]):
-//! a genesis snapshot plus a per-round WAL of [`ServerSnapshot`] digests, truncated
-//! every [`ServeOptions::snapshot_interval`] rounds, recovered by deterministic
-//! re-execution ([`FleetServer::recover`]) that verifies every replayed round's digest.
+//! a genesis snapshot plus a per-round WAL of server-snapshot digests, truncated every
+//! [`ServeOptions::snapshot_interval`] rounds, recovered by deterministic re-execution
+//! ([`FleetServer::recover`]) that verifies every replayed round's digest.
 //! The recovery suite kills a server under sheds, rejections, an admission and
 //! degradation after every round, and asserts the recovered server's snapshot bytes are
 //! identical to an uninterrupted run's.
@@ -50,12 +50,12 @@
 
 use crate::error::FleetError;
 use crate::recovery::{self, DurableStorage, Journal, RecoveryReport};
-use crate::service::{FleetService, FleetSnapshot};
+use crate::service::{ExportedTenants, FleetService, FleetText};
 use crate::tenant::{SessionHealth, TenantSpec};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use telemetry::{CounterId, EventKind, GaugeId, TelemetryHandle};
 
-/// Options of the serving front end. Serialized inside every [`ServerSnapshot`], so a
+/// Options of the serving front end. Serialized inside every server snapshot, so a
 /// recovered server enforces exactly the limits the crashed one did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ServeOptions {
@@ -77,7 +77,7 @@ pub struct ServeOptions {
     pub pressure_window: usize,
     /// Consecutive clear rounds before every tenant is upgraded one tier.
     pub recovery_window: usize,
-    /// A full [`ServerSnapshot`] is taken (and the WAL truncated) every this many
+    /// A full server snapshot is taken (and the WAL truncated) every this many
     /// committed rounds.
     pub snapshot_interval: usize,
 }
@@ -228,44 +228,15 @@ impl ServeState {
     }
 }
 
-/// The complete serializable server state: options, the wrapped fleet's snapshot and
-/// the serving state. Canonical JSON of this structure is what the server's WAL
-/// digests and what crash-recovery bit-identity compares; the server writes that text
-/// from its live state ([`FleetServer::canonical_server_json`]) through the same writer,
-/// and its crash journal holds its last periodic snapshot as this structure, written to
-/// text only when the server crashes. The text is read back only by
-/// [`FleetServer::restore_json`], which restores the fleet tenant by tenant as it reads
-/// it instead of parsing this structure.
-#[derive(Debug, Clone)]
-pub struct ServerSnapshot {
-    /// Serving options.
-    pub options: ServeOptions,
-    /// The wrapped fleet.
-    pub fleet: FleetSnapshot,
-    /// Queue + overload accounting.
-    pub serve: ServeState,
-}
-
-impl Serialize for ServerSnapshot {
-    fn serialize(&self, out: &mut Serializer) {
-        ServerText {
-            options: &self.options,
-            fleet: &self.fleet,
-            serve: &self.serve,
-        }
-        .serialize(out);
-    }
-}
-
-/// The members of a server snapshot, borrowed, in the one order both
-/// [`ServerSnapshot`]'s text and the live server's text use.
-struct ServerText<'a, F> {
+/// The members of a server snapshot, borrowed, in the order its text writes them: the
+/// serving options, the wrapped fleet's snapshot and the serving state.
+struct ServerText<'a> {
     options: &'a ServeOptions,
-    fleet: F,
+    fleet: FleetText<'a, ExportedTenants<'a>>,
     serve: &'a ServeState,
 }
 
-impl<F: Serialize> Serialize for ServerText<'_, F> {
+impl Serialize for ServerText<'_> {
     fn serialize(&self, out: &mut Serializer) {
         out.begin_object();
         out.key("options");
@@ -368,7 +339,7 @@ pub struct FleetServer {
     svc: FleetService,
     options: ServeOptions,
     serve: ServeState,
-    journal: Journal<ServerSnapshot>,
+    journal: Journal<Box<FleetServer>>,
 }
 
 impl std::fmt::Debug for FleetServer {
@@ -401,19 +372,20 @@ impl FleetServer {
 
     /// The server with its journal anchored at its current state.
     fn anchored(mut self) -> Self {
-        self.journal = Journal::anchor(self.snapshot(), self.svc.rounds());
+        self.journal = Journal::anchor(self.unfitted_copy(), self.svc.rounds());
         self
     }
 
-    /// The server's state as one structure, the journal's anchor. It writes the bytes of
-    /// [`FleetServer::canonical_server_json`], but, unlike that text, is not counted as a
+    /// A copy that exists only to be written, the journal's anchor: this server's options
+    /// and serving state around a copy of its fleet (see [`FleetService::unfitted_copy`]),
+    /// with an empty journal. Its fleet's telemetry is off, so writing it counts no
     /// snapshot: the commit that takes it has already counted the text it wrote.
-    pub(crate) fn snapshot(&self) -> ServerSnapshot {
-        ServerSnapshot {
-            options: self.options,
-            fleet: self.svc.export(),
-            serve: self.serve.clone(),
-        }
+    fn unfitted_copy(&self) -> Box<FleetServer> {
+        Box::new(FleetServer::unanchored(
+            self.svc.unfitted_copy(),
+            self.options,
+            self.serve.clone(),
+        ))
     }
 
     /// The wrapped service.
@@ -431,10 +403,11 @@ impl FleetServer {
         &self.serve
     }
 
-    /// Canonical JSON of the complete [`ServerSnapshot`] — the bytes the WAL digests
-    /// and crash-recovery bit-identity compares. The text is streamed from the live
-    /// state, one tenant's export at a time, without building the snapshot first.
-    /// Serialization of well-formed in-memory state cannot fail.
+    /// Canonical JSON of the complete server state — options, the wrapped fleet's
+    /// snapshot and the serving state — the bytes the WAL digests and crash-recovery
+    /// bit-identity compares. The text is streamed from the live state, one tenant's
+    /// export at a time, without building a snapshot structure first. Serialization of
+    /// well-formed in-memory state cannot fail.
     pub fn canonical_server_json(&self) -> String {
         let text = ServerText {
             options: &self.options,
@@ -642,7 +615,7 @@ impl FleetServer {
             self.svc.rounds(),
             self.options.snapshot_interval,
             self.svc.telemetry(),
-            || self.snapshot(),
+            || self.unfitted_copy(),
         );
         self.journal = journal;
         report
@@ -748,15 +721,16 @@ impl FleetServer {
     /// Simulates a crash that loses the last `torn` bytes of the WAL and returns what
     /// survives.
     pub fn crash(&self, torn: usize) -> DurableStorage {
-        self.journal.crash(torn)
+        self.journal
+            .crash(torn, |anchor| anchor.canonical_server_json())
     }
 
-    /// Restores a server from a [`ServerSnapshot`] JSON document (without WAL replay;
-    /// see [`FleetServer::recover`] for the full crash path). The fleet is restored as
-    /// [`FleetService::restore_json`] restores it: read tenant by tenant, with the worker
-    /// grants re-clamped for this machine, and a parse error anywhere wins over a tenant
-    /// that does not restore. Degradation tiers and the pressure counters come back
-    /// verbatim.
+    /// Restores a server from the text of [`FleetServer::canonical_server_json`] (without
+    /// WAL replay; see [`FleetServer::recover`] for the full crash path). The fleet is
+    /// restored as [`FleetService::restore_json`] restores it: read tenant by tenant, with
+    /// the worker grants re-clamped for this machine, and a parse error anywhere wins over
+    /// a tenant that does not restore. Degradation tiers and the pressure counters come
+    /// back verbatim.
     pub fn restore_json(json: &str, telemetry: TelemetryHandle) -> Result<Self, FleetError> {
         FleetServer::read_json(json, telemetry).map(FleetServer::anchored)
     }
@@ -774,8 +748,8 @@ impl FleetServer {
 
     /// Recovers a server from crash-surviving storage: drops any torn WAL tail,
     /// restores the snapshot, re-executes the committed rounds under the same traffic
-    /// script, and verifies each replayed round's [`ServerSnapshot`] digest against
-    /// the WAL's commit record. The recovered server continues **bit-identically** —
+    /// script, and verifies each replayed round's server-snapshot digest against the
+    /// WAL's commit record. The recovered server continues **bit-identically** —
     /// including its queue, shed counts, pressure windows and every tenant's
     /// degradation tier.
     pub fn recover(
@@ -1154,8 +1128,8 @@ mod tests {
                 .metrics_snapshot()
                 .counter(CounterId::SnapshotsTaken)
         };
-        // Round 4 is a periodic commit: the journal's anchor is taken uncounted.
-        for round in 1..=5 {
+        // Round 4 is a periodic commit: the journal anchors on a copy, uncounted.
+        for round in 1..=4 {
             server.run_round(&script);
             assert_eq!(
                 taken(&server),
@@ -1167,17 +1141,27 @@ mod tests {
             !server.serve_state().queue.is_empty(),
             "requests must be queued"
         );
+        let anchored = server.crash(0);
+        assert_eq!(anchored.snapshot_round, 4, "the server was just anchored");
+        assert!(anchored.wal_bytes.is_empty());
+        assert_eq!(
+            taken(&server),
+            4,
+            "writing the journal's anchor is not counted"
+        );
 
         let streamed = server.canonical_server_json();
-        assert_eq!(taken(&server), 6, "one more for one more serialization");
-        assert_eq!(streamed, serde_json::to_string(&server.snapshot()).unwrap());
-        assert_eq!(taken(&server), 6, "the journal's structure is not counted");
-        let built = ServerSnapshot {
-            options: server.options,
-            fleet: server.service().snapshot(),
-            serve: server.serve_state().clone(),
-        };
-        assert_eq!(streamed, serde_json::to_string(&built).unwrap());
+        assert_eq!(taken(&server), 5, "one more for one more serialization");
+        assert_eq!(anchored.snapshot_json, streamed);
+        // The anchor stays at the periodic commit while the live server runs on.
+        server.run_round(&script);
+        assert_eq!(taken(&server), 6, "one serialization per committed round");
+        assert_eq!(server.crash(0).snapshot_json, streamed);
+        assert_eq!(
+            taken(&server),
+            6,
+            "writing the journal's anchor is not counted"
+        );
     }
 
     #[test]

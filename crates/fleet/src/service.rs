@@ -144,11 +144,9 @@ impl FleetReport {
 /// The entire fleet's state as one structure (see [`FleetService::snapshot`]).
 ///
 /// Its text is written by the same writer as [`FleetService::snapshot_json`], which
-/// streams the live service instead of building this structure first, so a
-/// [`DurableFleet`](crate::recovery::DurableFleet)'s journal can keep its anchor as this
-/// structure and write the same text when it crashes. The text is read back only by
-/// [`FleetService::restore_json`], which rebuilds each tenant as it reads it instead of
-/// parsing this structure.
+/// streams the live service instead of building this structure first, so the two texts
+/// are the same bytes. The text is read back only by [`FleetService::restore_json`],
+/// which rebuilds each tenant as it reads it instead of parsing this structure.
 #[derive(Debug, Clone)]
 pub struct FleetSnapshot {
     /// Service options.
@@ -742,19 +740,11 @@ impl FleetService {
     /// mid-run.
     ///
     /// This copies every tenant's state at once (the knowledge base's clone shares the
-    /// live rows), for callers that want the structure; serialization does not need it
-    /// ([`FleetService::snapshot_json`] streams the live state instead). The crash
-    /// journal is one such caller: a [`DurableFleet`](crate::recovery::DurableFleet)
-    /// holds its last periodic snapshot as this structure and writes it to text only
-    /// when it crashes. The journal takes it uncounted, since the commit that takes it
-    /// has already counted the text it wrote.
+    /// live rows), for callers that want the structure, such as a test that edits a
+    /// snapshot before restoring it; serialization does not need it
+    /// ([`FleetService::snapshot_json`] streams the live state instead).
     pub fn snapshot(&self) -> FleetSnapshot {
         self.note_snapshot();
-        self.export()
-    }
-
-    /// [`FleetService::snapshot`] without counting a snapshot.
-    pub(crate) fn export(&self) -> FleetSnapshot {
         FleetSnapshot {
             options: self.options.clone(),
             tenants: self
@@ -765,6 +755,27 @@ impl FleetService {
             knowledge: self.knowledge.clone(),
             scheduler: self.scheduler.clone(),
             rounds: self.rounds,
+        }
+    }
+
+    /// A copy that exists only to be written, a crash journal's anchor: its text is this
+    /// fleet's text, while its tenants hold handles on this fleet's rows and no model fit
+    /// (see [`TenantSession::unfitted_copy`]) and its knowledge base's entries are
+    /// handles on the same rows. It must not run. Its telemetry is off, so writing it
+    /// counts no snapshot.
+    pub(crate) fn unfitted_copy(&self) -> Self {
+        FleetService {
+            options: self.options.clone(),
+            tenants: self
+                .tenants
+                .iter()
+                .map(TenantSession::unfitted_copy)
+                .collect(),
+            knowledge: self.knowledge.clone(),
+            scheduler: self.scheduler.clone(),
+            rounds: self.rounds,
+            parallelism: self.parallelism,
+            telemetry: TelemetryHandle::disabled(),
         }
     }
 

@@ -1395,6 +1395,36 @@ impl TenantSession {
         }
     }
 
+    /// A copy that exists only to be written: it exports the state this session exports,
+    /// while its tuner holds handles on this session's rows and no model fit (see
+    /// [`OnlineTune::unfitted_copy`]), so it must not step. Its generator is rebuilt from
+    /// the spec, as a restore rebuilds it; telemetry is off and no contribution is pending.
+    pub(crate) fn unfitted_copy(&self) -> Self {
+        TenantSession {
+            spec: self.spec.clone(),
+            tuner: self.tuner.unfitted_copy(),
+            db: self.db.clone(),
+            featurizer: self.featurizer.clone(),
+            generator: self.spec.build_generator(),
+            reference: self.reference.clone(),
+            iteration: self.iteration,
+            cumulative_regret: self.cumulative_regret,
+            unsafe_count: self.unsafe_count,
+            total_score: self.total_score,
+            recent_regret: self.recent_regret.clone(),
+            pending: Contribution::default(),
+            warm_start_safe: self.warm_start_safe,
+            warm_start_observations: self.warm_start_observations,
+            health: self.health,
+            retry: self.retry,
+            fault_attempts: self.fault_attempts,
+            faulted_count: self.faulted_count,
+            last_safe_config: self.last_safe_config.clone(),
+            tier: self.tier,
+            telemetry: TelemetryHandle::disabled(),
+        }
+    }
+
     /// Rebuilds a session from an exported state; the restored session continues
     /// bit-identically to the exported one. A malformed tenant state — truncated,
     /// bit-flipped, or referencing unknown knobs — yields a typed
@@ -1554,6 +1584,31 @@ mod tests {
             restored.cumulative_regret().to_bits()
         );
         assert_eq!(original.unsafe_count(), restored.unsafe_count());
+    }
+
+    #[test]
+    fn an_unfitted_copy_exports_the_same_state() {
+        let mut spec = TenantSpec::named("t0", WorkloadFamily::Tpcc, 11);
+        spec.deterministic = false;
+        let mut session = TenantSession::new(spec, small_tuner_options()).unwrap();
+        session.set_telemetry(&TelemetryHandle::enabled());
+        for _ in 0..6 {
+            session.step();
+        }
+        session.apply_drift(WorkloadDrift::FamilySwitch {
+            at: 1,
+            to: WorkloadFamily::Job,
+        });
+        session.step();
+        assert!(
+            !session.pending.is_empty(),
+            "a contribution must be pending"
+        );
+        let copy = session.unfitted_copy();
+        let state = |s: &TenantSession| serde_json::to_string(&s.export_state()).unwrap();
+        assert_eq!(state(&copy), state(&session));
+        assert!(copy.pending.is_empty());
+        assert!(!copy.telemetry().is_enabled());
     }
 
     #[test]

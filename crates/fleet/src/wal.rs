@@ -16,7 +16,7 @@
 //! no external dependency). `seq` is a strictly increasing entry counter; `round` is
 //! the fleet round the entry commits; `digest` is the FNV-1a-64 hash of the canonical
 //! snapshot JSON after that round (a fleet snapshot for
-//! [`crate::recovery::DurableFleet`], a [`crate::serve::ServerSnapshot`] for
+//! [`crate::recovery::DurableFleet`], a server snapshot for
 //! [`crate::serve::FleetServer`]).
 //!
 //! A crash can tear the tail of the journal anywhere. [`WriteAheadLog::scan`]

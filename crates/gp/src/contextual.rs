@@ -79,6 +79,10 @@ thread_local! {
 }
 
 /// A Gaussian process over the joint context–configuration space.
+///
+/// A clone holds handles on the original's observation rows and, as a
+/// [`GaussianProcess`] clone does, no fit: it predicts nothing until it is refitted.
+#[derive(Clone)]
 pub struct ContextualGp {
     gp: GaussianProcess,
     config_dim: usize,
@@ -584,6 +588,50 @@ mod tests {
             model.observations().iter().any(|o| o.performance == 100.0),
             "the outlier (highest-information point) must survive eviction"
         );
+    }
+
+    #[test]
+    fn a_clone_writes_the_same_state_shares_every_row_and_holds_no_fit() {
+        use serde::Serialize;
+        let mut model = ContextualGp::new(1, 1);
+        model.set_budget(Some(ObservationBudget::new(20)));
+        for i in 0..50 {
+            let theta = (i % 10) as f64 / 10.0;
+            model
+                .observe(SharedObservation::new(&[theta], &[0.5], toy(theta, 0.5)))
+                .unwrap();
+        }
+        let mut rng = rand::rngs::mock::StepRng::new(42, 13);
+        model
+            .refit_with_hyperopt(
+                &HyperOptOptions {
+                    restarts: 1,
+                    max_iters: 20,
+                    ..Default::default()
+                },
+                &mut rng,
+            )
+            .unwrap();
+        assert!(model.len() < 50, "the budget must have evicted");
+        assert!(model.is_fitted());
+
+        let copy = model.clone();
+        let state = |m: &ContextualGp| {
+            let mut out = serde::Serializer::compact();
+            (m.observations(), m.hyperparams()).serialize(&mut out);
+            out.into_string()
+        };
+        assert_eq!(state(&copy), state(&model));
+        assert_eq!(copy.budget(), model.budget());
+        assert_eq!(copy.len(), model.len());
+        for (a, b) in copy.observations().iter().zip(model.observations()) {
+            assert!(Arc::ptr_eq(a.row(), b.row()), "a clone copied a row");
+        }
+        assert!(!copy.is_fitted());
+        assert!(matches!(
+            copy.predict(&[0.5], &[0.5]),
+            Err(GpError::NotFitted)
+        ));
     }
 
     #[test]

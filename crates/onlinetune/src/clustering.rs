@@ -415,6 +415,29 @@ impl ClusterManager {
         }
     }
 
+    /// A copy that exists only to be written: it exports the state this manager exports,
+    /// while its repository and model windows hold handles on this manager's rows and its
+    /// models hold no fit. It must not tune, since an unfitted model is not ready to
+    /// assess a candidate. Telemetry is off.
+    pub fn unfitted_copy(&self) -> Self {
+        let mut copy = ClusterManager {
+            config_dim: self.config_dim,
+            context_dim: self.context_dim,
+            options: self.options.clone(),
+            observations: self.observations.clone(),
+            labels: self.labels.clone(),
+            models: self.models.clone(),
+            svm: self.svm.clone(),
+            updates_since_hyperopt: self.updates_since_hyperopt.clone(),
+            observations_since_recluster_check: self.observations_since_recluster_check,
+            recluster_count: self.recluster_count,
+            hyperopt_suppressed: self.hyperopt_suppressed,
+            telemetry: telemetry::TelemetryHandle::disabled(),
+        };
+        copy.set_telemetry(telemetry::TelemetryHandle::disabled());
+        copy
+    }
+
     /// Rebuilds a manager from an exported state. Each model is refitted with its
     /// restored hyper-parameters; fitting is deterministic, so the restored manager
     /// predicts and routes identically to the exported one.
@@ -517,6 +540,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn obs(context: Vec<f64>, config: Vec<f64>, perf: f64) -> SharedObservation {
         SharedObservation::new(&config, &context, perf)
@@ -630,6 +654,48 @@ mod tests {
         // A later recluster sees only well-formed observations.
         assert!(!mgr.maybe_recluster(&mut rng));
         assert_eq!(mgr.len(), 1);
+    }
+
+    #[test]
+    fn an_unfitted_copy_exports_alike_shares_every_row_and_holds_no_fit() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let options = ClusterOptions {
+            min_observations_for_clustering: 10,
+            recluster_check_period: 5,
+            max_observations_per_model: 8,
+            hyperopt_period: 6,
+            ..Default::default()
+        };
+        let mut mgr = ClusterManager::new(1, 2, options);
+        for o in two_regime_observations(10) {
+            mgr.add_observation(o, &mut rng);
+        }
+        assert!(mgr.maybe_recluster(&mut rng));
+        for o in two_regime_observations(15) {
+            mgr.add_observation(o, &mut rng);
+        }
+        let windows: usize = (0..mgr.n_models()).map(|id| mgr.model(id).len()).sum();
+        assert!(windows < mgr.len(), "the budget must have evicted");
+
+        let copy = mgr.unfitted_copy();
+        let state = |m: &ClusterManager| serde_json::to_string(&m.export_state()).unwrap();
+        assert_eq!(state(&copy), state(&mgr));
+        let same_rows = |a: &[SharedObservation], b: &[SharedObservation]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a.row(), b.row()))
+        };
+        assert!(same_rows(copy.observations(), mgr.observations()));
+        assert_eq!(copy.n_models(), mgr.n_models());
+        for id in 0..mgr.n_models() {
+            assert!(same_rows(
+                copy.model(id).observations(),
+                mgr.model(id).observations()
+            ));
+            assert!(mgr.model(id).is_fitted());
+            assert!(
+                !copy.model(id).is_fitted(),
+                "model {id} of the copy holds a fit"
+            );
+        }
     }
 
     #[test]

@@ -727,6 +727,35 @@ impl OnlineTune {
         }
     }
 
+    /// A copy that exists only to be written: it snapshots as this tuner does, while its
+    /// repository, model windows and known-safe set hold handles on this tuner's rows and
+    /// its models hold no fit (see [`ClusterManager::unfitted_copy`]). It must not tune:
+    /// without fits its safety assessment sees no ready model, so it would suggest
+    /// differently. The white-box rules are stateless, so the copy builds them afresh
+    /// with the rule states copied, as a restore does. Telemetry is off.
+    pub fn unfitted_copy(&self) -> Self {
+        OnlineTune {
+            catalogue: self.catalogue.clone(),
+            hardware: self.hardware,
+            options: self.options.clone(),
+            clusters: self.clusters.unfitted_copy(),
+            whitebox: {
+                let mut whitebox = RuleEngine::with_default_rules();
+                whitebox.restore_states(&self.whitebox.export_states());
+                whitebox
+            },
+            subspaces: self.subspaces.clone(),
+            best_per_model: self.best_per_model.clone(),
+            initial_normalized: self.initial_normalized.clone(),
+            known_safe: self.known_safe.clone(),
+            last_metrics: self.last_metrics.clone(),
+            iteration: self.iteration,
+            rng: self.rng.clone(),
+            pending: self.pending.clone(),
+            telemetry: TelemetryHandle::disabled(),
+        }
+    }
+
     /// Rebuilds a tuner from a snapshot. The restored tuner continues the session
     /// bit-identically: same recommendations, same model updates, same RNG stream.
     ///
@@ -1077,6 +1106,64 @@ mod tests {
         }
         assert_eq!(original.observation_count(), restored.observation_count());
         assert_eq!(original.model_count(), restored.model_count());
+    }
+
+    #[test]
+    fn an_unfitted_copy_snapshots_alike_shares_every_row_and_holds_no_fit() {
+        let catalogue = KnobCatalogue::mysql57();
+        let initial = Configuration::dba_default(&catalogue);
+        let options = OnlineTuneOptions {
+            cluster: ClusterOptions {
+                min_observations_for_clustering: 10,
+                recluster_check_period: 5,
+                max_observations_per_model: 12,
+                hyperopt_period: 7,
+                ..Default::default()
+            },
+            subspace: SubspaceOptions {
+                candidates: 30,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut tuner =
+            OnlineTune::new(catalogue, HardwareSpec::default(), 3, &initial, options, 9);
+        for i in 0..40 {
+            let read_ratio = if i % 2 == 0 { 0.1 } else { 0.9 };
+            let context = context_for(read_ratio);
+            let s = tuner.suggest(&context, 100.0, 32);
+            let perf = 100.0 + read_ratio * s.normalized.iter().sum::<f64>();
+            tuner
+                .observe(&context, &s.config, perf, None, true)
+                .unwrap();
+        }
+        let clusters = &tuner.clusters;
+        assert!(
+            tuner.recluster_count() > 0,
+            "the tuner must have reclustered"
+        );
+        let windows: usize = (0..clusters.n_models())
+            .map(|id| clusters.model(id).len())
+            .sum();
+        assert!(windows < clusters.len(), "the budget must have evicted");
+
+        let copy = tuner.unfitted_copy();
+        let state = |t: &OnlineTune| serde_json::to_string(&t.snapshot()).unwrap();
+        assert_eq!(state(&copy), state(&tuner));
+        let same_rows = |a: &[SharedObservation], b: &[SharedObservation]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a.row(), b.row()))
+        };
+        assert!(same_rows(copy.observations(), tuner.observations()));
+        for id in 0..clusters.n_models() {
+            let (model, copied) = (clusters.model(id), copy.clusters.model(id));
+            assert!(same_rows(copied.observations(), model.observations()));
+            assert!(model.is_fitted());
+            assert!(!copied.is_fitted(), "model {id} of the copy holds a fit");
+        }
+        assert_eq!(copy.known_safe.len(), tuner.known_safe.len());
+        for (a, b) in copy.known_safe.iter().zip(&tuner.known_safe) {
+            assert!(std::ptr::eq(a.as_ptr(), b.as_ptr()), "a copy copied a row");
+        }
     }
 
     #[test]

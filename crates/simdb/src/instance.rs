@@ -79,7 +79,9 @@ pub struct SimDatabaseState {
     pub fault_plan: FaultPlan,
 }
 
-/// A simulated MySQL-like cloud database instance.
+/// A simulated MySQL-like cloud database instance. A clone continues the same
+/// evaluation stream (same noise draws, same pending faults) as the original.
+#[derive(Clone)]
 pub struct SimDatabase {
     catalogue: KnobCatalogue,
     hardware: HardwareSpec,

@@ -1,5 +1,6 @@
 //! Live-heap bounds of the fit path, the suggest sweep, snapshot serialization and the
-//! server's crash journal, and the allocation count of query encoding.
+//! crash journals of the server and the durable fleet, and the allocation count of query
+//! encoding.
 //!
 //! This binary installs a counting global allocator, so it holds a single `#[test]`. The
 //! allocator counts, per thread, the live heap bytes that thread allocated (its
@@ -10,11 +11,13 @@
 //!
 //! Run with `cargo test --release --test memory -- --nocapture` to print the figures.
 
+use fleet::recovery::{DurableFleet, SNAPSHOT_INTERVAL};
+use fleet::scenario::Scenario;
 use fleet::serve::{FleetServer, ServeOptions, TrafficScript};
 use fleet::service::{small_tuner_options, FleetOptions, FleetService};
 use fleet::tenant::{TenantSpec, WorkloadFamily};
 use gp::contextual::{ContextObservation, ContextualGp};
-use gp::rows::{Row, RowInterner, SharedObservation};
+use gp::rows::{Row, RowInterner, SharedConfig, SharedObservation};
 use mlkit::{QueryEncoder, SqlTokenizer};
 use onlinetune::{OnlineTune, OnlineTuneOptions};
 use simdb::{Configuration, HardwareSpec, KnobCatalogue};
@@ -309,16 +312,46 @@ fn restored_fleet_keeps_each_observation_once() {
     );
 }
 
-/// Live heap bytes of the fleet's parts that a copy of its state does not share with it:
-/// every tenant's exported state, as a vector of them, and a copy of the knowledge base,
-/// whose entries are handles on the fleet's rows.
-fn unshared_state_bytes(svc: &FleetService) -> usize {
-    let before = live();
-    let exports: Vec<_> = svc.sessions().iter().map(|s| s.export_state()).collect();
-    let knowledge = svc.knowledge().clone();
-    let bytes = live() - before;
-    drop((exports, knowledge));
-    bytes as usize
+/// A journal's anchor beyond its observation handles, per tenant: the instance's and the
+/// tuner's knob catalogues, the featurizer, the workload generator, the subspace, rule,
+/// routing and kernel state, and the tenant's share of the knowledge base's pools.
+const PER_TENANT_ANCHOR: usize = 16 * 1024;
+
+/// Live heap bytes of the handles a copy of `svc` holds on the fleet's observation rows:
+/// per tenant a repository entry and a cluster label per observation, a window entry per
+/// model observation and a known-safe entry per safe configuration, and the knowledge
+/// base's entries.
+fn observation_handle_bytes(svc: &FleetService) -> usize {
+    let observation = std::mem::size_of::<SharedObservation>();
+    let config = std::mem::size_of::<SharedConfig>();
+    let mut bytes = 0;
+    for session in svc.sessions() {
+        let tuner = session.export_state().tuner;
+        let windows: usize = session.model_observation_counts().iter().sum();
+        bytes += tuner.clusters.observations.len() * (observation + std::mem::size_of::<i32>())
+            + windows * observation
+            + tuner.known_safe.len() * config;
+    }
+    let knowledge = svc.knowledge().totals();
+    bytes + knowledge.observations * observation + knowledge.safe_configs * config
+}
+
+/// Asserts that `held`, the heap a crash-safe owner of `svc` holds beyond it, stays within
+/// the journal anchor's observation handles and [`PER_TENANT_ANCHOR`] per tenant.
+fn check_anchor(part: &str, when: &str, svc: &FleetService, held: isize) {
+    let handles = observation_handle_bytes(svc);
+    let bound = handles + svc.n_tenants() * PER_TENANT_ANCHOR;
+    let text = svc.canonical_snapshot_json().len();
+    println!(
+        "({part}) beyond its fleet {when}: {held} B; bound {bound} B (observation handles \
+         {handles} B), fleet snapshot text {text} B"
+    );
+    assert!(
+        held <= bound as isize,
+        "{when}, {held} B beyond the fleet, more than the anchor's observation handles \
+         ({handles} B) and {PER_TENANT_ANCHOR} B per tenant: the journal holds a copy of \
+         some observation or model fit"
+    );
 }
 
 /// Takes the fleet out of `server` and returns it with the heap the server held beyond
@@ -331,27 +364,15 @@ fn held_beyond_fleet(mut server: FleetServer) -> (FleetService, isize) {
     (fleet, before - live())
 }
 
-/// (f) A server's crash journal holds its last periodic snapshot as the snapshot
-/// structure, not as text: beyond its fleet, a server holds its tenants' exports and a
-/// knowledge base whose entries share the fleet's rows, at construction, after a
-/// periodic commit and after a restore.
-fn server_journal_holds_the_snapshot_structure() {
+/// (f) A server's crash journal anchors on a copy of the server whose tenants hold handles
+/// on the fleet's observation rows and no model fit, and writes it to text only when the
+/// server crashes: beyond its fleet, a server holds those handles and a per-tenant
+/// constant, at construction, after a periodic commit and after a restore.
+fn server_journal_anchors_on_row_handles() {
     let options = ServeOptions::default();
     let check = |when: &str, server: FleetServer| -> FleetService {
-        let state = unshared_state_bytes(server.service());
-        let text = server.canonical_server_json().len();
         let (fleet, held) = held_beyond_fleet(server);
-        let bound = state + 4 * 1024;
-        println!(
-            "(f) server beyond its fleet {when}: {held} B; tenant exports and knowledge-base \
-             handles {state} B, snapshot text {text} B"
-        );
-        assert!(
-            held <= bound as isize,
-            "{when}, the server held {held} B beyond its fleet, more than its tenants' \
-             exports and knowledge-base handles ({state} B) + 4 KiB: the journal keeps more \
-             than the snapshot structure"
-        );
+        check_anchor("f", when, &fleet, held);
         fleet
     };
 
@@ -371,6 +392,38 @@ fn server_journal_holds_the_snapshot_structure() {
     let json = FleetServer::new(svc, options).canonical_server_json();
     let restored = FleetServer::restore_json(&json, TelemetryHandle::disabled()).expect("restore");
     check("after restore_json", restored);
+}
+
+/// (g) A durable fleet's journal anchors on a copy of the fleet, so it holds what a
+/// server's does (f) beyond its fleet: at construction, after a periodic commit and
+/// over a restored fleet.
+fn durable_fleet_journal_anchors_on_row_handles() {
+    let check = |when: &str, mut durable: DurableFleet| -> FleetService {
+        let empty = FleetService::new(FleetOptions::default());
+        let fleet = std::mem::replace(durable.service_mut(), empty);
+        let before = live();
+        drop(durable);
+        check_anchor("g", when, &fleet, before - live());
+        fleet
+    };
+    let quiet = || Scenario::new("quiet");
+
+    let svc = check(
+        "at construction",
+        DurableFleet::new(six_tenant_fleet(24), quiet()),
+    );
+    let mut durable = DurableFleet::new(svc, quiet());
+    durable.run_rounds(SNAPSHOT_INTERVAL).expect("rounds");
+    assert!(
+        durable.crash(0).wal_bytes.is_empty(),
+        "the last round must have been a periodic commit"
+    );
+    let svc = check("after a periodic commit", durable);
+    let restored = FleetService::restore_json(&svc.canonical_snapshot_json()).expect("restore");
+    check(
+        "over a restored fleet",
+        DurableFleet::new(restored, quiet()),
+    );
 }
 
 /// (d) Encoding a workload allocates per call and per query, never per token: the
@@ -408,6 +461,7 @@ fn fit_suggest_and_serialization_keep_only_what_they_must() {
     suggest_keeps_no_candidate_rows_per_tuner();
     serialization_holds_one_tenant_export_at_a_time();
     restored_fleet_keeps_each_observation_once();
-    server_journal_holds_the_snapshot_structure();
+    server_journal_anchors_on_row_handles();
+    durable_fleet_journal_anchors_on_row_handles();
     encoding_allocates_per_call_not_per_token();
 }
