@@ -89,7 +89,7 @@ pub use scenario::{
 };
 pub use scheduler::{HealthClass, RoundPlan, SchedulerOptions, SessionScheduler, TenantStatus};
 pub use serve::{FleetServer, Request, Response, ServeOptions, ServeRoundReport, TrafficScript};
-pub use service::{FleetOptions, FleetReport, FleetService, FleetSnapshot, SloReport};
+pub use service::{FleetOptions, FleetReport, FleetService, SloReport};
 pub use tenant::{
     DegradationTier, RetryPolicy, SessionHealth, TenantSession, TenantSessionState, TenantSpec,
     TenantSummary, WorkloadDrift, WorkloadFamily,

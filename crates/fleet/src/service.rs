@@ -14,7 +14,7 @@ use crate::scheduler::{SchedulerOptions, SessionScheduler, TenantStatus};
 use crate::tenant::{RetryPolicy, TenantSession, TenantSessionState, TenantSpec, TenantSummary};
 use gp::rows::RowInterner;
 use onlinetune::subspace::SubspaceOptions;
-use onlinetune::OnlineTuneOptions;
+use onlinetune::{OnlineTuneOptions, Retired};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use telemetry::{CounterId, EventKind, GaugeId, SpanId, TelemetryHandle};
 
@@ -22,23 +22,12 @@ use telemetry::{CounterId, EventKind, GaugeId, SpanId, TelemetryHandle};
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct FleetOptions {
     /// Worker threads used per round (0 = one per available CPU, capped by tenant count).
+    /// They are the fleet's only level of parallelism.
     pub workers: usize,
-    /// Worker threads each tenant's periodic hyper-parameter optimization may use for
-    /// its restart searches (see [`gp::hyperopt::HyperOptOptions::workers`]; 0 = one
-    /// per available CPU).
-    ///
-    /// **Combined budget:** tenant-level and hyperopt-level parallelism multiply — every
-    /// tenant worker can be inside a hyperopt refit at once — so the service enforces
-    /// `tenant_workers × hyperopt_workers ≤ available_parallelism` by clamping this
-    /// value at admission ([`FleetService::effective_hyperopt_workers`]). Selected
-    /// hyper-parameters are worker-count independent bit for bit, so the clamp affects
-    /// wall-clock time only, never replay determinism.
-    ///
-    /// Deserializes to 0 from snapshots written before the field existed
-    /// (`#[serde(default)]`); 0 already means "resolve against the remaining budget",
-    /// so old snapshots restore with a valid grant instead of erroring.
+    /// Retired: each tenant's hyper-parameter search runs its restarts serially.
+    /// Snapshots still carry the member, written as 1.
     #[serde(default)]
-    pub hyperopt_workers: usize,
+    pub hyperopt_workers: Retired<1>,
     /// Scheduler configuration.
     pub scheduler: SchedulerOptions,
     /// Knowledge-base bounds.
@@ -46,13 +35,6 @@ pub struct FleetOptions {
     /// Whether newly admitted tenants are warm-started from the knowledge base.
     pub warm_start_on_admit: bool,
     /// Tuner options applied to every tenant.
-    ///
-    /// Note: `tuner.cluster.hyperopt_workers` is *managed by the service* — it is
-    /// overwritten with the clamped grant derived from
-    /// [`FleetOptions::hyperopt_workers`] at admission and on snapshot restore, so a
-    /// value set here directly has no effect at fleet level. Configure the fleet's
-    /// hyperopt parallelism through [`FleetOptions::hyperopt_workers`] instead (the
-    /// nested field remains meaningful for standalone, non-fleet tuners).
     pub tuner: OnlineTuneOptions,
     /// Fault handling applied to every tenant: retry/backoff bounds and the quarantine
     /// probation schedule (see [`RetryPolicy`]). Counted in scheduler rounds, so the
@@ -65,7 +47,7 @@ impl Default for FleetOptions {
     fn default() -> Self {
         FleetOptions {
             workers: 0,
-            hyperopt_workers: 1,
+            hyperopt_workers: Retired,
             scheduler: SchedulerOptions::default(),
             knowledge: KnowledgeBaseOptions::default(),
             warm_start_on_admit: true,
@@ -141,41 +123,7 @@ impl FleetReport {
     }
 }
 
-/// The entire fleet's state as one structure (see [`FleetService::snapshot`]).
-///
-/// Its text is written by the same writer as [`FleetService::snapshot_json`], which
-/// streams the live service instead of building this structure first, so the two texts
-/// are the same bytes. The text is read back only by [`FleetService::restore_json`],
-/// which rebuilds each tenant as it reads it instead of parsing this structure.
-#[derive(Debug, Clone)]
-pub struct FleetSnapshot {
-    /// Service options.
-    pub options: FleetOptions,
-    /// Every tenant's complete session state.
-    pub tenants: Vec<TenantSessionState>,
-    /// The shared knowledge base.
-    pub knowledge: KnowledgeBase,
-    /// Scheduler state (cursor + grant totals).
-    pub scheduler: SessionScheduler,
-    /// Rounds executed so far.
-    pub rounds: usize,
-}
-
-impl Serialize for FleetSnapshot {
-    fn serialize(&self, out: &mut Serializer) {
-        FleetText {
-            options: &self.options,
-            tenants: &self.tenants,
-            knowledge: &self.knowledge,
-            scheduler: &self.scheduler,
-            rounds: self.rounds,
-        }
-        .serialize(out);
-    }
-}
-
-/// The members of a fleet snapshot, borrowed, in the one order both
-/// [`FleetSnapshot`]'s text and the live service's streamed text use.
+/// The members of a fleet snapshot, borrowed, in the order the snapshot text writes them.
 pub(crate) struct FleetText<'a, T> {
     options: &'a FleetOptions,
     tenants: T,
@@ -223,12 +171,11 @@ pub struct FleetService {
     knowledge: KnowledgeBase,
     scheduler: SessionScheduler,
     rounds: usize,
-    /// The machine parallelism every worker-budget clamp derives from, sampled **once**
-    /// at construction (or injected via [`FleetService::set_parallelism`]). Sampling
-    /// `available_parallelism()` independently per clamp would let admission and
-    /// restore disagree when the visible CPU count changes between calls (cgroup
-    /// resize, affinity mask); one stored sample keeps every grant mutually consistent.
-    /// Runtime-only, never serialized: a restored service re-samples on *its* machine.
+    /// The machine parallelism that `workers: 0` resolves against, sampled **once** at
+    /// construction (or injected via [`FleetService::set_parallelism`]), so the worker
+    /// budget and the serving layer's admission control read the same value even when
+    /// the visible CPU count changes (cgroup resize, affinity mask). Runtime-only, never
+    /// serialized: a restored service re-samples on *its* machine.
     parallelism: usize,
     /// Fleet-level observability sink (runtime-only, never serialized). Each session
     /// holds a *child* of this core so worker threads record without contention; the
@@ -259,36 +206,24 @@ impl FleetService {
         }
     }
 
-    /// Overrides the machine-parallelism sample every worker-budget clamp derives from
-    /// (clamped to ≥ 1). For tests and operators pinning the budget below the visible
-    /// CPU count; affects grants handed out *after* the call (admission, restore-time
-    /// re-grants via [`FleetService::regrant_workers`]), and wall-clock time only —
-    /// every computed value is worker-count independent.
+    /// Overrides the machine-parallelism sample that `workers: 0` resolves against
+    /// (clamped to ≥ 1), for tests and operators pinning the tenant-worker budget below
+    /// the visible CPU count. Every tenant's results are worker-count independent, so
+    /// this changes wall-clock time and, with `workers: 0`, the serving layer's
+    /// admission ceiling (see [`FleetService::tenant_worker_budget`]).
     pub fn set_parallelism(&mut self, parallelism: usize) {
         self.parallelism = parallelism.max(1);
     }
 
-    /// The stored machine-parallelism sample (see [`FleetService::set_parallelism`]).
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Recomputes and re-applies the hyperopt grant of every tenant from the current
-    /// options and stored parallelism. Called by restore; also useful after
-    /// [`FleetService::set_parallelism`] to propagate a changed budget to existing
-    /// sessions.
-    pub fn regrant_workers(&mut self) {
-        let hyperopt = self.effective_hyperopt_workers();
-        for session in &mut self.tenants {
-            session.set_hyperopt_workers(hyperopt);
-        }
-    }
+    /// Does nothing. Tenants hold no worker grant any more; the method is kept only
+    /// because the `profile` benchmark still calls it after every restore.
+    pub fn regrant_workers(&mut self) {}
 
     /// Installs a telemetry sink on the service and re-childs every session (and its
     /// tuner stack) from it. Passing [`TelemetryHandle::disabled`] turns telemetry off
-    /// again. Telemetry is runtime-only: it is excluded from [`FleetService::snapshot`],
-    /// so enabling, disabling or reconfiguring it can never change snapshot bytes or
-    /// perturb replay.
+    /// again. Telemetry is runtime-only: it is excluded from
+    /// [`FleetService::snapshot_json`], so enabling, disabling or reconfiguring it can
+    /// never change snapshot bytes or perturb replay.
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
         self.telemetry = telemetry;
         for session in &mut self.tenants {
@@ -331,11 +266,7 @@ impl FleetService {
     /// that would panic or poison the fleet on its first step.
     pub fn admit(&mut self, spec: TenantSpec) -> Result<usize, FleetError> {
         let key = PoolKey::for_tenant(&spec.hardware, spec.family_at(0));
-        let mut tuner = self.options.tuner.clone();
-        // Enforce the two-level parallelism budget (see `FleetOptions::hyperopt_workers`)
-        // at admission, when the session's tuner options are fixed.
-        tuner.cluster.hyperopt_workers = self.effective_hyperopt_workers();
-        let mut session = match TenantSession::new(spec, tuner) {
+        let mut session = match TenantSession::new(spec, self.options.tuner.clone()) {
             Ok(session) => session,
             Err(err) => {
                 self.telemetry.incr(CounterId::AdmissionRejections);
@@ -550,30 +481,14 @@ impl FleetService {
             .clamp(1, self.tenants.len().max(1))
     }
 
-    /// The tenant-worker term of the two-level budget: the configured worker count, with
-    /// 0 resolved against the stored parallelism sample. It is not clamped to the tenant
-    /// count, so a tenant admitted early does not get a hyperopt grant the budget cannot
-    /// honor once the fleet fills up; the serving layer's admission control sizes the
-    /// fleet against it (see [`crate::serve::FleetServer`]).
+    /// The tenant-worker budget: the configured worker count, with 0 resolved against
+    /// the stored parallelism sample. It is not clamped to the tenant count: the serving
+    /// layer's admission control sizes the fleet against it (see
+    /// [`crate::serve::FleetServer`]).
     pub fn tenant_worker_budget(&self) -> usize {
         match self.options.workers {
             0 => self.parallelism,
             workers => workers,
-        }
-    }
-
-    /// Hyperopt-level worker threads granted to each tenant's periodic refit, clamped so
-    /// the combined budget `tenant_workers × hyperopt_workers ≤ available_parallelism`
-    /// holds, with [`Self::tenant_worker_budget`] as the tenant side of the product.
-    ///
-    /// A request of 0 ("one per CPU") resolves to the full remaining budget. Selected
-    /// hyper-parameters are worker-count independent, so this clamp only shapes
-    /// wall-clock time, never results.
-    pub fn effective_hyperopt_workers(&self) -> usize {
-        let budget = (self.parallelism / self.tenant_worker_budget()).max(1);
-        match self.options.hyperopt_workers {
-            0 => budget,
-            w => w.min(budget),
         }
     }
 
@@ -734,30 +649,6 @@ impl FleetService {
         )
     }
 
-    /// Exports the complete fleet state. Telemetry is deliberately *not* part of the
-    /// snapshot: the returned structure (and therefore [`FleetService::snapshot_json`]'s
-    /// bytes) is identical whether telemetry is disabled, enabled, or was reconfigured
-    /// mid-run.
-    ///
-    /// This copies every tenant's state at once (the knowledge base's clone shares the
-    /// live rows), for callers that want the structure, such as a test that edits a
-    /// snapshot before restoring it; serialization does not need it
-    /// ([`FleetService::snapshot_json`] streams the live state instead).
-    pub fn snapshot(&self) -> FleetSnapshot {
-        self.note_snapshot();
-        FleetSnapshot {
-            options: self.options.clone(),
-            tenants: self
-                .tenants
-                .iter()
-                .map(TenantSession::export_state)
-                .collect(),
-            knowledge: self.knowledge.clone(),
-            scheduler: self.scheduler.clone(),
-            rounds: self.rounds,
-        }
-    }
-
     /// A copy that exists only to be written, a crash journal's anchor: its text is this
     /// fleet's text, while its tenants hold handles on this fleet's rows and no model fit
     /// (see [`TenantSession::unfitted_copy`]) and its knowledge base's entries are
@@ -779,7 +670,7 @@ impl FleetService {
         }
     }
 
-    /// Counts and journals one snapshot, taken as a structure or written as text.
+    /// Counts and journals one snapshot.
     fn note_snapshot(&self) {
         self.telemetry.incr(CounterId::SnapshotsTaken);
         if self.telemetry.is_enabled() {
@@ -791,10 +682,9 @@ impl FleetService {
         }
     }
 
-    /// The live state as the fleet snapshot's text source, counted as one snapshot.
-    /// It writes the same bytes as [`FleetService::snapshot`] would, but borrows options,
-    /// knowledge base and scheduler, and exports one tenant at a time, so writing it
-    /// holds the live state, one tenant's export and the text.
+    /// The live state as the fleet snapshot's text source, counted as one snapshot. It
+    /// borrows options, knowledge base and scheduler, and exports one tenant at a time,
+    /// so writing it holds the live state, one tenant's export and the text.
     pub(crate) fn snapshot_text(&self) -> FleetText<'_, ExportedTenants<'_>> {
         self.note_snapshot();
         FleetText {
@@ -806,9 +696,9 @@ impl FleetService {
         }
     }
 
-    /// Serializes the fleet snapshot to JSON. The bytes equal
-    /// `serde_json::to_string(&self.snapshot())`, but they are streamed from the live
-    /// state, one tenant's export at a time, without building that snapshot first.
+    /// Serializes the fleet snapshot to JSON, streamed from the live state one tenant's
+    /// export at a time. Telemetry is deliberately *not* part of the snapshot: the bytes
+    /// are identical whether telemetry is disabled, enabled, or was reconfigured mid-run.
     pub fn snapshot_json(&self) -> Result<String, String> {
         serde_json::to_string(&self.snapshot_text()).map_err(|e| e.to_string())
     }
@@ -823,7 +713,7 @@ impl FleetService {
     }
 
     /// The service around restored tenants, with the knowledge base mapped onto their
-    /// rows and the worker grants re-clamped for this machine.
+    /// rows.
     fn rebuilt(
         options: FleetOptions,
         tenants: Vec<TenantSession>,
@@ -833,7 +723,7 @@ impl FleetService {
         rows: &mut RowInterner,
     ) -> Self {
         knowledge.intern(rows);
-        let mut svc = FleetService {
+        FleetService {
             options,
             tenants,
             knowledge,
@@ -841,9 +731,7 @@ impl FleetService {
             rounds,
             parallelism: sample_parallelism(),
             telemetry: TelemetryHandle::disabled(),
-        };
-        svc.regrant_workers();
-        svc
+        }
     }
 
     /// Installs `telemetry` on a just-restored service and records the restore on it.
@@ -869,13 +757,6 @@ impl FleetService {
     /// [`RowInterner`], which maps every model-window, known-safe and repository entry
     /// onto a row already holding its bits, and the knowledge base is then mapped onto
     /// the same rows.
-    ///
-    /// The hyperopt worker grant is re-clamped against *this* machine's parallelism,
-    /// sampled once for the restored service (snapshots may have been taken on a
-    /// machine with a different CPU count, and the budget of
-    /// [`FleetOptions::hyperopt_workers`] must hold where the fleet actually runs).
-    /// All worker-count-dependent computations are bit-identical across grants, so the
-    /// re-grant cannot perturb replay.
     ///
     /// Truncated or bit-flipped bytes yield [`FleetError::SnapshotParse`], wherever they
     /// are; structurally valid JSON with a broken tenant yields
@@ -960,9 +841,31 @@ fn read_tenants(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tenant::WorkloadFamily;
+
+    /// The fleet's snapshot text with its exported tenant states edited by `edit`
+    /// first: how a test builds a hand-edited snapshot to restore. It counts no snapshot.
+    pub(crate) fn edited_snapshot_json(
+        svc: &FleetService,
+        edit: impl FnOnce(&mut [TenantSessionState]),
+    ) -> String {
+        let mut tenants: Vec<TenantSessionState> = svc
+            .tenants
+            .iter()
+            .map(TenantSession::export_state)
+            .collect();
+        edit(&mut tenants);
+        serde_json::to_string(&FleetText {
+            options: &svc.options,
+            tenants: &tenants,
+            knowledge: &svc.knowledge,
+            scheduler: &svc.scheduler,
+            rounds: svc.rounds,
+        })
+        .unwrap()
+    }
 
     fn small_service(n_tenants: usize, workers: usize) -> FleetService {
         let mut svc = FleetService::new(FleetOptions {
@@ -1027,21 +930,17 @@ mod tests {
 
     #[test]
     fn fleet_execution_is_bit_identical_across_the_two_level_worker_grid() {
-        // The full tenant × hyperopt grid: every grant combination must produce the same
-        // per-tenant trajectories bit for bit. hyperopt_period is lowered so the
-        // periodic refit (the hyperopt hot path) actually runs within the test's horizon.
-        let run = |workers: usize, hyperopt: usize| {
+        // Every tenant-worker count must produce the same per-tenant trajectories bit for
+        // bit. hyperopt_period is lowered so the periodic refit (the hyperopt hot path)
+        // actually runs within the test's horizon.
+        let run = |workers: usize| {
             let mut tuner = small_tuner_options();
             tuner.cluster.hyperopt_period = 3;
             let mut svc = FleetService::new(FleetOptions {
                 workers,
-                hyperopt_workers: hyperopt,
                 tuner,
                 ..Default::default()
             });
-            // Decouple the grants from the machine the test runs on: with 64 injected
-            // CPUs no level is clamped below its requested value.
-            svc.set_parallelism(64);
             for i in 0..3 {
                 let family = WorkloadFamily::ALL[i % WorkloadFamily::ALL.len()];
                 let mut spec = TenantSpec::named(format!("tenant-{i}"), family, 2000 + i as u64);
@@ -1051,97 +950,27 @@ mod tests {
             svc.run_rounds(3);
             svc.summaries()
         };
-        let baseline = run(1, 1);
+        let baseline = run(1);
         assert!(
             baseline.iter().all(|t| t.iterations >= 3),
             "horizon too short to exercise the hyperopt period"
         );
-        for w in [1usize, 2, 4] {
-            for h in [1usize, 2, 4] {
-                let grid = run(w, h);
-                for (x, y) in grid.iter().zip(baseline.iter()) {
-                    assert_eq!(x.iterations, y.iterations, "({w},{h}) {}", x.name);
-                    assert_eq!(
-                        x.cumulative_regret.to_bits(),
-                        y.cumulative_regret.to_bits(),
-                        "({w},{h}) {}",
-                        x.name
-                    );
-                    assert_eq!(
-                        x.total_score.to_bits(),
-                        y.total_score.to_bits(),
-                        "({w},{h}) {}",
-                        x.name
-                    );
-                    assert_eq!(x.unsafe_count, y.unsafe_count, "({w},{h}) {}", x.name);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn worker_budgets_derive_from_one_injected_parallelism_sample() {
-        // With an injected sample every clamp is deterministic and mutually consistent —
-        // the bug this guards against was independent `available_parallelism()` reads
-        // that could disagree mid-flight (cgroup resize, affinity change).
-        let mut svc = FleetService::new(FleetOptions {
-            workers: 2,
-            hyperopt_workers: 0,
-            tuner: small_tuner_options(),
-            ..Default::default()
-        });
-        svc.set_parallelism(16);
-        assert_eq!(svc.parallelism(), 16);
-        // Request 0 = full remaining budget: 16/2 = 8 hyperopt workers.
-        assert_eq!(svc.effective_hyperopt_workers(), 8);
-
-        let mut svc = FleetService::new(FleetOptions {
-            workers: 2,
-            hyperopt_workers: 64,
-            tuner: small_tuner_options(),
-            ..Default::default()
-        });
-        svc.set_parallelism(16);
-        // hyperopt budget = 16 / 2 = 8; the oversized request clamps down to it.
-        assert_eq!(svc.effective_hyperopt_workers(), 8);
-        // The grant lands in the admitted tenant's tuner options.
-        let idx = svc
-            .admit(TenantSpec::named(
-                "t0".to_string(),
-                WorkloadFamily::ALL[0],
-                1,
-            ))
-            .unwrap();
-        let state = svc.tenants[idx].export_state();
-        assert_eq!(state.tuner.options.cluster.hyperopt_workers, 8);
-
-        // Shrinking the budget after admission and re-granting propagates to sessions.
-        svc.set_parallelism(4);
-        svc.regrant_workers();
-        let state = svc.tenants[idx].export_state();
-        assert_eq!(state.tuner.options.cluster.hyperopt_workers, 2);
-    }
-
-    #[test]
-    fn two_level_budget_product_never_exceeds_parallelism() {
-        for p in [1usize, 2, 3, 4, 6, 8, 16, 64] {
-            for workers in [0usize, 1, 2, 4, 8] {
-                for hyperopt in [0usize, 1, 2, 64] {
-                    let mut svc = FleetService::new(FleetOptions {
-                        workers,
-                        hyperopt_workers: hyperopt,
-                        tuner: small_tuner_options(),
-                        ..Default::default()
-                    });
-                    svc.set_parallelism(p);
-                    let t = if workers == 0 { p } else { workers };
-                    let h = svc.effective_hyperopt_workers();
-                    assert!(h >= 1, "grants must stay positive");
-                    // The budget holds except in the degenerate case where the
-                    // configured tenant workers alone already exceed the machine (then
-                    // the hyperopt level folds to 1).
-                    assert!(t * h <= p.max(t), "budget violated: {t} × {h} > {p}");
-                }
+        for w in [2usize, 4] {
+            for (x, y) in run(w).iter().zip(baseline.iter()) {
+                assert_eq!(x.iterations, y.iterations, "({w}) {}", x.name);
+                assert_eq!(
+                    x.cumulative_regret.to_bits(),
+                    y.cumulative_regret.to_bits(),
+                    "({w}) {}",
+                    x.name
+                );
+                assert_eq!(
+                    x.total_score.to_bits(),
+                    y.total_score.to_bits(),
+                    "({w}) {}",
+                    x.name
+                );
+                assert_eq!(x.unsafe_count, y.unsafe_count, "({w}) {}", x.name);
             }
         }
     }
@@ -1173,138 +1002,64 @@ mod tests {
     }
 
     #[test]
-    fn pre_worker_grant_snapshots_restore_with_default_grants() {
-        // Regression for the PR-5 schema break: snapshots written before
-        // `hyperopt_workers` existed must restore (the field deserializes to 0 via
-        // #[serde(default)]) and come back with valid re-clamped grants on every session
-        // instead of failing the whole restore.
+    fn retired_members_read_any_value_and_write_their_constants() {
+        // The four retired options members (`onlinetune::Retired`): a snapshot that lacks
+        // one, holds a foreign value in one, or carries the since-removed intra-op member
+        // beside each `hyperopt_workers` must restore, be written back as the unedited
+        // text, and run on to the same text as the unedited snapshot. The intra-op
+        // member's name is spelled in two pieces so that a search for the removed option
+        // finds no live code.
         let mut svc = small_service(2, 1);
         svc.run_rounds(1);
-        let json = svc.snapshot_json().unwrap();
-        let stripped = strip_numeric_field(&json, "hyperopt_workers");
-        assert!(
-            stripped.len() < json.len(),
-            "test must actually remove the fields"
-        );
-        let mut restored = FleetService::restore_json(&stripped).unwrap();
-        let h = restored.effective_hyperopt_workers();
-        assert!(h >= 1);
-        for t in &restored.tenants {
-            let state = t.export_state();
-            assert_eq!(state.tuner.options.cluster.hyperopt_workers, h);
-        }
+        let json = svc.canonical_snapshot_json();
+        let mut reference = FleetService::restore_json(&json).unwrap();
+        reference.run_rounds(3);
+        let expected = reference.canonical_snapshot_json();
 
-        // Snapshots written while the fleet and cluster options still carried the
-        // since-removed intra-op grant hold one extra member next to every
-        // `hyperopt_workers`. The member name is spelled in two pieces so that a search
-        // for the removed option finds no live code.
+        let written = [
+            ("hyperopt_workers", 1, 999),
+            ("whitebox_conflict_threshold", 3, 7),
+            ("whitebox_relax_threshold", 3, 0),
+        ];
+        let mut edited = Vec::new();
+        let mut all_stripped = json.clone();
+        for (member, constant, foreign) in written {
+            let canonical = format!("\"{member}\":{constant}");
+            let occurrences = json.matches(&format!("\"{member}\":")).count();
+            assert!(occurrences >= 3, "{member}: one per options object");
+            assert_eq!(json.matches(&canonical).count(), occurrences, "{member}");
+            edited.push((
+                format!("{member} stripped"),
+                strip_numeric_field(&json, member),
+            ));
+            edited.push((
+                format!("{member} = {foreign}"),
+                json.replace(&canonical, &format!("\"{member}\":{foreign}")),
+            ));
+            all_stripped = strip_numeric_field(&all_stripped, member);
+        }
+        edited.push(("every retired member stripped".to_string(), all_stripped));
         let legacy_member = concat!("\"intra", "op_workers\":4");
-        let legacy = json.replace(
-            "\"hyperopt_workers\":1",
-            &format!("\"hyperopt_workers\":1,{legacy_member}"),
-        );
-        assert_eq!(
-            legacy.matches(legacy_member).count(),
-            json.matches("\"hyperopt_workers\":").count(),
-            "one legacy member per options object"
-        );
-        assert!(legacy.matches(legacy_member).count() >= 3);
-        let mut from_legacy = FleetService::restore_json(&legacy).unwrap();
-        let mut from_current = FleetService::restore_json(&json).unwrap();
-        restored.run_rounds(3);
-        from_legacy.run_rounds(3);
-        from_current.run_rounds(3);
-        assert_eq!(
-            from_legacy.canonical_snapshot_json(),
-            from_current.canonical_snapshot_json(),
-            "the legacy member must not change what the restored fleet does"
-        );
-        // The grant-less snapshot keeps running on the same trajectories.
-        for (x, y) in restored
-            .summaries()
-            .iter()
-            .zip(from_current.summaries().iter())
-        {
-            assert_eq!(x.iterations, y.iterations, "{}", x.name);
-            assert_eq!(
-                x.cumulative_regret.to_bits(),
-                y.cumulative_regret.to_bits(),
-                "{}",
-                x.name
-            );
-            assert_eq!(
-                x.total_score.to_bits(),
-                y.total_score.to_bits(),
-                "{}",
-                x.name
-            );
-        }
-    }
+        edited.push((
+            "legacy intra-op member".to_string(),
+            json.replace(
+                "\"hyperopt_workers\":1",
+                &format!("\"hyperopt_workers\":1,{legacy_member}"),
+            ),
+        ));
 
-    #[test]
-    fn hyperopt_worker_budget_is_clamped_against_tenant_parallelism() {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // Fleet saturated with tenant workers: hyperopt must fold down to ≤ hw/workers.
-        for (workers, requested) in [(1usize, 64usize), (2, 64), (hw, 64), (1, 0), (hw, 0)] {
-            let svc = FleetService::new(FleetOptions {
-                workers,
-                hyperopt_workers: requested,
-                tuner: small_tuner_options(),
-                ..Default::default()
-            });
-            let granted = svc.effective_hyperopt_workers();
-            assert!(granted >= 1);
+        for (case, text) in edited {
+            assert_ne!(text, json, "{case}: the edit must change the text");
+            let mut restored = FleetService::restore_json(&text)
+                .unwrap_or_else(|e| panic!("{case}: did not restore: {e}"));
             assert!(
-                workers * granted <= hw.max(workers),
-                "budget violated: {workers} tenant × {granted} hyperopt > {hw} CPUs"
+                restored.canonical_snapshot_json() == json,
+                "{case}: not written back as the unedited text"
             );
-        }
-        // workers = 0 resolves to one per CPU, so the hyperopt grant must be 1.
-        let svc = FleetService::new(FleetOptions {
-            workers: 0,
-            hyperopt_workers: 64,
-            tuner: small_tuner_options(),
-            ..Default::default()
-        });
-        assert_eq!(svc.effective_hyperopt_workers(), 1);
-        // The grant lands in the admitted tenant's tuner options.
-        let mut svc = FleetService::new(FleetOptions {
-            workers: 1,
-            hyperopt_workers: 64,
-            tuner: small_tuner_options(),
-            ..Default::default()
-        });
-        let idx = svc
-            .admit(TenantSpec::named(
-                "t0".to_string(),
-                WorkloadFamily::ALL[0],
-                1,
-            ))
-            .unwrap();
-        let granted = svc.effective_hyperopt_workers();
-        let snapshot = svc.tenants[idx].export_state();
-        assert_eq!(snapshot.tuner.options.cluster.hyperopt_workers, granted);
-    }
-
-    #[test]
-    fn restore_re_clamps_a_foreign_hyperopt_grant() {
-        // A snapshot taken on a bigger machine may carry a larger per-tenant hyperopt
-        // grant than this machine's budget allows; restore must re-clamp it.
-        let mut svc = small_service(2, 1);
-        svc.run_rounds(1);
-        let mut snapshot = svc.snapshot();
-        for t in &mut snapshot.tenants {
-            t.tuner.options.cluster.hyperopt_workers = 999;
-        }
-        let json = serde_json::to_string(&snapshot).unwrap();
-        let restored = FleetService::restore_json(&json).unwrap();
-        let granted = restored.effective_hyperopt_workers();
-        assert!(granted >= 1);
-        for t in &restored.tenants {
-            assert_eq!(
-                t.export_state().tuner.options.cluster.hyperopt_workers,
-                granted,
-                "restored session kept a foreign worker grant"
+            restored.run_rounds(3);
+            assert!(
+                restored.canonical_snapshot_json() == expected,
+                "{case}: ran on to a different text"
             );
         }
     }
@@ -1485,9 +1240,9 @@ mod tests {
         // A marker value in tenant-1's first model observation, swapped for `1e999` in
         // the text: the reader takes it as +∞, which no model can be fitted on.
         const MARKER: f64 = 0.123_456_789_012_345_6;
-        let mut snapshot = svc.snapshot();
-        snapshot.tenants[1].tuner.clusters.models[0].observations[0].performance = MARKER;
-        let json = serde_json::to_string(&snapshot).unwrap();
+        let json = edited_snapshot_json(&svc, |tenants| {
+            tenants[1].tuner.clusters.models[0].observations[0].performance = MARKER;
+        });
         let marker = serde_json::to_string(&MARKER).unwrap();
         assert_eq!(json.matches(&marker).count(), 1);
         let poisoned = json.replace(&marker, "1e999");
@@ -1524,9 +1279,9 @@ mod tests {
         let taken = |svc: &FleetService| svc.metrics_snapshot().counter(CounterId::SnapshotsTaken);
         let streamed = svc.snapshot_json().unwrap();
         assert_eq!(taken(&svc), 1, "one serialization counts one snapshot");
-        assert_eq!(streamed, serde_json::to_string(&svc.snapshot()).unwrap());
+        assert_eq!(streamed, edited_snapshot_json(&svc, |_| {}));
         assert_eq!(svc.canonical_snapshot_json(), streamed);
-        assert_eq!(taken(&svc), 3);
+        assert_eq!(taken(&svc), 2);
     }
 
     #[test]

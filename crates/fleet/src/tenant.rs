@@ -951,14 +951,6 @@ impl TenantSession {
         self.db.set_data_size(gib);
     }
 
-    /// Re-grants the tuner's hyperopt worker budget (runtime-only; see
-    /// [`crate::service::FleetOptions::hyperopt_workers`]). The service calls this
-    /// after snapshot restore so a grant computed on the snapshotting machine cannot
-    /// oversubscribe the current one.
-    pub fn set_hyperopt_workers(&mut self, workers: usize) {
-        self.tuner.set_hyperopt_workers(workers);
-    }
-
     /// Runs one suggest→apply→observe iteration and returns the achieved regret.
     ///
     /// A faulted measurement (injected fault marker or non-finite score) feeds *nothing*
@@ -1504,15 +1496,15 @@ mod tests {
         svc.run_rounds(6);
         // Two repository entries that differ only in the sign of a zero: the text writes
         // them as `0` and `-0.0`, and interning them by `==` would change those bytes.
-        let mut snapshot = svc.snapshot();
-        let clusters = &mut snapshot.tenants[0].tuner.clusters;
-        let mut positive = clusters.observations[0].clone();
-        positive.config[0] = 0.0;
-        let mut negative = positive.clone();
-        negative.config[0] = -0.0;
-        clusters.observations.extend([positive, negative]);
-        clusters.labels.extend([0, 0]);
-        let json = serde_json::to_string(&snapshot).unwrap();
+        let json = crate::service::tests::edited_snapshot_json(&svc, |tenants| {
+            let clusters = &mut tenants[0].tuner.clusters;
+            let mut positive = clusters.observations[0].clone();
+            positive.config[0] = 0.0;
+            let mut negative = positive.clone();
+            negative.config[0] = -0.0;
+            clusters.observations.extend([positive, negative]);
+            clusters.labels.extend([0, 0]);
+        });
         assert!(json.contains("-0.0"));
 
         let restored = FleetService::restore_json(&json).unwrap();

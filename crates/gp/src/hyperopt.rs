@@ -26,17 +26,6 @@ pub struct HyperOptOptions {
     pub tol: f64,
     /// Whether the observation-noise variance is optimized together with the kernel.
     pub optimize_noise: bool,
-    /// Worker threads for the restart searches: `1` runs them serially (the default),
-    /// `0` uses one per available CPU, any other value caps the pool at that many.
-    ///
-    /// **Determinism contract:** the selected hyper-parameters, the reported likelihood
-    /// and the evaluation count are *worker-count independent, bit for bit*. The restart
-    /// starting points are drawn from the RNG serially before any worker runs (so the
-    /// RNG stream is identical to the serial implementation), each restart's simplex
-    /// search is independent and deterministic, and the winner is reduced in restart
-    /// index order with a strict `<` — exactly the fold the serial loop performs.
-    /// Property-tested across `workers ∈ {1, 2, 4}`.
-    pub workers: usize,
 }
 
 impl Default for HyperOptOptions {
@@ -46,7 +35,6 @@ impl Default for HyperOptOptions {
             max_iters: 60,
             tol: 1e-4,
             optimize_noise: true,
-            workers: 1,
         }
     }
 }
@@ -231,7 +219,7 @@ pub fn optimize_hyperparameters<X, R>(
     rng: &mut R,
 ) -> Result<HyperOptReport, GpError>
 where
-    X: AsRef<[f64]> + Clone + Into<Row> + Sync,
+    X: AsRef<[f64]> + Clone + Into<Row>,
     R: Rng,
 {
     let span = gp.telemetry().begin_span();
@@ -285,8 +273,7 @@ where
         None
     };
 
-    // Restart starting points are drawn serially *before* any search runs: the RNG
-    // stream is identical whether the searches below execute on one thread or many.
+    // The starting points: the current hyper-parameters, then one jittered copy per restart.
     let mut starts = vec![initial.clone()];
     for _ in 0..options.restarts {
         let jittered: Vec<f64> = initial
@@ -299,7 +286,7 @@ where
     // One restart = one independent, deterministic Nelder–Mead search. Each search gets
     // its own fit arena (so its trial loop is allocation-free) and its own trial kernel
     // (set_params fully overwrites the hyper-parameters, so reuse across evaluations is
-    // exact). The closure only reads shared state — safe to call from worker threads.
+    // exact).
     let gp_ref: &GaussianProcess = gp;
     let cache_ref = cache.as_ref();
     let run_start = |start: &[f64]| -> (Vec<f64>, f64, usize) {
@@ -346,37 +333,12 @@ where
         nelder_mead(&mut objective, start, 0.5, options.max_iters, options.tol)
     };
 
-    let workers = match options.workers {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-        w => w,
-    }
-    .clamp(1, starts.len());
-    let mut results: Vec<Option<(Vec<f64>, f64, usize)>> = starts.iter().map(|_| None).collect();
-    if workers <= 1 {
-        for (slot, start) in results.iter_mut().zip(starts.iter()) {
-            *slot = Some(run_start(start));
-        }
-    } else {
-        // Contiguous chunks, one per worker; result slots keep the restart order.
-        let chunk = starts.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (slot_chunk, start_chunk) in results.chunks_mut(chunk).zip(starts.chunks(chunk)) {
-                let run_start = &run_start;
-                scope.spawn(move || {
-                    for (slot, start) in slot_chunk.iter_mut().zip(start_chunk.iter()) {
-                        *slot = Some(run_start(start));
-                    }
-                });
-            }
-        });
-    }
-
-    // Index-ordered argmin with a strict `<` — exactly the fold the serial loop
-    // performed, so the winner (and every tie-break) is worker-count independent.
+    // Restarts run in index order; the first strictly better search wins each tie-break.
     let mut best_params = initial.clone();
     let mut best_neg = -baseline_lml;
     let mut total_evals = 0;
-    for (xopt, fopt, evals) in results.into_iter().flatten() {
+    for start in &starts {
+        let (xopt, fopt, evals) = run_start(start);
         total_evals += evals;
         if fopt < best_neg {
             best_neg = fopt;
@@ -572,98 +534,6 @@ mod tests {
             );
             assert_eq!(report_cached.evaluations, report_plain.evaluations);
             assert_eq!(report_cached.improved, report_plain.improved);
-        }
-    }
-
-    /// Runs one optimization with the given restart-worker grant on a fixed problem and
-    /// returns everything the determinism contract covers.
-    fn run_with_workers(
-        workers: usize,
-        restarts: usize,
-        seed: u64,
-        data: &[(Vec<f64>, f64)],
-    ) -> (Vec<f64>, f64, HyperOptReport) {
-        let xs: Vec<Vec<f64>> = data.iter().map(|(x, _)| x.clone()).collect();
-        let ys: Vec<f64> = data.iter().map(|(_, y)| *y).collect();
-        let mut gp = GaussianProcess::new(
-            Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(0.3)), 1.0)),
-            1e-3,
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let report = optimize_hyperparameters(
-            &mut gp,
-            &xs,
-            &ys,
-            &HyperOptOptions {
-                restarts,
-                max_iters: 40,
-                workers,
-                ..Default::default()
-            },
-            &mut rng,
-        )
-        .unwrap();
-        (gp.kernel().params(), gp.noise_variance(), report)
-    }
-
-    #[test]
-    fn parallel_restarts_select_bit_identical_hyperparameters() {
-        let data: Vec<(Vec<f64>, f64)> = (0..24)
-            .map(|i| {
-                let t = i as f64 / 23.0;
-                (vec![t, (4.0 * t).cos()], (3.0 * t).sin() * 5.0 + t)
-            })
-            .collect();
-        let (params_serial, noise_serial, report_serial) = run_with_workers(1, 5, 13, &data);
-        for workers in [2usize, 4, 0] {
-            let (params, noise, report) = run_with_workers(workers, 5, 13, &data);
-            assert_eq!(params.len(), params_serial.len());
-            for (a, b) in params.iter().zip(params_serial.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "workers={workers}");
-            }
-            assert_eq!(noise.to_bits(), noise_serial.to_bits(), "workers={workers}");
-            assert_eq!(
-                report.best_lml.to_bits(),
-                report_serial.best_lml.to_bits(),
-                "workers={workers}"
-            );
-            assert_eq!(report.evaluations, report_serial.evaluations);
-            assert_eq!(report.improved, report_serial.improved);
-        }
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(8))]
-            /// The determinism contract of `HyperOptOptions::workers`: on random data,
-            /// restart counts and seeds, the selected hyper-parameters, noise, reported
-            /// likelihood and evaluation count are bit-identical across restart workers
-            /// {1, 2, 4}.
-            #[test]
-            fn prop_hyperopt_bit_identical_across_worker_counts(
-                raw in proptest::collection::vec(
-                    (proptest::collection::vec(-1.0f64..1.0, 2), -5.0f64..5.0), 6..20),
-                restarts in 1usize..5,
-                seed in 0u64..500,
-            ) {
-                let serial = run_with_workers(1, restarts, seed, &raw);
-                for workers in [2usize, 4] {
-                    let parallel = run_with_workers(workers, restarts, seed, &raw);
-                    prop_assert_eq!(parallel.0.len(), serial.0.len());
-                    for (a, b) in parallel.0.iter().zip(serial.0.iter()) {
-                        prop_assert_eq!(a.to_bits(), b.to_bits());
-                    }
-                    prop_assert_eq!(parallel.1.to_bits(), serial.1.to_bits());
-                    prop_assert_eq!(
-                        parallel.2.best_lml.to_bits(),
-                        serial.2.best_lml.to_bits()
-                    );
-                    prop_assert_eq!(parallel.2.evaluations, serial.2.evaluations);
-                }
-            }
         }
     }
 

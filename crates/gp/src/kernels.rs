@@ -14,7 +14,7 @@ use linalg::vecops::{dot, squared_distance};
 use linalg::Matrix;
 
 /// A positive semi-definite covariance function over `R^d`.
-pub trait Kernel: Send + Sync {
+pub trait Kernel: Send {
     /// Evaluates the kernel at a pair of points.
     fn eval(&self, a: &[f64], b: &[f64]) -> f64;
 

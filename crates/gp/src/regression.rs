@@ -43,8 +43,8 @@ use telemetry::{CounterId, EventKind, TelemetryHandle};
 /// storage ping-pongs between the fitted models and the arena), while a model between
 /// fits holds only its factor, `α`, standardizer and training targets, plus a handle on
 /// each of its shared training rows. The hyper-parameter optimizer
-/// creates one arena per restart worker, so its `O(restarts × iters)` trial loop reuses
-/// that worker's buffers across every likelihood evaluation.
+/// creates one arena per restart, so each restart's trial loop reuses its buffers
+/// across every likelihood evaluation.
 ///
 /// The arena carries **no model state**: it is never serialized, and which models it
 /// served before cannot change any computed value (buffer contents are fully

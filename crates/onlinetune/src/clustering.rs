@@ -34,19 +34,10 @@ pub struct ClusterOptions {
     pub max_observations_per_model: usize,
     /// Refit kernel hyper-parameters every this many model updates.
     pub hyperopt_period: usize,
-    /// Worker threads used for the periodic hyper-parameter optimization's restart
-    /// searches (`1` = serial, `0` = one per CPU; see
-    /// [`gp::hyperopt::HyperOptOptions::workers`]). Selected hyper-parameters are
-    /// worker-count independent bit for bit, so this only affects wall-clock time —
-    /// snapshot replay across machines with different settings stays exact. The fleet
-    /// service clamps this so tenant-level and hyperopt-level parallelism compose
-    /// without oversubscription.
-    ///
-    /// Deserializes to 0 from snapshots written before the field existed
-    /// (`#[serde(default)]`); a 0 is normalized to 1 (serial) where the grant is
-    /// consumed, so old snapshots restore instead of erroring.
+    /// Retired: the hyper-parameter search's restarts always run serially, in index
+    /// order. Snapshots still carry the member, written as 1.
     #[serde(default)]
-    pub hyperopt_workers: usize,
+    pub hyperopt_workers: crate::Retired<1>,
 }
 
 impl Default for ClusterOptions {
@@ -61,7 +52,7 @@ impl Default for ClusterOptions {
             min_observations_for_clustering: 30,
             max_observations_per_model: 150,
             hyperopt_period: 20,
-            hyperopt_workers: 1,
+            hyperopt_workers: crate::Retired,
         }
     }
 }
@@ -150,14 +141,6 @@ impl ClusterManager {
         self.recluster_count
     }
 
-    /// Re-grants the hyperopt worker budget (see [`ClusterOptions::hyperopt_workers`]).
-    /// Runtime-only: selected hyper-parameters are worker-count independent, so this
-    /// never changes model behaviour — the fleet service calls it when a session is
-    /// restored on a machine whose parallelism budget differs from the snapshotting one.
-    pub fn set_hyperopt_workers(&mut self, workers: usize) {
-        self.options.hyperopt_workers = workers;
-    }
-
     /// Suppresses (or re-enables) the periodic hyper-parameter refit — the degraded
     /// serving tiers shed the one O(n³) step of the observe path this way. While
     /// suppressed, `updates_since_hyperopt` keeps counting, so the deferred refit fires
@@ -224,10 +207,6 @@ impl ClusterManager {
                 &HyperOptOptions {
                     restarts: 1,
                     max_iters: 30,
-                    // 0 deserialized from a pre-grant snapshot means serial here; the
-                    // hyperopt's own "0 = per CPU" convention is reserved for callers
-                    // that explicitly opt in, not for missing snapshot fields.
-                    workers: self.options.hyperopt_workers.max(1),
                     ..Default::default()
                 },
                 rng,

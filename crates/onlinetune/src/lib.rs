@@ -47,3 +47,22 @@ pub mod whitebox;
 pub use diagnostics::IterationDiagnostics;
 pub use tuner::{AblationFlags, ObserveError, OnlineTune, OnlineTuneOptions, Suggestion};
 pub use whitebox::{RuleEngine, WhiteBoxRule};
+
+/// An options member that no code reads any more, kept in snapshots so their text stays
+/// what earlier builds wrote: it writes `N`, and it reads any `usize` (the type the member
+/// had) and ignores it. It holds no value, so there is nothing to set; absent from a
+/// snapshot, it reads as `N` too (`#[serde(default)]` on the member).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Retired<const N: usize>;
+
+impl<const N: usize> serde::Serialize for Retired<N> {
+    fn serialize(&self, out: &mut serde::Serializer) {
+        N.serialize(out);
+    }
+}
+
+impl<const N: usize> serde::Deserialize for Retired<N> {
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        usize::deserialize(de).map(|_| Retired)
+    }
+}

@@ -18,7 +18,9 @@ use crate::clustering::{ClusterManager, ClusterManagerState, ClusterOptions};
 use crate::diagnostics::IterationDiagnostics;
 use crate::safety::{assess_candidates, SafetyOptions};
 use crate::subspace::{Subspace, SubspaceOptions};
-use crate::whitebox::{RuleContext, RuleEngine, RuleStateSnapshot};
+use crate::whitebox::{
+    RuleContext, RuleEngine, RuleStateSnapshot, CONFLICT_THRESHOLD, RELAX_THRESHOLD,
+};
 use gp::acquisition::ucb_beta;
 use gp::rows::{RowInterner, SharedConfig, SharedObservation};
 use mlkit::importance::{knob_importance, top_k_knobs};
@@ -67,10 +69,14 @@ pub struct OnlineTuneOptions {
     pub epsilon: f64,
     /// Confidence parameter δ of the GP-UCB β schedule.
     pub beta_delta: f64,
-    /// Conflicts before a white-box rule is ignored once (§6.2.2).
-    pub whitebox_conflict_threshold: usize,
-    /// Safe overrides before a white-box rule is relaxed (§6.2.2).
-    pub whitebox_relax_threshold: usize,
+    /// Retired: a white-box rule is ignored once after a fixed [`CONFLICT_THRESHOLD`]
+    /// conflicts (§6.2.2). Snapshots still carry the member, written as that constant.
+    #[serde(default)]
+    pub whitebox_conflict_threshold: crate::Retired<CONFLICT_THRESHOLD>,
+    /// Retired: a white-box rule is relaxed after a fixed [`RELAX_THRESHOLD`] safe
+    /// overrides (§6.2.2). Snapshots still carry the member, written as that constant.
+    #[serde(default)]
+    pub whitebox_relax_threshold: crate::Retired<RELAX_THRESHOLD>,
     /// Maximum number of known-safe configurations retained for the cold-start fallback.
     pub known_safe_capacity: usize,
     /// Ablation switches.
@@ -85,8 +91,8 @@ impl Default for OnlineTuneOptions {
             safety: SafetyOptions::default(),
             epsilon: 0.1,
             beta_delta: 0.1,
-            whitebox_conflict_threshold: 3,
-            whitebox_relax_threshold: 3,
+            whitebox_conflict_threshold: crate::Retired,
+            whitebox_relax_threshold: crate::Retired,
             known_safe_capacity: 256,
             ablation: AblationFlags::default(),
         }
@@ -240,17 +246,6 @@ impl OnlineTune {
     /// The hardware the tuner currently assumes for its white-box rules.
     pub fn hardware(&self) -> &HardwareSpec {
         &self.hardware
-    }
-
-    /// Re-grants the worker budget of the periodic hyper-parameter optimization (see
-    /// [`ClusterOptions::hyperopt_workers`](crate::clustering::ClusterOptions::hyperopt_workers)).
-    /// Runtime-only — hyperopt results are worker-count independent bit for bit, so
-    /// this affects wall-clock time, never recommendations or replay. The fleet
-    /// service calls it at admission and after snapshot restore to keep the combined
-    /// parallelism budget valid on the *current* machine.
-    pub fn set_hyperopt_workers(&mut self, workers: usize) {
-        self.options.cluster.hyperopt_workers = workers;
-        self.clusters.set_hyperopt_workers(workers);
     }
 
     /// Suppresses (or re-enables) the periodic hyper-parameter refit of every cluster

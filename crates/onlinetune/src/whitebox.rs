@@ -13,6 +13,12 @@ use simdb::{Configuration, HardwareSpec, InternalMetrics, KnobCatalogue};
 
 const MIB: f64 = 1024.0 * 1024.0;
 
+/// Conflicts before a rule is ignored for one recommendation.
+pub const CONFLICT_THRESHOLD: usize = 3;
+
+/// Safe outcomes of controversial configurations before a rule is relaxed.
+pub const RELAX_THRESHOLD: usize = 3;
+
 /// Environmental information a rule may consult.
 pub struct RuleContext<'a> {
     /// The knob catalogue the configuration is expressed over.
@@ -209,49 +215,32 @@ struct RuleState {
     relax_level: u32,
 }
 
-/// The white-box assistant: a set of rules plus the conflict/relaxation state machine.
+/// The white-box assistant: a set of rules plus the conflict/relaxation state machine,
+/// with the thresholds [`CONFLICT_THRESHOLD`] and [`RELAX_THRESHOLD`].
 pub struct RuleEngine {
     rules: Vec<Box<dyn WhiteBoxRule>>,
     states: Vec<RuleState>,
-    /// Conflicts before a rule is ignored for one recommendation.
-    conflict_threshold: usize,
-    /// Safe outcomes of controversial configurations before the rule is relaxed.
-    relax_threshold: usize,
 }
 
 impl RuleEngine {
-    /// Creates the engine with the standard MysqlTuner-inspired rule set and the default
-    /// thresholds (3 conflicts to ignore, 3 safe outcomes to relax).
+    /// Creates the engine with the standard MysqlTuner-inspired rule set.
     pub fn with_default_rules() -> Self {
-        Self::new(
-            vec![
-                Box::new(MemoryBudgetRule),
-                Box::new(ThreadConcurrencyRule),
-                Box::new(BufferPoolMinimumRule),
-                Box::new(PerConnectionBufferRule),
-                Box::new(MaxConnectionsRule),
-                Box::new(QueryCacheRule),
-                Box::new(RedoLogRule),
-                Box::new(DirtyPagesRule),
-            ],
-            3,
-            3,
-        )
+        Self::new(vec![
+            Box::new(MemoryBudgetRule),
+            Box::new(ThreadConcurrencyRule),
+            Box::new(BufferPoolMinimumRule),
+            Box::new(PerConnectionBufferRule),
+            Box::new(MaxConnectionsRule),
+            Box::new(QueryCacheRule),
+            Box::new(RedoLogRule),
+            Box::new(DirtyPagesRule),
+        ])
     }
 
     /// Creates an engine from an explicit rule set.
-    pub fn new(
-        rules: Vec<Box<dyn WhiteBoxRule>>,
-        conflict_threshold: usize,
-        relax_threshold: usize,
-    ) -> Self {
+    pub fn new(rules: Vec<Box<dyn WhiteBoxRule>>) -> Self {
         let states = rules.iter().map(|_| RuleState::default()).collect();
-        RuleEngine {
-            rules,
-            states,
-            conflict_threshold,
-            relax_threshold,
-        }
+        RuleEngine { rules, states }
     }
 
     /// Number of rules.
@@ -319,7 +308,7 @@ impl RuleEngine {
     pub fn note_conflict(&mut self, rule: usize) -> bool {
         let state = &mut self.states[rule];
         state.conflicts += 1;
-        if state.conflicts >= self.conflict_threshold {
+        if state.conflicts >= CONFLICT_THRESHOLD {
             state.conflicts = 0;
             true
         } else {
@@ -331,11 +320,10 @@ impl RuleEngine {
     /// ignoring `rule`. Safe outcomes accumulate toward relaxation; an unsafe outcome resets
     /// the progress (the rule was right).
     pub fn note_override_outcome(&mut self, rule: usize, was_safe: bool) {
-        let relax_threshold = self.relax_threshold;
         let state = &mut self.states[rule];
         if was_safe {
             state.conflict_safe += 1;
-            if state.conflict_safe >= relax_threshold {
+            if state.conflict_safe >= RELAX_THRESHOLD {
                 state.conflict_safe = 0;
                 state.relax_level += 1;
             }

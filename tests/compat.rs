@@ -4,7 +4,8 @@
 //! replays the next rounds to the FNV-1a-64 digests recorded when it was written
 //! (`tests/compat/digests.json`). The files are frozen — never regenerated — so a change to
 //! the snapshot format or the JSON reader and writer is checked against bytes it did not
-//! write. `tests/compat/README.md` records how they were produced.
+//! write; their own digests are pinned below, so a regenerated golden fails too.
+//! `tests/compat/README.md` records how they were produced.
 
 use fleet::serve::{FleetServer, TrafficScript};
 use fleet::service::FleetService;
@@ -12,6 +13,15 @@ use fleet::wal::fnv1a64;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use telemetry::TelemetryHandle;
+
+/// The FNV-1a-64 of each frozen file's bytes. The replay checks below compare a golden
+/// with `digests.json`, so a golden regenerated together with its digests would pass
+/// them; it fails here.
+const FROZEN: [(&str, u64); 3] = [
+    ("fleet_snapshot.json", 0x14f4_d9b4_7fa1_b4ee),
+    ("server_snapshot.json", 0xe73f_9cd0_cb23_c32f),
+    ("digests.json", 0x275c_9375_2406_38c0),
+];
 
 fn compat_file(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -52,6 +62,17 @@ fn assert_same_bytes(golden: &str, written: &str, expected: &str) {
             expected.len(),
             context(written),
             context(expected)
+        );
+    }
+}
+
+#[test]
+fn the_frozen_files_keep_their_bytes() {
+    for (name, digest) in FROZEN {
+        assert_eq!(
+            fnv1a64(compat_file(name).as_bytes()),
+            digest,
+            "{name} changed: the goldens are frozen, never regenerated or edited"
         );
     }
 }
