@@ -264,7 +264,8 @@ fn read_server(
             _ => de.skip_value()?,
         }
     }
-    let missing = |field: &str| de.error(format_args!("missing field `{field}` in ServerSnapshot"));
+    let missing =
+        |field: &str| de.error(format_args!("missing field `{field}` in server snapshot"));
     Ok((
         options.ok_or_else(|| missing("options"))?,
         fleet.ok_or_else(|| missing("fleet"))?,
@@ -775,6 +776,7 @@ impl FleetServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::tests::without_member;
     use crate::service::{small_tuner_options, FleetOptions};
     use crate::tenant::{DegradationTier, WorkloadFamily};
     use simdb::FaultKind;
@@ -1215,6 +1217,38 @@ mod tests {
                 "kill at round {kill_round} (torn {torn}) must recover bit-identically, \
                  degradation tiers included"
             );
+        }
+    }
+
+    #[test]
+    fn a_server_snapshot_without_tenants_or_fleet_fails_naming_the_member() {
+        let server = small_server(2, ServeOptions::default());
+        let json = server.canonical_server_json();
+        let fleet = server.service().canonical_snapshot_json();
+        assert_eq!(
+            json.matches(&fleet).count(),
+            1,
+            "the server text wraps the fleet's"
+        );
+        let cases = [
+            (
+                json.replacen(&fleet, &without_member(&fleet, "tenants"), 1),
+                "missing field `tenants` in fleet snapshot",
+            ),
+            (
+                without_member(&json, "fleet"),
+                "missing field `fleet` in server snapshot",
+            ),
+        ];
+        for (text, expected) in cases {
+            let Err(err) = FleetServer::restore_json(&text, TelemetryHandle::disabled()) else {
+                panic!("a server snapshot missing a member must not restore");
+            };
+            let message = err.to_string();
+            assert!(message.contains(expected), "{message}");
+            for gone in ["FleetSnapshot", "ServerSnapshot"] {
+                assert!(!message.contains(gone), "{message}");
+            }
         }
     }
 

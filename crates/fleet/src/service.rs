@@ -16,6 +16,7 @@ use gp::rows::RowInterner;
 use onlinetune::subspace::SubspaceOptions;
 use onlinetune::{OnlineTuneOptions, Retired};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::sync::OnceLock;
 use telemetry::{CounterId, EventKind, GaugeId, SpanId, TelemetryHandle};
 
 /// Options of the fleet service.
@@ -171,11 +172,12 @@ pub struct FleetService {
     knowledge: KnowledgeBase,
     scheduler: SessionScheduler,
     rounds: usize,
-    /// The machine parallelism that `workers: 0` resolves against, sampled **once** at
-    /// construction (or injected via [`FleetService::set_parallelism`]), so the worker
-    /// budget and the serving layer's admission control read the same value even when
-    /// the visible CPU count changes (cgroup resize, affinity mask). Runtime-only, never
-    /// serialized: a restored service re-samples on *its* machine.
+    /// The machine parallelism that `workers: 0` resolves against: the process's one
+    /// sample, stored at construction (or injected via
+    /// [`FleetService::set_parallelism`]), so the worker budget and the serving layer's
+    /// admission control read the same value even when the visible CPU count changes
+    /// (cgroup resize, affinity mask). Runtime-only, never serialized: a service
+    /// restored in another process samples *its* machine.
     parallelism: usize,
     /// Fleet-level observability sink (runtime-only, never serialized). Each session
     /// holds a *child* of this core so worker threads record without contention; the
@@ -184,10 +186,12 @@ pub struct FleetService {
     telemetry: TelemetryHandle,
 }
 
-/// The one place the machine's parallelism is read; everything else uses the value
-/// stored on the service.
+/// The one place the machine's parallelism is read, once per process: the read goes
+/// through the cgroup files, which costs more than building an empty service.
+/// Everything else uses the value stored on the service.
 fn sample_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static SAMPLE: OnceLock<usize> = OnceLock::new();
+    *SAMPLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl FleetService {
@@ -808,7 +812,7 @@ impl FleetService {
             }
         }
         let missing =
-            |field: &str| de.error(format_args!("missing field `{field}` in FleetSnapshot"));
+            |field: &str| de.error(format_args!("missing field `{field}` in fleet snapshot"));
         let options = options.ok_or_else(|| missing("options"))?;
         let tenants = tenants.ok_or_else(|| missing("tenants"))?;
         let knowledge = knowledge.ok_or_else(|| missing("knowledge"))?;
@@ -865,6 +869,49 @@ pub(crate) mod tests {
             rounds: svc.rounds,
         })
         .unwrap()
+    }
+
+    /// The compact JSON object text `json` with its top-level member `name` taken out:
+    /// how a test builds a snapshot that lacks a member.
+    pub(crate) fn without_member(json: &str, name: &str) -> String {
+        // Byte offsets of the top-level keys, then of the closing brace.
+        let (bytes, mut keys) = (json.as_bytes(), Vec::new());
+        let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
+        for (at, &b) in bytes.iter().enumerate() {
+            if in_string {
+                match b {
+                    _ if escaped => escaped = false,
+                    b'\\' => escaped = true,
+                    b'"' => in_string = false,
+                    _ => {}
+                }
+                continue;
+            }
+            match b {
+                b'"' => {
+                    in_string = true;
+                    if depth == 1 && matches!(bytes[at - 1], b'{' | b',') {
+                        keys.push(at);
+                    }
+                }
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' => depth -= 1,
+                _ => {}
+            }
+        }
+        keys.push(json.len() - 1);
+        let k = keys[..keys.len() - 1]
+            .iter()
+            .position(|&at| json[at..].starts_with(&format!("\"{name}\":")))
+            .expect("the object has the member");
+        // A member runs to the next key, or, if it is the last, from its comma to the
+        // closing brace.
+        let (from, to) = if k + 2 < keys.len() {
+            (keys[k], keys[k + 1])
+        } else {
+            (keys[k] - 1, keys[k + 1])
+        };
+        format!("{}{}", &json[..from], &json[to..])
     }
 
     fn small_service(n_tenants: usize, workers: usize) -> FleetService {
@@ -1231,6 +1278,26 @@ pub(crate) mod tests {
             panic!("a truncated snapshot must not restore");
         };
         assert!(matches!(err, FleetError::SnapshotParse(_)), "{err}");
+    }
+
+    #[test]
+    fn a_snapshot_without_tenants_fails_naming_the_member_and_the_fleet_snapshot() {
+        let mut svc = small_service(2, 1);
+        svc.run_rounds(1);
+        let json = svc.snapshot_json().unwrap();
+        let stripped = without_member(&json, "tenants");
+        let Err(err) = FleetService::restore_json(&stripped) else {
+            panic!("a snapshot without tenants must not restore");
+        };
+        let message = err.to_string();
+        assert!(matches!(err, FleetError::SnapshotParse(_)), "{message}");
+        assert!(
+            message.contains("missing field `tenants` in fleet snapshot"),
+            "{message}"
+        );
+        for gone in ["FleetSnapshot", "ServerSnapshot"] {
+            assert!(!message.contains(gone), "{message}");
+        }
     }
 
     #[test]

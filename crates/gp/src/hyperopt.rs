@@ -10,7 +10,7 @@
 
 use crate::kernels::Kernel;
 use crate::normalize::Standardizer;
-use crate::regression::{FitArena, GaussianProcess, GpError};
+use crate::regression::{with_thread_arena, FitArena, GaussianProcess, GpError};
 use crate::rows::Row;
 use linalg::Cholesky;
 use rand::Rng;
@@ -45,8 +45,8 @@ impl Default for HyperOptOptions {
 /// Gram entries via [`Kernel::eval_stats`] are bit-identical to [`Kernel::eval`], and
 /// the factorization/solve/log-det pipeline is unchanged — but rebuilding the Gram
 /// matrix costs `O(n²)` instead of `O(n²·d)` because the per-pair statistics were
-/// computed once up front. `stats` is row-major: the statistics of pair `(i, j)` live
-/// at `stats[(i·n + j)·n_stats ..][.. n_stats]`.
+/// computed once up front. `stats` holds the pairs `j ≤ i` only, packed like a Cholesky
+/// factor: the statistics of pair `(i, j)` live at `stats[(i(i+1)/2 + j)·n_stats ..]`.
 ///
 /// All working storage (Gram buffer, factor, dual weights) comes from `arena`, so the
 /// trial loop that calls this thousands of times per optimization performs no
@@ -63,14 +63,13 @@ fn lml_from_stats(
     arena.gram.reshape(n, n);
     // Only the lower triangle (+ diagonal) is filled: the Cholesky factorization never
     // reads above the diagonal, pair statistics are exactly symmetric, and skipping the
-    // mirror halves the `O(n²)` kernel re-evaluation that dominates each trial.
+    // mirror halves the `O(n²)` kernel re-evaluation that dominates each trial. The
+    // packed statistics are read in storage order.
+    let mut pairs = stats.chunks_exact(n_stats);
     for i in 0..n {
         for j in 0..=i {
-            arena.gram.set(
-                i,
-                j,
-                kernel.eval_stats(&stats[(i * n + j) * n_stats..][..n_stats]),
-            );
+            let pair = pairs.next().expect("one statistics block per pair j ≤ i");
+            arena.gram.set(i, j, kernel.eval_stats(pair));
         }
     }
     arena.gram.add_diagonal(noise_variance).ok()?;
@@ -251,19 +250,19 @@ where
     // standardized targets — once, so each trial's Gram rebuild is `O(n²)` instead of
     // `O(n²·d)` and the `O(n)` re-standardization of `y` is skipped. The cached
     // objective is bit-identical to the uncached one, so the simplex search visits the
-    // same points and returns the same hyper-parameters. A kernel without pair-stat
-    // support (`n_pair_stats() == 0`) runs the uncached trial loop instead.
+    // same points and returns the same hyper-parameters. Only the pairs `j ≤ i` that a
+    // trial reads are kept, packed row after row (see `lml_from_stats`). A kernel
+    // without pair-stat support (`n_pair_stats() == 0`) runs the uncached trial loop
+    // instead.
     let n = x.len();
     let n_stats = gp.kernel().n_pair_stats();
     let cache: Option<(Vec<f64>, Vec<f64>)> = if n_stats > 0 && n > 0 && x.len() == y.len() {
-        let mut stats = vec![0.0; n * n * n_stats];
+        let mut stats = vec![0.0; n * (n + 1) / 2 * n_stats];
+        let mut pairs = stats.chunks_exact_mut(n_stats);
         for i in 0..n {
-            for j in 0..n {
-                gp.kernel().pair_stats(
-                    x[i].as_ref(),
-                    x[j].as_ref(),
-                    &mut stats[(i * n + j) * n_stats..][..n_stats],
-                );
+            for j in 0..=i {
+                let pair = pairs.next().expect("one statistics block per pair j ≤ i");
+                gp.kernel().pair_stats(x[i].as_ref(), x[j].as_ref(), pair);
             }
         }
         let standardizer = Standardizer::fit(y);
@@ -283,14 +282,13 @@ where
         starts.push(jittered);
     }
 
-    // One restart = one independent, deterministic Nelder–Mead search. Each search gets
-    // its own fit arena (so its trial loop is allocation-free) and its own trial kernel
-    // (set_params fully overwrites the hyper-parameters, so reuse across evaluations is
-    // exact).
+    // One restart = one independent, deterministic Nelder–Mead search with its own trial
+    // kernel (set_params fully overwrites the hyper-parameters, so reuse across
+    // evaluations is exact). Every search runs on the calling thread's fit arena, so its
+    // trial loop is allocation-free once the arena has held a fit of this size.
     let gp_ref: &GaussianProcess = gp;
     let cache_ref = cache.as_ref();
-    let run_start = |start: &[f64]| -> (Vec<f64>, f64, usize) {
-        let mut arena = FitArena::default();
+    let run_start = |start: &[f64], arena: &mut FitArena| -> (Vec<f64>, f64, usize) {
         let mut trial_kernel = gp_ref.kernel().clone_box();
         let mut trial_gp: Option<GaussianProcess> = None;
         let mut objective = |params: &[f64]| -> f64 {
@@ -312,7 +310,7 @@ where
                     n_stats,
                     n,
                     y_std,
-                    &mut arena,
+                    arena,
                 ) {
                     Some(lml) => -lml,
                     None => f64::MAX / 4.0,
@@ -334,17 +332,21 @@ where
     };
 
     // Restarts run in index order; the first strictly better search wins each tie-break.
-    let mut best_params = initial.clone();
-    let mut best_neg = -baseline_lml;
-    let mut total_evals = 0;
-    for start in &starts {
-        let (xopt, fopt, evals) = run_start(start);
-        total_evals += evals;
-        if fopt < best_neg {
-            best_neg = fopt;
-            best_params = xopt;
+    // The arena goes back to the thread before the closing fit, which takes it again.
+    let (best_params, best_neg, total_evals) = with_thread_arena(|arena| {
+        let mut best_params = initial.clone();
+        let mut best_neg = -baseline_lml;
+        let mut total_evals = 0;
+        for start in &starts {
+            let (xopt, fopt, evals) = run_start(start, arena);
+            total_evals += evals;
+            if fopt < best_neg {
+                best_neg = fopt;
+                best_params = xopt;
+            }
         }
-    }
+        (best_params, best_neg, total_evals)
+    });
 
     // Apply the best parameters found (which may be the originals) and refit.
     let (kernel_part, noise_part) = if options.optimize_noise {

@@ -42,9 +42,9 @@ use telemetry::{CounterId, EventKind, TelemetryHandle};
 /// a stable size therefore allocate nothing (buffers are reshaped in place, and factor
 /// storage ping-pongs between the fitted models and the arena), while a model between
 /// fits holds only its factor, `α`, standardizer and training targets, plus a handle on
-/// each of its shared training rows. The hyper-parameter optimizer
-/// creates one arena per restart, so each restart's trial loop reuses its buffers
-/// across every likelihood evaluation.
+/// each of its shared training rows. The hyper-parameter optimizer runs its restarts on
+/// the thread's arena too, so every likelihood trial reuses the buffers of the fits
+/// before it, and releases it before its closing fit takes it again.
 ///
 /// The arena carries **no model state**: it is never serialized, and which models it
 /// served before cannot change any computed value (buffer contents are fully
@@ -71,7 +71,7 @@ thread_local! {
 
 /// Runs `f` with this thread's arena taken out of its slot, then puts it back. A panic
 /// inside `f` loses the buffers, never model state: the slot refills with an empty arena.
-fn with_thread_arena<T>(f: impl FnOnce(&mut FitArena) -> T) -> T {
+pub(crate) fn with_thread_arena<T>(f: impl FnOnce(&mut FitArena) -> T) -> T {
     let mut arena = ARENA.take();
     let out = f(&mut arena);
     ARENA.set(arena);
@@ -813,13 +813,7 @@ mod tests {
     /// posterior at a few probes.
     fn fitted_bits(gp: &GaussianProcess) -> Vec<u64> {
         let state = gp.fitted.as_ref().expect("fitted");
-        let mut bits: Vec<u64> = state
-            .chol
-            .factor()
-            .data()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
+        let mut bits: Vec<u64> = state.chol.factor().iter().map(|v| v.to_bits()).collect();
         bits.push(state.chol.jitter().to_bits());
         bits.extend(state.alpha.iter().map(|v| v.to_bits()));
         for probe in scattered_problem(7).0 {

@@ -11,6 +11,13 @@
 //! (given the same diagonal jitter). Snapshot/replay determinism across the workspace
 //! relies on this property.
 //!
+//! # Packed storage
+//!
+//! A factor keeps only its lower triangle, row after row: row `i` holds `L[i][0..=i]`
+//! at offset `i(i+1)/2`, so an `n×n` factor takes `n(n+1)/2` values instead of `n²`,
+//! and appending row `n` is a push at the end of the buffer. [`Cholesky::factor`]
+//! exposes that buffer.
+//!
 //! # Blocked factorization
 //!
 //! [`Cholesky::decompose`] is a right-looking *blocked* factorization: panels of
@@ -29,9 +36,11 @@
 //! The fit hot loops (hyper-parameter trials, periodic refits) factorize thousands of
 //! matrices of the same size. [`FactorScratch`] recycles factor storage across
 //! factorizations ([`Cholesky::decompose_with_jitter`] takes its buffer from the
-//! scratch, [`Cholesky::into_scratch`] returns it), jitter escalation reuses one buffer
-//! across all attempts, and [`Cholesky::extend`] grows the factor in place
-//! ([`Matrix::grow_square`]) — so in steady state none of these operations allocate.
+//! scratch, [`Cholesky::into_scratch`] returns it) and jitter escalation reuses one
+//! buffer across all attempts, so in steady state neither allocates.
+//! [`Cholesky::extend`] appends the new row to the end of the packed buffer (no
+//! existing row moves), and a full buffer grows to exactly the extended factor's size,
+//! so extending leaves no geometric slack behind.
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -41,8 +50,13 @@ use crate::{LinalgError, Matrix, Result};
 /// full-length rows as the textbook recurrence does. Matches [`Matrix::matmul`]'s tile.
 const BLOCK: usize = 64;
 
-/// Applies one panel's trailing (SYRK) update to the rows `ke..n` of the row-major
-/// `n×n` factor storage `dst`; `syrk` is the transposed panel (read-only).
+/// Offset of row `i` in a packed lower triangle: rows `0..i` hold `i(i+1)/2` values.
+fn row_start(i: usize) -> usize {
+    i * (i + 1) / 2
+}
+
+/// Applies one panel's trailing (SYRK) update to the rows `ke..n` of the packed `n×n`
+/// factor storage `dst`; `syrk` is the transposed panel (read-only).
 ///
 /// Row `i` reads its own panel block (`L[i][kb..ke]`) and the shared `syrk` transpose,
 /// and writes only `L[i][ke..=i]`. Every element accumulates its ascending-k
@@ -58,10 +72,12 @@ fn trailing_update(dst: &mut [f64], n: usize, kb: usize, ke: usize, syrk: &[f64]
     // the scalar remainder — pairing never changes per-element order.
     let mut i = ke;
     while i + 2 <= n {
-        panel[..pw].copy_from_slice(&dst[i * n + kb..i * n + ke]);
-        panel2[..pw].copy_from_slice(&dst[(i + 1) * n + kb..(i + 1) * n + ke]);
+        let (si, sj) = (row_start(i), row_start(i + 1));
+        panel[..pw].copy_from_slice(&dst[si + kb..si + ke]);
+        panel2[..pw].copy_from_slice(&dst[sj + kb..sj + ke]);
         let len0 = i - ke + 1;
-        let (row_i, rest) = dst[i * n + ke..].split_at_mut(n);
+        // Row i holds i + 1 values, so row i + 1's column `ke` is i + 1 values on.
+        let (row_i, rest) = dst[si + ke..].split_at_mut(i + 1);
         let row_i = &mut row_i[..len0];
         let row_j = &mut rest[..len0 + 1];
         for k in 0..pw {
@@ -77,8 +93,9 @@ fn trailing_update(dst: &mut [f64], n: usize, kb: usize, ke: usize, syrk: &[f64]
         i += 2;
     }
     while i < n {
-        panel[..pw].copy_from_slice(&dst[i * n + kb..i * n + ke]);
-        let row_i = &mut dst[i * n + ke..i * n + i + 1];
+        let si = row_start(i);
+        panel[..pw].copy_from_slice(&dst[si + kb..si + ke]);
+        let row_i = &mut dst[si + ke..si + i + 1];
         let len = i - ke + 1;
         for (k, &pik) in panel[..pw].iter().enumerate() {
             let lane = &syrk[k * tw..k * tw + len];
@@ -93,9 +110,10 @@ fn trailing_update(dst: &mut [f64], n: usize, kb: usize, ke: usize, syrk: &[f64]
 /// Reusable storage for Cholesky factorizations.
 ///
 /// Holds the backing buffer of a previously retired factor so the next
-/// [`Cholesky::decompose_with_jitter`] can reuse the allocation, plus nothing
-/// else — the blocked factorization itself works fully in place. Create one per
-/// fit arena / worker and thread it through every factorization of that loop:
+/// [`Cholesky::decompose_with_jitter`] can reuse the allocation, plus the transposed
+/// panel of the blocked trailing update — the factorization itself works fully in
+/// place. Create one per fit arena / worker and thread it through every factorization
+/// of that loop:
 ///
 /// ```
 /// use linalg::{Cholesky, FactorScratch, Matrix};
@@ -103,7 +121,8 @@ fn trailing_update(dst: &mut [f64], n: usize, kb: usize, ke: usize, syrk: &[f64]
 /// let mut scratch = FactorScratch::default();
 /// for _ in 0..3 {
 ///     let c = Cholesky::decompose_with_jitter(&a, 1e-3, &mut scratch).unwrap();
-///     // ... use the factor ...
+///     // The packed lower triangle: 8·9/2 values, row `i` starting at i(i+1)/2.
+///     assert_eq!(c.factor().len(), 36);
 ///     c.into_scratch(&mut scratch); // recycle the buffer; the next decompose is allocation-free
 /// }
 /// ```
@@ -124,7 +143,10 @@ pub struct FactorScratch {
 /// retries with exponentially growing diagonal jitter before giving up.
 #[derive(Debug, Clone)]
 pub struct Cholesky {
-    l: Matrix,
+    /// The lower triangle, packed row after row (see the module docs).
+    l: Vec<f64>,
+    /// Dimension of the factored matrix.
+    n: usize,
     /// Jitter that had to be added to the diagonal for the factorization to succeed.
     jitter: f64,
 }
@@ -135,10 +157,13 @@ impl Cholesky {
     /// Bit-identical to [`Cholesky::decompose_reference`] (see the module docs for why);
     /// `O(n³)` with cache-blocked memory traffic.
     pub fn decompose(a: &Matrix) -> Result<Self> {
-        let mut l = Matrix::default();
-        let mut syrk = Vec::new();
-        Self::factorize_into(a, 0.0, &mut l, &mut syrk)?;
-        Ok(Cholesky { l, jitter: 0.0 })
+        let mut l = Vec::new();
+        Self::factorize_into(a, 0.0, &mut l, &mut Vec::new())?;
+        Ok(Cholesky {
+            l,
+            n: a.rows(),
+            jitter: 0.0,
+        })
     }
 
     /// The textbook row-by-row factorization, retained as the bit-identity reference for
@@ -152,12 +177,14 @@ impl Cholesky {
             });
         }
         let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
+        let mut l = vec![0.0; row_start(n)];
         for i in 0..n {
+            let si = row_start(i);
             for j in 0..=i {
+                let sj = row_start(j);
                 let mut sum = a.get(i, j);
                 for k in 0..j {
-                    sum -= l.get(i, k) * l.get(j, k);
+                    sum -= l[si + k] * l[sj + k];
                 }
                 if i == j {
                     if sum <= 0.0 || !sum.is_finite() {
@@ -166,13 +193,13 @@ impl Cholesky {
                             value: sum,
                         });
                     }
-                    l.set(i, j, sum.sqrt());
+                    l[si + j] = sum.sqrt();
                 } else {
-                    l.set(i, j, sum / l.get(j, j));
+                    l[si + j] = sum / l[sj + j];
                 }
             }
         }
-        Ok(Cholesky { l, jitter: 0.0 })
+        Ok(Cholesky { l, n, jitter: 0.0 })
     }
 
     /// Factorizes `a`, retrying with diagonal jitter `1e-10, 1e-9, ... , max_jitter` if the
@@ -188,22 +215,21 @@ impl Cholesky {
         max_jitter: f64,
         scratch: &mut FactorScratch,
     ) -> Result<Self> {
-        let mut spare = std::mem::take(&mut scratch.spare);
-        spare.clear(); // keep the capacity, drop stale contents so `from_vec(0, 0, …)` accepts it
-        let mut l = Matrix::from_vec(0, 0, spare).expect("cleared buffer has length 0");
+        let mut l = std::mem::take(&mut scratch.spare);
         let syrk = &mut scratch.syrk;
+        let n = a.rows();
         if Self::factorize_into(a, 0.0, &mut l, syrk).is_ok() {
-            return Ok(Cholesky { l, jitter: 0.0 });
+            return Ok(Cholesky { l, n, jitter: 0.0 });
         }
         let mut jitter = 1e-10;
         while jitter <= max_jitter {
             if Self::factorize_into(a, jitter, &mut l, syrk).is_ok() {
-                return Ok(Cholesky { l, jitter });
+                return Ok(Cholesky { l, n, jitter });
             }
             jitter *= 10.0;
         }
         // Return the buffer so the failed call is also allocation-free next time.
-        scratch.spare = l.into_data();
+        scratch.spare = l;
         Err(LinalgError::NotPositiveDefinite {
             pivot: 0,
             value: f64::NAN,
@@ -213,15 +239,16 @@ impl Cholesky {
     /// Retires the factor, returning its backing storage to `scratch` so the next
     /// [`Cholesky::decompose_with_jitter`] can reuse the allocation.
     pub fn into_scratch(self, scratch: &mut FactorScratch) {
-        let data = self.l.into_data();
-        if data.capacity() > scratch.spare.capacity() {
-            scratch.spare = data;
+        if self.l.capacity() > scratch.spare.capacity() {
+            scratch.spare = self.l;
         }
     }
 
-    /// The blocked in-place factorization kernel. `l` is reshaped to `n×n` (reusing its
-    /// allocation when possible), seeded with `a`'s lower triangle (+ `jitter` on the
-    /// diagonal, strict upper zeroed) and overwritten with the factor.
+    /// The blocked in-place factorization kernel. `l` is refilled with `a`'s lower
+    /// triangle, packed (+ `jitter` on the diagonal), reusing its allocation when its
+    /// capacity suffices and growing it to exactly `n(n+1)/2` values otherwise, and is
+    /// then overwritten with the factor. Every value is written before it is read, so
+    /// whatever a recycled buffer held cannot reach the factor.
     ///
     /// Bit-identity invariant: every output element's value is produced by the exact
     /// floating-point sequence of the reference recurrence — start from `A[i][j]`
@@ -231,7 +258,12 @@ impl Cholesky {
     /// updates land before the panel factorization finishes the column), never the
     /// per-element order, and each element accumulates in a single scalar so no
     /// reassociation occurs.
-    fn factorize_into(a: &Matrix, jitter: f64, l: &mut Matrix, syrk: &mut Vec<f64>) -> Result<()> {
+    fn factorize_into(
+        a: &Matrix,
+        jitter: f64,
+        l: &mut Vec<f64>,
+        syrk: &mut Vec<f64>,
+    ) -> Result<()> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -239,15 +271,13 @@ impl Cholesky {
             });
         }
         let n = a.rows();
-        l.reshape(n, n);
-        let src = a.data();
-        let dst = l.data_mut();
-        for i in 0..n {
-            let row = &mut dst[i * n..(i + 1) * n];
-            row[..=i].copy_from_slice(&src[i * n..i * n + i + 1]);
-            row[i] += jitter;
-            row[i + 1..].iter_mut().for_each(|v| *v = 0.0);
+        l.clear();
+        l.reserve_exact(row_start(n));
+        for (i, row) in a.data().chunks_exact(n.max(1)).take(n).enumerate() {
+            l.extend_from_slice(&row[..=i]);
+            *l.last_mut().expect("row i holds i + 1 values") += jitter;
         }
+        let dst = l.as_mut_slice();
 
         let mut panel = [0.0f64; BLOCK];
         let mut kb = 0;
@@ -259,8 +289,9 @@ impl Cholesky {
             // Element (i, j) has already received its k < kb subtractions from earlier
             // trailing updates; this step adds k = kb..j (ascending) and the divide/sqrt.
             for j in kb..ke {
+                let sj = row_start(j);
                 let pivot = {
-                    let row_j = &dst[j * n + kb..j * n + j + 1];
+                    let row_j = &dst[sj + kb..sj + j + 1];
                     let mut s = row_j[j - kb];
                     for &v in &row_j[..j - kb] {
                         s -= v * v;
@@ -270,21 +301,22 @@ impl Cholesky {
                     }
                     s.sqrt()
                 };
-                dst[j * n + j] = pivot;
-                panel[..j - kb].copy_from_slice(&dst[j * n + kb..j * n + j]);
+                dst[sj + j] = pivot;
+                panel[..j - kb].copy_from_slice(&dst[sj + kb..sj + j]);
                 let col_len = j - kb;
                 // Four rows per pass: each row's subtraction chain is per-element
                 // ascending-k (bit-identity preserved), and the four chains are
                 // independent, so they overlap on the FP units instead of serializing —
                 // this column sweep is latency-bound, not bandwidth-bound. The split
-                // chain carves four disjoint row windows out of the flat buffer (each
-                // window starts at its row's `kb` and only the first `col_len + 1`
-                // entries are touched, so spilling past the row end is harmless).
+                // chain carves four disjoint row windows out of the packed buffer (row
+                // `r` holds `r + 1` values, so each window starts at its row's `kb`;
+                // only the first `col_len + 1` entries are touched, so a window that
+                // runs past its row's end is harmless).
                 let mut i = j + 1;
                 while i + 4 <= n {
-                    let (r0, rest) = dst[i * n + kb..].split_at_mut(n);
-                    let (r1, rest) = rest.split_at_mut(n);
-                    let (r2, r3) = rest.split_at_mut(n);
+                    let (r0, rest) = dst[row_start(i) + kb..].split_at_mut(i + 1);
+                    let (r1, rest) = rest.split_at_mut(i + 2);
+                    let (r2, r3) = rest.split_at_mut(i + 3);
                     let mut s0 = r0[col_len];
                     let mut s1 = r1[col_len];
                     let mut s2 = r2[col_len];
@@ -302,7 +334,8 @@ impl Cholesky {
                     i += 4;
                 }
                 while i < n {
-                    let ri = &mut dst[i * n + kb..i * n + j + 1];
+                    let si = row_start(i);
+                    let ri = &mut dst[si + kb..si + j + 1];
                     let mut s = ri[col_len];
                     for (rv, pv) in ri[..col_len].iter().zip(panel[..col_len].iter()) {
                         s -= rv * pv;
@@ -326,8 +359,8 @@ impl Cholesky {
             if tw > 0 {
                 syrk.resize(pw * tw, 0.0);
                 for (jj, j) in (ke..n).enumerate() {
-                    let row = &dst[j * n + kb..j * n + ke];
-                    for (k, &v) in row.iter().enumerate() {
+                    let sj = row_start(j);
+                    for (k, &v) in dst[sj + kb..sj + ke].iter().enumerate() {
                         syrk[k * tw + jj] = v;
                     }
                 }
@@ -352,7 +385,7 @@ impl Cholesky {
     /// dependent on existing ones) the factor is left unchanged and the caller should
     /// fall back to a full [`Cholesky::decompose_with_jitter`].
     pub fn extend(&mut self, row: &[f64]) -> Result<()> {
-        let n = self.dim();
+        let n = self.n;
         if row.len() != n + 1 {
             return Err(LinalgError::DimensionMismatch {
                 op: "extend",
@@ -360,41 +393,42 @@ impl Cholesky {
                 rhs: (row.len(), 1),
             });
         }
-        // Grow the factor in place (amortized allocation-free; the new last row and
-        // column arrive zeroed) and compute the appended row directly into the last
-        // row's storage. On a failed pivot the growth is rolled back, leaving the
-        // factor unchanged as documented.
-        self.l.grow_square()?;
-        let m = n + 1;
-        #[allow(clippy::needless_range_loop)] // mirrors decompose's index recurrence
-        for j in 0..=n {
-            let mut sum = row[j];
-            if j == n {
-                sum += self.jitter;
+        // Row n is pushed value by value after the rows it depends on, so it reads only
+        // its own already-written prefix; a failed pivot truncates it away again. A full
+        // buffer grows to exactly the extended factor (see the module docs).
+        let start = self.l.len();
+        debug_assert_eq!(start, row_start(n));
+        self.l.reserve_exact(n + 1);
+        for (j, &a_nj) in row[..n].iter().enumerate() {
+            let (done, new) = self.l.split_at(start);
+            let lj = &done[row_start(j)..][..=j];
+            let mut sum = a_nj;
+            for (lnk, ljk) in new.iter().zip(lj[..j].iter()) {
+                sum -= lnk * ljk;
             }
-            for k in 0..j {
-                let ljk = self.l.get(j, k); // row n reads its own already-written prefix
-                sum -= self.l.get(n, k) * ljk;
-            }
-            if j == n {
-                if sum <= 0.0 || !sum.is_finite() {
-                    self.l.shrink_square().expect("grown factor shrinks back");
-                    return Err(LinalgError::NotPositiveDefinite {
-                        pivot: n,
-                        value: sum,
-                    });
-                }
-                self.l.set(n, n, sum.sqrt());
-            } else {
-                self.l.set(n, j, sum / self.l.get(j, j));
-            }
+            let value = sum / lj[j];
+            self.l.push(value);
         }
-        debug_assert_eq!(self.l.rows(), m);
+        let mut sum = row[n];
+        sum += self.jitter;
+        for &lnk in &self.l[start..] {
+            sum -= lnk * lnk;
+        }
+        if sum <= 0.0 || !sum.is_finite() {
+            self.l.truncate(start);
+            return Err(LinalgError::NotPositiveDefinite {
+                pivot: n,
+                value: sum,
+            });
+        }
+        self.l.push(sum.sqrt());
+        self.n = n + 1;
         Ok(())
     }
 
-    /// The lower-triangular factor `L`.
-    pub fn factor(&self) -> &Matrix {
+    /// The lower-triangular factor `L`, packed row after row: `L[i][j]` (`j ≤ i`) is at
+    /// index `i(i+1)/2 + j`, and the slice holds `n(n+1)/2` values.
+    pub fn factor(&self) -> &[f64] {
         &self.l
     }
 
@@ -405,7 +439,12 @@ impl Cholesky {
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.l.rows()
+        self.n
+    }
+
+    /// Row `i` of the factor up to the diagonal, `L[i][0..=i]`.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.l[row_start(i)..][..=i]
     }
 
     /// Solves `L x = b` (forward substitution).
@@ -419,19 +458,40 @@ impl Cholesky {
             });
         }
         let mut x = vec![0.0; n];
-        #[allow(clippy::needless_range_loop)] // triangular solves read x[j] while filling x[i]
         for i in 0..n {
+            let li = self.row(i);
             let mut sum = b[i];
-            for j in 0..i {
-                sum -= self.l.get(i, j) * x[j];
+            for (lij, xj) in li[..i].iter().zip(x[..i].iter()) {
+                sum -= lij * xj;
             }
-            let d = self.l.get(i, i);
+            let d = li[i];
             if d == 0.0 {
                 return Err(LinalgError::Singular);
             }
             x[i] = sum / d;
         }
         Ok(x)
+    }
+
+    /// `x[i] = (x[i] − Σ_{j>i} L[j][i]·x[j]) / L[i][i]` for `i = n−1, …, 0`: backward
+    /// substitution with `Lᵀ` in place, each entry updated after its dependencies are
+    /// final. Column `i` of `L` is strided in packed storage (`L[j][i]` is `j + 1`
+    /// values after `L[j−1][i]`).
+    fn backward_in_place(&self, x: &mut [f64]) -> Result<()> {
+        for i in (0..self.n).rev() {
+            let d = self.row(i)[i];
+            if d == 0.0 {
+                return Err(LinalgError::Singular);
+            }
+            let mut sum = x[i];
+            let mut at = row_start(i + 1) + i;
+            for (j, xj) in x.iter().enumerate().skip(i + 1) {
+                sum -= self.l[at] * xj;
+                at += j + 1;
+            }
+            x[i] = sum / d;
+        }
+        Ok(())
     }
 
     /// Solves `L^T x = b` (backward substitution).
@@ -444,19 +504,8 @@ impl Cholesky {
                 rhs: (b.len(), 1),
             });
         }
-        let mut x = vec![0.0; n];
-        #[allow(clippy::needless_range_loop)] // triangular solves read x[j] while filling x[i]
-        for i in (0..n).rev() {
-            let mut sum = b[i];
-            for j in (i + 1)..n {
-                sum -= self.l.get(j, i) * x[j];
-            }
-            let d = self.l.get(i, i);
-            if d == 0.0 {
-                return Err(LinalgError::Singular);
-            }
-            x[i] = sum / d;
-        }
+        let mut x = b.to_vec();
+        self.backward_in_place(&mut x)?;
         Ok(x)
     }
 
@@ -485,7 +534,7 @@ impl Cholesky {
         let x = out.as_mut_slice();
         // Forward sweep (solve_lower): x[i] depends on x[j] for j < i, already final.
         for i in 0..n {
-            let li = self.l.row(i);
+            let li = self.row(i);
             let d = li[i];
             if d == 0.0 {
                 return Err(LinalgError::Singular);
@@ -497,19 +546,7 @@ impl Cholesky {
             x[i] = sum / d;
         }
         // Backward sweep (solve_upper): x[i] depends on x[j] for j > i, already final.
-        for i in (0..n).rev() {
-            let d = self.l.get(i, i);
-            if d == 0.0 {
-                return Err(LinalgError::Singular);
-            }
-            let mut sum = x[i];
-            #[allow(clippy::needless_range_loop)] // column access: x[j] pairs with L[j][i]
-            for j in (i + 1)..n {
-                sum -= self.l.get(j, i) * x[j];
-            }
-            x[i] = sum / d;
-        }
-        Ok(())
+        self.backward_in_place(x)
     }
 
     /// Multi-RHS forward substitution: solves `L xᵣ = bᵣ` for every **row** `bᵣ` of `b`.
@@ -558,7 +595,7 @@ impl Cholesky {
                 }
             }
             for i in 0..n {
-                let li = self.l.row(i);
+                let li = self.row(i);
                 let d = li[i];
                 if d == 0.0 {
                     return Err(LinalgError::Singular);
@@ -589,23 +626,7 @@ impl Cholesky {
 
     /// Log-determinant of `A = L L^T`: `2 * Σ log(L_ii)`.
     pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l.get(i, i).ln()).sum::<f64>() * 2.0
-    }
-
-    /// Computes the inverse of the factored matrix. Only used in tests and diagnostics —
-    /// solves should be preferred in hot paths.
-    pub fn inverse(&self) -> Result<Matrix> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut e = vec![0.0; n];
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            for (i, &v) in col.iter().enumerate().take(n) {
-                inv.set(i, j, v);
-            }
-        }
-        Ok(inv)
+        (0..self.dim()).map(|i| self.row(i)[i].ln()).sum::<f64>() * 2.0
     }
 }
 
@@ -618,11 +639,45 @@ mod tests {
         Matrix::from_vec(3, 3, vec![4.0, 2.0, 0.6, 2.0, 5.0, 1.0, 0.6, 1.0, 3.0]).unwrap()
     }
 
+    /// `L[i][j]` read from the packed factor (zero above the diagonal).
+    fn at(c: &Cholesky, i: usize, j: usize) -> f64 {
+        if j > i {
+            0.0
+        } else {
+            c.factor()[row_start(i) + j]
+        }
+    }
+
+    /// The factor unpacked into a dense `n×n` matrix with a zero upper triangle.
+    fn dense(c: &Cholesky) -> Matrix {
+        Matrix::from_fn(c.dim(), c.dim(), |i, j| at(c, i, j))
+    }
+
+    /// Asserts that two factors hold the same packed values, bit for bit.
+    fn assert_bit_identical(a: &Cholesky, b: &Cholesky, what: &str) {
+        assert_eq!(a.dim(), b.dim(), "{what}: dimension");
+        assert_eq!(
+            a.factor().len(),
+            row_start(a.dim()),
+            "{what}: packed length"
+        );
+        assert_eq!(a.factor().len(), b.factor().len(), "{what}: packed length");
+        for i in 0..a.dim() {
+            for j in 0..=i {
+                assert_eq!(
+                    at(a, i, j).to_bits(),
+                    at(b, i, j).to_bits(),
+                    "{what} ({i},{j})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn reconstruction_matches_input() {
         let a = spd3();
         let c = Cholesky::decompose(&a).unwrap();
-        let l = c.factor();
+        let l = dense(&c);
         let rec = l.matmul(&l.transpose()).unwrap();
         assert!(rec.max_abs_diff(&a).unwrap() < 1e-10);
         assert_eq!(c.jitter(), 0.0);
@@ -678,9 +733,10 @@ mod tests {
         // 0 → 1 growth: an empty factor extended with a single diagonal element.
         let mut c = Cholesky::decompose(&Matrix::zeros(0, 0)).unwrap();
         assert_eq!(c.dim(), 0);
+        assert!(c.factor().is_empty());
         c.extend(&[4.0]).unwrap();
         assert_eq!(c.dim(), 1);
-        assert_eq!(c.factor().get(0, 0), 2.0);
+        assert_eq!(c.factor(), &[2.0]);
         let x = c.solve(&[6.0]).unwrap();
         assert_eq!(x, vec![1.5]);
     }
@@ -694,11 +750,7 @@ mod tests {
         let mut c = Cholesky::decompose(&lead).unwrap();
         c.extend(&[a.get(2, 0), a.get(2, 1), a.get(2, 2)]).unwrap();
         let full = Cholesky::decompose(&a).unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(c.factor().get(i, j), full.factor().get(i, j), "({i},{j})");
-            }
-        }
+        assert_bit_identical(&c, &full, "extended vs full");
     }
 
     #[test]
@@ -708,19 +760,24 @@ mod tests {
         // re-decomposition.
         let a = Matrix::identity(2);
         let mut c = Cholesky::decompose(&a).unwrap();
-        let before = c.factor().clone();
+        let before = c.clone();
         assert!(matches!(
             c.extend(&[1.0, 0.0, 1.0]),
             Err(LinalgError::NotPositiveDefinite { pivot: 2, .. })
         ));
         assert_eq!(c.dim(), 2);
-        assert!(c.factor().max_abs_diff(&before).unwrap() == 0.0);
+        assert_bit_identical(&c, &before, "after a failed extend");
         // The fallback the GP layer uses: re-decompose the extended matrix with jitter.
         let ext =
             Matrix::from_vec(3, 3, vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]).unwrap();
         let rescued =
             Cholesky::decompose_with_jitter(&ext, 1e-2, &mut FactorScratch::default()).unwrap();
         assert!(rescued.jitter() > 0.0);
+        // The truncated factor still extends correctly with an independent row.
+        c.extend(&[0.5, 0.25, 2.0]).unwrap();
+        let full =
+            Matrix::from_vec(3, 3, vec![1.0, 0.0, 0.5, 0.0, 1.0, 0.25, 0.5, 0.25, 2.0]).unwrap();
+        assert_bit_identical(&c, &Cholesky::decompose(&full).unwrap(), "after a retry");
     }
 
     #[test]
@@ -747,7 +804,7 @@ mod tests {
             Matrix::from_vec(3, 3, vec![1.0, 1.0, 0.5, 1.0, 1.0, 0.5, 0.5, 0.5, 2.0]).unwrap();
         ext.add_diagonal(j).unwrap();
         let scratch = Cholesky::decompose(&ext).unwrap();
-        assert!(c.factor().max_abs_diff(scratch.factor()).unwrap() < 1e-14);
+        assert!(dense(&c).max_abs_diff(&dense(&scratch)).unwrap() < 1e-14);
     }
 
     #[test]
@@ -802,15 +859,7 @@ mod tests {
             let a = spd_n(n, n as u64);
             let blocked = Cholesky::decompose(&a).unwrap();
             let reference = Cholesky::decompose_reference(&a).unwrap();
-            for i in 0..n {
-                for j in 0..n {
-                    assert_eq!(
-                        blocked.factor().get(i, j).to_bits(),
-                        reference.factor().get(i, j).to_bits(),
-                        "n={n} ({i},{j})"
-                    );
-                }
-            }
+            assert_bit_identical(&blocked, &reference, &format!("n={n}"));
         }
     }
 
@@ -837,27 +886,44 @@ mod tests {
 
     #[test]
     fn extend_replay_is_bit_identical_to_blocked_decompose_across_panels() {
-        // Grow a factor one row at a time from 1×1 to 100×100: at the final size the
-        // incrementally grown factor must equal the blocked from-scratch factorization
-        // bit for bit (the observe-path contract at sizes that cross panel boundaries).
-        let n = 100;
+        // Grow a factor one row at a time from 1×1 to 150×150: at every panel-boundary
+        // size the incrementally grown factor must equal the blocked from-scratch
+        // factorization of the leading block bit for bit (the observe-path contract at
+        // sizes that cross panel boundaries).
+        let n = 150;
         let a = spd_n(n, 9);
         let mut c = Cholesky::decompose(&Matrix::from_fn(1, 1, |i, j| a.get(i, j))).unwrap();
         for r in 1..n {
             let row: Vec<f64> = (0..=r).map(|j| a.get(r, j)).collect();
             c.extend(&row).unwrap();
-        }
-        let scratch = Cholesky::decompose(&a).unwrap();
-        assert_eq!(c.dim(), n);
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(
-                    c.factor().get(i, j).to_bits(),
-                    scratch.factor().get(i, j).to_bits(),
-                    "({i},{j})"
-                );
+            let m = r + 1;
+            if [63, 64, 65, 100, 150].contains(&m) {
+                let lead = Cholesky::decompose(&Matrix::from_fn(m, m, |i, j| a.get(i, j)));
+                assert_bit_identical(&c, &lead.unwrap(), &format!("m={m}"));
             }
         }
+        assert_eq!(c.dim(), n);
+    }
+
+    #[test]
+    fn extend_grows_a_full_buffer_to_exactly_one_more_row() {
+        // A fresh factor's buffer is exactly its packed size; each extension adds one
+        // row's worth of capacity and no more, and a failed one keeps the capacity
+        // for the retry.
+        let a = spd_n(20, 4);
+        let mut c = Cholesky::decompose(&Matrix::from_fn(10, 10, |i, j| a.get(i, j))).unwrap();
+        assert_eq!(c.l.capacity(), row_start(10));
+        for r in 10..20 {
+            let row: Vec<f64> = (0..=r).map(|j| a.get(r, j)).collect();
+            c.extend(&row).unwrap();
+            assert_eq!(c.factor().len(), row_start(r + 1));
+            assert_eq!(c.l.capacity(), row_start(r + 1), "r={r}");
+        }
+        let mut dependent: Vec<f64> = (0..20).map(|j| a.get(19, j)).collect();
+        dependent.push(a.get(19, 19));
+        assert!(c.extend(&dependent).is_err());
+        assert_eq!(c.factor().len(), row_start(20));
+        assert_eq!(c.l.capacity(), row_start(21));
     }
 
     #[test]
@@ -867,13 +933,13 @@ mod tests {
         let mut scratch = FactorScratch::default();
         // Warm the scratch, recycle, then verify the second pass reuses the same buffer.
         let first = Cholesky::decompose_with_jitter(&a, 1e-3, &mut scratch).unwrap();
-        assert!(first.factor().max_abs_diff(plain.factor()).unwrap() == 0.0);
+        assert_bit_identical(&first, &plain, "first");
         first.into_scratch(&mut scratch);
         let cap_before = scratch.spare.capacity();
         let ptr_before = scratch.spare.as_ptr();
         let second = Cholesky::decompose_with_jitter(&a, 1e-3, &mut scratch).unwrap();
-        assert!(second.factor().max_abs_diff(plain.factor()).unwrap() == 0.0);
-        assert_eq!(second.factor().data().as_ptr(), ptr_before, "buffer reused");
+        assert_bit_identical(&second, &plain, "second");
+        assert_eq!(second.factor().as_ptr(), ptr_before, "buffer reused");
         second.into_scratch(&mut scratch);
         assert_eq!(scratch.spare.capacity(), cap_before, "no reallocation");
     }
@@ -893,7 +959,7 @@ mod tests {
             Cholesky::decompose_with_jitter(&a, 1e-2, &mut FactorScratch::default()).unwrap();
         assert!(c.jitter() > 0.0);
         assert_eq!(c.jitter().to_bits(), plain.jitter().to_bits());
-        assert!(c.factor().max_abs_diff(plain.factor()).unwrap() == 0.0);
+        assert_bit_identical(&c, &plain, "warmed scratch");
         // A hopeless matrix fails identically and still returns its buffer.
         let bad = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 1.0]).unwrap();
         assert!(Cholesky::decompose_with_jitter(&bad, 1e-10, &mut scratch).is_err());
@@ -901,6 +967,28 @@ mod tests {
             scratch.spare.capacity() > 0,
             "failed decompose must hand its buffer back to the scratch"
         );
+    }
+
+    #[test]
+    fn a_recycled_buffer_is_written_before_it_is_read() {
+        // Whatever a recycled buffer and panel workspace held, NaNs included, must not
+        // reach the factor: every size across the panel boundaries factors and then
+        // extends bit-identically to a fresh factorization.
+        for &n in &[5usize, 63, 64, 65, 100, 150] {
+            let a = spd_n(n + 1, 7);
+            let lead = Matrix::from_fn(n, n, |i, j| a.get(i, j));
+            let mut fresh = Cholesky::decompose(&lead).unwrap();
+            let mut scratch = FactorScratch {
+                spare: vec![f64::NAN; row_start(n + 8)],
+                syrk: vec![f64::NAN; BLOCK * (n + 8)],
+            };
+            let mut recycled = Cholesky::decompose_with_jitter(&lead, 1e-3, &mut scratch).unwrap();
+            assert_bit_identical(&recycled, &fresh, &format!("n={n}"));
+            let row: Vec<f64> = (0..=n).map(|j| a.get(n, j)).collect();
+            fresh.extend(&row).unwrap();
+            recycled.extend(&row).unwrap();
+            assert_bit_identical(&recycled, &fresh, &format!("n={n} extended"));
+        }
     }
 
     #[test]
@@ -920,15 +1008,6 @@ mod tests {
         assert!(c.solve_into(&b[..10], &mut out).is_err());
     }
 
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = spd3();
-        let c = Cholesky::decompose(&a).unwrap();
-        let inv = c.inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-9);
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -943,11 +1022,30 @@ mod tests {
             })
         }
 
+        /// `ln det a` by Gaussian elimination without pivoting (stable for SPD input),
+        /// a route to the determinant that shares no code with the factorization.
+        fn log_det_by_elimination(a: &Matrix) -> f64 {
+            let n = a.rows();
+            let mut m = a.clone();
+            let mut log_det = 0.0;
+            for k in 0..n {
+                let pivot = m.get(k, k);
+                log_det += pivot.ln();
+                for i in k + 1..n {
+                    let f = m.get(i, k) / pivot;
+                    for j in k..n {
+                        m.set(i, j, m.get(i, j) - f * m.get(k, j));
+                    }
+                }
+            }
+            log_det
+        }
+
         proptest! {
             #[test]
             fn prop_reconstruction(a in spd_strategy(5)) {
                 let c = Cholesky::decompose(&a).unwrap();
-                let l = c.factor();
+                let l = dense(&c);
                 let rec = l.matmul(&l.transpose()).unwrap();
                 prop_assert!(rec.max_abs_diff(&a).unwrap() < 1e-8);
             }
@@ -973,7 +1071,9 @@ mod tests {
                     c.extend(&row).unwrap();
                     let lead = Matrix::from_fn(n + 1, n + 1, |i, j| a.get(i, j));
                     let scratch = Cholesky::decompose(&lead).unwrap();
-                    prop_assert!(c.factor().max_abs_diff(scratch.factor()).unwrap() == 0.0);
+                    let same = c.factor().iter().map(|v| v.to_bits())
+                        .eq(scratch.factor().iter().map(|v| v.to_bits()));
+                    prop_assert!(same, "n={}", n + 1);
                 }
             }
 
@@ -1007,10 +1107,7 @@ mod tests {
                 let reference = Cholesky::decompose_reference(&a).unwrap();
                 for i in 0..n {
                     for j in 0..=i {
-                        let d = crate::vecops::ulp_diff(
-                            blocked.factor().get(i, j),
-                            reference.factor().get(i, j),
-                        );
+                        let d = crate::vecops::ulp_diff(at(&blocked, i, j), at(&reference, i, j));
                         prop_assert!(d <= 4, "({i},{j}) differs by {d} ULPs");
                     }
                 }
@@ -1035,10 +1132,10 @@ mod tests {
                 let c = Cholesky::decompose(&a).unwrap();
                 let ld = c.log_det();
                 prop_assert!(ld.is_finite());
-                // log det of A must equal -log det of A^{-1}.
-                let inv = c.inverse().unwrap();
-                let c_inv = Cholesky::decompose_with_jitter(&inv, 1e-6, &mut FactorScratch::default()).unwrap();
-                prop_assert!((ld + c_inv.log_det()).abs() < 1e-5);
+                // log det of A must equal the log of the determinant that Gaussian
+                // elimination finds.
+                let by_elimination = log_det_by_elimination(&a);
+                prop_assert!((ld - by_elimination).abs() < 1e-9 * ld.abs().max(1.0));
             }
         }
     }

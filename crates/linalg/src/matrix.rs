@@ -149,18 +149,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable access to the underlying row-major data slice (for in-crate kernels that
-    /// need split borrows across rows, e.g. the blocked Cholesky update sweeps).
-    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix and returns its backing storage, so long-lived scratch
-    /// structures can recycle the allocation (see [`crate::cholesky::FactorScratch`]).
-    pub fn into_data(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Reshapes the matrix to `rows × cols` **without zeroing**, reusing the existing
     /// allocation whenever its capacity suffices. Entry values after a reshape are
     /// unspecified (a mix of old data and zeros); callers must overwrite every entry
@@ -170,58 +158,6 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
-    }
-
-    /// Grows a square `n×n` matrix to `(n+1)×(n+1)` in place, preserving all existing
-    /// entries and zero-filling the new last row and column. Rows are shifted inside the
-    /// existing allocation (back to front, so the moves never overwrite unread data);
-    /// the only allocation is the amortized geometric growth of the backing `Vec`, which
-    /// makes repeated grow calls allocation-free in steady state. Used by
-    /// [`crate::Cholesky::extend`] to grow the factor without rebuilding it.
-    pub fn grow_square(&mut self) -> Result<()> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        let n = self.rows;
-        let m = n + 1;
-        self.data.resize(m * m, 0.0);
-        // The resize zero-fills the tail; shift rows from the back so row i lands at its
-        // new offset i*m before anything overwrites it, then zero the new column slot.
-        for i in (1..n).rev() {
-            self.data.copy_within(i * n..(i + 1) * n, i * m);
-        }
-        for i in (0..n).rev() {
-            self.data[i * m + n] = 0.0;
-        }
-        // Row moves leave stale bytes between old and new layouts only in the last row
-        // region, which the resize zero-filled, and in slots already re-zeroed above.
-        self.rows = m;
-        self.cols = m;
-        Ok(())
-    }
-
-    /// Shrinks a square `(n+1)×(n+1)` matrix back to `n×n` in place, preserving the
-    /// leading block — the exact inverse of [`Matrix::grow_square`], used to roll back a
-    /// failed factor extension. Never allocates.
-    pub fn shrink_square(&mut self) -> Result<()> {
-        if !self.is_square() || self.rows == 0 {
-            return Err(LinalgError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        let m = self.rows;
-        let n = m - 1;
-        for i in 1..n {
-            self.data.copy_within(i * m..i * m + n, i * n);
-        }
-        self.data.truncate(n * n);
-        self.rows = n;
-        self.cols = n;
-        Ok(())
     }
 
     /// Returns the transpose of the matrix.
@@ -484,46 +420,6 @@ mod tests {
         assert_eq!(b.get(0, 0), 0.5);
         assert_eq!(b.get(1, 1), 0.5);
         assert_eq!(b.get(0, 1), 0.0);
-    }
-
-    #[test]
-    fn grow_square_preserves_entries_and_zero_fills_the_new_rim() {
-        let mut m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        m.grow_square().unwrap();
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 3);
-        assert_eq!(m.row(0), &[1.0, 2.0, 0.0]);
-        assert_eq!(m.row(1), &[3.0, 4.0, 0.0]);
-        assert_eq!(m.row(2), &[0.0, 0.0, 0.0]);
-        // 0×0 grows to 1×1.
-        let mut z = Matrix::zeros(0, 0);
-        z.grow_square().unwrap();
-        assert_eq!(z.rows(), 1);
-        assert_eq!(z.get(0, 0), 0.0);
-        // Rectangular matrices are rejected.
-        assert!(Matrix::zeros(2, 3).grow_square().is_err());
-    }
-
-    #[test]
-    fn shrink_square_is_the_inverse_of_grow() {
-        let original = Matrix::from_fn(5, 5, |i, j| (i * 7 + j) as f64);
-        let mut m = original.clone();
-        m.grow_square().unwrap();
-        m.set(5, 2, 9.0); // dirty the rim; shrink must drop it
-        m.shrink_square().unwrap();
-        assert_eq!(m, original);
-        // Repeated grow/shrink cycles stay within one allocation.
-        let cap = {
-            m.grow_square().unwrap();
-            m.shrink_square().unwrap();
-            m.data.capacity()
-        };
-        for _ in 0..10 {
-            m.grow_square().unwrap();
-            m.shrink_square().unwrap();
-        }
-        assert_eq!(m.data.capacity(), cap);
-        assert!(Matrix::zeros(0, 0).shrink_square().is_err());
     }
 
     #[test]

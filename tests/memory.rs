@@ -1,6 +1,6 @@
-//! Live-heap bounds of the fit path, the suggest sweep, snapshot serialization and the
-//! crash journals of the server and the durable fleet, and the allocation count of query
-//! encoding.
+//! Live-heap bounds of the fit path, a fitted model's factor, the suggest sweep, snapshot
+//! serialization and the crash journals of the server and the durable fleet, and the
+//! allocation count of query encoding.
 //!
 //! This binary installs a counting global allocator, so it holds a single `#[test]`. The
 //! allocator counts, per thread, the live heap bytes that thread allocated (its
@@ -17,13 +17,15 @@ use fleet::serve::{FleetServer, ServeOptions, TrafficScript};
 use fleet::service::{small_tuner_options, FleetOptions, FleetService};
 use fleet::tenant::{TenantSpec, WorkloadFamily};
 use gp::contextual::{ContextObservation, ContextualGp};
+use gp::kernels::{Matern52Kernel, ScaledKernel};
 use gp::rows::{Row, RowInterner, SharedConfig, SharedObservation};
+use gp::GaussianProcess;
 use mlkit::{QueryEncoder, SqlTokenizer};
 use onlinetune::{OnlineTune, OnlineTuneOptions};
 use simdb::{Configuration, HardwareSpec, KnobCatalogue};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use telemetry::TelemetryHandle;
+use telemetry::{CounterId, TelemetryHandle};
 
 struct Counting;
 
@@ -128,6 +130,11 @@ const PER_TENANT: usize = 48 * 1024;
 /// Kernel, standardizer and other per-model bookkeeping that no allowance names.
 const SLACK: usize = 16 * 1024;
 
+/// Bytes of the Cholesky factor of an `n×n` matrix, which keeps its lower triangle only.
+fn packed_factor_bytes(n: usize) -> usize {
+    n * (n + 1) / 2 * F64
+}
+
 /// `n` observations of a smooth objective over 40 configuration and 12 context
 /// dimensions, with a different offset per `model`.
 fn observations(model: usize, n: usize) -> Vec<ContextObservation> {
@@ -160,7 +167,7 @@ fn models_keep_no_fit_scratch() {
     const K: usize = 4;
     let row = 2 * USIZE + (CONFIG_DIM + CONTEXT_DIM) * F64;
     let handles = std::mem::size_of::<SharedObservation>() + std::mem::size_of::<Row>();
-    let allowance = N * N * F64 + N * F64 + N * (row + handles + F64);
+    let allowance = packed_factor_bytes(N) + N * F64 + N * (row + handles + F64);
 
     let mut models = Vec::with_capacity(K);
     let mut added = Vec::with_capacity(K);
@@ -183,6 +190,56 @@ fn models_keep_no_fit_scratch() {
             "model {m} added {bytes} B, more than its factor, α and data ({allowance} B) + {SLACK} B"
         );
     }
+}
+
+/// A fitted model's own state besides its factor: the model, its kernel and
+/// standardizer, and the growth slack of its `α`, target and row-handle vectors after an
+/// observation.
+const PER_MODEL: usize = 8 * 1024;
+
+/// (h) A fitted model keeps the lower triangle of its Cholesky factor only, and an
+/// observation appends one row to it: dropping a GP fitted at n = 150 and then extended
+/// by one observation frees, beyond the training rows it shares, the packed factor of
+/// n = 151, one `α` value, target and row handle per observation, and [`PER_MODEL`]. A
+/// dense factor (n²·8 B) exceeds it by more than 88 KiB.
+fn a_fitted_model_keeps_a_packed_factor() {
+    const N: usize = 150;
+    let data = observations(7, N + 1);
+    let rows: Vec<Row> = data
+        .iter()
+        .map(|o| Row::from([&o.config[..], &o.context[..]].concat()))
+        .collect();
+    let targets: Vec<f64> = data.iter().map(|o| o.performance).collect();
+    let kernel = ScaledKernel::new(Box::new(Matern52Kernel::new(1.5)), 1.0);
+    let telemetry = TelemetryHandle::enabled();
+    let mut model = GaussianProcess::new(Box::new(kernel), 1e-3);
+    model.set_telemetry(telemetry.clone());
+    model.fit(&rows[..N], &targets[..N]).expect("fit");
+    model.observe(rows[N].clone(), targets[N]).expect("observe");
+    assert_eq!(model.n_observations(), N + 1);
+    assert_eq!(
+        telemetry.counter(CounterId::ObserveFastPath),
+        1,
+        "the observation must extend the factor, not refit it"
+    );
+    let before = live();
+    drop(model);
+    let freed = before - live();
+    let per_observation = 2 * F64 + std::mem::size_of::<Row>();
+    let bound = packed_factor_bytes(N + 1) + (N + 1) * per_observation + PER_MODEL;
+    println!(
+        "(h) dropping a model fitted at n = {N} and extended once frees {freed} B; bound \
+         {bound} B (packed factor {} B, dense {} B)",
+        packed_factor_bytes(N + 1),
+        (N + 1) * (N + 1) * F64
+    );
+    assert!(
+        freed <= bound as isize,
+        "dropping the model freed {freed} B, more than its packed factor ({} B), {} B per \
+         observation and {PER_MODEL} B ({bound} B)",
+        packed_factor_bytes(N + 1),
+        per_observation
+    );
 }
 
 /// (b) A suggest sweep assesses every subspace candidate through one batched posterior
@@ -296,7 +353,7 @@ fn restored_fleet_keeps_each_observation_once() {
         factors += clusters
             .models
             .iter()
-            .map(|m| m.observations.len().pow(2) * F64)
+            .map(|m| packed_factor_bytes(m.observations.len()))
             .sum::<usize>();
     }
     let tenants = restored.n_tenants();
@@ -458,6 +515,7 @@ fn encoding_allocates_per_call_not_per_token() {
 #[test]
 fn fit_suggest_and_serialization_keep_only_what_they_must() {
     models_keep_no_fit_scratch();
+    a_fitted_model_keeps_a_packed_factor();
     suggest_keeps_no_candidate_rows_per_tuner();
     serialization_holds_one_tenant_export_at_a_time();
     restored_fleet_keeps_each_observation_once();
