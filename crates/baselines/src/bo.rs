@@ -57,11 +57,6 @@ impl BoTuner {
         }
     }
 
-    /// Number of observations collected.
-    pub fn observation_count(&self) -> usize {
-        self.observations.len()
-    }
-
     fn random_config(&mut self) -> Vec<f64> {
         (0..self.catalogue.len())
             .map(|_| self.rng.gen_range(0.0..1.0))
@@ -190,7 +185,7 @@ mod tests {
             best > 97.0,
             "BO should get close to the optimum, best = {best}"
         );
-        assert_eq!(bo.observation_count(), 35);
+        assert_eq!(bo.observations.len(), 35);
     }
 
     #[test]

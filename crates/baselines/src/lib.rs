@@ -137,6 +137,6 @@ mod tests {
         let (config, diagnostics) = baseline.suggest(&input);
         assert_eq!(diagnostics.map(|d| d.iteration), Some(1));
         baseline.observe(&input, &config, 120.0, &InternalMetrics::zeroed(), true);
-        assert_eq!(baseline.inner().observation_count(), 1);
+        assert_eq!(baseline.inner().observations().len(), 1);
     }
 }

@@ -78,7 +78,7 @@ fn build_fleet(telemetry: TelemetryHandle) -> FleetService {
     svc
 }
 
-/// Runs the workload once and returns `(wall_s, snapshot_json, iterations)`.
+/// Runs the workload once and returns `(wall_s, snapshot text, iterations)`.
 fn run_once(enabled: bool, rounds: usize) -> (f64, String, usize) {
     let sink = if enabled {
         TelemetryHandle::enabled()
@@ -89,7 +89,7 @@ fn run_once(enabled: bool, rounds: usize) -> (f64, String, usize) {
     let start = Instant::now();
     let report = svc.run_rounds(rounds);
     let wall = start.elapsed().as_secs_f64();
-    let json = svc.snapshot_json().expect("snapshot serializes");
+    let json = svc.canonical_snapshot_json();
     (wall, json, report.iterations)
 }
 

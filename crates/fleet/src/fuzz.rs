@@ -207,16 +207,6 @@ impl ScenarioDistribution {
             ..Default::default()
         }
     }
-
-    /// Serializes the distribution to JSON.
-    pub fn to_json(&self) -> Result<String, String> {
-        serde_json::to_string(self).map_err(|e| e.to_string())
-    }
-
-    /// Deserializes a distribution from [`ScenarioDistribution::to_json`] output.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
 }
 
 /// A generated overload schedule for the serving front end: a (deliberately tight)
@@ -1046,17 +1036,17 @@ pub fn run_fuzz_case(case: &FuzzCase, dist: &ScenarioDistribution) -> Result<Run
     };
     let telemetry = TelemetryHandle::with_clock(Arc::new(MonotonicClock::new()), config);
     let (reference_svc, reference) = run_leg(case, telemetry, case.rounds, true)?;
-    let reference_snapshot = reference_svc.snapshot_json()?;
+    let reference_snapshot = reference_svc.canonical_snapshot_json();
     let slo = reference_svc.slo_reports();
     let journal_events = reference_svc.telemetry_events().len();
     let journal_budget = config.journal_capacity * (1 + reference_svc.n_tenants());
 
     // Replay leg: telemetry off, interrupted by a snapshot/restore at the cut.
     let (replay_svc, _) = run_leg(case, TelemetryHandle::disabled(), case.cut_round, false)?;
-    let cut_json = replay_svc.snapshot_json()?;
+    let cut_json = replay_svc.canonical_snapshot_json();
     let mut resumed = FleetService::restore_json(&cut_json).map_err(|e| e.to_string())?;
     continue_leg(&mut resumed, case, case.rounds - case.cut_round, false)?;
-    let replay_snapshot = resumed.snapshot_json()?;
+    let replay_snapshot = resumed.canonical_snapshot_json();
 
     // Crash leg: a durable fleet killed after `kill_round` with a fuzzed torn tail,
     // recovered from surviving storage, run to the horizon. Snapshots never carry
@@ -1201,7 +1191,7 @@ fn run_crash_leg(case: &FuzzCase, reference_snapshot: &str) -> Result<(bool, Str
     recovered
         .run_rounds(case.rounds - recovered.service().rounds())
         .map_err(|e| e.to_string())?;
-    let crash_snapshot = recovered.service().snapshot_json()?;
+    let crash_snapshot = recovered.service().canonical_snapshot_json();
     if crash_snapshot == reference_snapshot {
         Ok((
             true,
@@ -1438,8 +1428,11 @@ mod tests {
     #[test]
     fn distribution_and_case_serde_round_trip() {
         let dist = ScenarioDistribution::default();
-        let json = dist.to_json().unwrap();
-        assert_eq!(ScenarioDistribution::from_json(&json).unwrap(), dist);
+        let json = serde_json::to_string(&dist).unwrap();
+        assert_eq!(
+            serde_json::from_str::<ScenarioDistribution>(&json).unwrap(),
+            dist
+        );
         let case = ScenarioGenerator::new(dist, 7).next_case();
         let json = case.to_json().unwrap();
         assert_eq!(FuzzCase::from_json(&json).unwrap(), case);

@@ -56,7 +56,7 @@
 //! svc.admit(TenantSpec::named("tenant-b", WorkloadFamily::Tpcc, 2)).unwrap();
 //! let report = svc.run_rounds(10);
 //! println!("{} iterations, unsafe rate {:.3}", report.iterations, report.unsafe_rate());
-//! let json = svc.snapshot_json().unwrap();
+//! let json = svc.canonical_snapshot_json();
 //! let restored = FleetService::restore_json(&json).unwrap();
 //! # let _ = restored;
 //! ```

@@ -539,7 +539,7 @@ mod tests {
 
         let mut cut = service_with(&[("a", WorkloadFamily::Ycsb), ("b", WorkloadFamily::Twitter)]);
         run_scenario(&mut cut, &scenario, 3).unwrap();
-        let json = cut.snapshot_json().unwrap();
+        let json = cut.canonical_snapshot_json();
         let mut resumed = FleetService::restore_json(&json).unwrap();
         let tail = run_scenario(&mut resumed, &scenario, 3).unwrap();
 

@@ -226,8 +226,8 @@ impl FleetService {
     /// Installs a telemetry sink on the service and re-childs every session (and its
     /// tuner stack) from it. Passing [`TelemetryHandle::disabled`] turns telemetry off
     /// again. Telemetry is runtime-only: it is excluded from
-    /// [`FleetService::snapshot_json`], so enabling, disabling or reconfiguring it can
-    /// never change snapshot bytes or perturb replay.
+    /// [`FleetService::canonical_snapshot_json`], so enabling, disabling or reconfiguring
+    /// it can never change snapshot bytes or perturb replay.
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
         self.telemetry = telemetry;
         for session in &mut self.tenants {
@@ -701,18 +701,12 @@ impl FleetService {
     }
 
     /// Serializes the fleet snapshot to JSON, streamed from the live state one tenant's
-    /// export at a time. Telemetry is deliberately *not* part of the snapshot: the bytes
-    /// are identical whether telemetry is disabled, enabled, or was reconfigured mid-run.
-    pub fn snapshot_json(&self) -> Result<String, String> {
-        serde_json::to_string(&self.snapshot_text()).map_err(|e| e.to_string())
-    }
-
-    /// [`FleetService::snapshot_json`] as an infallible convenience: serialization of an
-    /// in-memory snapshot cannot fail for well-formed state, and recovery paths need the
-    /// canonical bytes without error plumbing. These are the bytes the WAL digests and
-    /// the crash-recovery bit-identity checks compare.
+    /// export at a time. These are the bytes the WAL digests and the crash-recovery
+    /// bit-identity checks compare. Telemetry is deliberately *not* part of the snapshot:
+    /// the bytes are identical whether telemetry is disabled, enabled, or was
+    /// reconfigured mid-run.
     pub fn canonical_snapshot_json(&self) -> String {
-        self.snapshot_json()
+        serde_json::to_string(&self.snapshot_text())
             .expect("an in-memory fleet snapshot always serializes")
     }
 
@@ -751,8 +745,8 @@ impl FleetService {
         }
     }
 
-    /// Restores a service from JSON produced by [`FleetService::snapshot_json`]; every
-    /// session continues bit-identically. The restored service has telemetry off (see
+    /// Restores a service from JSON produced by [`FleetService::canonical_snapshot_json`];
+    /// every session continues bit-identically. The restored service has telemetry off (see
     /// [`FleetService::restore_with_telemetry`]).
     ///
     /// The tenants are read one at a time: each is rebuilt as soon as its state is read,
@@ -1137,8 +1131,8 @@ pub(crate) mod tests {
 
         // Identical behaviour...
         let (a, b) = (
-            plain.snapshot_json().unwrap(),
-            observed.snapshot_json().unwrap(),
+            plain.canonical_snapshot_json(),
+            observed.canonical_snapshot_json(),
         );
         assert_eq!(a, b, "telemetry changed snapshot bytes");
 
@@ -1171,7 +1165,11 @@ pub(crate) mod tests {
         assert!(plain_report.slo.is_empty());
         assert_eq!(plain_report.knowledge, report.knowledge);
         assert!(plain.telemetry_json() == "{}");
-        assert!(observed.telemetry_json().starts_with("{\"registry\":"));
+        let json = observed.telemetry_json();
+        assert!(json.starts_with("{\"registry\":"));
+        assert!(json.contains("\"tenants_admitted\":3"));
+        assert!(json.contains("\"journal\":"));
+        assert!(json.contains("\"kind\":\"admission\""));
     }
 
     #[test]
@@ -1237,7 +1235,7 @@ pub(crate) mod tests {
     fn malformed_snapshots_restore_as_typed_errors_not_panics() {
         let mut svc = small_service(2, 1);
         svc.run_rounds(1);
-        let json = svc.snapshot_json().unwrap();
+        let json = svc.canonical_snapshot_json();
 
         // Truncated bytes (a torn snapshot write).
         let truncated = &json[..json.len() / 2];
@@ -1284,7 +1282,7 @@ pub(crate) mod tests {
     fn a_snapshot_without_tenants_fails_naming_the_member_and_the_fleet_snapshot() {
         let mut svc = small_service(2, 1);
         svc.run_rounds(1);
-        let json = svc.snapshot_json().unwrap();
+        let json = svc.canonical_snapshot_json();
         let stripped = without_member(&json, "tenants");
         let Err(err) = FleetService::restore_json(&stripped) else {
             panic!("a snapshot without tenants must not restore");
@@ -1325,6 +1323,68 @@ pub(crate) mod tests {
         }
     }
 
+    /// The reason of the `TenantRestore` error that restoring `json` fails with, which
+    /// must name `tenant`.
+    fn tenant_restore_reason(json: &str, tenant: &str) -> String {
+        match FleetService::restore_json(json) {
+            Err(FleetError::TenantRestore {
+                tenant: named,
+                reason,
+            }) => {
+                assert_eq!(named, tenant, "{reason}");
+                reason
+            }
+            Err(other) => panic!("expected TenantRestore, got {other}"),
+            Ok(_) => panic!("restored a tenant state that a later round cannot run"),
+        }
+    }
+
+    #[test]
+    fn a_noise_model_without_a_valid_spread_fails_the_restore_naming_the_tenant() {
+        let mut svc = small_service(2, 1);
+        svc.run_rounds(1);
+        // Negative at every interval length (the next noisy round's `Normal::new` panics),
+        // and infinite at the shortest.
+        for (base, reference, floor) in [(-0.02, 180.0, -0.005), (1e300, 1e300, 0.005)] {
+            let json = edited_snapshot_json(&svc, |tenants| {
+                let db = &mut tenants[1].db;
+                db.deterministic = false;
+                db.noise.base_rel_std = base;
+                db.noise.reference_interval_s = reference;
+                db.noise.floor_rel_std = floor;
+            });
+            let reason = tenant_restore_reason(&json, "tenant-1");
+            assert!(reason.contains("noise model"), "{reason}");
+        }
+        // A negative base under a non-negative floor never draws a negative spread.
+        let json = edited_snapshot_json(&svc, |tenants| tenants[1].db.noise.base_rel_std = -0.02);
+        assert!(FleetService::restore_json(&json).is_ok());
+    }
+
+    #[test]
+    fn a_configuration_without_one_value_per_knob_fails_the_restore_naming_the_tenant() {
+        let mut svc = small_service(2, 1);
+        svc.run_rounds(1);
+        // One value too many, e.g. 41 for a 40-knob catalogue: the next round that applies
+        // it panics in `Configuration::from_values`.
+        let longer = |config: &simdb::Configuration| -> simdb::Configuration {
+            let mut values = config.values().to_vec();
+            values.push(1.0);
+            let text = format!("{{\"values\":{}}}", serde_json::to_string(&values).unwrap());
+            serde_json::from_str(&text).unwrap()
+        };
+        let json = edited_snapshot_json(&svc, |tenants| {
+            tenants[0].last_safe_config = Some(longer(&tenants[0].db.current_config));
+        });
+        let reason = tenant_restore_reason(&json, "tenant-0");
+        assert!(reason.contains("last safe configuration"), "{reason}");
+        let json = edited_snapshot_json(&svc, |tenants| {
+            tenants[0].db.current_config = longer(&tenants[0].db.current_config);
+        });
+        let reason = tenant_restore_reason(&json, "tenant-0");
+        assert!(reason.contains("current configuration"), "{reason}");
+    }
+
     #[test]
     fn streamed_snapshot_text_equals_the_snapshot_structure_text() {
         use crate::tenant::DegradationTier;
@@ -1344,7 +1404,7 @@ pub(crate) mod tests {
         assert_eq!(svc.degraded_tenants(), 1);
 
         let taken = |svc: &FleetService| svc.metrics_snapshot().counter(CounterId::SnapshotsTaken);
-        let streamed = svc.snapshot_json().unwrap();
+        let streamed = svc.canonical_snapshot_json();
         assert_eq!(taken(&svc), 1, "one serialization counts one snapshot");
         assert_eq!(streamed, edited_snapshot_json(&svc, |_| {}));
         assert_eq!(svc.canonical_snapshot_json(), streamed);
@@ -1355,7 +1415,7 @@ pub(crate) mod tests {
     fn hostile_snapshot_bytes_restore_as_parse_errors() {
         let mut svc = small_service(1, 1);
         svc.run_rounds(1);
-        let json = svc.snapshot_json().unwrap();
+        let json = svc.canonical_snapshot_json();
         let body = json.strip_prefix('{').unwrap();
         let deep = "[".repeat(1 << 20);
 
@@ -1428,7 +1488,7 @@ pub(crate) mod tests {
     fn snapshot_json_roundtrips_the_structure() {
         let mut svc = small_service(2, 1);
         svc.run_rounds(2);
-        let json = svc.snapshot_json().unwrap();
+        let json = svc.canonical_snapshot_json();
         let restored = FleetService::restore_json(&json).unwrap();
         assert_eq!(restored.n_tenants(), 2);
         assert_eq!(restored.rounds(), 2);

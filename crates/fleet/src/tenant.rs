@@ -1419,7 +1419,8 @@ impl TenantSession {
 
     /// Rebuilds a session from an exported state; the restored session continues
     /// bit-identically to the exported one. A malformed tenant state — truncated,
-    /// bit-flipped, or referencing unknown knobs — yields a typed
+    /// bit-flipped, referencing unknown knobs, or holding a configuration or noise model
+    /// that a later round could not run — yields a typed
     /// [`crate::error::FleetError::TenantRestore`] naming the tenant, never a panic.
     ///
     /// The tuner's observations and known-safe configurations are taken from `rows`
@@ -1438,6 +1439,15 @@ impl TenantSession {
         // so a restored degraded session sheds exactly the same work.
         tuner.set_hyperopt_suppressed(state.tier >= DegradationTier::NoRefit);
         let db = SimDatabase::restore(state.db).map_err(&tenant_err)?;
+        if let Some(config) = &state.last_safe_config {
+            if config.len() != db.catalogue().len() {
+                return Err(tenant_err(format!(
+                    "last safe configuration has {} values for {} knobs",
+                    config.len(),
+                    db.catalogue().len()
+                )));
+            }
+        }
         let featurizer = ContextFeaturizer::with_defaults();
         let generator = state.spec.build_generator();
         let reference = Configuration::dba_default(tuner.catalogue());

@@ -22,14 +22,6 @@ impl Standardizer {
         Standardizer { mean, scale }
     }
 
-    /// Identity standardizer (mean 0, scale 1).
-    pub fn identity() -> Self {
-        Standardizer {
-            mean: 0.0,
-            scale: 1.0,
-        }
-    }
-
     /// Maps an original-unit value to standardized space.
     pub fn transform(&self, v: f64) -> f64 {
         (v - self.mean) / self.scale

@@ -22,8 +22,8 @@
 //!
 //! [`Cholesky::decompose`] is a right-looking *blocked* factorization: panels of
 //! 64 columns are factorized in place, then the trailing submatrix is updated one
-//! cache-resident panel at a time (the SYRK step), in the same cache-tiled contraction
-//! style as [`Matrix::matmul`]. Within every output element the subtraction over `k`
+//! cache-resident panel at a time (the SYRK step), as contiguous axpy sweeps over a
+//! transposed copy of the panel. Within every output element the subtraction over `k`
 //! still runs in strictly ascending order starting from `A[i][j]` (+ jitter on the
 //! diagonal), so the blocked factor is **bit-identical** to the textbook row-by-row
 //! recurrence — which is retained as [`Cholesky::decompose_reference`] and
@@ -47,7 +47,7 @@ use crate::{LinalgError, Matrix, Result};
 /// Panel width of the blocked factorization. One `BLOCK`-wide row panel is 512 bytes, so
 /// the trailing-update sweep for one output row streams the panel rows of the whole
 /// trailing block through cache once (≈ `n/2` panels on average), instead of re-reading
-/// full-length rows as the textbook recurrence does. Matches [`Matrix::matmul`]'s tile.
+/// full-length rows as the textbook recurrence does.
 const BLOCK: usize = 64;
 
 /// Offset of row `i` in a packed lower triangle: rows `0..i` hold `i(i+1)/2` values.
@@ -117,7 +117,7 @@ fn trailing_update(dst: &mut [f64], n: usize, kb: usize, ke: usize, syrk: &[f64]
 ///
 /// ```
 /// use linalg::{Cholesky, FactorScratch, Matrix};
-/// let a = Matrix::identity(8);
+/// let a = Matrix::from_fn(8, 8, |i, j| if i == j { 1.0 } else { 0.0 });
 /// let mut scratch = FactorScratch::default();
 /// for _ in 0..3 {
 ///     let c = Cholesky::decompose_with_jitter(&a, 1e-3, &mut scratch).unwrap();
@@ -350,8 +350,8 @@ impl Cholesky {
             // `ke ≤ j ≤ i`. The trailing rows' panel block is first transposed into
             // `syrk` (lane-major: `syrk[k·tw + (j−ke)] = L[j][kb+k]`, an O(n²)-per-panel
             // copy), which turns each row's update into `pw` contiguous axpy sweeps —
-            // `row_i[j] -= L[i][k] · syrk_k[j]` — the same vectorizable contraction
-            // pattern as `Matrix::matmul`. Element (i, j) still accumulates its
+            // `row_i[j] -= L[i][k] · syrk_k[j]`, a vectorizable contraction. Element
+            // (i, j) still accumulates its
             // subtractions for `k = kb…ke` in ascending order (one per sweep, in its
             // own memory cell), so the result is bit-identical to the reference
             // recurrence; only the schedule is vector-friendly.
@@ -633,6 +633,7 @@ impl Cholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vecops::dot;
 
     fn spd3() -> Matrix {
         // A = B^T B + I for B with distinct rows, guaranteed SPD.
@@ -651,6 +652,24 @@ mod tests {
     /// The factor unpacked into a dense `n×n` matrix with a zero upper triangle.
     fn dense(c: &Cholesky) -> Matrix {
         Matrix::from_fn(c.dim(), c.dim(), |i, j| at(c, i, j))
+    }
+
+    /// `B·Bᵀ`, the one matrix product these tests need: it builds SPD matrices and
+    /// rebuilds `L·Lᵀ` from a factor. Each element sums over `k` in ascending order.
+    fn gram(b: &Matrix) -> Matrix {
+        Matrix::from_fn(b.rows(), b.rows(), |i, j| dot(b.row(i), b.row(j)))
+    }
+
+    /// `A·x`.
+    fn times(a: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..a.rows()).map(|i| dot(a.row(i), x)).collect()
+    }
+
+    /// Largest elementwise distance between two matrices of the same shape.
+    fn max_abs_diff(a: &Matrix, b: &Matrix) -> f64 {
+        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
+        let pairs = a.data().iter().zip(b.data());
+        pairs.map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
     }
 
     /// Asserts that two factors hold the same packed values, bit for bit.
@@ -677,9 +696,7 @@ mod tests {
     fn reconstruction_matches_input() {
         let a = spd3();
         let c = Cholesky::decompose(&a).unwrap();
-        let l = dense(&c);
-        let rec = l.matmul(&l.transpose()).unwrap();
-        assert!(rec.max_abs_diff(&a).unwrap() < 1e-10);
+        assert!(max_abs_diff(&gram(&dense(&c)), &a) < 1e-10);
         assert_eq!(c.jitter(), 0.0);
     }
 
@@ -688,7 +705,7 @@ mod tests {
         let a = spd3();
         let c = Cholesky::decompose(&a).unwrap();
         let x_true = vec![1.0, -2.0, 0.5];
-        let b = a.matvec(&x_true).unwrap();
+        let b = times(&a, &x_true);
         let x = c.solve(&b).unwrap();
         for (xi, ti) in x.iter().zip(x_true.iter()) {
             assert!((xi - ti).abs() < 1e-10, "{xi} vs {ti}");
@@ -758,7 +775,7 @@ mod tests {
         // Appending a duplicate of an existing point makes the new pivot exactly 0: the
         // extension must fail so the caller can fall back to a jittered full
         // re-decomposition.
-        let a = Matrix::identity(2);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
         let mut c = Cholesky::decompose(&a).unwrap();
         let before = c.clone();
         assert!(matches!(
@@ -804,7 +821,7 @@ mod tests {
             Matrix::from_vec(3, 3, vec![1.0, 1.0, 0.5, 1.0, 1.0, 0.5, 0.5, 0.5, 2.0]).unwrap();
         ext.add_diagonal(j).unwrap();
         let scratch = Cholesky::decompose(&ext).unwrap();
-        assert!(dense(&c).max_abs_diff(&dense(&scratch)).unwrap() < 1e-14);
+        assert!(max_abs_diff(&dense(&c), &dense(&scratch)) < 1e-14);
     }
 
     #[test]
@@ -845,7 +862,7 @@ mod tests {
                 .wrapping_add(seed);
             ((h >> 33) % 4096) as f64 / 1024.0 - 2.0
         });
-        let mut a = b.matmul(&b.transpose()).unwrap();
+        let mut a = gram(&b);
         a.add_diagonal(n as f64).unwrap();
         a
     }
@@ -1016,7 +1033,7 @@ mod tests {
         fn spd_strategy(n: usize) -> impl Strategy<Value = Matrix> {
             proptest::collection::vec(-2.0f64..2.0, n * n).prop_map(move |vals| {
                 let b = Matrix::from_vec(n, n, vals).unwrap();
-                let mut a = b.matmul(&b.transpose()).unwrap();
+                let mut a = gram(&b);
                 a.add_diagonal(n as f64).unwrap();
                 a
             })
@@ -1045,15 +1062,13 @@ mod tests {
             #[test]
             fn prop_reconstruction(a in spd_strategy(5)) {
                 let c = Cholesky::decompose(&a).unwrap();
-                let l = dense(&c);
-                let rec = l.matmul(&l.transpose()).unwrap();
-                prop_assert!(rec.max_abs_diff(&a).unwrap() < 1e-8);
+                prop_assert!(max_abs_diff(&gram(&dense(&c)), &a) < 1e-8);
             }
 
             #[test]
             fn prop_solve_roundtrip(a in spd_strategy(4), x in proptest::collection::vec(-5.0f64..5.0, 4)) {
                 let c = Cholesky::decompose(&a).unwrap();
-                let b = a.matvec(&x).unwrap();
+                let b = times(&a, &x);
                 let solved = c.solve(&b).unwrap();
                 for (s, t) in solved.iter().zip(x.iter()) {
                     prop_assert!((s - t).abs() < 1e-6, "{} vs {}", s, t);
@@ -1083,7 +1098,7 @@ mod tests {
                 rhs in proptest::collection::vec(proptest::collection::vec(-5.0f64..5.0, 5), 1..40),
             ) {
                 let c = Cholesky::decompose(&a).unwrap();
-                let b = Matrix::from_rows(&rhs).unwrap();
+                let b = Matrix::from_vec(rhs.len(), 5, rhs.concat()).unwrap();
                 let multi = c.solve_lower_multi(&b).unwrap();
                 for (r, row) in rhs.iter().enumerate() {
                     let scalar = c.solve_lower(row).unwrap();

@@ -73,31 +73,6 @@ pub fn within_radius(a: &[f64], b: &[f64], radius: f64) -> bool {
     radius >= 0.0 && squared_distance(a, b) <= radius * radius
 }
 
-/// `y += alpha * x` in place.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Element-wise difference `a - b`.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| x - y).collect()
-}
-
-/// Element-wise sum `a + b`.
-pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
-}
-
-/// Scales a vector by a constant, returning a new vector.
-pub fn scale(a: &[f64], s: f64) -> Vec<f64> {
-    a.iter().map(|x| x * s).collect()
-}
-
 /// Arithmetic mean. Returns 0.0 for an empty slice.
 pub fn mean(a: &[f64]) -> f64 {
     if a.is_empty() {
@@ -137,12 +112,6 @@ pub fn argmax(a: &[f64]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Index of the minimum element (first occurrence). Returns `None` for an empty slice or a
-/// slice that contains only NaNs.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    argmax(&a.iter().map(|v| -v).collect::<Vec<_>>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,13 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
-    }
-
-    #[test]
     fn mean_variance_std() {
         let a = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&a) - 5.0).abs() < 1e-12);
@@ -186,9 +148,8 @@ mod tests {
     }
 
     #[test]
-    fn argmax_argmin_handle_nan_and_empty() {
+    fn argmax_handles_nan_and_empty() {
         assert_eq!(argmax(&[1.0, 5.0, 3.0]), Some(1));
-        assert_eq!(argmin(&[1.0, 5.0, 3.0]), Some(0));
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[f64::NAN, 2.0]), Some(1));
         assert_eq!(argmax(&[f64::NAN]), None);

@@ -209,11 +209,6 @@ impl OnlineTune {
         &self.catalogue
     }
 
-    /// Number of observations collected so far.
-    pub fn observation_count(&self) -> usize {
-        self.clusters.len()
-    }
-
     /// The observation repository, oldest first.
     pub fn observations(&self) -> &[SharedObservation] {
         self.clusters.observations()
@@ -918,7 +913,7 @@ mod tests {
                 )
                 .unwrap();
         }
-        assert!(tuner.observation_count() == 30);
+        assert!(tuner.observations().len() == 30);
         assert!(
             best >= default_perf,
             "tuning must not lose ground: best {best} vs default {default_perf}"
@@ -1099,7 +1094,7 @@ mod tests {
                 .observe(&context, &b.config, perf, None, true)
                 .unwrap();
         }
-        assert_eq!(original.observation_count(), restored.observation_count());
+        assert_eq!(original.observations().len(), restored.observations().len());
         assert_eq!(original.model_count(), restored.model_count());
     }
 
@@ -1174,14 +1169,14 @@ mod tests {
             .collect();
         tuner.extend_known_safe(transferred.iter().map(|o| SharedConfig::new(&o.config)));
         tuner.absorb_observations(transferred.iter().map(SharedObservation::from));
-        assert_eq!(tuner.observation_count(), 5);
+        assert_eq!(tuner.observations().len(), 5);
         // Mismatched dimensions are skipped, not absorbed.
         tuner.absorb_observations([SharedObservation::new(
             &vec![0.5; dim + 1],
             &context_for(0.5),
             1.0,
         )]);
-        assert_eq!(tuner.observation_count(), 5);
+        assert_eq!(tuner.observations().len(), 5);
     }
 
     #[test]

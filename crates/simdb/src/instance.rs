@@ -41,14 +41,6 @@ pub struct Evaluation {
     pub fault: Option<FaultKind>,
 }
 
-impl Evaluation {
-    /// Number of transactions processed during the interval (used for cumulative-performance
-    /// accounting of OLTP workloads).
-    pub fn transactions(&self) -> f64 {
-        self.outcome.throughput_tps * self.interval_s
-    }
-}
-
 /// Complete serializable state of a [`SimDatabase`] (see [`SimDatabase::snapshot`]).
 ///
 /// The knob catalogue is stored by name and rebuilt from the full MySQL 5.7 catalogue on
@@ -322,7 +314,10 @@ impl SimDatabase {
     /// Rebuilds an instance from a snapshot; the restored instance produces the same
     /// evaluation stream (same noise draws, same data growth) as the exported one.
     ///
-    /// Fails when the snapshot references a knob missing from the full MySQL 5.7 catalogue.
+    /// Fails when the snapshot references a knob missing from the full MySQL 5.7 catalogue,
+    /// when its current configuration does not hold one value per knob, or when its noise
+    /// model's spread is negative or not finite at some interval length: each would panic
+    /// a later interval instead.
     pub fn restore(state: SimDatabaseState) -> Result<Self, String> {
         let full = KnobCatalogue::mysql57();
         let full_names: Vec<&str> = full.knobs().iter().map(|k| k.name).collect();
@@ -337,6 +332,22 @@ impl SimDatabase {
         } else {
             full.subset(&wanted)
         };
+        if state.current_config.len() != catalogue.len() {
+            return Err(format!(
+                "current configuration has {} values for {} knobs",
+                state.current_config.len(),
+                catalogue.len()
+            ));
+        }
+        // The spread is monotone in the interval length (clamped to at least 1 s), so
+        // its two ends bound it.
+        let spreads = [1.0, f64::INFINITY].map(|interval_s| state.noise.rel_std(interval_s));
+        if spreads.iter().any(|std| !(std.is_finite() && *std >= 0.0)) {
+            return Err(format!(
+                "noise model {:?} has a relative spread outside [0, ∞) (from {} to {})",
+                state.noise, spreads[0], spreads[1]
+            ));
+        }
         Ok(SimDatabase {
             catalogue,
             hardware: state.hardware,
@@ -390,7 +401,7 @@ mod tests {
         let eval = db.run_interval(&tpcc_like(), 180.0);
         assert!(!eval.outcome.failed);
         assert!(eval.outcome.throughput_tps > 0.0);
-        assert!(eval.transactions() > 0.0);
+        assert_eq!(eval.interval_s, 180.0);
         assert_eq!(db.intervals_run(), 1);
         assert_eq!(db.failures, 0);
     }

@@ -263,16 +263,6 @@ impl TelemetryHandle {
             None => MetricsSnapshot::empty(),
         }
     }
-
-    /// Serializes the full registry plus the journal as deterministic JSON.
-    pub fn export_json(&self) -> String {
-        let registry = self.snapshot().to_json();
-        let journal = match &self.0 {
-            Some(core) => core.journal.lock().unwrap().to_json(),
-            None => "{\"dropped\":0,\"events\":[]}".to_string(),
-        };
-        format!("{{\"registry\":{registry},\"journal\":{journal}}}")
-    }
 }
 
 #[cfg(test)]
@@ -351,17 +341,6 @@ mod tests {
         assert_eq!(enabled.counter(CounterId::Iterations), 1);
         TelemetryHandle::disabled().drain_into(&enabled);
         assert_eq!(enabled.counter(CounterId::Iterations), 1);
-    }
-
-    #[test]
-    fn export_json_contains_registry_and_journal() {
-        let t = TelemetryHandle::enabled();
-        t.incr(CounterId::HyperoptRuns);
-        t.event(EventKind::HyperoptRestart, "model-0", "lml -12.5");
-        let json = t.export_json();
-        assert!(json.contains("\"hyperopt_runs\":1"));
-        assert!(json.contains("\"kind\":\"hyperopt_restart\""));
-        assert!(json.contains("\"journal\":"));
     }
 
     #[test]

@@ -30,15 +30,17 @@
 //! let snap = t.snapshot();
 //! assert_eq!(snap.counter(CounterId::Iterations), 1);
 //! assert_eq!(snap.histogram(SpanId::Iteration).count, 1);
-//! assert!(t.export_json().contains("\"iterations\":1"));
+//! assert!(snap.to_json().contains("\"iterations\":1"));
+//! assert_eq!(t.events().len(), 1);
 //! ```
 //!
 //! # Determinism and the no-feedback contract
 //!
 //! Instrumentation is read-only with respect to model state: it draws no RNG values and
 //! produces nothing the tuner consumes, and no instrumented crate serializes telemetry
-//! state — so `snapshot_json` bytes and replay are bit-identical with telemetry on,
-//! off, or reconfigured mid-run (property-tested in the fleet crate, gated in CI).
+//! state — so `canonical_snapshot_json` bytes and replay are bit-identical with
+//! telemetry on, off, or reconfigured mid-run (property-tested in the fleet crate, gated
+//! in CI).
 //! Within telemetry itself, histogram quantiles and merged fleet aggregates depend only
 //! on integer counts, never on recording or merge order.
 

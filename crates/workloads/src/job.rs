@@ -21,8 +21,6 @@ pub struct JobWorkload {
 impl JobWorkload {
     /// Data loaded for JOB in the paper's setup (≈9 GiB).
     pub const INITIAL_DATA_GIB: f64 = 9.0;
-    /// Number of distinct JOB queries.
-    pub const QUERY_COUNT: usize = 113;
     /// Queries executed per iteration.
     pub const QUERIES_PER_ITERATION: usize = 10;
 

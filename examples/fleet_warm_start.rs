@@ -56,7 +56,7 @@ fn main() {
     );
 
     // ── Phase 3: snapshot / restore ───────────────────────────────────────────────────
-    let json = svc.snapshot_json().expect("snapshot");
+    let json = svc.canonical_snapshot_json();
     println!(
         "fleet snapshot: {:.1} KiB of JSON",
         json.len() as f64 / 1024.0

@@ -140,7 +140,7 @@ fn observations_accumulate_and_clusters_form_across_distinct_phases() {
     };
     let (_, tuner) = session(&phases, 70, 7);
     // 70 intervals plus the reference observation `run_session` seeds the tuner with.
-    assert_eq!(tuner.inner().observation_count(), 71);
+    assert_eq!(tuner.inner().observations().len(), 71);
     assert!(
         tuner.inner().model_count() >= 2,
         "two clearly different workload phases should produce at least two context clusters, got {}",

@@ -38,7 +38,7 @@ fn fleet_snapshot_restore_replays_bit_identically() {
     let mut original = mixed_service(3, false);
     original.run_rounds(2);
 
-    let json = original.snapshot_json().expect("snapshot serializes");
+    let json = original.canonical_snapshot_json();
     let mut restored = FleetService::restore_json(&json).expect("snapshot restores");
 
     original.run_rounds(3);

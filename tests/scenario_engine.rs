@@ -193,7 +193,7 @@ proptest! {
 
         let mut first_half = service(2, seed, false);
         run_scenario(&mut first_half, &scenario, cut).unwrap();
-        let json = first_half.snapshot_json().unwrap();
+        let json = first_half.canonical_snapshot_json();
         drop(first_half);
         let mut resumed = FleetService::restore_json(&json).unwrap();
         run_scenario(&mut resumed, &scenario, rounds - cut).unwrap();

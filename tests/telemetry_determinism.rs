@@ -125,7 +125,7 @@ fn run_collecting(
         run_scenario(svc, scenario, 1).unwrap();
         streams.push(svc.summaries());
     }
-    (streams, svc.snapshot_json().unwrap())
+    (streams, svc.canonical_snapshot_json())
 }
 
 proptest! {
@@ -167,11 +167,11 @@ proptest! {
 
         let mut silent = service(seed, TelemetryHandle::disabled());
         run_scenario(&mut silent, &scenario, rounds).unwrap();
-        let silent_json = silent.snapshot_json().unwrap();
+        let silent_json = silent.canonical_snapshot_json();
 
         let mut first_half = service(seed, TelemetryHandle::enabled());
         run_scenario(&mut first_half, &scenario, cut).unwrap();
-        let cut_json = first_half.snapshot_json().unwrap();
+        let cut_json = first_half.canonical_snapshot_json();
         drop(first_half);
 
         // Restore onto a sink with a non-default configuration: SLO policy and journal
@@ -188,7 +188,7 @@ proptest! {
 
         prop_assert_eq!(
             silent_json,
-            resumed.snapshot_json().unwrap(),
+            resumed.canonical_snapshot_json(),
             "telemetry-reconfigured restore diverged from the silent run"
         );
         assert_bitwise_equal(
@@ -222,8 +222,8 @@ proptest! {
         run_scenario(&mut toggled, &scenario, rounds - 4).unwrap();
 
         prop_assert_eq!(
-            silent.snapshot_json().unwrap(),
-            toggled.snapshot_json().unwrap(),
+            silent.canonical_snapshot_json(),
+            toggled.canonical_snapshot_json(),
             "mid-run telemetry toggle changed snapshot bytes"
         );
         assert_bitwise_equal(&silent.summaries(), &toggled.summaries(), "toggle");
@@ -328,8 +328,8 @@ proptest! {
             "retained + dropped must equal the true event total"
         );
         prop_assert_eq!(
-            tiny.svc.snapshot_json().unwrap(),
-            huge.svc.snapshot_json().unwrap(),
+            tiny.svc.canonical_snapshot_json(),
+            huge.svc.canonical_snapshot_json(),
             "journal capacity leaked into fleet state"
         );
     }
