@@ -104,11 +104,6 @@ impl DdpgTuner {
         }
     }
 
-    /// Current exploration-noise level (decays over time).
-    pub fn exploration_noise(&self) -> f64 {
-        self.noise
-    }
-
     fn normalize_state(metrics: Option<&InternalMetrics>) -> Vec<f64> {
         let raw = metrics.map(|m| m.to_vec()).unwrap_or_else(|| vec![0.0; 16]);
         // Squash unbounded counters into [0, 1] so the network inputs are well-scaled.
@@ -272,13 +267,13 @@ mod tests {
     fn exploration_noise_decays_over_time() {
         let cat = KnobCatalogue::mysql57();
         let mut agent = DdpgTuner::new(cat, DdpgOptions::default(), 2);
-        let initial = agent.exploration_noise();
+        let initial = agent.noise;
         let metrics = InternalMetrics::zeroed();
         for _ in 0..50 {
             let cfg = agent.suggest(&input_with(Some(&metrics))).0;
             agent.observe(&input_with(Some(&metrics)), &cfg, 100.0, &metrics, true);
         }
-        assert!(agent.exploration_noise() < initial);
+        assert!(agent.noise < initial);
     }
 
     #[test]

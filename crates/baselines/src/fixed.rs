@@ -29,11 +29,6 @@ impl FixedConfigTuner {
     pub fn dba_default(catalogue: &KnobCatalogue) -> Self {
         Self::new("DBA Default", Configuration::dba_default(catalogue))
     }
-
-    /// The configuration this tuner always applies.
-    pub fn config(&self) -> &Configuration {
-        &self.config
-    }
 }
 
 impl Tuner for FixedConfigTuner {
@@ -87,6 +82,6 @@ mod tests {
         let cat = KnobCatalogue::mysql57();
         let mysql = FixedConfigTuner::mysql_default(&cat);
         let dba = FixedConfigTuner::dba_default(&cat);
-        assert_ne!(mysql.config(), dba.config());
+        assert_ne!(mysql.config, dba.config);
     }
 }

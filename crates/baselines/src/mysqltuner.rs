@@ -24,16 +24,6 @@ pub struct MysqlTunerBaseline {
 }
 
 impl MysqlTunerBaseline {
-    /// Creates the tuner starting from the vendor default configuration.
-    pub fn new(catalogue: KnobCatalogue, hardware: HardwareSpec) -> Self {
-        let current = Configuration::vendor_default(&catalogue);
-        MysqlTunerBaseline {
-            catalogue,
-            hardware,
-            current,
-        }
-    }
-
     /// Creates the tuner starting from a given configuration (the paper starts baselines
     /// from the DBA default's observation for fairness).
     pub fn starting_from(
@@ -46,11 +36,6 @@ impl MysqlTunerBaseline {
             hardware,
             current: config,
         }
-    }
-
-    /// The configuration the heuristics currently recommend.
-    pub fn current(&self) -> &Configuration {
-        &self.current
     }
 
     fn knob(&self, name: &str) -> f64 {
@@ -181,6 +166,11 @@ mod tests {
         m
     }
 
+    /// The tuner on the full catalogue, starting from the vendor default.
+    fn from_vendor_default(cat: &KnobCatalogue, hw: HardwareSpec) -> MysqlTunerBaseline {
+        MysqlTunerBaseline::starting_from(cat.clone(), hw, Configuration::vendor_default(cat))
+    }
+
     fn input_with(metrics: &InternalMetrics) -> TuningInput<'_> {
         TuningInput {
             context: &[],
@@ -193,8 +183,8 @@ mod tests {
     #[test]
     fn poor_hit_ratio_grows_the_buffer_pool() {
         let cat = KnobCatalogue::mysql57();
-        let mut t = MysqlTunerBaseline::new(cat.clone(), HardwareSpec::default());
-        let before = t.current().get(&cat, "innodb_buffer_pool_size").unwrap();
+        let mut t = from_vendor_default(&cat, HardwareSpec::default());
+        let before = t.current.get(&cat, "innodb_buffer_pool_size").unwrap();
         let metrics = metrics_with(0.5, 0.0);
         let cfg = t.suggest(&input_with(&metrics)).0;
         assert!(cfg.get(&cat, "innodb_buffer_pool_size").unwrap() > before);
@@ -204,7 +194,7 @@ mod tests {
     fn repeated_advice_converges_and_respects_the_memory_budget() {
         let cat = KnobCatalogue::mysql57();
         let hw = HardwareSpec::default();
-        let mut t = MysqlTunerBaseline::new(cat.clone(), hw);
+        let mut t = from_vendor_default(&cat, hw);
         let metrics = metrics_with(0.9, 0.3);
         let mut last = t.suggest(&input_with(&metrics)).0;
         for _ in 0..30 {
@@ -225,11 +215,11 @@ mod tests {
     #[test]
     fn spills_grow_sort_and_tmp_areas() {
         let cat = KnobCatalogue::mysql57();
-        let mut t = MysqlTunerBaseline::new(cat.clone(), HardwareSpec::default());
+        let mut t = from_vendor_default(&cat, HardwareSpec::default());
         let mut m = metrics_with(0.999, 0.5);
         m.tmp_disk_table_ratio = 0.5;
         m.joins_without_index_ratio = 0.4;
-        let before_sort = t.current().get(&cat, "sort_buffer_size").unwrap();
+        let before_sort = t.current.get(&cat, "sort_buffer_size").unwrap();
         let cfg = t.suggest(&input_with(&m)).0;
         assert!(cfg.get(&cat, "sort_buffer_size").unwrap() > before_sort);
         assert!(cfg.get(&cat, "tmp_table_size").unwrap() > 16.0 * MIB);
@@ -239,7 +229,7 @@ mod tests {
     #[test]
     fn write_workload_disables_the_query_cache_and_unlimits_concurrency() {
         let cat = KnobCatalogue::mysql57();
-        let mut t = MysqlTunerBaseline::new(cat.clone(), HardwareSpec::default());
+        let mut t = from_vendor_default(&cat, HardwareSpec::default());
         let metrics = metrics_with(0.99, 0.0);
         let cfg = t.suggest(&input_with(&metrics)).0;
         assert_eq!(cfg.get(&cat, "query_cache_size").unwrap(), 0.0);
@@ -249,7 +239,7 @@ mod tests {
     #[test]
     fn without_metrics_the_current_configuration_is_kept() {
         let cat = KnobCatalogue::mysql57();
-        let mut t = MysqlTunerBaseline::new(cat.clone(), HardwareSpec::default());
+        let mut t = from_vendor_default(&cat, HardwareSpec::default());
         let input = TuningInput {
             context: &[],
             metrics: None,

@@ -3,15 +3,16 @@
 use mlkit::QueryEncoder;
 use simdb::OptimizerStats;
 
-/// Configuration of the context featurizer.
+/// Dimensionality of the query-composition embedding.
+const EMBEDDING_DIM: usize = 8;
+/// Seed of the (fixed) query encoder, so features are reproducible.
+const ENCODER_SEED: u64 = 0x0417e5;
+/// Arrival rate (queries/s) that maps to 1.0 after normalization; higher rates saturate.
+const ARRIVAL_RATE_SCALE: f64 = 10_000.0;
+
+/// Which parts of the context the featurizer produces (Figure 14's ablations).
 #[derive(Debug, Clone)]
 pub struct ContextFeaturizerConfig {
-    /// Dimensionality of the query-composition embedding (0 counts as 1).
-    pub embedding_dim: usize,
-    /// Seed of the (fixed) query encoder so features are reproducible.
-    pub encoder_seed: u64,
-    /// Arrival rate (queries/s) that maps to 1.0 after normalization; higher rates saturate.
-    pub arrival_rate_scale: f64,
     /// Include the workload features (arrival rate + composition embedding)?
     /// Disabled by the `OnlineTune-w/o-workload` ablation (Figure 14).
     pub include_workload: bool,
@@ -23,9 +24,6 @@ pub struct ContextFeaturizerConfig {
 impl Default for ContextFeaturizerConfig {
     fn default() -> Self {
         ContextFeaturizerConfig {
-            embedding_dim: 8,
-            encoder_seed: 0x0417e5,
-            arrival_rate_scale: 10_000.0,
             include_workload: true,
             include_data: true,
         }
@@ -42,7 +40,7 @@ pub struct ContextFeaturizer {
 impl ContextFeaturizer {
     /// Creates a featurizer.
     pub fn new(config: ContextFeaturizerConfig) -> Self {
-        let encoder = QueryEncoder::new(config.embedding_dim.max(1), config.encoder_seed);
+        let encoder = QueryEncoder::new(EMBEDDING_DIM, ENCODER_SEED);
         ContextFeaturizer { config, encoder }
     }
 
@@ -77,8 +75,8 @@ impl ContextFeaturizer {
     ) -> Vec<f64> {
         let mut context = Vec::with_capacity(self.dim());
         if self.config.include_workload {
-            let rate = arrival_rate_qps.unwrap_or(self.config.arrival_rate_scale);
-            context.push((rate / self.config.arrival_rate_scale).clamp(0.0, 2.0));
+            let rate = arrival_rate_qps.unwrap_or(ARRIVAL_RATE_SCALE);
+            context.push((rate / ARRIVAL_RATE_SCALE).clamp(0.0, 2.0));
             context.extend(self.encoder.encode_workload(queries));
         }
         if self.config.include_data {
@@ -120,7 +118,6 @@ mod tests {
         let nothing = ContextFeaturizer::new(ContextFeaturizerConfig {
             include_workload: false,
             include_data: false,
-            ..Default::default()
         });
         assert_eq!(nothing.dim(), 1);
     }
@@ -130,23 +127,19 @@ mod tests {
         let tpcc = TpccWorkload::new_dynamic(1);
         let queries = tpcc.sample_queries(0, 30);
         let stats = stats_for(&tpcc.spec_at(0));
-        for embedding_dim in [0, 1, 8] {
-            for include_workload in [false, true] {
-                for include_data in [false, true] {
-                    let f = ContextFeaturizer::new(ContextFeaturizerConfig {
-                        embedding_dim,
-                        include_workload,
-                        include_data,
-                        ..Default::default()
-                    });
-                    let c = f.featurize(&queries, None, &stats);
-                    assert_eq!(
-                        c.len(),
-                        f.dim(),
-                        "embedding_dim {embedding_dim}, workload {include_workload}, data {include_data}"
-                    );
-                    assert!(c.iter().all(|v| v.is_finite()));
-                }
+        for include_workload in [false, true] {
+            for include_data in [false, true] {
+                let f = ContextFeaturizer::new(ContextFeaturizerConfig {
+                    include_workload,
+                    include_data,
+                });
+                let c = f.featurize(&queries, None, &stats);
+                assert_eq!(
+                    c.len(),
+                    f.dim(),
+                    "workload {include_workload}, data {include_data}"
+                );
+                assert!(c.iter().all(|v| v.is_finite()));
             }
         }
     }

@@ -304,11 +304,6 @@ impl ScenarioGenerator {
         }
     }
 
-    /// The distribution this generator samples from.
-    pub fn distribution(&self) -> &ScenarioDistribution {
-        &self.dist
-    }
-
     fn sample_family(&mut self) -> WorkloadFamily {
         let i = self.rng.gen_range(0..self.dist.families.len().max(1));
         *self.dist.families.get(i).unwrap_or(&WorkloadFamily::Ycsb)

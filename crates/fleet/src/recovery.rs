@@ -235,11 +235,6 @@ impl DurableFleet {
         &self.svc
     }
 
-    /// Mutable access to the wrapped service (telemetry installation etc.).
-    pub fn service_mut(&mut self) -> &mut FleetService {
-        &mut self.svc
-    }
-
     /// Fires due scenario steps, executes one round, and commits it to the WAL.
     /// Returns the iterations the round executed.
     pub fn run_round(&mut self) -> Result<usize, FleetError> {
@@ -703,14 +698,15 @@ mod tests {
             assert_eq!(report.torn_bytes, 5);
             assert_eq!(report.replayed_rounds, D::INTERVAL - 2);
             let name = std::any::type_name::<D>();
+            let counters = telemetry.snapshot();
             assert_eq!(
-                telemetry.counter(CounterId::WalTornEntriesDropped),
+                counters.counter(CounterId::WalTornEntriesDropped),
                 1,
                 "{name}"
             );
-            assert_eq!(telemetry.counter(CounterId::WalAppends), 0, "{name}");
+            assert_eq!(counters.counter(CounterId::WalAppends), 0, "{name}");
             assert_eq!(
-                telemetry.counter(CounterId::RecoveryReplays),
+                counters.counter(CounterId::RecoveryReplays),
                 report.replayed_rounds as u64,
                 "{name}"
             );

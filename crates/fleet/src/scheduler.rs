@@ -56,17 +56,6 @@ pub struct TenantStatus {
     pub health: HealthClass,
 }
 
-impl TenantStatus {
-    /// A healthy (fully participating) status.
-    pub fn active(recent_regret: f64, iterations: usize) -> Self {
-        TenantStatus {
-            recent_regret,
-            iterations,
-            health: HealthClass::Active,
-        }
-    }
-}
-
 /// The slot assignment of one round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundPlan {
@@ -211,7 +200,11 @@ mod tests {
     use super::*;
 
     fn status(r: f64) -> TenantStatus {
-        TenantStatus::active(r, 10)
+        TenantStatus {
+            recent_regret: r,
+            iterations: 10,
+            health: HealthClass::Active,
+        }
     }
 
     fn unhealthy(r: f64, health: HealthClass) -> TenantStatus {

@@ -538,16 +538,6 @@ impl DegradationTier {
         }
     }
 
-    /// Position on the ladder (0 = full service).
-    pub fn rank(self) -> usize {
-        match self {
-            DegradationTier::Full => 0,
-            DegradationTier::NoRefit => 1,
-            DegradationTier::CachedPosterior => 2,
-            DegradationTier::Pinned => 3,
-        }
-    }
-
     /// One rung further down the ladder (saturating at [`DegradationTier::Pinned`]).
     pub fn downgraded(self) -> DegradationTier {
         match self {
@@ -602,17 +592,6 @@ pub enum SessionHealth {
         /// readmits the session.
         probation_successes: usize,
     },
-}
-
-impl SessionHealth {
-    /// Stable export label (used in summaries and bench reports).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SessionHealth::Healthy => "healthy",
-            SessionHealth::Backoff { .. } => "backoff",
-            SessionHealth::Quarantined { .. } => "quarantined",
-        }
-    }
 }
 
 /// Deterministic fault-handling knobs of one session. All quantities are measured in
@@ -850,11 +829,6 @@ impl TenantSession {
         self.tuner.model_count()
     }
 
-    /// Number of re-clusterings the tuner has performed.
-    pub fn recluster_count(&self) -> usize {
-        self.tuner.recluster_count()
-    }
-
     /// Observation counts of each per-cluster model the tuner maintains (see
     /// [`OnlineTune::model_observation_counts`]).
     pub fn model_observation_counts(&self) -> Vec<usize> {
@@ -876,14 +850,19 @@ impl TenantSession {
     }
 
     /// Warm-starts the session from fleet knowledge: known-safe configurations join the
-    /// tuner's safety set and transferred observations join its models.
+    /// tuner's safety set and transferred observations join its models. A model that
+    /// fails to take them is a fault of the session, as a rejected observation is.
     pub fn warm_start(&mut self, warm: &crate::knowledge::WarmStart) {
         self.warm_start_safe += warm.safe_configs.len();
         self.warm_start_observations += warm.observations.len();
         self.tuner
             .extend_known_safe(warm.safe_configs.iter().cloned());
-        self.tuner
-            .absorb_observations(warm.observations.iter().cloned());
+        if let Err(e) = self
+            .tuner
+            .absorb_observations(warm.observations.iter().cloned())
+        {
+            self.note_fault(&format!("warm_start_rejected: {e}"), f64::NAN);
+        }
     }
 
     /// Applies a workload drift to the running session. The drift's iteration anchors are
@@ -1274,11 +1253,6 @@ impl TenantSession {
         self.health
     }
 
-    /// Lifetime faulted measurement attempts.
-    pub fn faulted_count(&self) -> usize {
-        self.faulted_count
-    }
-
     /// Installs a retry policy (the fleet service does this at admission so all
     /// sessions share the fleet-level policy).
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
@@ -1665,6 +1639,24 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_start_its_models_reject_is_a_fault_of_the_session() {
+        let mut spec = TenantSpec::named("warm", WorkloadFamily::Ycsb, 5);
+        spec.deterministic = true;
+        let mut s = TenantSession::new(spec, small_tuner_options()).unwrap();
+        let seed = s.tuner.observations()[0].clone();
+        let poisoned = gp::rows::SharedObservation::new(seed.config(), seed.context(), f64::NAN);
+        s.warm_start(&crate::knowledge::WarmStart {
+            safe_configs: Vec::new(),
+            observations: vec![poisoned],
+        });
+        assert_eq!(s.faulted_count, 1);
+        assert!(matches!(
+            s.health(),
+            SessionHealth::Backoff { attempt: 1, .. }
+        ));
+    }
+
+    #[test]
     fn retry_backoff_quarantine_and_probation_readmission() {
         let mut spec = TenantSpec::named("q", WorkloadFamily::Ycsb, 11);
         spec.deterministic = true;
@@ -1717,7 +1709,7 @@ mod tests {
             iters_before,
             "faulted attempts never advance the iteration counter"
         );
-        assert_eq!(s.faulted_count(), 3);
+        assert_eq!(s.faulted_count, 3);
 
         // Probes come due every `probation_interval` rounds; the injected faults are
         // exhausted, so two clean probes readmit the session.
@@ -1785,12 +1777,9 @@ mod tests {
             b.step();
             b.tick_round();
         }
-        assert!(
-            a.faulted_count() > 0,
-            "the seeded window should have struck"
-        );
+        assert!(a.faulted_count > 0, "the seeded window should have struck");
         assert_eq!(a.health(), b.health());
-        assert_eq!(a.faulted_count(), b.faulted_count());
+        assert_eq!(a.faulted_count, b.faulted_count);
         assert_eq!(a.iteration(), b.iteration());
         let (sa, sb) = (a.summary(), b.summary());
         assert_eq!(sa.total_score.to_bits(), sb.total_score.to_bits());
@@ -1847,9 +1836,9 @@ mod tests {
             "the tuner must never observe a poisoned measurement"
         );
         // `TenantSession::new` installs the default policy.
-        assert!(s.faulted_count() >= RetryPolicy::default().max_attempts);
+        assert!(s.faulted_count >= RetryPolicy::default().max_attempts);
         assert!(
-            s.telemetry().counter(CounterId::Quarantines) >= 1,
+            s.telemetry().snapshot().counter(CounterId::Quarantines) >= 1,
             "repeated non-finite contexts must exhaust the retry budget"
         );
     }
@@ -1987,7 +1976,7 @@ mod tests {
             for _ in 0..6 {
                 s.step();
             }
-            s.telemetry().counter(CounterId::HyperoptRuns)
+            s.telemetry().snapshot().counter(CounterId::HyperoptRuns)
         };
         assert!(
             run_with(DegradationTier::Full) > 0,
@@ -2185,7 +2174,7 @@ mod tests {
         assert!((after.data_size_gib - base0.data_size_gib * 4.0).abs() < 1e-9);
         // Query mix and objective are untouched (the base mix itself varies with the
         // iteration, so compare against the base at the same position).
-        assert_eq!(after.mix.weights(), base.spec_at(100).mix.weights());
+        assert_eq!(after.mix, base.spec_at(100).mix);
         assert_eq!(grow.objective_at(100), Objective::Throughput);
     }
 
@@ -2214,7 +2203,7 @@ mod tests {
             let sb = b.spec_at(it);
             assert_eq!(sa.name, sb.name);
             assert_eq!(sa.clients, sb.clients);
-            assert_eq!(sa.mix.weights(), sb.mix.weights());
+            assert_eq!(sa.mix, sb.mix);
             assert_eq!(a.sample_queries(it, 8), b.sample_queries(it, 8));
         }
     }

@@ -20,7 +20,7 @@
 //! is the same allocation the caller's repository holds, and the underlying GP trains on
 //! that row too, so a model adds no copy of any observation's values.
 
-use crate::hyperopt::{optimize_hyperparameters, HyperOptOptions, HyperOptReport};
+use crate::hyperopt::{optimize_hyperparameters, HyperOptReport};
 use crate::kernels::AdditiveContextKernel;
 use crate::regression::{GaussianProcess, GpError, Posterior};
 use crate::rows::{Row, SharedObservation};
@@ -131,21 +131,6 @@ impl ContextualGp {
     /// The installed telemetry sink (the no-op sink by default).
     pub fn telemetry(&self) -> &telemetry::TelemetryHandle {
         self.gp.telemetry()
-    }
-
-    /// The current observation budget, if any.
-    pub fn budget(&self) -> Option<ObservationBudget> {
-        self.budget
-    }
-
-    /// Number of configuration dimensions.
-    pub fn config_dim(&self) -> usize {
-        self.config_dim
-    }
-
-    /// Number of context dimensions.
-    pub fn context_dim(&self) -> usize {
-        self.context_dim
     }
 
     /// The stored observations.
@@ -312,17 +297,13 @@ impl ContextualGp {
     }
 
     /// Refits and additionally optimizes the kernel hyper-parameters.
-    pub fn refit_with_hyperopt<R: Rng>(
-        &mut self,
-        options: &HyperOptOptions,
-        rng: &mut R,
-    ) -> Result<HyperOptReport, GpError> {
+    pub fn refit_with_hyperopt<R: Rng>(&mut self, rng: &mut R) -> Result<HyperOptReport, GpError> {
         if self.observations.is_empty() {
             return Err(GpError::EmptyTrainingSet);
         }
         let report = {
             let (x, y) = self.training_set();
-            optimize_hyperparameters(&mut self.gp, &x, &y, options, rng)?
+            optimize_hyperparameters(&mut self.gp, &x, &y, rng)?
         };
         // Invariant: `optimize_hyperparameters` refits the GP as its final step (and
         // returns that fit's error, leaving the GP unfitted), so fitting again here would
@@ -602,16 +583,7 @@ mod tests {
                 .unwrap();
         }
         let mut rng = rand::rngs::mock::StepRng::new(42, 13);
-        model
-            .refit_with_hyperopt(
-                &HyperOptOptions {
-                    restarts: 1,
-                    max_iters: 20,
-                    ..Default::default()
-                },
-                &mut rng,
-            )
-            .unwrap();
+        model.refit_with_hyperopt(&mut rng).unwrap();
         assert!(model.len() < 50, "the budget must have evicted");
         assert!(model.is_fitted());
 
@@ -622,7 +594,7 @@ mod tests {
             out.into_string()
         };
         assert_eq!(state(&copy), state(&model));
-        assert_eq!(copy.budget(), model.budget());
+        assert_eq!(copy.budget, model.budget);
         assert_eq!(copy.len(), model.len());
         for (a, b) in copy.observations().iter().zip(model.observations()) {
             assert!(Arc::ptr_eq(a.row(), b.row()), "a clone copied a row");
@@ -790,16 +762,7 @@ mod tests {
     fn hyperopt_path_produces_a_fitted_model() {
         let mut model = build_model();
         let mut rng = rand::rngs::mock::StepRng::new(42, 13);
-        let report = model
-            .refit_with_hyperopt(
-                &HyperOptOptions {
-                    restarts: 1,
-                    max_iters: 20,
-                    ..Default::default()
-                },
-                &mut rng,
-            )
-            .unwrap();
+        let report = model.refit_with_hyperopt(&mut rng).unwrap();
         assert!(model.is_fitted());
         assert!(report.best_lml.is_finite());
     }

@@ -7,6 +7,9 @@
 //! spaces are tiny (2–4 parameters) so the derivative-free approach converges in a few
 //! dozen likelihood evaluations — well within OnlineTune's per-iteration budget (the paper
 //! reports ≈1.4 s for "Model Update" on the Python implementation; ours is far cheaper).
+//! The search budget is fixed: one jittered restart beside the current hyper-parameters,
+//! each search at most 30 simplex iterations, stopping early once the spread of its
+//! objective values falls below 1e-4.
 
 use crate::kernels::Kernel;
 use crate::normalize::Standardizer;
@@ -15,29 +18,12 @@ use crate::rows::Row;
 use linalg::Cholesky;
 use rand::Rng;
 
-/// Configuration for the marginal-likelihood optimization.
-#[derive(Debug, Clone)]
-pub struct HyperOptOptions {
-    /// Number of random restarts (in addition to the current hyper-parameters).
-    pub restarts: usize,
-    /// Maximum Nelder–Mead iterations per restart.
-    pub max_iters: usize,
-    /// Convergence tolerance on the simplex spread of function values.
-    pub tol: f64,
-    /// Whether the observation-noise variance is optimized together with the kernel.
-    pub optimize_noise: bool,
-}
-
-impl Default for HyperOptOptions {
-    fn default() -> Self {
-        HyperOptOptions {
-            restarts: 2,
-            max_iters: 60,
-            tol: 1e-4,
-            optimize_noise: true,
-        }
-    }
-}
+/// Random restarts of the search, in addition to the current hyper-parameters.
+const RESTARTS: usize = 1;
+/// Nelder–Mead iterations per restart, at most.
+const MAX_ITERS: usize = 30;
+/// Convergence tolerance on the simplex spread of objective values.
+const TOL: f64 = 1e-4;
 
 /// Log marginal likelihood evaluated from cached pairwise statistics.
 ///
@@ -202,8 +188,8 @@ pub fn nelder_mead(
     (x_best, f_best, evals)
 }
 
-/// Optimizes the GP's kernel hyper-parameters (and optionally its noise variance) by
-/// maximizing the log marginal likelihood of `(x, y)`, then refits the model.
+/// Optimizes the GP's kernel hyper-parameters and its noise variance by maximizing the
+/// log marginal likelihood of `(x, y)`, then refits the model.
 ///
 /// Invariant: the final `fit` on `(x, y)` with the best hyper-parameters happens *inside*
 /// this function. Callers must not fit again afterwards — fitting is deterministic, so a
@@ -214,7 +200,6 @@ pub fn optimize_hyperparameters<X, R>(
     gp: &mut GaussianProcess,
     x: &[X],
     y: &[f64],
-    options: &HyperOptOptions,
     rng: &mut R,
 ) -> Result<HyperOptReport, GpError>
 where
@@ -225,20 +210,9 @@ where
     let initial_kernel_params = gp.kernel().params();
     let initial_noise = gp.noise_variance();
     let n_kernel = initial_kernel_params.len();
-
-    let pack = |kp: &[f64], noise_log: f64, optimize_noise: bool| -> Vec<f64> {
-        let mut v = kp.to_vec();
-        if optimize_noise {
-            v.push(noise_log);
-        }
-        v
-    };
-
-    let initial = pack(
-        &initial_kernel_params,
-        initial_noise.ln(),
-        options.optimize_noise,
-    );
+    // The search point: the kernel's log-space parameters, then the log noise variance.
+    let mut initial = initial_kernel_params;
+    initial.push(initial_noise.ln());
 
     let baseline_lml = gp
         .log_marginal_likelihood(x, y)
@@ -274,7 +248,7 @@ where
 
     // The starting points: the current hyper-parameters, then one jittered copy per restart.
     let mut starts = vec![initial.clone()];
-    for _ in 0..options.restarts {
+    for _ in 0..RESTARTS {
         let jittered: Vec<f64> = initial
             .iter()
             .map(|p| p + rng.gen_range(-1.5..1.5))
@@ -292,17 +266,10 @@ where
         let mut trial_kernel = gp_ref.kernel().clone_box();
         let mut trial_gp: Option<GaussianProcess> = None;
         let mut objective = |params: &[f64]| -> f64 {
-            let (kernel_part, noise_part) = if options.optimize_noise {
-                params.split_at(n_kernel)
-            } else {
-                (params, &[][..])
-            };
+            let (kernel_part, log_noise) = params.split_at(n_kernel);
+            let noise = log_noise[0].exp().clamp(1e-8, 1.0);
             if let Some((stats, y_std)) = cache_ref {
                 trial_kernel.set_params(kernel_part);
-                let noise = noise_part
-                    .first()
-                    .map(|log_noise| log_noise.exp().clamp(1e-8, 1.0))
-                    .unwrap_or_else(|| gp_ref.noise_variance());
                 return match lml_from_stats(
                     trial_kernel.as_ref(),
                     noise,
@@ -320,15 +287,13 @@ where
                 GaussianProcess::new(gp_ref.kernel().clone_box(), gp_ref.noise_variance())
             });
             trial.kernel_mut().set_params(kernel_part);
-            if let Some(&log_noise) = noise_part.first() {
-                trial.set_noise_variance(log_noise.exp().clamp(1e-8, 1.0));
-            }
+            trial.set_noise_variance(noise);
             match trial.log_marginal_likelihood(x, y) {
                 Ok(lml) => -lml,
                 Err(_) => f64::MAX / 4.0,
             }
         };
-        nelder_mead(&mut objective, start, 0.5, options.max_iters, options.tol)
+        nelder_mead(&mut objective, start, 0.5, MAX_ITERS, TOL)
     };
 
     // Restarts run in index order; the first strictly better search wins each tie-break.
@@ -349,15 +314,9 @@ where
     });
 
     // Apply the best parameters found (which may be the originals) and refit.
-    let (kernel_part, noise_part) = if options.optimize_noise {
-        best_params.split_at(n_kernel)
-    } else {
-        (&best_params[..], &[][..])
-    };
+    let (kernel_part, log_noise) = best_params.split_at(n_kernel);
     gp.kernel_mut().set_params(kernel_part);
-    if let Some(&log_noise) = noise_part.first() {
-        gp.set_noise_variance(log_noise.exp().clamp(1e-8, 1.0));
-    }
+    gp.set_noise_variance(log_noise[0].exp().clamp(1e-8, 1.0));
     let fitted = gp.fit(x, y);
 
     let report = HyperOptReport {
@@ -382,7 +341,7 @@ where
             &format!(
                 "n={} restarts={} evaluations={} best_lml={:.6} improved={}",
                 x.len(),
-                options.restarts,
+                RESTARTS,
                 report.evaluations,
                 report.best_lml,
                 report.improved
@@ -395,7 +354,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{Matern52Kernel, RbfKernel, ScaledKernel};
+    use crate::kernels::{Matern52Kernel, ScaledKernel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -443,14 +402,12 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 / 19.0]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| (2.0 * x[0]).sin() * 5.0 + 10.0).collect();
         let mut gp = GaussianProcess::new(
-            Box::new(ScaledKernel::new(Box::new(RbfKernel::new(0.005)), 1.0)),
+            Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(0.005)), 1.0)),
             1e-3,
         );
         let before = gp.log_marginal_likelihood(&xs, &ys).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let report =
-            optimize_hyperparameters(&mut gp, &xs, &ys, &HyperOptOptions::default(), &mut rng)
-                .unwrap();
+        let report = optimize_hyperparameters(&mut gp, &xs, &ys, &mut rng).unwrap();
         assert!(
             report.best_lml > before,
             "{} vs {}",
@@ -512,14 +469,7 @@ mod tests {
             let run = |kernel: Box<dyn Kernel>| {
                 let mut gp = GaussianProcess::new(kernel, 1e-3);
                 let mut rng = StdRng::seed_from_u64(11);
-                let report = optimize_hyperparameters(
-                    &mut gp,
-                    &xs,
-                    &ys,
-                    &HyperOptOptions::default(),
-                    &mut rng,
-                )
-                .unwrap();
+                let report = optimize_hyperparameters(&mut gp, &xs, &ys, &mut rng).unwrap();
                 (gp.kernel().params(), gp.noise_variance(), report)
             };
             let (params_cached, noise_cached, report_cached) = run(kernel.clone_box());
@@ -549,9 +499,7 @@ mod tests {
         );
         let before = gp.log_marginal_likelihood(&xs, &ys).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let report =
-            optimize_hyperparameters(&mut gp, &xs, &ys, &HyperOptOptions::default(), &mut rng)
-                .unwrap();
+        let report = optimize_hyperparameters(&mut gp, &xs, &ys, &mut rng).unwrap();
         assert!(report.best_lml + 1e-9 >= before);
     }
 
@@ -567,9 +515,7 @@ mod tests {
         let mut bad = xs.clone();
         bad[5][0] = f64::NAN;
         let mut rng = StdRng::seed_from_u64(3);
-        let err =
-            optimize_hyperparameters(&mut gp, &bad, &ys, &HyperOptOptions::default(), &mut rng)
-                .unwrap_err();
+        let err = optimize_hyperparameters(&mut gp, &bad, &ys, &mut rng).unwrap_err();
         assert_eq!(err, GpError::NonFiniteInput { index: 5 });
         assert!(
             !gp.is_fitted(),

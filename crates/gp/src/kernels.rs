@@ -85,7 +85,8 @@ impl Clone for Box<dyn Kernel> {
 ///
 /// The Matérn-5/2 kernel is the standard choice for configuration-tuning surrogates
 /// (OtterTune, ResTune, and the "Martin kernel" referenced by the paper): it is twice
-/// differentiable but does not impose the unrealistic infinite smoothness of the RBF.
+/// differentiable but does not impose the unrealistic infinite smoothness of the
+/// squared-exponential kernel.
 #[derive(Debug, Clone)]
 pub struct Matern52Kernel {
     lengthscale: f64,
@@ -96,11 +97,6 @@ impl Matern52Kernel {
     pub fn new(lengthscale: f64) -> Self {
         assert!(lengthscale > 0.0, "lengthscale must be positive");
         Matern52Kernel { lengthscale }
-    }
-
-    /// Current lengthscale.
-    pub fn lengthscale(&self) -> f64 {
-        self.lengthscale
     }
 }
 
@@ -141,57 +137,6 @@ impl Kernel for Matern52Kernel {
 
     fn name(&self) -> &'static str {
         "matern52"
-    }
-}
-
-/// Squared-exponential (RBF) kernel with a single lengthscale and unit variance.
-#[derive(Debug, Clone)]
-pub struct RbfKernel {
-    lengthscale: f64,
-}
-
-impl RbfKernel {
-    /// Creates the kernel with the given lengthscale (must be positive).
-    pub fn new(lengthscale: f64) -> Self {
-        assert!(lengthscale > 0.0, "lengthscale must be positive");
-        RbfKernel { lengthscale }
-    }
-}
-
-impl Kernel for RbfKernel {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2 = squared_distance(a, b);
-        (-0.5 * d2 / (self.lengthscale * self.lengthscale)).exp()
-    }
-
-    fn n_pair_stats(&self) -> usize {
-        1
-    }
-
-    fn pair_stats(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        out[0] = squared_distance(a, b);
-    }
-
-    fn eval_stats(&self, stats: &[f64]) -> f64 {
-        (-0.5 * stats[0] / (self.lengthscale * self.lengthscale)).exp()
-    }
-
-    fn params(&self) -> Vec<f64> {
-        vec![self.lengthscale.ln()]
-    }
-
-    fn set_params(&mut self, p: &[f64]) {
-        if let Some(&l) = p.first() {
-            self.lengthscale = l.exp().clamp(1e-4, 1e4);
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Kernel> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "rbf"
     }
 }
 
@@ -265,11 +210,6 @@ impl ScaledKernel {
             signal_variance,
         }
     }
-
-    /// Current signal variance.
-    pub fn signal_variance(&self) -> f64 {
-        self.signal_variance
-    }
 }
 
 impl Kernel for ScaledKernel {
@@ -334,11 +274,6 @@ impl AdditiveContextKernel {
             config_kernel: ScaledKernel::new(Box::new(Matern52Kernel::new(0.3)), 1.0),
             context_kernel: LinearKernel::new(0.5, 0.1),
         }
-    }
-
-    /// Number of configuration dimensions expected at the front of each input vector.
-    pub fn config_dim(&self) -> usize {
-        self.config_dim
     }
 
     fn split<'a>(&self, x: &'a [f64]) -> (&'a [f64], &'a [f64]) {
@@ -488,13 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn rbf_matches_closed_form() {
-        let k = RbfKernel::new(1.0);
-        let v = k.eval(&[0.0], &[1.0]);
-        assert!((v - (-0.5f64).exp()).abs() < 1e-12);
-    }
-
-    #[test]
     fn linear_kernel_uses_dot_product() {
         let k = LinearKernel::new(2.0, 0.5);
         assert!((k.eval(&[1.0, 2.0], &[3.0, 4.0]) - 2.0 * (11.0 + 0.5)).abs() < 1e-12);
@@ -513,7 +441,6 @@ mod tests {
     fn params_roundtrip_for_all_kernels() {
         let mut kernels: Vec<Box<dyn Kernel>> = vec![
             Box::new(Matern52Kernel::new(0.42)),
-            Box::new(RbfKernel::new(1.7)),
             Box::new(LinearKernel::new(0.9, 0.1)),
             Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(0.3)), 2.0)),
             Box::new(AdditiveContextKernel::new(3)),
@@ -559,7 +486,6 @@ mod tests {
     fn all_kernels() -> Vec<Box<dyn Kernel>> {
         vec![
             Box::new(Matern52Kernel::new(0.42)),
-            Box::new(RbfKernel::new(1.7)),
             Box::new(LinearKernel::new(0.9, 0.1)),
             Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(0.3)), 2.0)),
             Box::new(AdditiveContextKernel::new(2)),

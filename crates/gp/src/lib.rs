@@ -3,7 +3,7 @@
 //! This crate implements the surrogate-model machinery used by OnlineTune and the
 //! Bayesian-optimization baselines of the SIGMOD 2022 paper:
 //!
-//! * [`kernels`] — Matérn-5/2, RBF and linear kernels, a scaled wrapper and the **additive
+//! * [`kernels`] — Matérn-5/2 and linear kernels, a scaled wrapper and the **additive
 //!   contextual kernel** `k_Θ(θ, θ') + k_C(c, c')` from §5.2 of the paper.
 //! * [`regression`] — exact GP regression via Cholesky factorization (posterior mean,
 //!   variance, log marginal likelihood) on top of the [`linalg`] crate.
@@ -50,8 +50,6 @@ pub use acquisition::{
     expected_improvement, lower_confidence_bound, ucb_beta, upper_confidence_bound,
 };
 pub use contextual::{ContextualGp, ObservationBudget};
-pub use kernels::{
-    AdditiveContextKernel, Kernel, LinearKernel, Matern52Kernel, RbfKernel, ScaledKernel,
-};
+pub use kernels::{AdditiveContextKernel, Kernel, LinearKernel, Matern52Kernel, ScaledKernel};
 pub use regression::{GaussianProcess, GpError, Posterior};
 pub use rows::{Row, RowInterner, SharedConfig, SharedObservation};

@@ -36,11 +36,6 @@ impl Standardizer {
     pub fn scale(&self) -> f64 {
         self.scale
     }
-
-    /// The mean used.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
 }
 
 #[cfg(test)]

@@ -608,7 +608,7 @@ impl GaussianProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{Matern52Kernel, RbfKernel, ScaledKernel};
+    use crate::kernels::{Matern52Kernel, ScaledKernel};
 
     fn sample_problem() -> (Vec<Vec<f64>>, Vec<f64>) {
         // y = sin(3x) on [0, 1], 12 evenly spaced points.
@@ -697,11 +697,11 @@ mod tests {
     fn log_marginal_likelihood_prefers_sensible_lengthscale() {
         let (xs, ys) = sample_problem();
         let good = GaussianProcess::new(
-            Box::new(ScaledKernel::new(Box::new(RbfKernel::new(0.3)), 1.0)),
+            Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(0.3)), 1.0)),
             1e-4,
         );
         let bad = GaussianProcess::new(
-            Box::new(ScaledKernel::new(Box::new(RbfKernel::new(1e-3)), 1.0)),
+            Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(1e-3)), 1.0)),
             1e-4,
         );
         let lml_good = good.log_marginal_likelihood(&xs, &ys).unwrap();
@@ -809,12 +809,12 @@ mod tests {
         (xs, ys)
     }
 
-    /// Everything a fitted GP computed, as bits: its factor, jitter, `α` and the
-    /// posterior at a few probes.
+    /// Everything a fitted GP computed, as bits: its factor and jitter (the bytes of their
+    /// `Debug` text, which writes each value so that it reads back to the same bits), `α`
+    /// and the posterior at a few probes.
     fn fitted_bits(gp: &GaussianProcess) -> Vec<u64> {
         let state = gp.fitted.as_ref().expect("fitted");
-        let mut bits: Vec<u64> = state.chol.factor().iter().map(|v| v.to_bits()).collect();
-        bits.push(state.chol.jitter().to_bits());
+        let mut bits: Vec<u64> = format!("{:?}", state.chol).bytes().map(u64::from).collect();
         bits.extend(state.alpha.iter().map(|v| v.to_bits()));
         for probe in scattered_problem(7).0 {
             let p = gp.predict(&probe).unwrap();
@@ -996,7 +996,7 @@ mod tests {
                 // across kernels, training-set sizes, batch sizes and contexts.
                 let kernel: Box<dyn Kernel> = match kernel_idx {
                     0 => Box::new(Matern52Kernel::new(0.3)),
-                    1 => Box::new(RbfKernel::new(0.5)),
+                    1 => Box::new(crate::kernels::LinearKernel::new(0.9, 0.1)),
                     2 => Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(0.4)), 2.0)),
                     _ => Box::new(AdditiveContextKernel::new(2)),
                 };

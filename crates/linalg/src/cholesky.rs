@@ -15,8 +15,7 @@
 //!
 //! A factor keeps only its lower triangle, row after row: row `i` holds `L[i][0..=i]`
 //! at offset `i(i+1)/2`, so an `n×n` factor takes `n(n+1)/2` values instead of `n²`,
-//! and appending row `n` is a push at the end of the buffer. [`Cholesky::factor`]
-//! exposes that buffer.
+//! and appending row `n` is a push at the end of the buffer.
 //!
 //! # Blocked factorization
 //!
@@ -121,8 +120,7 @@ fn trailing_update(dst: &mut [f64], n: usize, kb: usize, ke: usize, syrk: &[f64]
 /// let mut scratch = FactorScratch::default();
 /// for _ in 0..3 {
 ///     let c = Cholesky::decompose_with_jitter(&a, 1e-3, &mut scratch).unwrap();
-///     // The packed lower triangle: 8·9/2 values, row `i` starting at i(i+1)/2.
-///     assert_eq!(c.factor().len(), 36);
+///     assert_eq!(c.dim(), 8);
 ///     c.into_scratch(&mut scratch); // recycle the buffer; the next decompose is allocation-free
 /// }
 /// ```
@@ -426,12 +424,6 @@ impl Cholesky {
         Ok(())
     }
 
-    /// The lower-triangular factor `L`, packed row after row: `L[i][j]` (`j ≤ i`) is at
-    /// index `i(i+1)/2 + j`, and the slice holds `n(n+1)/2` values.
-    pub fn factor(&self) -> &[f64] {
-        &self.l
-    }
-
     /// The diagonal jitter that was added before factorization (0.0 when none was needed).
     pub fn jitter(&self) -> f64 {
         self.jitter
@@ -645,7 +637,7 @@ mod tests {
         if j > i {
             0.0
         } else {
-            c.factor()[row_start(i) + j]
+            c.l[row_start(i) + j]
         }
     }
 
@@ -675,12 +667,8 @@ mod tests {
     /// Asserts that two factors hold the same packed values, bit for bit.
     fn assert_bit_identical(a: &Cholesky, b: &Cholesky, what: &str) {
         assert_eq!(a.dim(), b.dim(), "{what}: dimension");
-        assert_eq!(
-            a.factor().len(),
-            row_start(a.dim()),
-            "{what}: packed length"
-        );
-        assert_eq!(a.factor().len(), b.factor().len(), "{what}: packed length");
+        assert_eq!(a.l.len(), row_start(a.dim()), "{what}: packed length");
+        assert_eq!(a.l.len(), b.l.len(), "{what}: packed length");
         for i in 0..a.dim() {
             for j in 0..=i {
                 assert_eq!(
@@ -750,10 +738,10 @@ mod tests {
         // 0 → 1 growth: an empty factor extended with a single diagonal element.
         let mut c = Cholesky::decompose(&Matrix::zeros(0, 0)).unwrap();
         assert_eq!(c.dim(), 0);
-        assert!(c.factor().is_empty());
+        assert!(c.l.is_empty());
         c.extend(&[4.0]).unwrap();
         assert_eq!(c.dim(), 1);
-        assert_eq!(c.factor(), &[2.0]);
+        assert_eq!(c.l, &[2.0]);
         let x = c.solve(&[6.0]).unwrap();
         assert_eq!(x, vec![1.5]);
     }
@@ -933,13 +921,13 @@ mod tests {
         for r in 10..20 {
             let row: Vec<f64> = (0..=r).map(|j| a.get(r, j)).collect();
             c.extend(&row).unwrap();
-            assert_eq!(c.factor().len(), row_start(r + 1));
+            assert_eq!(c.l.len(), row_start(r + 1));
             assert_eq!(c.l.capacity(), row_start(r + 1), "r={r}");
         }
         let mut dependent: Vec<f64> = (0..20).map(|j| a.get(19, j)).collect();
         dependent.push(a.get(19, 19));
         assert!(c.extend(&dependent).is_err());
-        assert_eq!(c.factor().len(), row_start(20));
+        assert_eq!(c.l.len(), row_start(20));
         assert_eq!(c.l.capacity(), row_start(21));
     }
 
@@ -956,7 +944,7 @@ mod tests {
         let ptr_before = scratch.spare.as_ptr();
         let second = Cholesky::decompose_with_jitter(&a, 1e-3, &mut scratch).unwrap();
         assert_bit_identical(&second, &plain, "second");
-        assert_eq!(second.factor().as_ptr(), ptr_before, "buffer reused");
+        assert_eq!(second.l.as_ptr(), ptr_before, "buffer reused");
         second.into_scratch(&mut scratch);
         assert_eq!(scratch.spare.capacity(), cap_before, "no reallocation");
     }
@@ -1086,8 +1074,8 @@ mod tests {
                     c.extend(&row).unwrap();
                     let lead = Matrix::from_fn(n + 1, n + 1, |i, j| a.get(i, j));
                     let scratch = Cholesky::decompose(&lead).unwrap();
-                    let same = c.factor().iter().map(|v| v.to_bits())
-                        .eq(scratch.factor().iter().map(|v| v.to_bits()));
+                    let same = c.l.iter().map(|v| v.to_bits())
+                        .eq(scratch.l.iter().map(|v| v.to_bits()));
                     prop_assert!(same, "n={}", n + 1);
                 }
             }

@@ -12,11 +12,10 @@ use rand::Rng;
 /// A trained multi-class linear SVM.
 #[derive(Debug, Clone)]
 pub struct LinearSvm {
-    /// One weight vector per class, each of length `dim`.
+    /// One weight vector per class, each as long as an input point.
     weights: Vec<Vec<f64>>,
     /// One bias per class.
     biases: Vec<f64>,
-    dim: usize,
 }
 
 /// Training options for [`LinearSvm::train`].
@@ -81,11 +80,7 @@ impl LinearSvm {
             }
         }
 
-        Some(LinearSvm {
-            weights,
-            biases,
-            dim,
-        })
+        Some(LinearSvm { weights, biases })
     }
 
     /// Rebuilds a trained model from exported parameters (see [`LinearSvm::weights`] and
@@ -99,11 +94,7 @@ impl LinearSvm {
         if weights.iter().any(|w| w.len() != dim) {
             return None;
         }
-        Some(LinearSvm {
-            weights,
-            biases,
-            dim,
-        })
+        Some(LinearSvm { weights, biases })
     }
 
     /// Per-class weight vectors (for snapshot/restore).
@@ -114,16 +105,6 @@ impl LinearSvm {
     /// Per-class biases (for snapshot/restore).
     pub fn biases(&self) -> &[f64] {
         &self.biases
-    }
-
-    /// Number of classes the model distinguishes.
-    pub fn n_classes(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Input dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Per-class decision scores for a point.
@@ -194,7 +175,7 @@ mod tests {
         let labels: Vec<usize> = (0..45).map(|i| i / 15).collect();
         let mut rng = StdRng::seed_from_u64(11);
         let svm = LinearSvm::train(&points, &labels, &SvmOptions::default(), &mut rng).unwrap();
-        assert_eq!(svm.n_classes(), 3);
+        assert_eq!(svm.weights.len(), 3);
         assert!(accuracy(&svm, &points, &labels) >= 0.9);
         assert_eq!(svm.predict(&[5.1, 0.2]), 1);
         assert_eq!(svm.predict(&[-0.2, 5.3]), 2);
@@ -212,7 +193,7 @@ mod tests {
         let labels = vec![0usize; 10];
         let mut rng = StdRng::seed_from_u64(5);
         let svm = LinearSvm::train(&points, &labels, &SvmOptions::default(), &mut rng).unwrap();
-        assert_eq!(svm.n_classes(), 1);
+        assert_eq!(svm.weights.len(), 1);
         assert_eq!(svm.predict(&[100.0, -30.0]), 0);
     }
 

@@ -8,8 +8,8 @@
 //! context distribution has shifted.
 
 use gp::contextual::{ContextObservation, ContextualGp, ObservationBudget};
-use gp::hyperopt::HyperOptOptions;
 use gp::rows::{RowInterner, SharedObservation};
+use gp::GpError;
 use mlkit::dbscan::{cluster_members, dbscan, DbscanParams};
 use mlkit::normalized_mutual_information;
 use mlkit::svm::{LinearSvm, SvmOptions};
@@ -56,6 +56,54 @@ impl Default for ClusterOptions {
         }
     }
 }
+
+/// A per-cluster model that failed to take an observation or to fit, naming the model by
+/// its index.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ModelError {
+    /// The periodic hyper-parameter refit of model `model` failed. The observation is in
+    /// the repository and the model's window, and the model is left unfitted, so its next
+    /// update refits it.
+    Hyperopt {
+        /// Index of the model.
+        model: usize,
+        /// Why the refit failed.
+        error: GpError,
+    },
+    /// Model `model` did not take an observation. The observation is in the repository.
+    Observe {
+        /// Index of the model.
+        model: usize,
+        /// Why the model rejected it.
+        error: GpError,
+    },
+    /// Model `model` of a new clustering did not fit. The manager keeps its current
+    /// clustering: its models, labels and routing boundary.
+    Recluster {
+        /// Index of the model in the rejected clustering.
+        model: usize,
+        /// Why the fit failed.
+        error: GpError,
+    },
+}
+
+impl std::fmt::Display for ModelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ModelError::Hyperopt { model, error } => {
+                write!(f, "model {model}'s hyper-parameter refit failed: {error}")
+            }
+            ModelError::Observe { model, error } => {
+                write!(f, "model {model} rejected an observation: {error}")
+            }
+            ModelError::Recluster { model, error } => {
+                write!(f, "model {model} of a new clustering does not fit: {error}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ModelError {}
 
 /// The observation repository plus the per-cluster models and the routing boundary.
 pub struct ClusterManager {
@@ -121,16 +169,6 @@ impl ClusterManager {
         self.telemetry = telemetry;
     }
 
-    /// Total number of observations in the repository.
-    pub fn len(&self) -> usize {
-        self.observations.len()
-    }
-
-    /// Whether the repository is empty.
-    pub fn is_empty(&self) -> bool {
-        self.observations.is_empty()
-    }
-
     /// Number of per-cluster models.
     pub fn n_models(&self) -> usize {
         self.models.len()
@@ -176,16 +214,21 @@ impl ClusterManager {
     /// model **incrementally** (`O(n²)` via [`ContextualGp::observe`] — the hot path).
     /// Periodically the cluster's kernel hyper-parameters are re-optimized, which is the
     /// one case that requires a from-scratch `O(n³)` refit (the cached factorization is
-    /// invalidated by the new hyper-parameters). Returns the cluster id.
+    /// invalidated by the new hyper-parameters). Returns the cluster id, or the error of
+    /// that cluster's model; the observation joins the repository either way.
     ///
     /// A wrong-dimension observation is rejected wholesale — it enters neither the
     /// repository nor any model (a poisoned repository would resurface at the next
     /// re-clustering) — and cluster 0 is returned. The check holds in release builds.
     ///
     /// The repository and the model share the observation's row.
-    pub fn add_observation<R: Rng>(&mut self, obs: SharedObservation, rng: &mut R) -> usize {
+    pub fn add_observation<R: Rng>(
+        &mut self,
+        obs: SharedObservation,
+        rng: &mut R,
+    ) -> Result<usize, ModelError> {
         if obs.config().len() != self.config_dim || obs.context().len() != self.context_dim {
-            return 0;
+            return Ok(0);
         }
         let cluster = self.select_model(obs.context());
         self.observations.push(obs.clone());
@@ -194,7 +237,7 @@ impl ClusterManager {
 
         let model = &mut self.models[cluster];
         self.updates_since_hyperopt[cluster] += 1;
-        if !self.hyperopt_suppressed
+        let updated = if !self.hyperopt_suppressed
             && self.updates_since_hyperopt[cluster] >= self.options.hyperopt_period
         {
             // Hyper-parameter re-optimization invalidates the cached factorization
@@ -203,40 +246,45 @@ impl ClusterManager {
             // observation budget) do the one O(n³) fit.
             self.updates_since_hyperopt[cluster] = 0;
             model.add_observation(obs);
-            let _ = model.refit_with_hyperopt(
-                &HyperOptOptions {
-                    restarts: 1,
-                    max_iters: 30,
-                    ..Default::default()
-                },
-                rng,
-            );
+            model
+                .refit_with_hyperopt(rng)
+                .map(drop)
+                .map_err(|error| ModelError::Hyperopt {
+                    model: cluster,
+                    error,
+                })
         } else {
             // Incremental model update; the model's observation budget evicts (and
             // refits) in batches once the window overflows.
-            let _ = model.observe(obs);
-        }
+            model.observe(obs).map_err(|error| ModelError::Observe {
+                model: cluster,
+                error,
+            })
+        };
         self.telemetry
             .set_gauge(telemetry::GaugeId::ClusterModels, self.models.len() as f64);
         self.telemetry.set_gauge(
             telemetry::GaugeId::ModelObservations,
             self.models[cluster].len() as f64,
         );
-        cluster
+        updated.map(|()| cluster)
     }
 
     /// Checks whether re-clustering is due and, if the simulated new clustering differs
     /// enough (NMI below the threshold) or no clustering exists yet, re-learns clusters,
     /// per-cluster models and the SVM boundary (Algorithm 1). Returns `true` when a
-    /// re-clustering happened.
-    pub fn maybe_recluster<R: Rng>(&mut self, rng: &mut R) -> bool {
+    /// re-clustering happened. When a model of the new clustering does not fit, the
+    /// manager keeps its current clustering and returns [`ModelError::Recluster`]. It
+    /// checks again after another `recluster_check_period` observations, or at the next
+    /// one while it has no clustering yet.
+    pub fn maybe_recluster<R: Rng>(&mut self, rng: &mut R) -> Result<bool, ModelError> {
         if self.observations.len() < self.options.min_observations_for_clustering {
-            return false;
+            return Ok(false);
         }
         if self.observations_since_recluster_check < self.options.recluster_check_period
             && self.svm.is_some()
         {
-            return false;
+            return Ok(false);
         }
         self.observations_since_recluster_check = 0;
 
@@ -254,7 +302,7 @@ impl ClusterManager {
             normalized_mutual_information(&self.labels, &candidate) < self.options.mi_threshold
         };
         if !needs_relearn {
-            return false;
+            return Ok(false);
         }
 
         let groups = cluster_members(&candidate);
@@ -275,7 +323,9 @@ impl ClusterManager {
             for &idx in &members[start..] {
                 model.add_observation(self.observations[idx].clone());
             }
-            let _ = model.refit();
+            model
+                .refit()
+                .map_err(|error| ModelError::Recluster { model: cid, error })?;
             models.push(model);
             for &idx in members {
                 labels[idx] = cid as i32;
@@ -305,7 +355,7 @@ impl ClusterManager {
                 ),
             );
         }
-        true
+        Ok(true)
     }
 }
 
@@ -541,7 +591,7 @@ mod tests {
         let mgr = ClusterManager::new(1, 2, ClusterOptions::default());
         assert_eq!(mgr.n_models(), 1);
         assert_eq!(mgr.select_model(&[0.3, 0.4]), 0);
-        assert!(mgr.is_empty());
+        assert!(mgr.observations.is_empty());
     }
 
     #[test]
@@ -554,9 +604,9 @@ mod tests {
         };
         let mut mgr = ClusterManager::new(1, 2, options);
         for o in two_regime_observations(20) {
-            mgr.add_observation(o, &mut rng);
+            mgr.add_observation(o, &mut rng).unwrap();
         }
-        assert!(mgr.maybe_recluster(&mut rng));
+        assert!(mgr.maybe_recluster(&mut rng).unwrap());
         assert_eq!(mgr.n_models(), 2);
         assert_eq!(mgr.recluster_count(), 1);
         // Contexts from the two regimes route to different models...
@@ -575,9 +625,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut mgr = ClusterManager::new(1, 2, ClusterOptions::default());
         for o in two_regime_observations(5) {
-            mgr.add_observation(o, &mut rng);
+            mgr.add_observation(o, &mut rng).unwrap();
         }
-        assert!(!mgr.maybe_recluster(&mut rng));
+        assert!(!mgr.maybe_recluster(&mut rng).unwrap());
         assert_eq!(mgr.n_models(), 1);
     }
 
@@ -591,16 +641,16 @@ mod tests {
         };
         let mut mgr = ClusterManager::new(1, 2, options);
         for o in two_regime_observations(15) {
-            mgr.add_observation(o, &mut rng);
+            mgr.add_observation(o, &mut rng).unwrap();
         }
-        assert!(mgr.maybe_recluster(&mut rng));
+        assert!(mgr.maybe_recluster(&mut rng).unwrap());
         let first = mgr.recluster_count();
         // More observations from the *same* two regimes: the simulated clustering matches the
         // existing one (NMI ≈ 1), so no re-learning should happen.
         for o in two_regime_observations(15) {
-            mgr.add_observation(o, &mut rng);
+            mgr.add_observation(o, &mut rng).unwrap();
         }
-        let _ = mgr.maybe_recluster(&mut rng);
+        mgr.maybe_recluster(&mut rng).unwrap();
         assert_eq!(mgr.recluster_count(), first);
     }
 
@@ -614,9 +664,10 @@ mod tests {
         let mut mgr = ClusterManager::new(1, 2, options);
         for i in 0..60 {
             let theta = (i % 10) as f64 / 10.0;
-            mgr.add_observation(obs(vec![0.5, 0.5], vec![theta], theta), &mut rng);
+            mgr.add_observation(obs(vec![0.5, 0.5], vec![theta], theta), &mut rng)
+                .unwrap();
         }
-        assert_eq!(mgr.len(), 60);
+        assert_eq!(mgr.observations.len(), 60);
         assert!(mgr.model(0).len() <= 20);
     }
 
@@ -624,15 +675,96 @@ mod tests {
     fn wrong_dimension_observations_never_enter_the_repository() {
         let mut rng = StdRng::seed_from_u64(11);
         let mut mgr = ClusterManager::new(1, 2, ClusterOptions::default());
-        mgr.add_observation(obs(vec![0.5, 0.5], vec![0.5], 1.0), &mut rng);
+        mgr.add_observation(obs(vec![0.5, 0.5], vec![0.5], 1.0), &mut rng)
+            .unwrap();
         // Wrong config dimension and wrong context dimension: both rejected wholesale.
-        mgr.add_observation(obs(vec![0.5, 0.5], vec![0.5, 0.9], 1.0), &mut rng);
-        mgr.add_observation(obs(vec![0.5], vec![0.5], 1.0), &mut rng);
-        assert_eq!(mgr.len(), 1);
+        for wrong in [
+            obs(vec![0.5, 0.5], vec![0.5, 0.9], 1.0),
+            obs(vec![0.5], vec![0.5], 1.0),
+        ] {
+            assert_eq!(mgr.add_observation(wrong, &mut rng), Ok(0));
+        }
+        assert_eq!(mgr.observations.len(), 1);
         assert_eq!(mgr.model(0).len(), 1);
         // A later recluster sees only well-formed observations.
-        assert!(!mgr.maybe_recluster(&mut rng));
-        assert_eq!(mgr.len(), 1);
+        assert!(!mgr.maybe_recluster(&mut rng).unwrap());
+        assert_eq!(mgr.observations.len(), 1);
+    }
+
+    #[test]
+    fn a_model_that_rejects_an_observation_returns_its_error_naming_the_model() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut mgr = ClusterManager::new(1, 2, ClusterOptions::default());
+        mgr.add_observation(obs(vec![0.5, 0.5], vec![0.5], 1.0), &mut rng)
+            .unwrap();
+        let rejected = mgr.add_observation(obs(vec![0.5, 0.5], vec![0.6], f64::NAN), &mut rng);
+        assert_eq!(
+            rejected,
+            Err(ModelError::Observe {
+                model: 0,
+                error: GpError::NonFiniteTarget { index: 0 },
+            })
+        );
+        // The model never took it and stays fitted on what it holds.
+        assert_eq!(mgr.model(0).len(), 1);
+        assert!(mgr.model(0).is_fitted());
+    }
+
+    #[test]
+    fn a_failed_hyperopt_refit_returns_its_error_naming_the_model() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let options = ClusterOptions {
+            hyperopt_period: 3,
+            ..Default::default()
+        };
+        let mut mgr = ClusterManager::new(1, 2, options);
+        for theta in [0.1, 0.4] {
+            mgr.add_observation(obs(vec![0.5, 0.5], vec![theta], theta), &mut rng)
+                .unwrap();
+        }
+        // The third update is the periodic refit's turn.
+        let failed = mgr.add_observation(obs(vec![0.5, 0.5], vec![0.7], f64::INFINITY), &mut rng);
+        assert_eq!(
+            failed,
+            Err(ModelError::Hyperopt {
+                model: 0,
+                error: GpError::NonFiniteTarget { index: 2 },
+            })
+        );
+        assert!(!mgr.model(0).is_fitted());
+    }
+
+    #[test]
+    fn a_recluster_whose_model_does_not_fit_keeps_the_current_clustering() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let options = ClusterOptions {
+            min_observations_for_clustering: 10,
+            recluster_check_period: 5,
+            ..Default::default()
+        };
+        let mut mgr = ClusterManager::new(1, 2, options);
+        for o in two_regime_observations(10) {
+            mgr.add_observation(o, &mut rng).unwrap();
+        }
+        // The one model rejects this observation, but the repository keeps it, so regime
+        // B's model in the next clustering (model 1; regime A's comes first) holds it as
+        // its eleventh observation and cannot fit.
+        let poisoned = obs(vec![0.9, 0.9], vec![0.5], f64::NAN);
+        assert!(matches!(
+            mgr.add_observation(poisoned, &mut rng),
+            Err(ModelError::Observe { model: 0, .. })
+        ));
+        assert_eq!(
+            mgr.maybe_recluster(&mut rng),
+            Err(ModelError::Recluster {
+                model: 1,
+                error: GpError::NonFiniteTarget { index: 10 },
+            })
+        );
+        assert_eq!(mgr.n_models(), 1);
+        assert_eq!(mgr.recluster_count(), 0);
+        assert!(mgr.model(0).is_fitted());
+        assert_eq!(mgr.select_model(&[0.9, 0.9]), 0);
     }
 
     #[test]
@@ -647,14 +779,17 @@ mod tests {
         };
         let mut mgr = ClusterManager::new(1, 2, options);
         for o in two_regime_observations(10) {
-            mgr.add_observation(o, &mut rng);
+            mgr.add_observation(o, &mut rng).unwrap();
         }
-        assert!(mgr.maybe_recluster(&mut rng));
+        assert!(mgr.maybe_recluster(&mut rng).unwrap());
         for o in two_regime_observations(15) {
-            mgr.add_observation(o, &mut rng);
+            mgr.add_observation(o, &mut rng).unwrap();
         }
         let windows: usize = (0..mgr.n_models()).map(|id| mgr.model(id).len()).sum();
-        assert!(windows < mgr.len(), "the budget must have evicted");
+        assert!(
+            windows < mgr.observations.len(),
+            "the budget must have evicted"
+        );
 
         let copy = mgr.unfitted_copy();
         let state = |m: &ClusterManager| serde_json::to_string(&m.export_state()).unwrap();

@@ -90,11 +90,6 @@ impl Subspace {
         }
     }
 
-    /// The current region.
-    pub fn region(&self) -> &Region {
-        &self.region
-    }
-
     /// The current centre (the best configuration found so far).
     pub fn center(&self) -> &[f64] {
         &self.center
@@ -297,10 +292,10 @@ mod tests {
     fn switches_to_line_when_no_safe_candidates_and_back() {
         let mut s = subspace(4);
         s.adapt(&mut random_direction, true);
-        assert!(matches!(s.region(), Region::Line { .. }));
+        assert!(matches!(&s.region, Region::Line { .. }));
         // And back to a hypercube on the next forced switch.
         s.adapt(&mut random_direction, true);
-        assert!(matches!(s.region(), Region::Hypercube { .. }));
+        assert!(matches!(&s.region, Region::Hypercube { .. }));
     }
 
     #[test]
@@ -310,7 +305,7 @@ mod tests {
             s.record_outcome(false);
             s.adapt(&mut random_direction, false);
         }
-        assert!(matches!(s.region(), Region::Line { .. }));
+        assert!(matches!(&s.region, Region::Line { .. }));
     }
 
     #[test]
@@ -318,7 +313,7 @@ mod tests {
         let mut s = subspace(4);
         let mut zero_oracle = || vec![0.0; 4];
         s.adapt(&mut zero_oracle, true);
-        if let Region::Line { direction } = s.region() {
+        if let Region::Line { direction } = &s.region {
             assert!((linalg::vecops::norm(direction) - 1.0).abs() < 1e-9);
         } else {
             panic!("expected a line region");

@@ -14,7 +14,7 @@
 //! `w/o safe`, `w/o clustering`) are expressed through [`AblationFlags`].
 
 use crate::candidate::{select_candidate, SelectionReason};
-use crate::clustering::{ClusterManager, ClusterManagerState, ClusterOptions};
+use crate::clustering::{ClusterManager, ClusterManagerState, ClusterOptions, ModelError};
 use crate::diagnostics::IterationDiagnostics;
 use crate::safety::{assess_candidates, SafetyOptions};
 use crate::subspace::{Subspace, SubspaceOptions};
@@ -231,16 +231,6 @@ impl OnlineTune {
         (0..self.clusters.n_models())
             .map(|id| self.clusters.model(id).len())
             .collect()
-    }
-
-    /// Access to the white-box rule engine (for inspection in experiments).
-    pub fn whitebox(&self) -> &RuleEngine {
-        &self.whitebox
-    }
-
-    /// The hardware the tuner currently assumes for its white-box rules.
-    pub fn hardware(&self) -> &HardwareSpec {
-        &self.hardware
     }
 
     /// Suppresses (or re-enables) the periodic hyper-parameter refit of every cluster
@@ -573,10 +563,18 @@ impl OnlineTune {
 
         // Model update (Algorithm 3, lines 11–13). The observation's row is allocated
         // once; the repository, its model and (when safe) the known-safe set share it.
+        // A model error is returned once the rest of the bookkeeping is done, so the
+        // tuner's state does not depend on whether one occurred.
         let observation = SharedObservation::new(&normalized, context, performance);
-        self.clusters
+        let added = self
+            .clusters
             .add_observation(observation.clone(), &mut self.rng);
-        if self.options.ablation.use_clustering && self.clusters.maybe_recluster(&mut self.rng) {
+        let reclustered = if self.options.ablation.use_clustering {
+            self.clusters.maybe_recluster(&mut self.rng)
+        } else {
+            Ok(false)
+        };
+        if reclustered == Ok(true) {
             self.sync_model_structures();
         }
         self.sync_model_structures();
@@ -620,13 +618,16 @@ impl OnlineTune {
             self.last_metrics = Some(m.clone());
         }
         self.telemetry.end_span(SpanId::Observe, span);
-        Ok(())
+        added
+            .and(reclustered)
+            .map(drop)
+            .map_err(ObserveError::Model)
     }
 }
 
-/// A rejected observation at the [`OnlineTune::observe`] boundary. The tuner state is
-/// untouched when one of these is returned.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// An error at the [`OnlineTune::observe`] boundary. A non-finite input is rejected with
+/// the tuner state untouched; a model error comes after the observation was recorded.
+#[derive(Debug, Clone, PartialEq)]
 pub enum ObserveError {
     /// The measured performance is NaN or infinite (e.g. a corrupted scrape).
     NonFinitePerformance {
@@ -638,6 +639,8 @@ pub enum ObserveError {
         /// Index of the offending context coordinate.
         index: usize,
     },
+    /// A cluster model failed to take the observation, to refit or to re-cluster.
+    Model(ModelError),
 }
 
 impl std::fmt::Display for ObserveError {
@@ -649,6 +652,7 @@ impl std::fmt::Display for ObserveError {
             ObserveError::NonFiniteContext { index } => {
                 write!(f, "context feature {index} is not finite")
             }
+            ObserveError::Model(error) => error.fmt(f),
         }
     }
 }
@@ -815,21 +819,26 @@ impl OnlineTune {
     /// Absorbs observations transferred from another tuning session (cross-tenant
     /// warm start). The observations join the repository and the per-cluster models as if
     /// they had been collected locally, generalizing the paper's cold-start fallback;
-    /// they keep their rows.
+    /// they keep their rows. Every observation is absorbed; the first model error, if
+    /// any, is returned afterwards.
     pub fn absorb_observations(
         &mut self,
         observations: impl IntoIterator<Item = SharedObservation>,
-    ) {
+    ) -> Result<(), ModelError> {
+        let mut first_error = Ok(());
         for obs in observations {
             if obs.config().len() != self.catalogue.len() {
                 continue;
             }
-            self.clusters.add_observation(obs, &mut self.rng);
+            let added = self.clusters.add_observation(obs, &mut self.rng);
+            first_error = first_error.and(added.map(drop));
         }
         if self.options.ablation.use_clustering {
-            self.clusters.maybe_recluster(&mut self.rng);
+            let reclustered = self.clusters.maybe_recluster(&mut self.rng);
+            first_error = first_error.and(reclustered.map(drop));
         }
         self.sync_model_structures();
+        first_error
     }
 }
 
@@ -885,7 +894,7 @@ mod tests {
     #[test]
     fn suggest_observe_loop_improves_on_the_simulated_database() {
         let (mut tuner, cat) = make_tuner(AblationFlags::default());
-        let mut db = SimDatabase::new(7);
+        let mut db = SimDatabase::with_catalogue(cat.clone(), HardwareSpec::default(), 7);
         db.set_deterministic(true);
         let workload = WorkloadSpec::synthetic_oltp();
         let default_cfg = Configuration::dba_default(&cat);
@@ -965,7 +974,7 @@ mod tests {
                 metrics: None,
             };
             assert!(
-                tuner.whitebox().passes(&cfg, &rule_ctx)
+                tuner.whitebox.passes(&cfg, &rule_ctx)
                     || suggestion.diagnostics.overridden_rule.is_some(),
                 "iteration {i} recommended a rule-violating configuration without an override"
             );
@@ -1021,7 +1030,7 @@ mod tests {
     #[test]
     fn snapshot_restore_continues_bit_identically() {
         let (mut original, cat) = make_tuner(AblationFlags::default());
-        let mut db = SimDatabase::new(3);
+        let mut db = SimDatabase::with_catalogue(cat.clone(), HardwareSpec::default(), 3);
         let workload = WorkloadSpec::synthetic_oltp();
         let default_cfg = Configuration::dba_default(&cat);
         let default_perf = db.peek(&default_cfg, &workload).throughput_tps;
@@ -1135,7 +1144,10 @@ mod tests {
         let windows: usize = (0..clusters.n_models())
             .map(|id| clusters.model(id).len())
             .sum();
-        assert!(windows < clusters.len(), "the budget must have evicted");
+        assert!(
+            windows < clusters.observations().len(),
+            "the budget must have evicted"
+        );
 
         let copy = tuner.unfitted_copy();
         let state = |t: &OnlineTune| serde_json::to_string(&t.snapshot()).unwrap();
@@ -1168,14 +1180,18 @@ mod tests {
             })
             .collect();
         tuner.extend_known_safe(transferred.iter().map(|o| SharedConfig::new(&o.config)));
-        tuner.absorb_observations(transferred.iter().map(SharedObservation::from));
+        tuner
+            .absorb_observations(transferred.iter().map(SharedObservation::from))
+            .unwrap();
         assert_eq!(tuner.observations().len(), 5);
         // Mismatched dimensions are skipped, not absorbed.
-        tuner.absorb_observations([SharedObservation::new(
-            &vec![0.5; dim + 1],
-            &context_for(0.5),
-            1.0,
-        )]);
+        tuner
+            .absorb_observations([SharedObservation::new(
+                &vec![0.5; dim + 1],
+                &context_for(0.5),
+                1.0,
+            )])
+            .unwrap();
         assert_eq!(tuner.observations().len(), 5);
     }
 

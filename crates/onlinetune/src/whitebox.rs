@@ -243,16 +243,6 @@ impl RuleEngine {
         RuleEngine { rules, states }
     }
 
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether the engine has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     /// Names of all rules.
     pub fn rule_names(&self) -> Vec<&'static str> {
         self.rules.iter().map(|r| r.name()).collect()
@@ -279,11 +269,6 @@ impl RuleEngine {
             st.conflict_safe = snap.conflict_safe;
             st.relax_level = snap.relax_level;
         }
-    }
-
-    /// Current relaxation level of a rule (0 = strict).
-    pub fn relax_level(&self, rule: usize) -> u32 {
-        self.states[rule].relax_level
     }
 
     /// Indices of the rules the configuration violates at their current relaxation level.
@@ -438,7 +423,7 @@ mod tests {
         for _ in 0..3 {
             engine.note_override_outcome(rule_idx, true);
         }
-        assert_eq!(engine.relax_level(rule_idx), 1);
+        assert_eq!(engine.states[rule_idx].relax_level, 1);
         assert!(engine.passes(&config, &ctx(&cat, &hw)));
     }
 
@@ -450,9 +435,9 @@ mod tests {
         engine.note_override_outcome(2, false);
         engine.note_override_outcome(2, true);
         engine.note_override_outcome(2, true);
-        assert_eq!(engine.relax_level(2), 0);
+        assert_eq!(engine.states[2].relax_level, 0);
         engine.note_override_outcome(2, true);
-        assert_eq!(engine.relax_level(2), 1);
+        assert_eq!(engine.states[2].relax_level, 1);
     }
 
     #[test]

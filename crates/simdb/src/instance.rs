@@ -90,13 +90,8 @@ pub struct SimDatabase {
 }
 
 impl SimDatabase {
-    /// Creates an instance with the full MySQL 5.7 catalogue, the paper's 8 vCPU / 16 GiB
-    /// hardware and the vendor-default configuration applied.
-    pub fn new(seed: u64) -> Self {
-        Self::with_catalogue(KnobCatalogue::mysql57(), HardwareSpec::default(), seed)
-    }
-
-    /// Creates an instance with a custom catalogue / hardware.
+    /// Creates an instance with the given catalogue and hardware and the catalogue's
+    /// vendor-default configuration applied.
     pub fn with_catalogue(catalogue: KnobCatalogue, hardware: HardwareSpec, seed: u64) -> Self {
         let current_config = Configuration::vendor_default(&catalogue);
         SimDatabase {
@@ -121,26 +116,6 @@ impl SimDatabase {
     /// The knob catalogue of this instance.
     pub fn catalogue(&self) -> &KnobCatalogue {
         &self.catalogue
-    }
-
-    /// The hardware of this instance.
-    pub fn hardware(&self) -> &HardwareSpec {
-        &self.hardware
-    }
-
-    /// The currently applied configuration.
-    pub fn current_config(&self) -> &Configuration {
-        &self.current_config
-    }
-
-    /// Number of intervals run so far.
-    pub fn intervals_run(&self) -> usize {
-        self.intervals_run
-    }
-
-    /// The instance's pending fault schedule.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
     }
 
     /// Schedules `count` injected faults of `kind` starting with the *next* measurement.
@@ -379,6 +354,11 @@ mod tests {
     use super::*;
     use crate::workload::WorkloadMix;
 
+    /// The full MySQL 5.7 catalogue on the paper's 8 vCPU / 16 GiB hardware.
+    fn mysql57(seed: u64) -> SimDatabase {
+        SimDatabase::with_catalogue(KnobCatalogue::mysql57(), HardwareSpec::default(), seed)
+    }
+
     fn tpcc_like() -> WorkloadSpec {
         WorkloadSpec {
             name: "tpcc-like".into(),
@@ -396,19 +376,19 @@ mod tests {
 
     #[test]
     fn run_interval_produces_positive_throughput() {
-        let mut db = SimDatabase::new(1);
+        let mut db = mysql57(1);
         db.apply_dba_default();
         let eval = db.run_interval(&tpcc_like(), 180.0);
         assert!(!eval.outcome.failed);
         assert!(eval.outcome.throughput_tps > 0.0);
         assert_eq!(eval.interval_s, 180.0);
-        assert_eq!(db.intervals_run(), 1);
+        assert_eq!(db.intervals_run, 1);
         assert_eq!(db.failures, 0);
     }
 
     #[test]
     fn data_grows_under_write_heavy_workload() {
-        let mut db = SimDatabase::new(2);
+        let mut db = mysql57(2);
         db.apply_dba_default();
         db.set_data_size(18.0);
         let wl = tpcc_like();
@@ -423,7 +403,7 @@ mod tests {
 
     #[test]
     fn read_only_workload_does_not_grow_data() {
-        let mut db = SimDatabase::new(3);
+        let mut db = mysql57(3);
         db.apply_dba_default();
         db.set_data_size(9.0);
         let mut wl = tpcc_like();
@@ -434,7 +414,7 @@ mod tests {
 
     #[test]
     fn failure_is_counted_and_returns_zero_throughput() {
-        let mut db = SimDatabase::new(4);
+        let mut db = mysql57(4);
         let cat = db.catalogue().clone();
         let mut bad = Configuration::dba_default(&cat);
         bad.set(
@@ -456,19 +436,19 @@ mod tests {
     #[test]
     fn deterministic_mode_is_reproducible_and_noise_mode_varies() {
         let wl = tpcc_like();
-        let mut det = SimDatabase::new(7);
+        let mut det = mysql57(7);
         det.set_deterministic(true);
         det.apply_dba_default();
         det.set_data_size(18.0);
         let a = det.run_interval(&wl, 180.0).outcome.throughput_tps;
-        let mut det2 = SimDatabase::new(99);
+        let mut det2 = mysql57(99);
         det2.set_deterministic(true);
         det2.apply_dba_default();
         det2.set_data_size(18.0);
         let b = det2.run_interval(&wl, 180.0).outcome.throughput_tps;
         assert_eq!(a, b);
 
-        let mut noisy = SimDatabase::new(7);
+        let mut noisy = mysql57(7);
         noisy.apply_dba_default();
         noisy.set_data_size(18.0);
         let mut values = Vec::new();
@@ -484,46 +464,46 @@ mod tests {
 
     #[test]
     fn peek_does_not_mutate_state() {
-        let mut db = SimDatabase::new(5);
+        let mut db = mysql57(5);
         db.apply_dba_default();
         db.set_data_size(18.0);
         let cat = db.catalogue().clone();
         let cfg = Configuration::vendor_default(&cat);
-        let before_intervals = db.intervals_run();
+        let before_intervals = db.intervals_run;
         let before_size = db.data_size_gib();
         let outcome = db.peek(&cfg, &tpcc_like());
         assert!(outcome.throughput_tps > 0.0);
-        assert_eq!(db.intervals_run(), before_intervals);
+        assert_eq!(db.intervals_run, before_intervals);
         assert_eq!(db.data_size_gib(), before_size);
     }
 
     #[test]
     fn hardware_resize_changes_the_performance_model_immediately() {
-        let mut db = SimDatabase::new(8);
+        let mut db = mysql57(8);
         db.set_deterministic(true);
         db.apply_dba_default();
         db.set_data_size(18.0);
         let wl = tpcc_like();
-        let small = db.peek(db.current_config(), &wl).throughput_tps;
-        let mut bigger = *db.hardware();
+        let small = db.peek(&db.current_config, &wl).throughput_tps;
+        let mut bigger = db.hardware;
         bigger.vcpus *= 4;
         bigger.ram_gib *= 4.0;
         bigger.disk_iops *= 4.0;
         db.set_hardware(bigger);
-        assert_eq!(db.hardware().vcpus, 32);
-        let large = db.peek(db.current_config(), &wl).throughput_tps;
+        assert_eq!(db.hardware.vcpus, 32);
+        let large = db.peek(&db.current_config, &wl).throughput_tps;
         assert!(
             large > small,
             "4x hardware must not slow the model down: {large} vs {small}"
         );
         // The resize survives a snapshot round-trip.
         let restored = SimDatabase::restore(db.snapshot()).unwrap();
-        assert_eq!(restored.hardware(), &bigger);
+        assert_eq!(restored.hardware, bigger);
     }
 
     #[test]
     fn scale_data_multiplies_the_tracked_size_and_ignores_untracked() {
-        let mut db = SimDatabase::new(9);
+        let mut db = mysql57(9);
         db.scale_data(2.0); // not tracked yet: no-op
         assert!(db.data_size_gib().is_none());
         db.set_data_size(10.0);
@@ -535,7 +515,7 @@ mod tests {
 
     #[test]
     fn injected_failure_destroys_the_interval_but_not_the_instance() {
-        let mut db = SimDatabase::new(11);
+        let mut db = mysql57(11);
         db.set_deterministic(true);
         db.apply_dba_default();
         db.set_data_size(18.0);
@@ -551,7 +531,7 @@ mod tests {
             "a destroyed interval must not grow data"
         );
         assert_eq!(db.failures, 0, "injected faults are not organic failures");
-        assert_eq!(db.fault_plan().injected, 1);
+        assert_eq!(db.fault_plan.injected, 1);
         // The next interval is clean again.
         let clean = db.run_interval(&wl, 180.0);
         assert_eq!(clean.fault, None);
@@ -561,14 +541,14 @@ mod tests {
     #[test]
     fn corrupting_faults_garble_only_the_report() {
         let wl = tpcc_like();
-        let mut faulty = SimDatabase::new(12);
+        let mut faulty = mysql57(12);
         faulty.set_deterministic(true);
         faulty.apply_dba_default();
         faulty.set_data_size(18.0);
         faulty.inject_faults(FaultKind::CorruptNan, 1);
         faulty.inject_faults(FaultKind::CorruptScale, 1);
 
-        let mut clean = SimDatabase::new(12);
+        let mut clean = mysql57(12);
         clean.set_deterministic(true);
         clean.apply_dba_default();
         clean.set_data_size(18.0);
@@ -590,7 +570,7 @@ mod tests {
     #[test]
     fn fault_schedule_survives_a_snapshot_round_trip() {
         let wl = tpcc_like();
-        let mut db = SimDatabase::new(13);
+        let mut db = mysql57(13);
         db.apply_dba_default();
         db.set_data_size(18.0);
         db.inject_faults(FaultKind::Timeout, 2);
@@ -603,19 +583,19 @@ mod tests {
             assert_eq!(a.fault, b.fault);
             assert_eq!(a.outcome.failed, b.outcome.failed);
         }
-        assert_eq!(db.fault_plan().injected, twin.fault_plan().injected);
+        assert_eq!(db.fault_plan.injected, twin.fault_plan.injected);
     }
 
     #[test]
     fn apply_config_sanitizes_values() {
-        let mut db = SimDatabase::new(6);
+        let mut db = mysql57(6);
         let cat = db.catalogue().clone();
         let mut crazy = Configuration::vendor_default(&cat);
         // Out-of-domain values must be clamped by apply_config.
         let values: Vec<f64> = crazy.values().iter().map(|_| 1e20).collect();
         crazy = Configuration::from_values(&cat, values);
         db.apply_config(&crazy);
-        for (v, k) in db.current_config().values().iter().zip(cat.knobs()) {
+        for (v, k) in db.current_config.values().iter().zip(cat.knobs()) {
             assert!(*v <= k.max());
         }
     }

@@ -79,11 +79,6 @@ impl WorkloadMix {
         self.weights[idx]
     }
 
-    /// All weights in [`QueryClass::ALL`] order.
-    pub fn weights(&self) -> &[f64; 7] {
-        &self.weights
-    }
-
     /// Fraction of queries that modify data.
     pub fn write_fraction(&self) -> f64 {
         QueryClass::ALL
@@ -164,11 +159,6 @@ impl WorkloadSpec {
     pub fn hot_bytes(&self) -> f64 {
         self.data_size_gib * 1024.0 * 1024.0 * 1024.0 * self.hot_fraction()
     }
-
-    /// Whether the workload is predominantly analytical.
-    pub fn is_analytical(&self) -> bool {
-        self.mix.analytical_fraction() > 0.5
-    }
 }
 
 #[cfg(test)]
@@ -178,7 +168,7 @@ mod tests {
     #[test]
     fn mix_normalizes_weights() {
         let mix = WorkloadMix::new([2.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0]);
-        assert!((mix.weights().iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!((mix.weights.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((mix.weight(QueryClass::PointSelect) - 0.5).abs() < 1e-12);
         assert!((mix.write_fraction() - 0.5).abs() < 1e-12);
         assert!((mix.read_fraction() - 0.5).abs() < 1e-12);
@@ -187,7 +177,7 @@ mod tests {
     #[test]
     fn zero_mix_becomes_uniform() {
         let mix = WorkloadMix::new([0.0; 7]);
-        assert!((mix.weights().iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!((mix.weights.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         for c in QueryClass::ALL {
             assert!((mix.weight(c) - 1.0 / 7.0).abs() < 1e-12);
         }
@@ -223,8 +213,8 @@ mod tests {
     #[test]
     fn analytical_detection() {
         let mut spec = WorkloadSpec::synthetic_oltp();
-        assert!(!spec.is_analytical());
+        assert!(spec.mix.analytical_fraction() <= 0.5);
         spec.mix = WorkloadMix::new([0.0, 0.0, 0.7, 0.3, 0.0, 0.0, 0.0]);
-        assert!(spec.is_analytical());
+        assert!(spec.mix.analytical_fraction() > 0.5);
     }
 }

@@ -136,27 +136,11 @@ impl TelemetryHandle {
         }
     }
 
-    /// Current value of a counter (0 when disabled).
-    pub fn counter(&self, id: CounterId) -> u64 {
-        match &self.0 {
-            Some(core) => core.counters[id as usize].load(Ordering::Relaxed),
-            None => 0,
-        }
-    }
-
     /// Sets a gauge to `v`.
     #[inline]
     pub fn set_gauge(&self, id: GaugeId, v: f64) {
         if let Some(core) = &self.0 {
             core.gauges[id as usize].store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Current value of a gauge (0 when disabled).
-    pub fn gauge(&self, id: GaugeId) -> f64 {
-        match &self.0 {
-            Some(core) => f64::from_bits(core.gauges[id as usize].load(Ordering::Relaxed)),
-            None => 0.0,
         }
     }
 
@@ -279,7 +263,7 @@ mod tests {
         t.end_span(SpanId::Iteration, span);
         t.event(EventKind::Admission, "a", "");
         assert!(!t.is_enabled());
-        assert_eq!(t.counter(CounterId::Iterations), 0);
+        assert_eq!(t.snapshot().counter(CounterId::Iterations), 0);
         assert_eq!(t.snapshot(), MetricsSnapshot::empty());
         assert!(t.events().is_empty());
     }
@@ -303,8 +287,8 @@ mod tests {
         let parent = TelemetryHandle::with_clock(clock.clone(), TelemetryConfig::default());
         let child = parent.child();
         child.incr(CounterId::Iterations);
-        assert_eq!(parent.counter(CounterId::Iterations), 0);
-        assert_eq!(child.counter(CounterId::Iterations), 1);
+        assert_eq!(parent.snapshot().counter(CounterId::Iterations), 0);
+        assert_eq!(child.snapshot().counter(CounterId::Iterations), 1);
         clock.advance(1_000);
         let span = child.begin_span();
         t_end(&child, span);
@@ -324,8 +308,8 @@ mod tests {
         child.end_span(SpanId::Iteration, span);
         child.event(EventKind::Recluster, "t1", "models 1 -> 2");
         child.drain_into(&parent);
-        assert_eq!(child.counter(CounterId::Iterations), 0);
-        assert_eq!(parent.counter(CounterId::Iterations), 3);
+        assert_eq!(child.snapshot().counter(CounterId::Iterations), 0);
+        assert_eq!(parent.snapshot().counter(CounterId::Iterations), 3);
         assert_eq!(parent.histogram(SpanId::Iteration).count, 1);
         let events = parent.events();
         assert_eq!(events.len(), 1);
@@ -338,9 +322,9 @@ mod tests {
         let enabled = TelemetryHandle::enabled();
         enabled.incr(CounterId::Iterations);
         enabled.drain_into(&TelemetryHandle::disabled());
-        assert_eq!(enabled.counter(CounterId::Iterations), 1);
+        assert_eq!(enabled.snapshot().counter(CounterId::Iterations), 1);
         TelemetryHandle::disabled().drain_into(&enabled);
-        assert_eq!(enabled.counter(CounterId::Iterations), 1);
+        assert_eq!(enabled.snapshot().counter(CounterId::Iterations), 1);
     }
 
     #[test]

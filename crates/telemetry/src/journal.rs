@@ -175,16 +175,6 @@ impl EventJournal {
         self.ring.push_back(event);
     }
 
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the journal holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
     /// Events dropped to overflow since construction.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -239,7 +229,7 @@ mod tests {
         j.push(ev(EventKind::Admission, "a"));
         j.push(ev(EventKind::Admission, "b"));
         j.push(ev(EventKind::Admission, "c"));
-        assert_eq!(j.len(), 2);
+        assert_eq!(j.ring.len(), 2);
         assert_eq!(j.dropped(), 1);
         let subjects: Vec<&str> = j.events().map(|e| e.subject.as_str()).collect();
         assert_eq!(subjects, vec!["b", "c"]);
@@ -253,7 +243,7 @@ mod tests {
         let mut b = EventJournal::new(8);
         b.push(ev(EventKind::Admission, "t0"));
         a.drain_into(&mut b);
-        assert!(a.is_empty());
+        assert!(a.ring.is_empty());
         let kinds: Vec<EventKind> = b.events().map(|e| e.kind).collect();
         assert_eq!(
             kinds,

@@ -122,7 +122,6 @@ mod tests {
         let spec = w.spec_at(10);
         assert_eq!(spec.mix.write_fraction(), 0.0);
         assert!(spec.mix.analytical_fraction() > 0.99);
-        assert!(spec.is_analytical());
         assert_eq!(w.objective(), Objective::ExecutionTime);
     }
 

@@ -10,7 +10,7 @@ use fleet::tenant::{TenantSpec, WorkloadDrift, WorkloadFamily};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simdb::WorkloadSpec;
+use simdb::{QueryClass, WorkloadSpec};
 use workloads::Objective;
 
 /// Samples one drift of any of the six kinds from a seeded stream.
@@ -241,8 +241,8 @@ fn generator_digest(spec: &TenantSpec) -> u64 {
     for iteration in 0..80 {
         let s = generator.spec_at(iteration);
         eat(s.name.as_bytes());
-        for weight in s.mix.weights() {
-            eat(&weight.to_bits().to_le_bytes());
+        for class in QueryClass::ALL {
+            eat(&s.mix.weight(class).to_bits().to_le_bytes());
         }
         match s.arrival_rate_qps {
             None => eat(&[0]),

@@ -218,7 +218,7 @@ fn a_fitted_model_keeps_a_packed_factor() {
     model.observe(rows[N].clone(), targets[N]).expect("observe");
     assert_eq!(model.n_observations(), N + 1);
     assert_eq!(
-        telemetry.counter(CounterId::ObserveFastPath),
+        telemetry.snapshot().counter(CounterId::ObserveFastPath),
         1,
         "the observation must extend the factor, not refit it"
     );
@@ -453,33 +453,46 @@ fn server_journal_anchors_on_row_handles() {
 
 /// (g) A durable fleet's journal anchors on a copy of the fleet, so it holds what a
 /// server's does (f) beyond its fleet: at construction, after a periodic commit and
-/// over a restored fleet.
+/// over a restored fleet. Each durable fleet is measured against its twin, a plain fleet
+/// restored from the same text that ran the same rounds: the two fleets hold the same
+/// heap, so what dropping the durable fleet frees beyond what dropping its twin frees is
+/// what its journal holds.
 fn durable_fleet_journal_anchors_on_row_handles() {
-    let check = |when: &str, mut durable: DurableFleet| -> FleetService {
-        let empty = FleetService::new(FleetOptions::default());
-        let fleet = std::mem::replace(durable.service_mut(), empty);
+    let restore = |json: &str| FleetService::restore_json(json).expect("restore");
+    let check = |when: &str, durable: DurableFleet, twin: FleetService| -> String {
+        let json = twin.canonical_snapshot_json();
         let before = live();
         drop(durable);
-        check_anchor("g", when, &fleet, before - live());
-        fleet
+        let durable_freed = before - live();
+        let before = live();
+        drop(twin);
+        let twin_freed = before - live();
+        check_anchor("g", when, &restore(&json), durable_freed - twin_freed);
+        json
     };
     let quiet = || Scenario::new("quiet");
 
-    let svc = check(
+    let genesis = six_tenant_fleet(24).canonical_snapshot_json();
+    check(
         "at construction",
-        DurableFleet::new(six_tenant_fleet(24), quiet()),
+        DurableFleet::new(restore(&genesis), quiet()),
+        restore(&genesis),
     );
-    let mut durable = DurableFleet::new(svc, quiet());
+    let mut durable = DurableFleet::new(restore(&genesis), quiet());
     durable.run_rounds(SNAPSHOT_INTERVAL).expect("rounds");
     assert!(
         durable.crash(0).wal_bytes.is_empty(),
         "the last round must have been a periodic commit"
     );
-    let svc = check("after a periodic commit", durable);
-    let restored = FleetService::restore_json(&svc.canonical_snapshot_json()).expect("restore");
+    let mut twin = restore(&genesis);
+    for _ in 0..SNAPSHOT_INTERVAL {
+        twin.run_round();
+    }
+    let json = check("after a periodic commit", durable, twin);
     check(
         "over a restored fleet",
-        DurableFleet::new(restored, quiet()),
+        DurableFleet::new(restore(&json), quiet()),
+        restore(&json),
     );
 }
 
